@@ -7,6 +7,7 @@ type dir_report = {
   dr_persistent : bool;
   dr_next_seqno : int;
   dr_members : (Proto.Types.member * bool) list;
+  dr_origins : (int * server_id * int) list;
 }
 
 (* Cross-shard operation carried by a [Barrier_commit]: applied by every
@@ -204,6 +205,7 @@ let tag_size tag = str tag.og_server + 8
 let report_size r =
   str r.dr_group + 1 + 8
   + List.fold_left (fun acc (m, _) -> acc + str m.Proto.Types.member + 2) 4 r.dr_members
+  + List.fold_left (fun acc (_, o, _) -> acc + 4 + str o + 8) 4 r.dr_origins
 
 (* (shard, next) pair lists: 4-byte count + two 4-byte ints per entry. *)
 let pos_pairs_size ps = List.fold_left (fun acc _ -> acc + 8) 4 ps

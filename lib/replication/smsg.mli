@@ -24,6 +24,10 @@ type dir_report = {
   dr_next_seqno : int;
   dr_members : (Proto.Types.member * bool) list;
       (** local members of that replica, with their notify flag *)
+  dr_origins : (int * server_id * int) list;
+      (** [(shard, origin, og_seq)]: the last forward of each origin the
+          copy applied, per shard (0 on a classic copy) — the new
+          sequencer's duplicate filter starts from these *)
 }
 
 (** Cross-shard operation carried by a {!t.Barrier_commit}: every replica

@@ -569,6 +569,177 @@ let test_random_soak_with_failover () =
     (fun seed -> soak_once ~crash_coordinator:true ~seed ())
     [ 606L; 707L; 808L ]
 
+(* A coordinator crash in the middle of a sequenced fan-out: the batch for
+   seqno 25 reached only srv-1, which repaired the other copies through an
+   untagged [Updates_blob]. The writer's replica then re-sent its forward;
+   the new coordinator must not sequence it a second time. Every member
+   sees a gapless, duplicate-free stream and every live copy agrees. *)
+let test_crash_mid_fanout_no_seqno_hole () =
+  let tb = Workload.Testbed.replicated ~seed:7L ~replicas:6 ~client_machines:6 () in
+  let c = tb.r_cluster and engine = tb.r_engine in
+  let seen = Array.make 6 [] in
+  let start = ref infinity in
+  Workload.Testbed.spawn_clients tb.r_fabric ~hosts:tb.r_client_hosts
+    ~server_for:(fun i -> Replication.Node.host (Replication.Cluster.replica_for c i))
+    ~n:6
+    (fun cls ->
+      Array.iteri
+        (fun i cl ->
+          Corona.Client.set_on_event cl (fun _ -> function
+            | Corona.Client.Delivered u -> seen.(i) <- u.T.seqno :: seen.(i)
+            | _ -> ()))
+        cls;
+      Corona.Client.create_group cls.(0) ~group:"g" ~k:(expect_ok "create") ();
+      Workload.Testbed.join_all cls ~group:"g" (fun () ->
+          start := Sim.Engine.now engine;
+          (* the member on srv-2 writes *)
+          for k = 0 to 49 do
+            ignore
+              (Sim.Engine.schedule engine ~delay:(0.02 *. float_of_int k) (fun () ->
+                   Corona.Client.bcast_update cls.(1) ~group:"g" ~obj:"o"
+                     ~data:(Printf.sprintf "%d;" k) ()))
+          done;
+          Net.Fault.crash_at tb.r_fabric
+            (Replication.Node.host (Replication.Cluster.node c "srv-0"))
+            ~at:(!start +. 0.5 +. 3.0e-3)));
+  Workload.Testbed.run_until engine (fun () -> Sim.Engine.now engine > !start +. 20.0);
+  Array.iteri
+    (fun i l ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "member on srv-%d: gapless, no duplicates" (i + 1))
+        (List.init 50 Fun.id) (List.rev l))
+    seen;
+  match
+    List.filter_map
+      (fun n ->
+        match
+          (Replication.Node.group_state n "g", Replication.Node.group_next_seqno n "g")
+        with
+        | Some s, Some q -> Some (Corona.Shared_state.digest s, q)
+        | _ -> None)
+      (Replication.Cluster.live_nodes c)
+  with
+  | first :: rest ->
+      List.iter
+        (fun copy -> Alcotest.(check bool) "live copies equal" true (copy = first))
+        rest
+  | [] -> Alcotest.fail "no live copy"
+
+(* Count the view changes a client hears, per group. *)
+let count_views cell = fun _ -> function
+  | Corona.Client.Membership_changed { group; _ } -> cell := group :: !cell
+  | _ -> ()
+
+(* A member that joined with [notify = false] hears no view change, as on
+   the single server. *)
+let test_notify_flag_honoured () =
+  let w = make_world () in
+  let a_views = ref [] and done_ = ref false in
+  connect w ~idx:0 ~member:"a" (fun a ->
+      Corona.Client.set_on_event a (count_views a_views);
+      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g" ~notify:false
+        ~k:(fun _ ->
+          connect w ~idx:0 ~member:"b" (fun b ->
+              Corona.Client.join b ~group:"g"
+                ~k:(fun _ -> Corona.Client.leave b ~group:"g" ~k:(fun _ -> done_ := true))
+                ()))
+        ());
+  run ~until:20.0 w;
+  Alcotest.(check bool) "b joined and left" true !done_;
+  Alcotest.(check int) "a heard no view change" 0 (List.length !a_views)
+
+(* Notifications to relay-fronted members collapse into one [Relay_fanout]
+   per relay, like every other fan-out. *)
+let test_relay_fronted_notification () =
+  let w = make_world () in
+  let node = Replication.Cluster.replica_for w.cluster 0 in
+  let relay_host = Net.Fabric.add_host w.fabric ~name:"relay-0" () in
+  let frames () = (Replication.Node.stats node).relay_frames_sent in
+  let before = ref (-1) and after = ref (-1) in
+  let via_relay member k =
+    Corona.Client.connect w.fabric ~host:w.client_hosts.(1) ~server:relay_host ~member
+      ~on_connected:k
+      ~on_failed:(fun () -> Alcotest.failf "connect failed for %s" member)
+      ()
+  in
+  ignore
+    (Corona.Relay.create w.fabric relay_host ~relay:"relay-0"
+       ~root:(Replication.Node.host node)
+       ~on_ready:(fun _ ->
+         via_relay "r1" (fun r1 ->
+             Corona.Client.create_group r1 ~group:"g" ~k:(expect_ok "create") ();
+             Corona.Client.join r1 ~group:"g"
+               ~k:(fun _ ->
+                 via_relay "r2" (fun r2 ->
+                     Corona.Client.join r2 ~group:"g"
+                       ~k:(fun _ ->
+                         before := frames ();
+                         connect w ~idx:0 ~member:"d" (fun d ->
+                             Corona.Client.join d ~group:"g"
+                               ~k:(fun _ ->
+                                 ignore
+                                   (Sim.Engine.schedule w.engine ~delay:1.0 (fun () ->
+                                        after := frames ())))
+                               ()))
+                       ()))
+               ()))
+       ~on_failed:(fun () -> Alcotest.fail "relay could not reach the node")
+       ());
+  run ~until:20.0 w;
+  Alcotest.(check bool) "join observed" true (!before >= 0 && !after >= 0);
+  Alcotest.(check int) "one frame per relay for the join" 1 (!after - !before)
+
+(* A member in two of three groups disconnects: exactly those two groups
+   see one leave each, and every other subscribed member hears each leave
+   once; a non-subscriber hears nothing. *)
+let test_disconnect_leaves_only_own_groups () =
+  let w = make_world () in
+  let y_views = ref [] and z_views = ref [] and q_views = ref [] in
+  let xc = ref None in
+  let join cl group ?notify k = Corona.Client.join cl ~group ?notify ~k:(fun _ -> k ()) () in
+  connect w ~idx:0 ~member:"y" (fun y ->
+      Corona.Client.set_on_event y (count_views y_views);
+      List.iter
+        (fun g -> Corona.Client.create_group y ~group:g ~k:(expect_ok "create") ())
+        [ "g1"; "g2"; "g3" ];
+      join y "g1" (fun () ->
+          join y "g2" (fun () ->
+              join y "g3" (fun () ->
+                  connect w ~idx:1 ~member:"z" (fun z ->
+                      Corona.Client.set_on_event z (count_views z_views);
+                      join z "g1" (fun () ->
+                          join z "g3" (fun () ->
+                              connect w ~idx:0 ~member:"q" (fun q ->
+                                  Corona.Client.set_on_event q (count_views q_views);
+                                  join q "g1" ~notify:false (fun () ->
+                                      connect w ~idx:0 ~member:"x" (fun x ->
+                                          xc := Some x;
+                                          join x "g1" (fun () ->
+                                              join x "g2" (fun () ->
+                                                  y_views := [];
+                                                  z_views := [];
+                                                  q_views := []))))))))))));
+  run ~until:10.0 w;
+  Corona.Client.disconnect (Option.get !xc);
+  run ~until:20.0 w;
+  let sorted l = List.sort String.compare !l in
+  Alcotest.(check (list string)) "y: one leave in g1 and g2" [ "g1"; "g2" ] (sorted y_views);
+  Alcotest.(check (list string)) "z: one leave in g1" [ "g1" ] (sorted z_views);
+  Alcotest.(check (list string)) "q: not subscribed" [] (sorted q_views);
+  List.iter
+    (fun (g, expected) ->
+      let members =
+        List.concat_map
+          (fun n -> Replication.Node.group_local_members n g)
+          (Replication.Cluster.live_nodes w.cluster)
+      in
+      Alcotest.(check (list string))
+        (g ^ " members after the disconnect")
+        expected
+        (List.sort String.compare (List.map (fun (m : T.member) -> m.member) members)))
+    [ ("g1", [ "q"; "y"; "z" ]); ("g2", [ "y" ]); ("g3", [ "y"; "z" ]) ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "replication"
@@ -594,5 +765,11 @@ let () =
             test_random_soak_convergence;
           tc "randomized soak with coordinator crash" `Slow
             test_random_soak_with_failover;
+          tc "crash mid fan-out leaves no seqno hole" `Quick
+            test_crash_mid_fanout_no_seqno_hole;
+          tc "notify flag honoured" `Quick test_notify_flag_honoured;
+          tc "relay-fronted notification" `Quick test_relay_fronted_notification;
+          tc "disconnect leaves only own groups" `Quick
+            test_disconnect_leaves_only_own_groups;
         ] );
     ]

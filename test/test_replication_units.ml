@@ -70,6 +70,7 @@ let test_directory_rebuild_union () =
         dr_next_seqno = next;
         dr_members =
           List.map (fun m -> ({ T.member = m; role = T.Principal }, true)) members;
+        dr_origins = [];
       } )
   in
   D.rebuild d [ report "s1" "g" 5 [ "a" ]; report "s2" "g" 9 [ "b" ] ];
