@@ -184,6 +184,47 @@ let run_codec_alloc () =
     ~header:[ "codec path"; "minor w/op"; "pool lease/hit/miss"; "pool hiwater" ]
     rows
 
+(* Event-loop row: the host cost of one pooled schedule + step pair with
+   2000 events pending, the fan-out loop's steady state. The time is the
+   median of five batches; the words count the caller's boxed time and the
+   engine's boxed clock. *)
+let run_engine_micro () =
+  let pending = 2000 and per_batch = 200_000 in
+  let e = Sim.Engine.create () in
+  let hits = ref 0 in
+  let f i = hits := !hits + i in
+  let delay i = float_of_int (i * 7919 mod 1000) in
+  for i = 0 to pending - 1 do
+    Sim.Engine.schedule_pooled e ~at:(delay i) f 1
+  done;
+  let batch () =
+    for i = 1 to per_batch do
+      Sim.Engine.schedule_pooled e ~at:(Sim.Engine.now e +. delay i) f 1;
+      ignore (Sim.Engine.step e)
+    done
+  in
+  batch ();
+  let w0 = Gc.minor_words () in
+  let ns =
+    List.init 5 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        batch ();
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_batch)
+  in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (5 * per_batch) in
+  let ns = List.nth (List.sort Float.compare ns) 2 in
+  assert (Sim.Engine.pending e = pending && !hits = 6 * per_batch);
+  let name = "engine pooled step @2000 pending" in
+  json_add "micro"
+    [
+      ("name", Printf.sprintf "%S" name);
+      ("ns_per_event", json_num ns);
+      ("minor_words_per_event", json_num words);
+    ];
+  Workload.Report.table
+    ~header:[ "event loop"; "ns/event"; "minor w/event" ]
+    [ [ name; Printf.sprintf "%.1f" ns; Printf.sprintf "%.1f" words ] ]
+
 let run_micro () =
   Workload.Report.section "Micro-benchmarks (Bechamel) — in-process hot paths";
   let open Bechamel in
@@ -226,7 +267,8 @@ let run_micro () =
       tests
   in
   Workload.Report.table ~header:[ "benchmark"; "ns/run" ] rows;
-  run_codec_alloc ()
+  run_codec_alloc ();
+  run_engine_micro ()
 
 (* --- fan-out macro-benchmark -------------------------------------------- *)
 

@@ -5,25 +5,34 @@ type entry = {
   joined_at : float;
 }
 
-(* Hashtable-indexed membership: O(1) mem/find/role_of/remove, with join
-   order preserved through a monotone per-member sequence number. The
-   ordered views ([entries] / [members]) are caches rebuilt lazily after a
-   membership change, so steady-state fan-out (many broadcasts between
-   joins/leaves) pays no sorting or list construction at all. *)
-type slot = { s_entry : entry; s_seq : int }
-
+(* Members sit in [order], a join-ordered array with tombstones: a join
+   appends, a leave overwrites its slot with [dead], and a rejoin of a
+   present member replaces its entry in place, so it keeps its slot and its
+   place in join order. [index] maps each member to its slot, which keeps
+   mem/find/role_of/remove O(1). When dead slots outnumber live ones the
+   array is compacted in one pass, which renumbers the surviving slots;
+   each compaction follows at least as many leaves as it moves members, so
+   it costs O(1) per leave amortized. The ordered views ([entries] /
+   [members]) are caches dropped on every change and rebuilt by one linear
+   walk over [order], with no sort, so steady-state fan-out (many
+   broadcasts between joins/leaves) pays no list construction at all. *)
 type t = {
-  index : (Proto.Types.member_id, slot) Hashtbl.t;
-  mutable next_seq : int;
+  index : (Proto.Types.member_id, int) Hashtbl.t; (* slot in [order] *)
+  mutable order : entry array;
+  mutable len : int; (* slots in use, tombstones included *)
   mutable notify_count : int; (* members with [notify = true] *)
   mutable entries_cache : entry list option; (* join order *)
   mutable members_cache : Proto.Types.member list option;
 }
 
+(* The tombstone; compared physically, never handed out. *)
+let dead = { member = ""; role = Proto.Types.Observer; notify = false; joined_at = 0.0 }
+
 let create () =
   {
     index = Hashtbl.create 16;
-    next_seq = 0;
+    order = Array.make 16 dead;
+    len = 0;
     notify_count = 0;
     entries_cache = None;
     members_cache = None;
@@ -35,51 +44,79 @@ let invalidate t =
 
 let mem t member = Hashtbl.mem t.index member
 
+let count t = Hashtbl.length t.index
+
+let is_empty t = Hashtbl.length t.index = 0
+
 let add t ~member ~role ~notify ~joined_at =
   let entry = { member; role; notify; joined_at } in
-  let seq =
-    (* A rejoin replaces the entry but keeps its position in join order. *)
-    match Hashtbl.find_opt t.index member with
-    | Some s ->
-        if s.s_entry.notify then t.notify_count <- t.notify_count - 1;
-        s.s_seq
-    | None ->
-        let s = t.next_seq in
-        t.next_seq <- s + 1;
-        s
-  in
+  (match Hashtbl.find_opt t.index member with
+  | Some i ->
+      if t.order.(i).notify then t.notify_count <- t.notify_count - 1;
+      t.order.(i) <- entry
+  | None ->
+      let cap = Array.length t.order in
+      if t.len = cap then begin
+        let bigger = Array.make (2 * cap) dead in
+        Array.blit t.order 0 bigger 0 cap;
+        t.order <- bigger
+      end;
+      t.order.(t.len) <- entry;
+      Hashtbl.replace t.index member t.len;
+      t.len <- t.len + 1);
   if notify then t.notify_count <- t.notify_count + 1;
-  Hashtbl.replace t.index member { s_entry = entry; s_seq = seq };
   invalidate t
+
+(* Slide the live entries to the front, keeping their order. *)
+let compact t =
+  let j = ref 0 in
+  for i = 0 to t.len - 1 do
+    let e = t.order.(i) in
+    if e != dead then begin
+      if i <> !j then begin
+        t.order.(!j) <- e;
+        Hashtbl.replace t.index e.member !j
+      end;
+      incr j
+    end
+  done;
+  Array.fill t.order !j (t.len - !j) dead;
+  t.len <- !j
 
 let remove t member =
   match Hashtbl.find_opt t.index member with
-  | Some s ->
-      if s.s_entry.notify then t.notify_count <- t.notify_count - 1;
+  | Some i ->
+      if t.order.(i).notify then t.notify_count <- t.notify_count - 1;
+      t.order.(i) <- dead;
       Hashtbl.remove t.index member;
       invalidate t;
+      if t.len - count t > count t then compact t;
       true
   | None -> false
 
 let find t member =
-  Option.map (fun s -> s.s_entry) (Hashtbl.find_opt t.index member)
+  match Hashtbl.find_opt t.index member with Some i -> Some t.order.(i) | None -> None
 
 let role_of t member =
-  Option.map (fun s -> s.s_entry.role) (Hashtbl.find_opt t.index member)
+  match Hashtbl.find_opt t.index member with
+  | Some i -> Some t.order.(i).role
+  | None -> None
 
-let count t = Hashtbl.length t.index
-
-let is_empty t = Hashtbl.length t.index = 0
+(* Folds [f] over the live entries, last joined first, so consing onto
+   [acc] builds a join-ordered list. *)
+let fold_live t f acc =
+  let acc = ref acc in
+  for i = t.len - 1 downto 0 do
+    let e = t.order.(i) in
+    if e != dead then acc := f e !acc
+  done;
+  !acc
 
 let entries t =
   match t.entries_cache with
   | Some l -> l
   | None ->
-      let slots = Hashtbl.fold (fun _ s acc -> s :: acc) t.index [] in
-      let l =
-        List.sort (fun a b -> Int.compare a.s_seq b.s_seq) slots
-        |> List.map (fun s -> s.s_entry)
-      in
+      let l = fold_live t (fun e l -> e :: l) [] in
       t.entries_cache <- Some l;
       l
 
@@ -87,20 +124,16 @@ let members t =
   match t.members_cache with
   | Some l -> l
   | None ->
-      let l =
-        List.map
-          (fun e -> { Proto.Types.member = e.member; role = e.role })
-          (entries t)
-      in
+      let l = fold_live t (fun e l -> { Proto.Types.member = e.member; role = e.role } :: l) [] in
       t.members_cache <- Some l;
       l
 
 (* The [notify_count = 0] fast path matters: a 100k-member join storm with
-   notifications off would otherwise rebuild the O(n log n) ordered view on
-   every join just to produce an empty list — an O(n² log n) storm. *)
+   notifications off would otherwise walk the whole group on every join
+   just to produce an empty list — an O(n²) storm. *)
 let notify_targets t =
   if t.notify_count = 0 then []
-  else List.filter_map (fun e -> if e.notify then Some e.member else None) (entries t)
+  else fold_live t (fun e l -> if e.notify then e.member :: l else l) []
 
 (* --- relay slice partitioning ------------------------------------------- *)
 

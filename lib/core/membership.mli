@@ -7,9 +7,12 @@
     client is joining, unless they request explicitly membership change
     notifications").
 
-    The table is hashtable-indexed: [mem] / [find] / [role_of] / [remove]
-    are O(1); the join-ordered views ([entries], [members]) are cached and
-    rebuilt lazily after a membership change. *)
+    Members sit in a join-ordered array with tombstones, indexed by a
+    hashtable: [mem] / [find] / [role_of] / [remove] are O(1), and [add]
+    and [remove] are amortized O(1) (the array is compacted when dead slots
+    outnumber live ones). The join-ordered views ([entries], [members]) are
+    cached and rebuilt after a membership change by one linear walk of the
+    array, with no sort. *)
 
 type entry = {
   member : Proto.Types.member_id;
@@ -29,8 +32,9 @@ val add :
   notify:bool ->
   joined_at:float ->
   unit
-(** Adds or re-adds (rejoin replaces the old entry but keeps its position in
-    join order if still present). *)
+(** Adds or re-adds. A rejoin of a present member replaces its entry in
+    its slot, so it keeps its position in join order; a member that left
+    and joins again goes to the end. *)
 
 val remove : t -> Proto.Types.member_id -> bool
 (** [true] if the member was present. *)

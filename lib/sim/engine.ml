@@ -1,130 +1,75 @@
 type time = float
 
-(* An event record doubles as its own cancellation handle: [cancel] flips
-   the in-event state in O(1) and [step] skips tombstones as they surface at
-   the heap top. No side table, no per-pop hashtable lookup — the hot loop
-   of large fan-out simulations is a heap pop plus a tag check. The state
-   tag also makes cancellation idempotent against every ordering of
-   cancel/fire: only a Pending -> Cancelled transition touches the live
-   counter, so cancelling twice, or cancelling an event that already ran,
-   cannot corrupt [pending]. *)
+(* A classic event's handle: [cancel] flips the state in O(1) and [step]
+   skips tombstones as they surface at the queue top. No side table, no
+   per-pop hashtable lookup. The state tag also makes cancellation
+   idempotent against every ordering of cancel/fire: only a
+   Pending -> Cancelled transition touches the live counter, so cancelling
+   twice, or cancelling an event that already ran, cannot corrupt
+   [pending]. The handle never moves inside the queue; only its slab slot
+   number does. *)
 type state = Pending | Cancelled | Fired
 
-(* Two flavors share the record and the heap:
-
-   - classic events ([pooled = false]) carry a [unit -> unit] closure and
-     double as their own cancellation handle, exactly as before;
-   - pooled events ([pooled = true]) carry an [int -> unit] callback plus
-     an integer argument, are not cancellable, and their records are
-     recycled through a freelist after firing — the steady-state fan-out
-     loop schedules millions of them without allocating one record.
-
-   Recycling is safe precisely because pooled events have no identity:
-   [schedule_pooled] returns unit, so no [event_id] to a recycled record
-   can escape and alias its next incarnation. The [at] field stays a
-   boxed-float pointer — reusing a record stores the caller's already-
-   boxed float, so reuse allocates nothing. *)
-type event = {
-  mutable at : time;
-  mutable seq : int; (* tie-break: schedule order *)
-  mutable run : unit -> unit;
-  mutable run_i : int -> unit; (* pooled events only *)
-  mutable arg : int;
-  mutable st : state;
-  pooled : bool;
-}
+type event = { mutable st : state; run : unit -> unit }
 
 type event_id = event
 
 let ignore_i (_ : int) = ()
 
-(* Array-based binary min-heap on (at, seq). *)
-module Heap = struct
-  type t = { mutable a : event array; mutable len : int }
+(* The handle of every slab slot that holds a pooled event or nothing.
+   It never escapes, so nothing can cancel it: it stays [Pending], as a
+   pooled event is never a tombstone. *)
+let no_handle = { st = Pending; run = ignore }
 
-  let dummy =
-    { at = 0.0; seq = 0; run = ignore; run_i = ignore_i; arg = 0; st = Fired;
-      pooled = false }
+(* The queue is a structure of arrays in two parts.
 
-  let create () = { a = Array.make 64 dummy; len = 0 }
-
-  let before x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
-
-  let grow h =
-    let a = Array.make (2 * Array.length h.a) dummy in
-    Array.blit h.a 0 a 0 h.len;
-    h.a <- a
-
-  (* The sifts are tail-recursive on int indices: no [ref] cells, so a
-     push/pop pair on the hot loop allocates nothing. *)
-  let rec sift_up a i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before a.(i) a.(parent) then begin
-        let tmp = a.(parent) in
-        a.(parent) <- a.(i);
-        a.(i) <- tmp;
-        sift_up a parent
-      end
-    end
-
-  let push h e =
-    if h.len = Array.length h.a then grow h;
-    h.a.(h.len) <- e;
-    h.len <- h.len + 1;
-    sift_up h.a (h.len - 1)
-
-  let is_empty h = h.len = 0
-
-  (* Precondition: [not (is_empty h)]. *)
-  let top h = h.a.(0)
-
-  let rec sift_down a len i =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let r = l + 1 in
-      let s = if before a.(l) a.(i) then l else i in
-      let s = if r < len && before a.(r) a.(s) then r else s in
-      if s <> i then begin
-        let tmp = a.(s) in
-        a.(s) <- a.(i);
-        a.(i) <- tmp;
-        sift_down a len s
-      end
-    end
-
-  (* Precondition: [not (is_empty h)]. *)
-  let pop_top h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    h.a.(h.len) <- dummy;
-    sift_down h.a h.len 0;
-    top
-end
-
+   - The binary min-heap on [(at, seq)] keeps its keys flat: [at] is an
+     unboxed float array, [seq] and [slot] are int arrays. A sift moves a
+     hole and writes only floats and ints, so it pays no write barrier
+     ([caml_modify]) per level and no pointer chase per comparison.
+   - The slab holds what fires, indexed by [slot]: the classic handle (or
+     [no_handle]), and the pooled callback with its argument. A slot is
+     written once on schedule and cleared once on pop; free slots sit on
+     the [free] stack. Every slot is either free or named by exactly one
+     heap entry (tombstones included), so [len + nfree] is the capacity
+     of all seven arrays, and a full slab means a full heap. *)
 type t = {
-  heap : Heap.t;
+  mutable at : float array;
+  mutable seq : int array; (* tie-break: schedule order *)
+  mutable slot : int array;
+  mutable len : int;
+  mutable handle : event array;
+  mutable fn : (int -> unit) array; (* pooled events only *)
+  mutable arg : int array;
+  mutable free : int array;
+  mutable nfree : int;
   mutable clock : time;
   mutable next_seq : int;
   mutable live : int; (* scheduled and not cancelled *)
   mutable fired : int; (* events executed since creation *)
-  (* Freelist of fired pooled-event records, an array-stack: push and pop
-     are two field stores, no list cells. *)
-  mutable free : event array;
-  mutable nfree : int;
   root_rng : Rng.t;
 }
 
+(* Slots [0 .. hi - 1] stacked lowest on top. A slab grown from [lo] slots
+   marks only the top [hi - lo] entries free: the new slots [lo .. hi - 1]. *)
+let free_stack ~hi = Array.init hi (fun i -> hi - 1 - i)
+
 let create ?(seed = 1L) () =
+  let cap = 64 in
   {
-    heap = Heap.create ();
+    at = Array.make cap 0.0;
+    seq = Array.make cap 0;
+    slot = Array.make cap 0;
+    len = 0;
+    handle = Array.make cap no_handle;
+    fn = Array.make cap ignore_i;
+    arg = Array.make cap 0;
+    free = free_stack ~hi:cap;
+    nfree = cap;
     clock = 0.0;
     next_seq = 0;
     live = 0;
     fired = 0;
-    free = Array.make 64 Heap.dummy;
-    nfree = 0;
     root_rng = Rng.create seed;
   }
 
@@ -132,58 +77,125 @@ let now t = t.clock
 
 let rng t = t.root_rng
 
+(* Called only when the slab is full, hence also the heap. *)
+let grow t =
+  let cap = Array.length t.at in
+  let ncap = 2 * cap in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.at <- extend t.at 0.0;
+  t.seq <- extend t.seq 0;
+  t.slot <- extend t.slot 0;
+  t.handle <- extend t.handle no_handle;
+  t.fn <- extend t.fn ignore_i;
+  t.arg <- extend t.arg 0;
+  t.free <- free_stack ~hi:ncap;
+  t.nfree <- cap
+
+let alloc_slot t =
+  if t.nfree = 0 then grow t;
+  t.nfree <- t.nfree - 1;
+  t.free.(t.nfree)
+
+let free_slot t s =
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
+(* Insert key [(at, sq)] for slot [s]: open a hole at the end and move it
+   up past every parent that sorts after the key. The order is the one
+   [(at, seq)] has always had: earlier time first, then schedule order. *)
+let[@inline] push t at sq s =
+  let a = t.at and q = t.seq and sl = t.slot in
+  let i = ref t.len in
+  t.len <- t.len + 1;
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pa = Array.unsafe_get a p in
+    if at < pa || (at = pa && sq < Array.unsafe_get q p) then begin
+      Array.unsafe_set a !i pa;
+      Array.unsafe_set q !i (Array.unsafe_get q p);
+      Array.unsafe_set sl !i (Array.unsafe_get sl p);
+      i := p
+    end
+    else moving := false
+  done;
+  Array.unsafe_set a !i at;
+  Array.unsafe_set q !i sq;
+  Array.unsafe_set sl !i s
+
+(* Drop the top key (precondition: [t.len > 0]): the last key fills the
+   hole at the root, which moves down past every smaller child. *)
+let remove_top t =
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    let a = t.at and q = t.seq and sl = t.slot in
+    let ka = Array.unsafe_get a n and kq = Array.unsafe_get q n in
+    let ks = Array.unsafe_get sl n in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n
+             && (let ra = Array.unsafe_get a r and la = Array.unsafe_get a l in
+                 ra < la || (ra = la && Array.unsafe_get q r < Array.unsafe_get q l))
+          then r
+          else l
+        in
+        let ca = Array.unsafe_get a c in
+        if ca < ka || (ca = ka && Array.unsafe_get q c < kq) then begin
+          Array.unsafe_set a !i ca;
+          Array.unsafe_set q !i (Array.unsafe_get q c);
+          Array.unsafe_set sl !i (Array.unsafe_get sl c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    Array.unsafe_set a !i ka;
+    Array.unsafe_set q !i kq;
+    Array.unsafe_set sl !i ks
+  end
+
 let schedule_at t at run =
   let at = if at < t.clock then t.clock else at in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let e =
-    { at; seq; run; run_i = ignore_i; arg = 0; st = Pending; pooled = false }
-  in
-  Heap.push t.heap e;
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  let e = { st = Pending; run } in
+  let s = alloc_slot t in
+  t.handle.(s) <- e;
+  push t at sq s;
   t.live <- t.live + 1;
   e
 
 let schedule_pooled t ~at run_i arg =
   let at = if at < t.clock then t.clock else at in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let e =
-    if t.nfree > 0 then begin
-      t.nfree <- t.nfree - 1;
-      let e = t.free.(t.nfree) in
-      t.free.(t.nfree) <- Heap.dummy;
-      e.at <- at;
-      e.seq <- seq;
-      e.run_i <- run_i;
-      e.arg <- arg;
-      e.st <- Pending;
-      e
-    end
-    else { at; seq; run = ignore; run_i; arg; st = Pending; pooled = true }
-  in
-  Heap.push t.heap e;
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  let s = alloc_slot t in
+  t.fn.(s) <- run_i;
+  t.arg.(s) <- arg;
+  push t at sq s;
   t.live <- t.live + 1
-
-let recycle t e =
-  let cap = Array.length t.free in
-  if t.nfree = cap then begin
-    let bigger = Array.make (2 * cap) Heap.dummy in
-    Array.blit t.free 0 bigger 0 cap;
-    t.free <- bigger
-  end;
-  t.free.(t.nfree) <- e;
-  t.nfree <- t.nfree + 1
 
 let schedule t ~delay run =
   let delay = if delay < 0.0 then 0.0 else delay in
   schedule_at t (t.clock +. delay) run
 
-let cancel _t e =
+let cancel t e =
   match e.st with
   | Pending ->
       e.st <- Cancelled;
-      (* The tombstone stays in the heap and is discarded when popped. *)
-      _t.live <- _t.live - 1
+      (* The tombstone stays queued and is discarded when popped. *)
+      t.live <- t.live - 1
   | Cancelled | Fired -> ()
 
 let periodic t ~every f =
@@ -191,30 +203,43 @@ let periodic t ~every f =
   ignore (schedule t ~delay:every tick)
 
 let rec step t =
-  if Heap.is_empty t.heap then false
-  else
-    let e = Heap.pop_top t.heap in
-    (
+  if t.len = 0 then false
+  else begin
+    let s = t.slot.(0) in
+    let at = t.at.(0) in
+    remove_top t;
+    let e = t.handle.(s) in
+    if e == no_handle then begin
+      (* Read out the callback and free the slot before firing: the
+         callback may schedule the next pooled event into this very slot. *)
+      let f = t.fn.(s) and a = t.arg.(s) in
+      t.fn.(s) <- ignore_i;
+      free_slot t s;
+      t.live <- t.live - 1;
+      t.fired <- t.fired + 1;
+      t.clock <- at;
+      f a;
+      true
+    end
+    else begin
+      t.handle.(s) <- no_handle;
+      free_slot t s;
       match e.st with
       | Cancelled -> step t
-      | Fired -> step t (* unreachable: a fired event is never re-pushed *)
+      | Fired -> step t (* unreachable: a fired event is never re-queued *)
       | Pending ->
           e.st <- Fired;
           t.live <- t.live - 1;
           t.fired <- t.fired + 1;
-          t.clock <- e.at;
-          if e.pooled then begin
-            (* Read out the callback, recycle the record, then fire: the
-               callback itself may schedule the next pooled event into
-               this very record. *)
-            let f = e.run_i in
-            let a = e.arg in
-            e.run_i <- ignore_i;
-            recycle t e;
-            f a
-          end
-          else e.run ();
-          true)
+          t.clock <- at;
+          e.run ();
+          true
+    end
+  end
+
+(* A cancelled classic event at the top of the queue. *)
+let tombstone_on_top t =
+  match t.handle.(t.slot.(0)).st with Pending -> false | Cancelled | Fired -> true
 
 let run ?until t =
   match until with
@@ -222,18 +247,17 @@ let run ?until t =
   | Some limit ->
       let continue = ref true in
       while !continue do
-        if Heap.is_empty t.heap then begin
+        if t.len > 0 && tombstone_on_top t then begin
+          let s = t.slot.(0) in
+          remove_top t;
+          t.handle.(s) <- no_handle;
+          free_slot t s
+        end
+        else if t.len > 0 && t.at.(0) <= limit then ignore (step t)
+        else begin
           continue := false;
           if t.clock < limit then t.clock <- limit
         end
-        else
-          let e = Heap.top t.heap in
-          if e.st <> Pending then ignore (Heap.pop_top t.heap)
-          else if e.at <= limit then ignore (step t)
-          else begin
-            continue := false;
-            if t.clock < limit then t.clock <- limit
-          end
       done
 
 let pending t = t.live

@@ -2,7 +2,12 @@
 
     The engine maintains a virtual clock and a priority queue of scheduled
     callbacks. Events at equal timestamps fire in scheduling order, which —
-    together with {!Rng} — makes every simulation fully deterministic. *)
+    together with {!Rng} — makes every simulation fully deterministic.
+
+    The queue is a binary heap whose keys (time, schedule order, slab slot)
+    live in flat float and int arrays, over a slab of callbacks whose slots
+    are reused: a push or pop moves only unboxed numbers, so it pays no GC
+    write barrier per heap level. *)
 
 type t
 
@@ -11,8 +16,10 @@ type time = float
 
 type event_id
 (** Handle of a scheduled event, usable with {!cancel}. Cancellation is
-    O(1): the handle carries its own state flag, so there is no side table
-    and no lookup on the engine's hot pop path. *)
+    O(1): the handle is a small record of its own state flag and callback,
+    separate from the queue, so there is no side table and no lookup on the
+    engine's hot pop path, and a handle kept after its event fired never
+    aliases a later event. *)
 
 val create : ?seed:int64 -> unit -> t
 (** [create ?seed ()] returns an engine whose clock is at [0.0]. [seed]
@@ -33,17 +40,19 @@ val schedule_at : t -> time -> (unit -> unit) -> event_id
 
 val schedule_pooled : t -> at:time -> (int -> unit) -> int -> unit
 (** [schedule_pooled t ~at f i] runs [f i] at absolute time [at] (clamped
-    to [now]), using a recycled event record from the engine's freelist:
-    the steady-state fan-out loop schedules without allocating. Pooled
-    events are not cancellable (no handle escapes, which is exactly what
-    makes recycling safe); callers needing revocation keep a guard of
-    their own (e.g. a host-epoch check) and use [f]'s argument to index
-    it. Ordering is identical to {!schedule_at} at equal timestamps. *)
+    to [now]). The event is just a reused slab slot holding [f] and [i],
+    with no record of its own: the steady-state fan-out loop schedules
+    without allocating beyond the boxed [at]. Pooled events are not
+    cancellable (no handle escapes, which is exactly what makes slot reuse
+    safe); callers needing revocation keep a guard of their own (e.g. a
+    host-epoch check) and use [f]'s argument to index it. Ordering is
+    identical to {!schedule_at} at equal timestamps. *)
 
 val cancel : t -> event_id -> unit
-(** Cancel a pending event in O(1). Cancelling an event that already fired,
-    or cancelling the same event twice, is a no-op — in particular it never
-    double-decrements the {!pending} count. *)
+(** Cancel a pending event in O(1). The event stays queued as a tombstone
+    and is dropped when it reaches the top. Cancelling an event that already
+    fired, or cancelling the same event twice, is a no-op — in particular it
+    never double-decrements the {!pending} count. *)
 
 val periodic : t -> every:time -> (unit -> bool) -> unit
 (** [periodic t ~every f] calls [f] every [every] seconds, starting after one

@@ -330,6 +330,89 @@ let test_membership_join_order_and_rejoin () =
   Alcotest.(check bool) "remove absent" false (Corona.Membership.remove m "b");
   Alcotest.(check int) "count" 2 (Corona.Membership.count m)
 
+(* Membership against a list model kept in join order. Members come from a
+   small pool so rejoins and remove-then-rejoin cycles are common; a churn
+   op joins a batch of extra members and removes all but one of them again,
+   leaving enough tombstones that compaction runs mid-sequence. *)
+type membership_op =
+  | M_add of int * bool * bool (* pool index, principal?, notify? *)
+  | M_remove of int
+  | M_churn of int
+
+let prop_membership_matches_model =
+  let module M = Corona.Membership in
+  let name i = Printf.sprintf "m%d" i in
+  let gen =
+    let open QCheck.Gen in
+    let op =
+      frequency
+        [
+          (4, map3 (fun i p n -> M_add (i, p, n)) (int_range 0 9) bool bool);
+          (3, map (fun i -> M_remove i) (int_range 0 9));
+          (1, map (fun k -> M_churn k) (int_range 1 30));
+        ]
+    in
+    list_size (int_range 0 60) op
+  in
+  let print = function
+    | M_add (i, p, n) -> Printf.sprintf "add %s%s%s" (name i) (if p then "" else " obs")
+                           (if n then " notify" else "")
+    | M_remove i -> "remove " ^ name i
+    | M_churn k -> Printf.sprintf "churn %d" k
+  in
+  QCheck.Test.make ~count:300 ~name:"membership matches a join-order list model"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print ops)) gen)
+    (fun ops ->
+      let m = M.create () in
+      let model = ref [] in
+      let add ~member ~role ~notify ~joined_at =
+        M.add m ~member ~role ~notify ~joined_at;
+        let e = { M.member; role; notify; joined_at } in
+        if List.exists (fun (x : M.entry) -> x.member = member) !model then
+          model := List.map (fun (x : M.entry) -> if x.member = member then e else x) !model
+        else model := !model @ [ e ]
+      in
+      let remove member =
+        let present = List.exists (fun (x : M.entry) -> x.member = member) !model in
+        model := List.filter (fun (x : M.entry) -> x.member <> member) !model;
+        M.remove m member = present
+      in
+      let agrees () =
+        M.entries m = !model
+        && M.members m
+           = List.map (fun (x : M.entry) -> { T.member = x.member; role = x.role }) !model
+        && M.notify_targets m
+           = List.filter_map (fun (x : M.entry) -> if x.notify then Some x.member else None) !model
+        && M.count m = List.length !model
+        && M.is_empty m = (!model = [])
+        && List.for_all
+             (fun i ->
+               M.find m (name i)
+               = List.find_opt (fun (x : M.entry) -> x.member = name i) !model)
+             (List.init 10 Fun.id)
+      in
+      let step = ref 0 in
+      List.for_all
+        (fun op ->
+          incr step;
+          let joined_at = float_of_int !step in
+          let ok =
+            match op with
+            | M_add (i, p, notify) ->
+                add ~member:(name i) ~role:(if p then T.Principal else T.Observer) ~notify
+                  ~joined_at;
+                true
+            | M_remove i -> remove (name i)
+            | M_churn k ->
+                let extra j = Printf.sprintf "x%d.%d" !step j in
+                for j = 0 to k - 1 do
+                  add ~member:(extra j) ~role:T.Principal ~notify:(j mod 2 = 0) ~joined_at
+                done;
+                List.for_all (fun j -> remove (extra j)) (List.init (k - 1) Fun.id)
+          in
+          ok && agrees ())
+        ops)
+
 (* The relay tier's slice partition is pure arithmetic computed independently
    by root, relays, harness and bench; if it ever disagreed with itself two
    relays could both (or neither) claim a member. Property: for any relay
@@ -755,6 +838,7 @@ let () =
       ( "membership",
         [
           tc "join order and rejoin" `Quick test_membership_join_order_and_rejoin;
+          q prop_membership_matches_model;
           tc "slice assignment pinned" `Quick test_slice_assignment_pinned;
           q prop_slice_partition;
         ] );

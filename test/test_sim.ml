@@ -150,6 +150,229 @@ let prop_events_fire_in_nondecreasing_time =
       in
       List.length times = List.length delays && sorted times)
 
+(* Reference model: the pending events in a list kept sorted by
+   (time, schedule order); a cancel takes the event out at once. Every
+   engine operation is replayed against it and must agree in fire order,
+   clock, pending count and fired count. *)
+module Model = struct
+  type st = Pending | Cancelled | Fired
+
+  type ev = { at : float; seq : int; run : unit -> unit; mutable st : st }
+
+  type t = { mutable clock : float; mutable next : int; mutable q : ev list; mutable fired : int }
+
+  type id = ev
+
+  let create () = { clock = 0.0; next = 0; q = []; fired = 0 }
+
+  let now t = t.clock
+
+  let schedule_at t at run =
+    let at = if at < t.clock then t.clock else at in
+    let e = { at; seq = t.next; run; st = Pending } in
+    t.next <- t.next + 1;
+    let rec insert = function
+      | [] -> [ e ]
+      | x :: rest as l ->
+          if e.at < x.at || (e.at = x.at && e.seq < x.seq) then e :: l else x :: insert rest
+    in
+    t.q <- insert t.q;
+    e
+
+  let schedule t ~delay run =
+    schedule_at t (t.clock +. if delay < 0.0 then 0.0 else delay) run
+
+  let schedule_pooled t ~at f a = ignore (schedule_at t at (fun () -> f a))
+
+  let cancel t e =
+    if e.st = Pending then begin
+      e.st <- Cancelled;
+      t.q <- List.filter (fun x -> x != e) t.q
+    end
+
+  let step t =
+    match t.q with
+    | [] -> false
+    | e :: rest ->
+        t.q <- rest;
+        e.st <- Fired;
+        t.clock <- e.at;
+        t.fired <- t.fired + 1;
+        e.run ();
+        true
+
+  let run ?until t =
+    match until with
+    | None -> while step t do () done
+    | Some limit ->
+        let rec go () =
+          match t.q with
+          | e :: _ when e.at <= limit ->
+              ignore (step t);
+              go ()
+          | _ -> if t.clock < limit then t.clock <- limit
+        in
+        go ()
+
+  let pending t = List.length t.q
+
+  let events_fired t = t.fired
+end
+
+module type ENGINE = sig
+  type t
+
+  type id
+
+  val create : unit -> t
+
+  val now : t -> float
+
+  val schedule : t -> delay:float -> (unit -> unit) -> id
+
+  val schedule_at : t -> float -> (unit -> unit) -> id
+
+  val schedule_pooled : t -> at:float -> (int -> unit) -> int -> unit
+
+  val cancel : t -> id -> unit
+
+  val step : t -> bool
+
+  val run : ?until:float -> t -> unit
+
+  val pending : t -> int
+
+  val events_fired : t -> int
+end
+
+(* What a fired event does besides logging itself. *)
+type nested = Then_schedule of float | Then_pooled of float | Then_cancel of int
+
+type op =
+  | Schedule of float * nested option (* delay, may be negative *)
+  | Schedule_at of float * nested option (* absolute, may be in the past *)
+  | Pooled of float * nested option (* absolute, may be in the past *)
+  | Cancel of int (* picks a handle made so far, fired or not *)
+  | Step
+  | Run_until of float
+
+(* Replays [ops] and returns what an observer sees: each firing as
+   (event number, clock), and after every op (clock, pending, fired). *)
+module Replay (E : ENGINE) = struct
+  let exec ops =
+    let t = E.create () in
+    let fires = ref [] and obs = ref [] in
+    let handles = ref [||] and next_id = ref 0 in
+    let nested_of = Hashtbl.create 16 in
+    let cancel k =
+      let n = Array.length !handles in
+      if n > 0 then E.cancel t !handles.(k mod n)
+    in
+    let rec fire id =
+      fires := (id, E.now t) :: !fires;
+      match Hashtbl.find_opt nested_of id with
+      | None -> ()
+      | Some (Then_schedule d) -> classic (fun f -> E.schedule t ~delay:d f) None
+      | Some (Then_pooled d) -> pooled (E.now t +. d) None
+      | Some (Then_cancel k) -> cancel k
+    and fresh nested =
+      let id = !next_id in
+      incr next_id;
+      Option.iter (Hashtbl.replace nested_of id) nested;
+      id
+    and classic sched nested =
+      let id = fresh nested in
+      let h = sched (fun () -> fire id) in
+      handles := Array.append !handles [| h |]
+    and pooled at nested = E.schedule_pooled t ~at fire (fresh nested) in
+    List.iter
+      (fun op ->
+        (match op with
+        | Schedule (d, n) -> classic (fun f -> E.schedule t ~delay:d f) n
+        | Schedule_at (at, n) -> classic (fun f -> E.schedule_at t at f) n
+        | Pooled (at, n) -> pooled at n
+        | Cancel k -> cancel k
+        | Step -> ignore (E.step t)
+        | Run_until u -> E.run ~until:u t);
+        obs := (E.now t, E.pending t, E.events_fired t) :: !obs)
+      ops;
+    E.run t;
+    obs := (E.now t, E.pending t, E.events_fired t) :: !obs;
+    (List.rev !fires, List.rev !obs)
+end
+
+module Real_run = Replay (struct
+  include Sim.Engine
+
+  type id = event_id
+
+  let create () = create ()
+end)
+
+module Model_run = Replay (Model)
+
+(* Times on a coarse grid, so equal timestamps (the schedule-order
+   tie-break) and past times (the clamp to [now]) come up constantly. *)
+let gen_op =
+  let open QCheck.Gen in
+  let time = map (fun k -> float_of_int k /. 2.0) (int_range (-2) 8) in
+  let nested =
+    frequency
+      [
+        (3, return None);
+        (1, map (fun d -> Some (Then_schedule d)) time);
+        (1, map (fun d -> Some (Then_pooled d)) time);
+        (1, map (fun k -> Some (Then_cancel k)) nat);
+      ]
+  in
+  frequency
+    [
+      (3, map2 (fun d n -> Schedule (d, n)) time nested);
+      (2, map2 (fun at n -> Schedule_at (at, n)) time nested);
+      (3, map2 (fun at n -> Pooled (at, n)) time nested);
+      (3, map (fun k -> Cancel k) nat);
+      (2, return Step);
+      (1, map (fun u -> Run_until u) time);
+    ]
+
+let show_op = function
+  | Schedule (d, _) -> Printf.sprintf "schedule %g" d
+  | Schedule_at (at, _) -> Printf.sprintf "schedule_at %g" at
+  | Pooled (at, _) -> Printf.sprintf "pooled %g" at
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Step -> "step"
+  | Run_until u -> Printf.sprintf "run ~until:%g" u
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine matches a sorted-list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_op))
+    (fun ops -> Real_run.exec ops = Model_run.exec ops)
+
+(* The queue's sifts must not allocate: 100k pooled schedule+step pairs at
+   2000 pending may allocate only the caller's boxed time and the boxed
+   clock, 4 minor words per event. A sift written with closures that
+   capture the key allocates several times that. *)
+let test_pooled_step_allocation () =
+  let e = Sim.Engine.create () in
+  let hits = ref 0 in
+  let f i = hits := !hits + i in
+  let delay i = float_of_int (i * 7919 mod 1000) in
+  for i = 0 to 1999 do
+    Sim.Engine.schedule_pooled e ~at:(delay i) f 1
+  done;
+  let pairs = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to pairs do
+    Sim.Engine.schedule_pooled e ~at:(Sim.Engine.now e +. delay i) f 1;
+    ignore (Sim.Engine.step e)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int pairs in
+  Alcotest.(check int) "pending held" 2000 (Sim.Engine.pending e);
+  Alcotest.(check int) "every pair fired one event" pairs !hits;
+  if words > 4.0 then Alcotest.failf "%.2f minor words per event (at most 4)" words
+
 (* --- rng --------------------------------------------------------------- *)
 
 let test_rng_reproducible () =
@@ -294,6 +517,8 @@ let () =
           tc "periodic stops when false" `Quick test_periodic_stops_when_false;
           tc "deterministic runs" `Quick test_determinism;
           q prop_events_fire_in_nondecreasing_time;
+          q prop_engine_matches_model;
+          tc "pooled step allocates at most 4 words" `Quick test_pooled_step_allocation;
         ] );
       ( "rng",
         [
