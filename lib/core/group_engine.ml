@@ -29,7 +29,9 @@ type t = {
   (* which groups a member currently belongs to, so a disconnect touches
      only those instead of scanning every group *)
   groups_of_member : (T.member_id, (T.group_id, unit) Hashtbl.t) Hashtbl.t;
-  mutable client_conns : Net.Tcp.conn list;
+  (* every accepted connection, keyed by [Net.Tcp.id] (assigned in accept
+     order), so a disconnect removes one entry instead of a list walk *)
+  client_conns : (int, Net.Tcp.conn) Hashtbl.t;
   transfer_cache : Transfer.cache;
   relay_hub : Relay_hub.t;
   pool : Proto.Pool.t; (* hot-path frame buffers, leased per fan-out *)
@@ -50,7 +52,7 @@ let create engine =
     conn_of_member = Hashtbl.create 64;
     members_of_conn = Hashtbl.create 64;
     groups_of_member = Hashtbl.create 64;
-    client_conns = [];
+    client_conns = Hashtbl.create 64;
     transfer_cache = Transfer.create_cache ();
     relay_hub = Relay_hub.create ();
     pool = Proto.Pool.create ();
@@ -85,13 +87,18 @@ let transfer_cache t = t.transfer_cache
 
 (* --- connections ------------------------------------------------------- *)
 
-let accept t conn = t.client_conns <- conn :: t.client_conns
+let accept t conn = Hashtbl.replace t.client_conns (Net.Tcp.id conn) conn
 
-let connected_clients t = List.length (List.filter Net.Tcp.is_open t.client_conns)
+let connected_clients t =
+  Hashtbl.fold (fun _ c n -> if Net.Tcp.is_open c then n + 1 else n) t.client_conns 0
 
+(* Newest first, as the connections were accepted in id order. *)
 let close_clients t =
-  List.iter (fun c -> if Net.Tcp.is_open c then Net.Tcp.close c) t.client_conns;
-  t.client_conns <- []
+  let conns = Hashtbl.fold (fun id c acc -> (id, c) :: acc) t.client_conns [] in
+  List.iter
+    (fun (_, c) -> if Net.Tcp.is_open c then Net.Tcp.close c)
+    (List.sort (fun (a, _) (b, _) -> Int.compare b a) conns);
+  Hashtbl.reset t.client_conns
 
 (* --- sending ------------------------------------------------------------ *)
 
@@ -235,20 +242,12 @@ let join_state t source transfer =
   t.state_transfer_bytes <- t.state_transfer_bytes + p.Transfer.p_bytes;
   p
 
-(* Cache-served payloads splice the shared encoding between the per-joiner
-   fields; everything else pre-encodes the whole frame. *)
+(* Sizing the frame costs O(objects), not O(bytes), so a cache-served
+   payload needs no pre-serialized fragment: one [pre_encode] either way. *)
 let accept_join t conn ~group ~members ~multicast (p : Transfer.prepared) =
   if Net.Tcp.is_open conn then
-    send_encoded t conn
-      (match p.p_enc with
-      | Some state_enc ->
-          M.pre_encode_join_accepted ~group ~at_seqno:p.p_at ~state:p.p_state
-            ~state_enc ~members ~multicast ()
-      | None ->
-          M.pre_encode
-            (M.Response
-               (M.Join_accepted
-                  { group; at_seqno = p.p_at; state = p.p_state; members; multicast })))
+    send t conn
+      (M.Join_accepted { group; at_seqno = p.p_at; state = p.p_state; members; multicast })
 
 (* --- requests every server answers the same way -------------------------- *)
 
@@ -290,7 +289,7 @@ let disconnect t conn k =
           send t s.Relay_hub.r_conn (slice ~relay:s.r_id r)
       | Some _ | None -> ())
   | Relay_hub.Proxied _ | Relay_hub.Not_relay -> ());
-  t.client_conns <- List.filter (fun c -> Net.Tcp.id c <> Net.Tcp.id conn) t.client_conns;
+  Hashtbl.remove t.client_conns (Net.Tcp.id conn);
   let members_on_conn =
     match Hashtbl.find_opt t.members_of_conn (Net.Tcp.id conn) with
     | Some set -> Hashtbl.fold (fun member () acc -> member :: acc) set []

@@ -322,12 +322,7 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
                         Transfer.chunk_frames_of ~group ~objects ~chunk
                   in
                   send_chunked t conn ~frames ~finish:(fun () ->
-                      accept
-                        {
-                          p with
-                          p_state = M.Snapshot { objects = []; log_tail };
-                          p_enc = None;
-                        })
+                      accept { p with p_state = M.Snapshot { objects = []; log_tail } })
               | (Some _ | None), _ -> accept p);
               Group_engine.notify t.eng g.g_members ~group (T.Member_joined member)))
 

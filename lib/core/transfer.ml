@@ -67,8 +67,8 @@ let chunk_frames_of ~group ~objects ~chunk =
 
 (* --- the join-state cache ---------------------------------------------- *)
 
-(* One materialize+encode of the full snapshot, shared by every concurrent
-   joiner at the same state version. Identity is (physical state instance,
+(* One materialize of the full snapshot, shared by every concurrent joiner
+   at the same state version. Identity is (physical state instance,
    version): the version pins the value, the physical check makes entries
    from a dead incarnation (recovery and re-seeding build fresh
    [Shared_state] instances) unhittable without explicit invalidation. *)
@@ -79,7 +79,6 @@ type cached = {
   c_objects : (T.object_id * string) list;
   c_payload : M.join_state; (* Snapshot { objects = c_objects; log_tail = [] } *)
   c_bytes : int;
-  c_enc : string; (* M.encode_join_state c_payload, the splice fragment *)
   mutable c_chunks : (int * chunk_frame list) option; (* keyed by chunk size *)
 }
 
@@ -114,7 +113,6 @@ let install cache log =
       c_objects = objects;
       c_payload = payload;
       c_bytes = objects_bytes objects;
-      c_enc = M.encode_join_state payload;
       c_chunks = None;
     }
   in
@@ -156,7 +154,6 @@ type prepared = {
   p_state : M.join_state;
   p_at : int;
   p_bytes : int;
-  p_enc : string option; (* cached encode_join_state bytes, when shared *)
   p_cache_hit : bool;
   p_full_snapshot : bool; (* the payload is the group's whole state *)
 }
@@ -166,7 +163,6 @@ let no_state ~at =
     p_state = M.Update_history [];
     p_at = at;
     p_bytes = 0;
-    p_enc = None;
     p_cache_hit = false;
     p_full_snapshot = false;
   }
@@ -181,7 +177,6 @@ let prepare ?cache log (transfer : T.transfer_spec) =
           p_state = c.c_payload;
           p_at = c.c_at;
           p_bytes = c.c_bytes;
-          p_enc = Some c.c_enc;
           p_cache_hit = hit;
           p_full_snapshot = true;
         }
@@ -191,8 +186,7 @@ let prepare ?cache log (transfer : T.transfer_spec) =
           p_state = M.Snapshot { objects; log_tail = [] };
           p_at = at;
           p_bytes = objects_bytes objects;
-          p_enc = None;
-          p_cache_hit = false;
+        p_cache_hit = false;
           p_full_snapshot = true;
         }
   in
@@ -204,7 +198,6 @@ let prepare ?cache log (transfer : T.transfer_spec) =
       p_state = M.Update_history ups;
       p_at = at;
       p_bytes = bytes;
-      p_enc = None;
       p_cache_hit = false;
       p_full_snapshot = false;
     }
@@ -226,7 +219,6 @@ let prepare ?cache log (transfer : T.transfer_spec) =
         p_state = M.Snapshot { objects; log_tail = [] };
         p_at = at;
         p_bytes = objects_bytes objects;
-        p_enc = None;
         p_cache_hit = false;
         p_full_snapshot = false;
       }

@@ -323,16 +323,12 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
         sub;
       Array.blit sub 0 order 0 n
     end;
-    (* The common LAN shape — no loss, no partition, no jitter, no latency
-       overrides — skips every rare-feature check (and the float boxing
-       each would cost) per recipient: one NIC slot reservation and one
-       boxed delivery timestamp. The slow path below is byte-identical for
-       it; this is purely an allocation fast path. *)
-    let plain =
-      t.config.loss_rate = 0.0 && t.config.jitter = 0.0
-      && (match t.component_of with None -> true | Some _ -> false)
-      && Hashtbl.length t.latency_overrides = 0
-    in
+    (* One loop for every network shape: the rare features (partitions,
+       latency overrides, loss, jitter) each cost one test when absent, the
+       NIC finish lands in [until] without a boxed return, and jitter and
+       loss draws stay in issue order. *)
+    let cfg = t.config in
+    let uniform_latency = Hashtbl.length t.latency_overrides = 0 in
     let until = b.b_until in
     for j = 0 to n - 1 do
       let i = if sorted then t.order_scratch.(j) else j in
@@ -343,45 +339,36 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
       if Host.name src = Host.name dst then begin
         (* Loopback: skip NIC and network, deliver at serialize finish. *)
         b.b_kind.(i) <- 0;
-        b.b_until.(i) <- fin.(i);
+        until.(i) <- fin.(i);
         Sim.Engine.schedule_pooled t.engine ~at:fin.(i) b.b_stage1 i
       end
-      else if plain then begin
+      else begin
         Host.reserve_nic_slot src ~size ~fins:fin ~into:until i;
         t.packets <- t.packets + 1;
         t.bytes <- t.bytes + size;
-        b.b_kind.(i) <- 0;
-        Sim.Engine.schedule_pooled t.engine
-          ~at:(until.(i) +. t.config.base_latency)
-          b.b_stage1 i
-      end
-      else begin
-        let nic_fin = Host.reserve_nic_from src ~from:fin.(i) ~size in
-        t.packets <- t.packets + 1;
-        t.bytes <- t.bytes + size;
-        let partitioned = not (same_component t src dst) in
-        let lost =
-          (not partitioned)
-          && t.config.loss_rate > 0.0
-          && Sim.Rng.float t.rng 1.0 < t.config.loss_rate
+        let partitioned =
+          match t.component_of with
+          | None -> false
+          | Some _ -> not (same_component t src dst)
         in
-        if partitioned || lost then begin
+        if
+          partitioned
+          || (cfg.loss_rate > 0.0 && Sim.Rng.float t.rng 1.0 < cfg.loss_rate)
+        then begin
           (* The chained path reports partition/loss drops at NIC-finish
              time; keep that so retransmit timers fire identically. *)
           b.b_kind.(i) <- 1;
-          b.b_until.(i) <- nic_fin;
-          Sim.Engine.schedule_pooled t.engine ~at:nic_fin b.b_stage1 i
+          Sim.Engine.schedule_pooled t.engine ~at:until.(i) b.b_stage1 i
         end
         else begin
+          (* [cfg]'s floats are stored flat, so passing [cfg.jitter] would box
+             it; [float rng 1.0 *. x] is bit-identical to [float rng x]. *)
           let delay =
-            latency t src dst
-            +.
-            if t.config.jitter > 0.0 then Sim.Rng.float t.rng t.config.jitter
-            else 0.0
+            (if uniform_latency then cfg.base_latency else latency t src dst)
+            +. if cfg.jitter > 0.0 then Sim.Rng.float t.rng 1.0 *. cfg.jitter else 0.0
           in
           b.b_kind.(i) <- 0;
-          b.b_until.(i) <- nic_fin;
-          Sim.Engine.schedule_pooled t.engine ~at:(nic_fin +. delay) b.b_stage1 i
+          Sim.Engine.schedule_pooled t.engine ~at:(until.(i) +. delay) b.b_stage1 i
         end
       end
     done

@@ -116,19 +116,19 @@ let rec flush_ready c =
 
 (* One arriving in-sequence message. The steady state — it carries exactly
    the next expected sequence number and nothing is buffered behind it —
-   hands the payload straight to the receiver: no holdback insert, no
-   (size, payload) pair, no flush round-trip. Out-of-order arrivals take
-   the buffering path unchanged. *)
+   is tested first and hands the payload straight to the receiver: no
+   holdback probe or insert, no (size, payload) pair, no flush round-trip.
+   Out-of-order arrivals take the buffering path unchanged; duplicates are
+   dropped. *)
 let deliver_to dst seq ~size payload =
-  if dst.open_ && seq >= dst.recv_next && not (Hashtbl.mem dst.holdback seq)
-  then
+  if dst.open_ then
     if seq = dst.recv_next && Hashtbl.length dst.holdback = 0 then begin
       dst.recv_next <- seq + 1;
       match dst.receiver with
       | Some f -> f ~size payload
       | None -> dst.early <- (size, payload) :: dst.early
     end
-    else begin
+    else if seq >= dst.recv_next && not (Hashtbl.mem dst.holdback seq) then begin
       Hashtbl.replace dst.holdback seq (size, payload);
       flush_ready dst
     end

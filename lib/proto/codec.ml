@@ -20,18 +20,31 @@ module Writer = struct
     mutable pk_finished : bool;
   }
 
-  type t = { mutable buf : Bytes.t; mutable len : int; pooled : pooled option }
+  (* Where the bytes go. A sizing writer runs the same stores as the
+     others, but only to learn the length: fixed-width fields land in a
+     shared scratch buffer that wraps when full (nobody reads it back, so
+     concurrent sizing writers may share it), and string payloads are
+     counted without being touched — O(fields), not O(bytes). *)
+  type sink = Growable | Sizing | Pooled of pooled
+
+  (* [counted]: bytes a sizing writer accounted for without keeping them *)
+  type t = { mutable buf : Bytes.t; mutable len : int; mutable counted : int; sink : sink }
 
   let create ?(initial_capacity = 256) () =
-    { buf = Bytes.create (max 16 initial_capacity); len = 0; pooled = None }
+    { buf = Bytes.create (max 16 initial_capacity); len = 0; counted = 0; sink = Growable }
+
+  let scratch = Bytes.create 1024
+
+  let create_sizing () = { buf = scratch; len = 0; counted = 0; sink = Sizing }
 
   let create_pooled ~pool ?(size_hint = 256) () =
     let l = Pool.lease pool (max 16 size_hint) in
     {
       buf = Pool.bytes l;
       len = 0;
-      pooled =
-        Some
+      counted = 0;
+      sink =
+        Pooled
           {
             pk_pool = pool;
             pk_lease = l;
@@ -80,9 +93,13 @@ module Writer = struct
     let needed = t.len + extra in
     let cap = Bytes.length t.buf in
     if needed > cap then
-      match t.pooled with
-      | Some pk -> grow_pooled t pk extra
-      | None ->
+      match t.sink with
+      | Pooled pk -> grow_pooled t pk extra
+      | Sizing ->
+          (* every store is at most 8 bytes: wrapping the scratch is enough *)
+          t.counted <- t.counted + t.len;
+          t.len <- 0
+      | Growable ->
           let cap' = ref (max 16 (cap * 2)) in
           while needed > !cap' do
             cap' := !cap' * 2
@@ -115,9 +132,16 @@ module Writer = struct
     Bytes.set_int64_be t.buf t.len v;
     t.len <- t.len + 8
 
-  let int_as_i64 t v = i64 t (Int64.of_int v)
+  (* The conversions sit next to the store, so the int64 is never boxed. *)
+  let int_as_i64 t v =
+    ensure t 8;
+    Bytes.set_int64_be t.buf t.len (Int64.of_int v);
+    t.len <- t.len + 8
 
-  let f64 t v = i64 t (Int64.bits_of_float v)
+  let f64 t v =
+    ensure t 8;
+    Bytes.set_int64_be t.buf t.len (Int64.bits_of_float v);
+    t.len <- t.len + 8
 
   let bool t v = u8 t (if v then 1 else 0)
 
@@ -126,15 +150,14 @@ module Writer = struct
      record. *)
   let borrow_threshold = 64
 
-  (* Append pre-serialized bytes verbatim — no length prefix. The splice
-     primitive the cached join-state encoding relies on: a fragment produced
-     by running an encoder into a fresh writer can be re-embedded where that
-     encoder would have run. A pooled writer splices large fragments
-     zero-copy (a borrowed segment over the string). *)
+  (* Append pre-serialized bytes verbatim — no length prefix. A pooled
+     writer splices large fragments zero-copy (a borrowed segment over the
+     string); a sizing writer only counts them. *)
   let raw t s =
     let n = String.length s in
-    match t.pooled with
-    | Some pk when n >= borrow_threshold ->
+    match t.sink with
+    | Sizing -> t.counted <- t.counted + n
+    | Pooled pk when n >= borrow_threshold ->
         close_open_seg t pk;
         pk.pk_segs <-
           {
@@ -146,7 +169,7 @@ module Writer = struct
           }
           :: pk.pk_segs;
         pk.pk_closed <- pk.pk_closed + n
-    | _ ->
+    | Pooled _ | Growable ->
         ensure t n;
         Bytes.blit_string s 0 t.buf t.len n;
         t.len <- t.len + n
@@ -160,8 +183,8 @@ module Writer = struct
      validity witnesses — releasing the produced frame never releases the
      source's chunks. Classic writers fall back to a copy. *)
   let raw_frame t f =
-    match t.pooled with
-    | Some pk ->
+    match t.sink with
+    | Pooled pk ->
         close_open_seg t pk;
         let segs = Frame.segs f in
         Array.iter
@@ -170,11 +193,20 @@ module Writer = struct
               { s with Frame.sg_owned = false } :: pk.pk_segs;
             pk.pk_closed <- pk.pk_closed + s.Frame.sg_len)
           segs
-    | None -> raw t (Frame.to_string f)
+    | Sizing -> t.counted <- t.counted + Frame.total f
+    | Growable -> raw t (Frame.to_string f)
+
+  (* A top-level loop rather than [List.iter (enc t)]: no partial
+     application is allocated per list. *)
+  let rec iter_enc t enc = function
+    | [] -> ()
+    | x :: rest ->
+        enc t x;
+        iter_enc t enc rest
 
   let list t enc xs =
     u32 t (List.length xs);
-    List.iter (enc t) xs
+    iter_enc t enc xs
 
   let option t enc = function
     | None -> u8 t 0
@@ -183,14 +215,15 @@ module Writer = struct
         enc t v
 
   let size t =
-    match t.pooled with
-    | None -> t.len
-    | Some pk -> pk.pk_closed + (t.len - pk.pk_start)
+    match t.sink with
+    | Growable | Sizing -> t.counted + t.len
+    | Pooled pk -> pk.pk_closed + (t.len - pk.pk_start)
 
   let contents t =
-    match t.pooled with
-    | None -> Bytes.sub_string t.buf 0 t.len
-    | Some pk ->
+    match t.sink with
+    | Growable -> Bytes.sub_string t.buf 0 t.len
+    | Sizing -> invalid_arg "Codec.Writer.contents: sizing writer"
+    | Pooled pk ->
         let total = pk.pk_closed + (t.len - pk.pk_start) in
         let out = Bytes.create total in
         let off = ref 0 in
@@ -206,9 +239,9 @@ module Writer = struct
      spent afterwards: further writes raise. The caller owns the frame and
      must {!Frame.release} it (or hand it to an owner that will). *)
   let finish_frame t =
-    match t.pooled with
-    | None -> invalid_arg "Codec.Writer.finish_frame: not a pooled writer"
-    | Some pk ->
+    match t.sink with
+    | Growable | Sizing -> invalid_arg "Codec.Writer.finish_frame: not a pooled writer"
+    | Pooled pk ->
         if pk.pk_finished then
           invalid_arg "Codec.Writer.finish_frame: already finished";
         close_open_seg t pk;
@@ -290,7 +323,7 @@ module Reader = struct
 end
 
 let encoded_size enc v =
-  let w = Writer.create () in
+  let w = Writer.create_sizing () in
   enc w v;
   Writer.size w
 

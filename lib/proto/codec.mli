@@ -15,8 +15,16 @@ module Writer : sig
   (** A writer that leases its chunks from [pool] and emits a
       scatter-gather {!Frame.t} via {!finish_frame} instead of growing
       one contiguous buffer. Overflow opens a new chunk (no copy), and
-      {!raw}/{!string} splice large fragments as borrowed segments.
+      {!string} splices large payloads as borrowed segments.
       Byte-for-byte identical output to the classic writer. *)
+
+  val create_sizing : unit -> t
+  (** A writer that only measures: the same encoders run against it and
+      {!size} reports exactly what the classic writer would hold, but
+      fixed-width fields land in a shared scratch buffer and {!string} /
+      {!raw_frame} payloads are counted, not copied — the cost
+      is O(fields), not O(bytes). {!contents} and {!finish_frame} raise
+      [Invalid_argument]. *)
 
   val u8 : t -> int -> unit
   (** @raise Invalid_argument outside [0, 255]. *)
@@ -35,20 +43,15 @@ module Writer : sig
   val bool : t -> bool -> unit
 
   val string : t -> string -> unit
-  (** u32 length prefix + bytes. *)
-
-  val raw : t -> string -> unit
-  (** Append pre-serialized bytes verbatim, without a length prefix:
-      splices a fragment produced by running an encoder into a fresh
-      writer back into a larger encoding, byte-identically. On a pooled
-      writer, fragments past a small threshold are borrowed (zero-copy
-      segment), not blitted. *)
+  (** u32 length prefix + bytes. On a pooled writer, strings past a small
+      threshold are borrowed (zero-copy segment), not blitted; a sizing
+      writer only counts them. *)
 
   val raw_frame : t -> Frame.t -> unit
   (** Splice another frame's bytes. On a pooled writer this borrows the
       source's segments (keeping its leases only as validity witnesses —
       releasing the result never releases the source); classic writers
-      copy. *)
+      copy, sizing writers count. *)
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** u32 count prefix + elements. *)
@@ -102,7 +105,8 @@ module Reader : sig
 end
 
 val encoded_size : (Writer.t -> 'a -> unit) -> 'a -> int
-(** Size in bytes of the encoding of a value. *)
+(** Size in bytes of the encoding of a value, measured with a
+    {!Writer.create_sizing} writer (no bytes are built). *)
 
 val roundtrip : (Writer.t -> 'a -> unit) -> (Reader.t -> 'a) -> 'a -> 'a
 (** Encode then decode (for tests). *)

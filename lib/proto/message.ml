@@ -377,6 +377,17 @@ let dec_request r =
       Relay_heartbeat { relay; members }
   | n -> raise (R.Malformed (Printf.sprintf "request tag %d" n))
 
+(* A [Relay_fanout] response up to its embedded inner response; shared
+   with [pre_encode_relay_fanout], which appends the inner bytes itself. *)
+let enc_relay_head w group exclude =
+  W.u8 w 19;
+  W.string w group;
+  match exclude with
+  | None -> W.bool w false
+  | Some m ->
+      W.bool w true;
+      W.string w m
+
 (* [rec]: [Relay_fanout] embeds the relayed response verbatim. *)
 let rec enc_response w = function
   | Group_created { group } ->
@@ -460,13 +471,7 @@ let rec enc_response w = function
       W.string w relay;
       W.u32 w index
   | Relay_fanout { group; exclude; inner } ->
-      W.u8 w 19;
-      W.string w group;
-      (match exclude with
-      | None -> W.bool w false
-      | Some m ->
-          W.bool w true;
-          W.string w m);
+      enc_relay_head w group exclude;
       enc_response w inner
   | Relay_slice { relay; lo; hi } ->
       W.u8 w 20;
@@ -567,15 +572,17 @@ let encode_count () = !encodes
 
 let reset_encode_count () = encodes := 0
 
-let encode w t =
-  incr encodes;
-  match t with
+let encode_body w = function
   | Request req ->
       W.u8 w 0;
       enc_request w req
   | Response resp ->
       W.u8 w 1;
       enc_response w resp
+
+let encode w t =
+  incr encodes;
+  encode_body w t
 
 let decode r =
   match R.u8 r with
@@ -585,112 +592,71 @@ let decode r =
 
 let frame_header_size = 8
 
-(* A message serialized exactly once. [encoded_wire_size] is derived from
-   the cached encoding, never recomputed — every fan-out path shares one
+(* A message serialized exactly once. Client frames are charged by size
+   alone — the fabric carries the OCaml message — so an unpooled encoding
+   runs the encoder against a sizing writer and keeps only the length:
+   O(fields), whatever the payload weighs. The bytes are rebuilt on demand
+   by [encoded_bytes] (tests, goldens, peeks), by the same encoder, so they
+   can never disagree with the size. [encoded_wire_size] is derived from
+   the stored length, never recomputed — every fan-out path shares one
    [encoded] value across all recipients.
 
    With a {!Pool}, the encoding is a scatter-gather {!Frame} of pooled
-   chunks and borrowed cached fragments instead of a fresh string: the hot
-   loop never copies the bytes, and the owner hands the chunks back with
-   [release_encoded] once the fan-out has issued. Reading a released frame
-   is a checked error (generation-stamped leases), not a silent read of a
-   recycled buffer. Without a pool the representation is a plain string,
-   exactly as in PR 1–8. *)
-type repr = Enc_string of string | Enc_frame of Frame.t | Enc_released
+   chunks instead: the owner hands the chunks back with [release_encoded]
+   once the fan-out has issued. Reading a released frame is a checked error
+   (generation-stamped leases), not a silent read of a recycled buffer. *)
+type repr = Enc_sized | Enc_frame of Frame.t | Enc_released
 
 type encoded = { e_msg : t; mutable e_repr : repr; e_len : int }
 
 let pre_encode ?pool msg =
   match pool with
   | None ->
-      let w = Codec.Writer.create () in
+      let w = Codec.Writer.create_sizing () in
       encode w msg;
-      let s = Codec.Writer.contents w in
-      { e_msg = msg; e_repr = Enc_string s; e_len = String.length s }
+      { e_msg = msg; e_repr = Enc_sized; e_len = Codec.Writer.size w }
   | Some pool ->
       let w = Codec.Writer.create_pooled ~pool () in
       encode w msg;
       let f = Codec.Writer.finish_frame w in
       { e_msg = msg; e_repr = Enc_frame f; e_len = Frame.total f }
 
-(* Join-state splicing: a server caching one snapshot encoding across a
-   join storm serializes the [join_state] fragment once and re-embeds it in
-   each per-joiner [Join_accepted] frame (members and at_seqno differ per
-   joiner, the state payload does not). [pre_encode_join_accepted] must stay
-   byte-identical to [pre_encode (Response (Join_accepted ...))] — pinned by
-   a golden test. *)
-let encode_join_state state =
-  let w = Codec.Writer.create () in
-  enc_join_state w state;
-  Codec.Writer.contents w
-
-let pre_encode_join_accepted ?pool ~group ~at_seqno ~state ~state_enc ~members
-    ~multicast () =
-  incr encodes;
-  let w =
-    match pool with
-    | None -> Codec.Writer.create ()
-    | Some pool -> Codec.Writer.create_pooled ~pool ()
-  in
-  W.u8 w 1 (* Response *);
-  W.u8 w 2 (* Join_accepted *);
-  W.string w group;
-  W.int_as_i64 w at_seqno;
-  (* With a pool, the cached fragment is spliced as a borrowed segment —
-     the per-joiner frame shares the snapshot encoding's bytes. *)
-  W.raw w state_enc;
-  W.list w enc_member members;
-  W.bool w multicast;
-  let e_msg =
-    Response (Join_accepted { group; at_seqno; state; members; multicast })
-  in
-  match pool with
-  | None ->
-      let s = Codec.Writer.contents w in
-      { e_msg; e_repr = Enc_string s; e_len = String.length s }
-  | Some _ ->
-      let f = Codec.Writer.finish_frame w in
-      { e_msg; e_repr = Enc_frame f; e_len = Frame.total f }
-
 (* Relay fan-out splicing: the root serializes the inner response once
-   (shared with any direct recipients via [pre_encode]) and wraps those
-   bytes in one [Relay_fanout] frame per relay — the frame itself is then
-   shared across every relay control connection by [send_batch_encoded], so
-   a broadcast costs the root O(relays) transmits and exactly two encodes
-   however many members sit behind the tier. Must stay byte-identical to
-   [pre_encode (Response (Relay_fanout ...))] — pinned by a golden test. *)
+   (shared with any direct recipients via [pre_encode]) and wraps it in one
+   [Relay_fanout] frame per relay — the frame itself is then shared across
+   every relay control connection by [send_batch_encoded], so a broadcast
+   costs the root O(relays) transmits and exactly two encodes however many
+   members sit behind the tier. Unpooled, the frame is sized from
+   [inner_enc]'s length; pooled, it borrows the inner frame's segments.
+   Either way it equals [pre_encode (Response (Relay_fanout ...))] —
+   pinned by a golden test. *)
 let pre_encode_relay_fanout ?pool ~group ?exclude ~inner ~inner_enc () =
   incr encodes;
-  let w =
-    match pool with
-    | None -> Codec.Writer.create ()
-    | Some pool -> Codec.Writer.create_pooled ~pool ()
-  in
-  W.u8 w 1 (* Response *);
-  W.u8 w 19 (* Relay_fanout *);
-  W.string w group;
-  (match exclude with
-  | None -> W.bool w false
-  | Some m ->
-      W.bool w true;
-      W.string w m);
-  (* [inner_enc] is [pre_encode (Response inner)]; drop its leading message
-     tag byte to recover the bare [enc_response] bytes. A pooled writer
-     borrows the inner frame's segments instead of copying them, so the
-     relay frame must be released (or fully issued) before the inner one:
-     the borrowed view keeps the inner leases as validity witnesses and a
-     late read raises. *)
   (match inner_enc.e_repr with
-  | Enc_string s -> W.raw_frame w (Frame.borrow (Frame.of_string s) ~from:1)
-  | Enc_frame f -> W.raw_frame w (Frame.borrow f ~from:1)
   | Enc_released ->
-      raise (Pool.Lease_error "pre_encode_relay_fanout: inner frame released"));
+      raise (Pool.Lease_error "pre_encode_relay_fanout: inner frame released")
+  | Enc_sized | Enc_frame _ -> ());
   let e_msg = Response (Relay_fanout { group; exclude; inner }) in
   match pool with
   | None ->
-      let s = Codec.Writer.contents w in
-      { e_msg; e_repr = Enc_string s; e_len = String.length s }
-  | Some _ ->
+      let w = Codec.Writer.create_sizing () in
+      W.u8 w 1 (* Response *);
+      enc_relay_head w group exclude;
+      (* [inner_enc] is [pre_encode (Response inner)]: its body minus the
+         leading message tag byte is the bare [enc_response] *)
+      { e_msg; e_repr = Enc_sized; e_len = Codec.Writer.size w + inner_enc.e_len - 1 }
+  | Some pool ->
+      let w = Codec.Writer.create_pooled ~pool () in
+      W.u8 w 1 (* Response *);
+      enc_relay_head w group exclude;
+      (* The relay frame borrows the inner frame's segments instead of
+         copying them, so it must be released (or fully issued) before the
+         inner one: the borrowed view keeps the inner leases as validity
+         witnesses and a late read raises. A sized inner has no bytes to
+         borrow; its response is written in place. *)
+      (match inner_enc.e_repr with
+      | Enc_frame f -> W.raw_frame w (Frame.borrow f ~from:1)
+      | Enc_sized | Enc_released -> enc_response w inner);
       let f = Codec.Writer.finish_frame w in
       { e_msg; e_repr = Enc_frame f; e_len = Frame.total f }
 
@@ -737,56 +703,51 @@ let decode_barrier_frame s =
 
 let encoded_message e = e.e_msg
 
+(* Rebuild the bytes of a sized encoding. Not counted in [encode_count]:
+   the logical message was serialized (sized) once already. *)
+let materialize e =
+  let w = Codec.Writer.create ~initial_capacity:e.e_len () in
+  encode_body w e.e_msg;
+  Codec.Writer.contents w
+
 let encoded_bytes e =
   match e.e_repr with
-  | Enc_string s -> s
+  | Enc_sized -> materialize e
   | Enc_frame f -> Frame.to_string f
   | Enc_released ->
       raise (Pool.Lease_error "Message.encoded_bytes: frame already released")
 
 let encoded_frame e =
-  match e.e_repr with Enc_frame f -> Some f | Enc_string _ | Enc_released -> None
+  match e.e_repr with Enc_frame f -> Some f | Enc_sized | Enc_released -> None
 
 let encoded_wire_size e = frame_header_size + e.e_len
 
 (* Release a pooled encoding's chunks once the fan-out has issued. The
    simulator passes messages by value past this point, so nothing reads
    the bytes afterwards — and if something does, the generation stamps
-   catch it. Idempotent, and a no-op on string-backed encodings, so
-   release points can be wired unconditionally. *)
+   catch it. Idempotent, and a no-op on sized encodings, so release points
+   can be wired unconditionally. *)
 let release_encoded pool e =
   match e.e_repr with
   | Enc_frame f ->
       Frame.release pool f;
       e.e_repr <- Enc_released
-  | Enc_string _ | Enc_released -> ()
+  | Enc_sized | Enc_released -> ()
 
-(* Materialize then release: pins the bytes for an [encoded] that outlives
-   its pool window (e.g. a transfer-cache entry built with a pool). *)
+(* Release the chunks but keep the encoding readable: for an [encoded]
+   that outlives its pool window. Its bytes are rebuilt on demand. *)
 let seal_encoded pool e =
   match e.e_repr with
   | Enc_frame f ->
-      let s = Frame.to_string f in
       Frame.release pool f;
-      e.e_repr <- Enc_string s
-  | Enc_string _ -> ()
+      e.e_repr <- Enc_sized
+  | Enc_sized -> ()
   | Enc_released ->
       raise (Pool.Lease_error "Message.seal_encoded: frame already released")
 
-let wire_size ?pool t =
-  match pool with
-  | None -> frame_header_size + Codec.encoded_size encode t
-  | Some p ->
-      (* One pooled encode, measured and immediately returned: the
-         per-send sizing path allocates a lease token instead of a fresh
-         writer buffer. *)
-      let w = Codec.Writer.create_pooled ~pool:p () in
-      encode w t;
-      let n = Codec.Writer.size w in
-      Frame.release p (Codec.Writer.finish_frame w);
-      frame_header_size + n
+let wire_size t = frame_header_size + Codec.encoded_size encode t
 
-let send ?pool conn t = Net.Tcp.send conn ~size:(wire_size ?pool t) (Corona t)
+let send conn t = Net.Tcp.send conn ~size:(wire_size t) (Corona t)
 
 let send_encoded conn e = Net.Tcp.send conn ~size:(encoded_wire_size e) (Corona e.e_msg)
 

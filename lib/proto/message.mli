@@ -183,43 +183,23 @@ val decode_barrier_frame : string -> barrier_frame
 (** @raise Codec.Reader.Malformed on a corrupt frame. *)
 
 type encoded
-(** A message serialized exactly once: the cached encoding plus the
-    original message. The encode-once invariant: fan-out paths build one
-    [encoded] per logical message and share it across every recipient; its
-    wire size is derived from the cached encoding and never recomputed.
+(** A message serialized exactly once: its wire length plus the original
+    message. The encode-once invariant: fan-out paths build one [encoded]
+    per logical message and share it across every recipient; its wire size
+    is derived from the stored length and never recomputed.
 
-    Built with a {!Pool}, the encoding is a scatter-gather {!Frame.t} of
-    pooled chunks and borrowed cached fragments instead of a fresh string;
-    the owner calls {!release_encoded} once the fan-out has issued, and
-    any later read of the bytes is a checked error. *)
+    Without a pool, the encoder runs against a sizing writer
+    ({!Codec.Writer.create_sizing}): the simulator charges frames by size
+    and carries the message itself, so no bytes are built, and
+    {!encoded_bytes} rebuilds them on demand with the same encoder. Built
+    with a {!Pool}, the encoding is a scatter-gather {!Frame.t} of pooled
+    chunks; the owner calls {!release_encoded} once the fan-out has issued,
+    and any later read of the bytes is a checked error. *)
 
 val pre_encode : ?pool:Pool.t -> t -> encoded
-(** Serialize now (one encode). With [pool], the buffers are leased, the
-    result is frame-backed, and the caller owes a {!release_encoded} (or
-    {!seal_encoded}). *)
-
-val encode_join_state : join_state -> string
-(** The bytes [enc_join_state] would contribute to a containing frame — the
-    shareable fragment of a [Join_accepted]. A server caches this across a
-    join storm and splices it into each per-joiner reply. *)
-
-val pre_encode_join_accepted :
-  ?pool:Pool.t ->
-  group:Types.group_id ->
-  at_seqno:int ->
-  state:join_state ->
-  state_enc:string ->
-  members:Types.member list ->
-  multicast:bool ->
-  unit ->
-  encoded
-(** Build a [Join_accepted] frame by splicing a cached {!encode_join_state}
-    fragment ([state_enc], which must be the encoding of [state]) between
-    the per-joiner fields. Byte-identical to
-    [pre_encode (Response (Join_accepted ...))] (golden-pinned) but performs
-    no per-joiner serialization of the state payload — and with [pool], no
-    per-joiner copy of it either (borrowed segment). Counts as one encode
-    in {!encode_count}. *)
+(** Serialize now (one encode): size it, or with [pool] write it into
+    leased buffers — the result is frame-backed, and the caller owes a
+    {!release_encoded} (or {!seal_encoded}). *)
 
 val pre_encode_relay_fanout :
   ?pool:Pool.t ->
@@ -229,38 +209,39 @@ val pre_encode_relay_fanout :
   inner_enc:encoded ->
   unit ->
   encoded
-(** Build a [Relay_fanout] frame by splicing the cached bytes of
-    [inner_enc] (which must be [pre_encode (Response inner)]) after the
-    per-fan-out fields. Byte-identical to
+(** Build a [Relay_fanout] frame around [inner_enc] (which must be
+    [pre_encode (Response inner)]). Equal to
     [pre_encode (Response (Relay_fanout ...))] (golden-pinned) but performs
-    no re-serialization of the inner response — the same bytes the direct
-    recipients got are shared across the relay hop (with [pool], shared
-    zero-copy: the relay frame borrows the inner frame's segments, so it
-    must be released or fully issued before the inner one). Counts as one
-    encode in {!encode_count}. *)
+    no re-serialization of the inner response: unpooled, its size comes
+    from [inner_enc]'s length; with [pool], the relay frame borrows the
+    inner frame's segments zero-copy, so it must be released or fully
+    issued before the inner one. Counts as one encode in
+    {!encode_count}. *)
 
 val encoded_message : encoded -> t
 
 val encoded_bytes : encoded -> string
-(** The cached body bytes (no frame header). Materializes a frame-backed
-    encoding. @raise Pool.Lease_error after {!release_encoded}. *)
+(** The body bytes (no frame header), built on demand: a sized encoding
+    re-runs the encoder (not counted in {!encode_count}), a frame-backed
+    one is copied out. @raise Pool.Lease_error after {!release_encoded}. *)
 
 val encoded_frame : encoded -> Frame.t option
-(** The backing frame of a pooled encoding ([None] if string-backed or
+(** The backing frame of a pooled encoding ([None] if sized or
     released) — for scatter-gather sinks and header peeks. *)
 
 val encoded_wire_size : encoded -> int
-(** Framed size, from the cached encoding — no re-encode. *)
+(** Framed size, from the stored length — no re-encode. *)
 
 val release_encoded : Pool.t -> encoded -> unit
 (** Return a pooled encoding's chunks once its fan-out has issued (the
     simulator passes messages by value past that point). Idempotent; a
-    no-op on string-backed encodings. A read through the encoding after
-    this raises {!Pool.Lease_error}. *)
+    no-op on sized encodings. A read through the encoding after this
+    raises {!Pool.Lease_error}. *)
 
 val seal_encoded : Pool.t -> encoded -> unit
-(** Materialize the bytes, then release the chunks: pins an encoding that
-    outlives its pool window (e.g. a transfer-cache entry). *)
+(** Release the chunks but keep the encoding readable (as a sized one,
+    whose bytes are rebuilt on demand): for an encoding that outlives its
+    pool window. *)
 
 val send_encoded : Net.Tcp.conn -> encoded -> unit
 (** Send a pre-encoded message, charging its cached wire size. *)
@@ -277,13 +258,12 @@ val send_batch_encoded_buf :
     reached a terminal outcome: the point where a frame-backed encoding may
     be {!release_encoded}d. *)
 
-val wire_size : ?pool:Pool.t -> t -> int
-(** Framed size in bytes: 8-byte frame header + encoded body. Performs a
-    fresh serialization — on repeated-send paths use {!pre_encode} +
-    {!encoded_wire_size} instead. With [pool], the measuring encode runs
-    in leased buffers that are returned before this function does. *)
+val wire_size : t -> int
+(** Framed size in bytes: 8-byte frame header + encoded body, measured by
+    a sizing encode (counted in {!encode_count}) — on repeated-send paths
+    use {!pre_encode} + {!encoded_wire_size} instead. *)
 
-val send : ?pool:Pool.t -> Net.Tcp.conn -> t -> unit
+val send : Net.Tcp.conn -> t -> unit
 (** Send over a simulated connection, charging {!wire_size} bytes (one
     serialization). For one-shot messages only; fan-outs use
     {!send_encoded}. *)

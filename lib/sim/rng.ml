@@ -1,13 +1,19 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh int64 on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-(* splitmix64 step (Steele, Lea, Flood 2014). *)
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+(* splitmix64 step (Steele, Lea, Flood 2014). Inlined so the callers that
+   consume the draw at once keep it unboxed. *)
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -523,8 +523,8 @@ let test_state_version_semantics () =
   SS.clear s;
   Alcotest.(check bool) "clear bumps" true (SS.version s > v3)
 
-(* Two joiners at the same state version share one materialize+encode and
-   get byte-identical payloads; a write in between invalidates. *)
+(* Two joiners at the same state version share one materialized snapshot
+   and get equal payloads; a write in between invalidates. *)
 let test_transfer_cache_reuse_and_invalidation () =
   let _, _, _, log = make_log ~initial:[ ("a", "A"); ("b", "B") ] () in
   for i = 0 to 4 do
@@ -540,15 +540,13 @@ let test_transfer_cache_reuse_and_invalidation () =
     (p1.p_full_snapshot && p2.p_full_snapshot);
   Alcotest.(check (pair int int)) "stats count one of each" (1, 1)
     (cache_stats cache);
-  (* Golden frame: the cached fragment is byte-identical to encoding the
-     uncached reference payload. *)
+  (* the cached payload equals the uncached reference payload *)
   let reference, at = join_state log T.Full_state in
   Alcotest.(check int) "same position" at p1.p_at;
-  Alcotest.(check (option string)) "cached encoding = reference encoding"
-    (Some (Proto.Message.encode_join_state reference))
-    p2.p_enc;
-  Alcotest.(check (option string)) "hit shares the miss's encoding" p1.p_enc
-    p2.p_enc;
+  Alcotest.(check bool) "cached payload = reference payload" true
+    (p2.p_state = reference);
+  Alcotest.(check bool) "hit shares the miss's payload" true
+    (p1.p_state == p2.p_state);
   Alcotest.(check int) "p_bytes matches the reference fold"
     (bytes reference) p2.p_bytes;
   ignore (append log "5");
@@ -559,7 +557,7 @@ let test_transfer_cache_reuse_and_invalidation () =
   Alcotest.(check int) "fresh payload reflects the write" 6 p3.p_at
 
 (* An [Updates_since n] request folded past by log reduction degrades to a
-   full snapshot — and shares the cached one instead of re-encoding. *)
+   full snapshot — and shares the cached one instead of re-materializing. *)
 let test_transfer_cache_reduction_fold () =
   let engine, _, _, log = make_log () in
   for i = 0 to 9 do
@@ -574,9 +572,48 @@ let test_transfer_cache_reduction_fold () =
   Alcotest.(check bool) "reduced-past resync is a full snapshot" true
     p2.p_full_snapshot;
   Alcotest.(check bool) "and shares the cached entry" true p2.p_cache_hit;
-  Alcotest.(check (option string)) "same encoding" p1.p_enc p2.p_enc;
+  Alcotest.(check bool) "same payload" true (p1.p_state == p2.p_state);
   Alcotest.(check (pair int int)) "one materialize for both" (1, 1)
     (cache_stats cache)
+
+(* A joiner served from the cache and one served without it must see the
+   same frame: the same wire size and the same decoded message, for a
+   plain full snapshot and for a resync folded past by log reduction. *)
+let test_cached_and_uncached_joiners_agree () =
+  let engine, _, _, log =
+    make_log ~initial:(List.init 20 (fun i -> (Printf.sprintf "o%02d" i, String.make 5000 'x'))) ()
+  in
+  for i = 0 to 9 do
+    ignore (append log (string_of_int i))
+  done;
+  Corona.State_log.reduce log ~on_done:(fun ~upto:_ -> ());
+  Sim.Engine.run engine;
+  let members =
+    List.init 40 (fun i -> { T.member = Printf.sprintf "m%d" i; role = T.Principal })
+  in
+  let frame (p : Corona.Transfer.prepared) =
+    Proto.Message.pre_encode
+      (Proto.Message.Response
+         (Proto.Message.Join_accepted
+            { group = "g"; at_seqno = p.p_at; state = p.p_state; members; multicast = false }))
+  in
+  let cache = Corona.Transfer.create_cache () in
+  ignore (Corona.Transfer.prepare ~cache log T.Full_state);
+  List.iter
+    (fun spec ->
+      let cached = Corona.Transfer.prepare ~cache log spec in
+      let uncached = Corona.Transfer.prepare log spec in
+      Alcotest.(check bool) "served from the cache" true cached.p_cache_hit;
+      let ec = frame cached and eu = frame uncached in
+      Alcotest.(check int) "same wire size" (Proto.Message.encoded_wire_size eu)
+        (Proto.Message.encoded_wire_size ec);
+      let decode e =
+        Proto.Message.decode (Proto.Codec.Reader.of_string (Proto.Message.encoded_bytes e))
+      in
+      Alcotest.(check bool) "same decoded message" true (decode ec = decode eu);
+      Alcotest.(check bool) "decodes to what was sent" true
+        (decode ec = Proto.Message.encoded_message ec))
+    [ T.Full_state; T.Updates_since 3 ]
 
 (* The O(1) prefix-sum byte accounting agrees with folding over the
    retained updates, for every suffix and before/after reduction. *)
@@ -851,6 +888,8 @@ let () =
             test_transfer_cache_reuse_and_invalidation;
           tc "reduction-folded resync shares cache" `Quick
             test_transfer_cache_reduction_fold;
+          tc "cached and uncached joiners get the same frame" `Quick
+            test_cached_and_uncached_joiners_agree;
           tc "O(1) byte accounting = reference fold" `Quick
             test_log_byte_accounting;
         ] );

@@ -183,6 +183,30 @@ let test_transmit_many_golden_with_loss () =
   Alcotest.(check bool) "at least one loss drawn" true
     (List.exists (fun d -> not (Float.is_nan d)) drops)
 
+(* A fan-out over a jittered LAN (every testbed's network) allocates only
+   the jitter draw and the boxed delivery time per recipient: at most 6
+   minor words. *)
+let test_transmit_many_jitter_allocation () =
+  let engine = Sim.Engine.create ~seed:3L () in
+  let config = { Net.Fabric.lan with Net.Fabric.jitter = 0.8e-3 } in
+  let fabric = Net.Fabric.create ~config engine in
+  let src = Net.Fabric.add_host fabric ~name:"src" () in
+  let n = 250 in
+  let dsts =
+    Array.init n (fun i -> Net.Fabric.add_host fabric ~name:(Printf.sprintf "d%d" i) ())
+  in
+  let got = ref 0 in
+  let k (_ : int) = incr got in
+  (* the first fan-out sizes the recycled batch arrays *)
+  Net.Fabric.transmit_many fabric ~src ~size:1000 ~dsts k;
+  Sim.Engine.run engine;
+  let w0 = Gc.minor_words () in
+  Net.Fabric.transmit_many fabric ~src ~size:1000 ~dsts k;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Sim.Engine.run engine;
+  Alcotest.(check int) "every recipient reached twice" (2 * n) !got;
+  if words > 6.0 then Alcotest.failf "%.2f minor words per recipient (at most 6)" words
+
 let test_transmit_many_golden_src_crash () =
   (* Crash the sender mid-fan-out: the delivered prefix and the silenced
      suffix must be identical between the chained and batched paths. *)
@@ -481,6 +505,8 @@ let () =
             test_transmit_many_golden_with_loss;
           tc "transmit_many golden under src crash" `Quick
             test_transmit_many_golden_src_crash;
+          tc "transmit_many allocation under jitter" `Quick
+            test_transmit_many_jitter_allocation;
         ] );
       ( "tcp",
         [

@@ -344,7 +344,14 @@ let test_golden_bytes () =
       M.encode w msg;
       Alcotest.(check string) name expect (hex_of_string (W.contents w));
       Alcotest.(check bool) (name ^ " decodes back") true
-        (M.decode (R.of_string (W.contents w)) = msg))
+        (M.decode (R.of_string (W.contents w)) = msg);
+      (* a sized encoding materializes the same bytes on demand *)
+      let e = M.pre_encode msg in
+      Alcotest.(check string) (name ^ " (materialized)") expect
+        (hex_of_string (M.encoded_bytes e));
+      Alcotest.(check int) (name ^ " (sized)")
+        ((String.length expect / 2) + 8)
+        (M.encoded_wire_size e))
     golden_frames
 
 (* Barrier journal frames are not client messages but are persisted and
@@ -428,39 +435,37 @@ let test_pre_encode_consistency () =
   done;
   Alcotest.(check int) "no re-encode on reuse" base (M.encode_count ())
 
-(* The snapshot cache splices a pre-serialized join-state fragment into a
-   Join_accepted frame; the result must be byte-identical to encoding the
-   whole message from scratch, or cached and uncached joiners would see
-   different wire bytes. *)
-let test_join_accepted_splice () =
-  let members = [ { T.member = "a"; role = T.Principal }; { T.member = "b"; role = T.Observer } ] in
-  List.iter
-    (fun state ->
-      let msg =
-        M.Response
-          (M.Join_accepted { group = "g"; at_seqno = 7; state; members; multicast = true })
-      in
-      let whole = M.pre_encode msg in
-      let spliced =
-        M.pre_encode_join_accepted ~group:"g" ~at_seqno:7 ~state
-          ~state_enc:(M.encode_join_state state) ~members ~multicast:true ()
-      in
-      Alcotest.(check string)
-        "spliced frame = whole-message encode" (M.encoded_bytes whole)
-        (M.encoded_bytes spliced);
-      (* and it must decode back to the same message *)
-      let decoded =
-        M.decode (Proto.Codec.Reader.of_string (M.encoded_bytes spliced))
-      in
-      Alcotest.(check string)
-        "decodes identically" (Format.asprintf "%a" M.pp msg)
-        (Format.asprintf "%a" M.pp decoded))
-    [
-      M.Snapshot { objects = [ ("o1", "v1"); ("o2", String.make 300 'x') ];
-                   log_tail = [ sample_update ] };
-      M.Snapshot { objects = []; log_tail = [] };
-      M.Update_history [ sample_update; sample_update ];
-    ]
+(* Sizing a frame costs O(objects), not O(bytes): a join reply carrying a
+   100 kB snapshot to a 40-member group is measured without building a
+   single payload byte, so it allocates nothing on the major heap and only
+   a few small records on the minor heap. *)
+let test_pre_encode_join_allocation () =
+  let objects = List.init 20 (fun i -> (Printf.sprintf "obj-%02d" i, String.make 5000 'x')) in
+  let members =
+    List.init 40 (fun i -> { T.member = Printf.sprintf "m%d" i; role = T.Principal })
+  in
+  let msg =
+    M.Response
+      (M.Join_accepted
+         { group = "g"; at_seqno = 7; state = M.Snapshot { objects; log_tail = [] };
+           members; multicast = false })
+  in
+  ignore (M.pre_encode msg);
+  (* an empty minor heap: no collection promotes anything mid-measurement *)
+  Gc.minor ();
+  (* [Gc.counters] counts direct major allocations as they happen *)
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let major0 = major_words () in
+  let minor0 = Gc.minor_words () in
+  let e = M.pre_encode msg in
+  let minor = Gc.minor_words () -. minor0 in
+  let major = major_words () -. major0 in
+  Alcotest.(check int) "sized, not copied" (M.wire_size msg) (M.encoded_wire_size e);
+  Alcotest.(check (float 0.0)) "no major words" 0.0 major;
+  if minor > 64.0 then Alcotest.failf "%.0f minor words (at most 64)" minor
 
 (* Same guarantee for the relay tier: the root splices the cached inner
    response bytes into a Relay_fanout wrapper instead of re-encoding the
@@ -609,24 +614,6 @@ let test_pooled_frames_byte_identical () =
 
 let test_pooled_splices_byte_identical () =
   let pool = P.create () in
-  let members = [ { T.member = "a"; role = T.Principal } ] in
-  let state =
-    M.Snapshot { objects = [ ("o1", "v1"); ("o2", String.make 300 'x') ];
-                 log_tail = [ sample_update ] }
-  in
-  let whole =
-    M.pre_encode
-      (M.Response
-         (M.Join_accepted { group = "g"; at_seqno = 7; state; members; multicast = false }))
-  in
-  let spliced =
-    M.pre_encode_join_accepted ~pool ~group:"g" ~at_seqno:7 ~state
-      ~state_enc:(M.encode_join_state state) ~members ~multicast:false ()
-  in
-  Alcotest.(check string)
-    "pooled join-accepted splice = copied encode" (M.encoded_bytes whole)
-    (M.encoded_bytes spliced);
-  M.release_encoded pool spliced;
   let inner = M.Deliver sample_update in
   let whole_fan =
     M.pre_encode (M.Response (M.Relay_fanout { group = "g"; exclude = Some "alice"; inner }))
@@ -797,6 +784,50 @@ let prop_wire_size_consistent =
       M.encode w msg;
       M.wire_size msg = 8 + W.size w)
 
+(* [gen_message] plus payloads the sizing writer never stores: strings of
+   several kB (past its scratch buffer) and 20 x 5 kB snapshots. *)
+let gen_sized_message =
+  let open QCheck.Gen in
+  let big = string_size ~gen:printable (int_range 2_000 9_000) in
+  oneof
+    [
+      gen_message;
+      map
+        (fun (group, sender, data) ->
+          M.Request
+            (M.Bcast
+               { group; sender; kind = T.Set_state; obj = "o"; data;
+                 mode = T.Sender_inclusive }))
+        (triple gen_string gen_string big);
+      map
+        (fun (u, data) -> M.Response (M.Deliver { u with T.data }))
+        (pair gen_update big);
+      map
+        (fun (group, at_seqno, blobs, members) ->
+          M.Response
+            (M.Join_accepted
+               { group; at_seqno;
+                 state =
+                   M.Snapshot
+                     { objects = List.mapi (fun i d -> (Printf.sprintf "o%d" i, d)) blobs;
+                       log_tail = [] };
+                 members = List.map (fun m -> { T.member = m; role = T.Observer }) members;
+                 multicast = false }))
+        (quad gen_string (int_range 0 1000)
+           (list_repeat 20 (string_size ~gen:printable (return 5_000)))
+           (list_size (int_range 0 40) gen_string));
+    ]
+
+let prop_sized_matches_bytes =
+  QCheck.Test.make ~name:"sized encoding = materialized bytes" ~count:200
+    (QCheck.make gen_sized_message)
+    (fun msg ->
+      let e = M.pre_encode msg in
+      let bytes = M.encoded_bytes e in
+      M.wire_size msg = String.length bytes + 8
+      && M.encoded_wire_size e = String.length bytes + 8
+      && M.decode (R.of_string bytes) = msg)
+
 let prop_decode_consumes_everything =
   QCheck.Test.make ~name:"decode consumes the full encoding" ~count:300 arb_message
     (fun msg ->
@@ -866,11 +897,12 @@ let () =
           tc "golden bytes (wire format pinned)" `Quick test_golden_bytes;
           tc "barrier frame golden bytes" `Quick test_barrier_frame_golden;
           tc "pre-encode consistency" `Quick test_pre_encode_consistency;
-          tc "join-accepted splice is byte-identical" `Quick test_join_accepted_splice;
+          tc "sizing a join reply allocates no payload" `Quick test_pre_encode_join_allocation;
           tc "relay-fanout splice is byte-identical" `Quick test_relay_fanout_splice;
           tc "wire size scales with payload" `Quick test_wire_size_scales_with_payload;
           q prop_roundtrip;
           q prop_wire_size_consistent;
+          q prop_sized_matches_bytes;
           q prop_decode_consumes_everything;
           q prop_decode_garbage_never_crashes;
           q prop_truncated_encodings_never_crash;

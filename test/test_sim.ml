@@ -381,6 +381,39 @@ let test_rng_reproducible () =
     Alcotest.(check int64) "same stream" (Sim.Rng.int64 a) (Sim.Rng.int64 b)
   done
 
+(* The first draws of two seeds: every experiment's numbers depend on
+   them, so the generator's representation may change but no output may. *)
+let test_rng_pinned_outputs () =
+  List.iter
+    (fun (seed, a, b, f, j, i, split) ->
+      let r = Sim.Rng.create seed in
+      let name = Printf.sprintf "seed %Ld" seed in
+      Alcotest.(check int64) (name ^ " int64 #1") a (Sim.Rng.int64 r);
+      Alcotest.(check int64) (name ^ " int64 #2") b (Sim.Rng.int64 r);
+      Alcotest.(check (float 0.0)) (name ^ " float 1.0") f (Sim.Rng.float r 1.0);
+      Alcotest.(check (float 0.0)) (name ^ " float 0.8e-3") j (Sim.Rng.float r 0.8e-3);
+      Alcotest.(check int) (name ^ " int 1000") i (Sim.Rng.int r 1000);
+      Alcotest.(check int64) (name ^ " split") split (Sim.Rng.int64 (Sim.Rng.split r)))
+    [
+      ( 7L, 7191089600892374487L, 309689372594955804L, 0x1.cd30810175625p-1,
+        0x1.e8ff53c4b361ap-12, 837, 7959962799974569576L );
+      ( 501L, -817947824116201021L, -3736420790219037326L, 0x1.832dda902e227p-1,
+        0x1.4371e34f79e62p-12, 443, -7953747835172401707L );
+    ]
+
+(* A draw allocates only its boxed float result. *)
+let test_rng_float_allocation () =
+  let r = Sim.Rng.create 5L in
+  let acc = ref 0.0 in
+  let draws = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc +. Sim.Rng.float r 1.0
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int draws in
+  Alcotest.(check bool) "draws in [0, 1)" true (!acc >= 0.0 && !acc < float_of_int draws);
+  if words > 2.0 then Alcotest.failf "%.2f minor words per draw (at most 2)" words
+
 let test_rng_split_independent () =
   let a = Sim.Rng.create 7L in
   let child = Sim.Rng.split a in
@@ -524,6 +557,8 @@ let () =
         [
           tc "reproducible" `Quick test_rng_reproducible;
           tc "split independence" `Quick test_rng_split_independent;
+          tc "pinned outputs" `Quick test_rng_pinned_outputs;
+          tc "float allocates only its result" `Quick test_rng_float_allocation;
           q prop_int_in_range;
           q prop_float_in_range;
           q prop_shuffle_is_permutation;
