@@ -435,6 +435,41 @@ let test_pre_encode_consistency () =
   done;
   Alcotest.(check int) "no re-encode on reuse" base (M.encode_count ())
 
+(* A join reply used to be spliced from a cached join-state encoding; it is
+   now sized without bytes and materialized on demand. Either way the frame a
+   joiner gets must be byte-identical to a whole-message encode, carry the
+   same wire size, and decode back to the message that was sent. *)
+let test_join_accepted_splice () =
+  let members = [ { T.member = "a"; role = T.Principal }; { T.member = "b"; role = T.Observer } ] in
+  List.iter
+    (fun state ->
+      let msg =
+        M.Response
+          (M.Join_accepted { group = "g"; at_seqno = 7; state; members; multicast = true })
+      in
+      let whole =
+        let w = W.create () in
+        M.encode w msg;
+        W.contents w
+      in
+      let sized = M.pre_encode msg in
+      Alcotest.(check string)
+        "materialized frame = whole-message encode" whole (M.encoded_bytes sized);
+      Alcotest.(check int)
+        "sized wire size = frame + encoded length" (String.length whole + 8)
+        (M.encoded_wire_size sized);
+      Alcotest.(check int) "wire_size agrees" (M.wire_size msg) (M.encoded_wire_size sized);
+      let decoded = M.decode (Proto.Codec.Reader.of_string (M.encoded_bytes sized)) in
+      Alcotest.(check string)
+        "decodes identically" (Format.asprintf "%a" M.pp msg)
+        (Format.asprintf "%a" M.pp decoded))
+    [
+      M.Snapshot { objects = [ ("o1", "v1"); ("o2", String.make 300 'x') ];
+                   log_tail = [ sample_update ] };
+      M.Snapshot { objects = []; log_tail = [] };
+      M.Update_history [ sample_update; sample_update ];
+    ]
+
 (* Sizing a frame costs O(objects), not O(bytes): a join reply carrying a
    100 kB snapshot to a 40-member group is measured without building a
    single payload byte, so it allocates nothing on the major heap and only
@@ -897,6 +932,7 @@ let () =
           tc "golden bytes (wire format pinned)" `Quick test_golden_bytes;
           tc "barrier frame golden bytes" `Quick test_barrier_frame_golden;
           tc "pre-encode consistency" `Quick test_pre_encode_consistency;
+          tc "join-accepted splice is byte-identical" `Quick test_join_accepted_splice;
           tc "sizing a join reply allocates no payload" `Quick test_pre_encode_join_allocation;
           tc "relay-fanout splice is byte-identical" `Quick test_relay_fanout_splice;
           tc "wire size scales with payload" `Quick test_wire_size_scales_with_payload;
