@@ -120,31 +120,21 @@ let bench_vclock () =
   let w = Ordering.Vclock.tick v "site-3" in
   Ordering.Vclock.compare_causal v w
 
-(* Codec allocation rows: minor-heap words per encode/decode operation, the
-   copied (Bytes.create per frame) path against the pooled one, plus the
-   pool counters proving slab reuse (steady state: every lease is a shelf
-   hit). The decode side compares a full record materialization against a
+(* Codec allocation rows: minor-heap words per encode/decode operation.
+   The decode side compares a full record materialization against a
    fixed-offset header peek — the path Server/Node/Relay dispatch rides. *)
 let run_codec_alloc () =
   let iters = 2000 in
   let words_per f =
-    (* warm up: JIT nothing, but fill the pool shelves and stabilize the
-       minor heap before the measured window *)
+    (* warm up: stabilize the minor heap before the measured window *)
     for _ = 1 to 200 do ignore (f ()) done;
     let m0 = Gc.minor_words () in
     for _ = 1 to iters do ignore (f ()) done;
     (Gc.minor_words () -. m0) /. float_of_int iters
   in
-  let pool = Proto.Pool.create () in
   let cases =
     [
       ("codec encode 1kB bcast (copied)", fun () -> bench_encode ());
-      ( "codec encode 1kB bcast (pooled)",
-        fun () ->
-          let e = Proto.Message.pre_encode ~pool sample_message in
-          let n = Proto.Message.encoded_wire_size e in
-          Proto.Message.release_encoded pool e;
-          n );
       ("codec decode 1kB bcast (full record)", fun () -> ignore (bench_decode ()); 0);
       ( "codec decode 1kB bcast (header peek)",
         fun () ->
@@ -155,34 +145,16 @@ let run_codec_alloc () =
   let rows =
     List.map
       (fun (name, f) ->
-        let before = Proto.Pool.stats pool in
         let words = words_per f in
-        let after = Proto.Pool.stats pool in
         json_add "micro"
           [
             ("name", Printf.sprintf "%S" name);
             ("minor_words_per_bcast", json_num words);
-            ("pool_leases", string_of_int (after.Proto.Pool.leases - before.Proto.Pool.leases));
-            ("pool_hits", string_of_int (after.Proto.Pool.hits - before.Proto.Pool.hits));
-            ("pool_misses", string_of_int (after.Proto.Pool.misses - before.Proto.Pool.misses));
-            ("pool_high_water", string_of_int after.Proto.Pool.high_water);
           ];
-        [
-          name;
-          Printf.sprintf "%.1f" words;
-          Printf.sprintf "%d/%d/%d"
-            (after.Proto.Pool.leases - before.Proto.Pool.leases)
-            (after.Proto.Pool.hits - before.Proto.Pool.hits)
-            (after.Proto.Pool.misses - before.Proto.Pool.misses);
-          string_of_int after.Proto.Pool.high_water;
-        ])
+        [ name; Printf.sprintf "%.1f" words ])
       cases
   in
-  (* Quiescence: the pooled case released everything it leased. *)
-  assert (Proto.Pool.outstanding pool = 0);
-  Workload.Report.table
-    ~header:[ "codec path"; "minor w/op"; "pool lease/hit/miss"; "pool hiwater" ]
-    rows
+  Workload.Report.table ~header:[ "codec path"; "minor w/op" ] rows
 
 (* Event-loop row: the host cost of one pooled schedule + step pair with
    2000 events pending, the fan-out loop's steady state. The time is the
@@ -320,19 +292,11 @@ let fanout_world ~members ~bcasts ~multicast =
      server's fan-out cost per logical broadcast. *)
   let fanout_encodes_per_bcast = float_of_int (encodes - bcasts) /. float_of_int bcasts in
   let st = Corona.Server.stats tb.s_server in
-  let ps = Corona.Server.pool_stats tb.s_server in
-  (* Every lease must be back on its shelf once the world is quiescent. *)
-  if ps.Proto.Pool.outstanding <> 0 then
-    failwith
-      (Printf.sprintf "fanout (%s): %d pooled leases leaked"
-         (if multicast then "multicast" else "p2p")
-         ps.Proto.Pool.outstanding);
   ( wall /. float_of_int bcasts *. 1e9,
     fanout_encodes_per_bcast,
     st.Corona.Server.deliveries_sent,
     st.Corona.Server.responses_sent,
-    minor_words_per_bcast,
-    ps )
+    minor_words_per_bcast )
 
 (* The codec work alone, out of the simulator: what the seed server did per
    300-member broadcast (a [wire_size] encode for stats plus a fresh encode
@@ -401,21 +365,21 @@ let run_fanout () =
         let trials =
           List.init 5 (fun _ -> fanout_world ~members ~bcasts ~multicast)
         in
-        let ns, enc, deliveries, responses, minor_words, ps =
+        let ns, enc, deliveries, responses, minor_words =
           List.fold_left
-            (fun (bns, _, _, _, _, _ as best) (ns, _, _, _, _, _ as trial) ->
+            (fun (bns, _, _, _, _ as best) (ns, _, _, _, _ as trial) ->
               if ns < bns then trial else best)
             (List.hd trials) (List.tl trials)
         in
-        (* Allocation-regression gate: the pooled fan-out path must stay at
-           least 5x below the PR 8 baseline (BENCH_micro.json before the
-           buffer pool: 30399 minor words/bcast p2p, 19917 multicast). *)
+        (* Allocation-regression gate: the fan-out path must stay at least
+           5x below the baseline measured before its hot loop was made
+           allocation-free (30399 minor words/bcast p2p, 19917 multicast). *)
         let baseline = if multicast then 19917.0 else 30399.0 in
         if minor_words > 0.2 *. baseline then
           failwith
             (Printf.sprintf
-               "fanout (%s): %.0f minor words/bcast > 0.2x PR 8 baseline %.0f —\
-                allocation regression on the pooled path"
+               "fanout (%s): %.0f minor words/bcast > 0.2x baseline %.0f —\
+                allocation regression on the fan-out path"
                label minor_words baseline);
         json_add "fanout"
           [
@@ -427,10 +391,6 @@ let run_fanout () =
             ("fanout_encodes_per_bcast", Printf.sprintf "%.2f" enc);
             ("deliveries_sent", string_of_int deliveries);
             ("responses_sent", string_of_int responses);
-            ("pool_leases", string_of_int ps.Proto.Pool.leases);
-            ("pool_hits", string_of_int ps.Proto.Pool.hits);
-            ("pool_misses", string_of_int ps.Proto.Pool.misses);
-            ("pool_high_water", string_of_int ps.Proto.Pool.high_water);
           ];
         [
           label;
@@ -439,21 +399,18 @@ let run_fanout () =
           Printf.sprintf "%.2f" enc;
           string_of_int deliveries;
           string_of_int responses;
-          Printf.sprintf "%d/%d/%d" ps.Proto.Pool.leases ps.Proto.Pool.hits
-            ps.Proto.Pool.misses;
-          string_of_int ps.Proto.Pool.high_water;
         ])
       [ ("p2p", false); ("multicast", true) ]
   in
   Workload.Report.table
     ~header:
       [ "delivery"; "ns/bcast"; "minor w/bcast"; "fan-out encodes/bcast"; "deliveries";
-        "responses"; "pool lease/hit/miss"; "pool hiwater" ]
+        "responses" ]
     rows;
   Workload.Report.note
     "fan-out encodes/bcast must be 1.00: one pre-encoded Deliver shared by all recipients.";
   Workload.Report.note
-    "minor w/bcast gated at <= 0.2x the PR 8 baseline (30399 p2p / 19917 mcast)."
+    "minor w/bcast gated at <= 0.2x the pre-allocation-free baseline (30399 p2p / 19917 mcast)."
 
 (* --- scaling sweep ------------------------------------------------------ *)
 
@@ -948,10 +905,6 @@ let run_transfer_sweep () =
               ("storm_virtual_s", Printf.sprintf "%.4f" r.st_span);
               ("state_bytes", string_of_int r.st_bytes);
               ("minor_words_per_join", json_num r.st_minor_words_per_join);
-              ("pool_leases", string_of_int r.st_pool.Proto.Pool.leases);
-              ("pool_hits", string_of_int r.st_pool.Proto.Pool.hits);
-              ("pool_misses", string_of_int r.st_pool.Proto.Pool.misses);
-              ("pool_high_water", string_of_int r.st_pool.Proto.Pool.high_water);
             ];
         [
           string_of_int r.st_members;
@@ -961,15 +914,13 @@ let run_transfer_sweep () =
           Printf.sprintf "%.0f ms" (r.st_span *. 1e3);
           Workload.Report.fbytes r.st_bytes;
           Printf.sprintf "%.0f" r.st_minor_words_per_join;
-          Printf.sprintf "%d/%d/%d" r.st_pool.Proto.Pool.leases
-            r.st_pool.Proto.Pool.hits r.st_pool.Proto.Pool.misses;
         ])
       sizes
   in
   Workload.Report.table
     ~header:
       [ "joiners"; "cache hits"; "misses"; "encode work saved"; "storm span"; "bytes";
-        "minor w/join"; "pool lease/hit/miss" ]
+        "minor w/join" ]
     storm_rows;
   Workload.Report.note
     "misses track state versions the mid-storm writer produces, not joiner count.";
@@ -1001,10 +952,6 @@ let run_transfer_sweep () =
               ("records_committed", string_of_int on_.du_records_committed);
               ("max_batch_records", string_of_int on_.du_max_batch);
               ("minor_words_per_bcast", json_num on_.du_minor_words_per_bcast);
-              ("pool_leases", string_of_int on_.du_pool.Proto.Pool.leases);
-              ("pool_hits", string_of_int on_.du_pool.Proto.Pool.hits);
-              ("pool_misses", string_of_int on_.du_pool.Proto.Pool.misses);
-              ("pool_high_water", string_of_int on_.du_pool.Proto.Pool.high_water);
             ];
         [
           string_of_int size;
@@ -1014,15 +961,13 @@ let run_transfer_sweep () =
           Printf.sprintf "%d/%d" on_.du_physical_writes on_.du_records_committed;
           string_of_int on_.du_max_batch;
           Printf.sprintf "%.0f" on_.du_minor_words_per_bcast;
-          Printf.sprintf "%d/%d/%d" on_.du_pool.Proto.Pool.leases
-            on_.du_pool.Proto.Pool.hits on_.du_pool.Proto.Pool.misses;
         ])
       [ 64; 256 ]
   in
   Workload.Report.table
     ~header:
       [ "record B"; "rec/s (seek each)"; "rec/s (batched)"; "speedup"; "writes/records";
-        "max batch"; "minor w/bcast"; "pool lease/hit/miss" ]
+        "max batch"; "minor w/bcast" ]
     durable_rows;
   Workload.Report.note
     "Sync_logging fan-out waits for durability: throughput is seeks, not bytes."

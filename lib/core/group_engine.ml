@@ -34,7 +34,6 @@ type t = {
   client_conns : (int, Net.Tcp.conn) Hashtbl.t;
   transfer_cache : Transfer.cache;
   relay_hub : Relay_hub.t;
-  pool : Proto.Pool.t; (* hot-path frame buffers, leased per fan-out *)
   fan_batch : Net.Tcp.batch; (* fan-out fill buffer, refilled per fan-out *)
   (* Counters as mutable fields: the hot loop bumps a counter with a field
      store instead of re-allocating a record per event. *)
@@ -55,7 +54,6 @@ let create engine =
     client_conns = Hashtbl.create 64;
     transfer_cache = Transfer.create_cache ();
     relay_hub = Relay_hub.create ();
-    pool = Proto.Pool.create ();
     fan_batch = Net.Tcp.batch_create ();
     responses_sent = 0;
     deliveries_sent = 0;
@@ -78,8 +76,6 @@ let counters t =
 let add_deliveries t ~count ~bytes =
   t.deliveries_sent <- t.deliveries_sent + count;
   t.bytes_delivered <- t.bytes_delivered + bytes
-
-let pool t = t.pool
 
 let relay_hub t = t.relay_hub
 
@@ -185,9 +181,7 @@ let fill_batch t ms ?exclude ?(skip = no_skip) () =
    recipients, one spliced [Relay_fanout] frame shared by every relay
    fronting proxied recipients. *)
 let flush t ~group ?exclude inner =
-  let d =
-    Relay_hub.deliver t.relay_hub ~pool:t.pool ~group ?exclude ~inner t.fan_batch
-  in
+  let d = Relay_hub.deliver t.relay_hub ~group ?exclude ~inner t.fan_batch in
   t.relay_frames_sent <- t.relay_frames_sent + d.Relay_hub.d_frames;
   d
 [@@corona.hot]

@@ -40,9 +40,6 @@ val counters : t -> counters
 val add_deliveries : t -> count:int -> bytes:int -> unit
 (** Count deliveries made outside {!deliver} (IP-multicast fan-out). *)
 
-val pool : t -> Proto.Pool.t
-(** The frame-buffer pool fan-out encodes lease from. *)
-
 val relay_hub : t -> Relay_hub.t
 
 val transfer_cache : t -> Transfer.cache

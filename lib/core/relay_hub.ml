@@ -172,48 +172,29 @@ let no_delivery =
    payload splices the same cached bytes ([pre_encode_relay_fanout]),
    itself shared across all control connections by the batched transmit.
    With no relay tier present this degenerates to the classic
-   single-encode single-batch fan-out.
-
-   Both encodings come out of [pool] and are released when the last batch
-   sharing their bytes reports completion — the splice borrows the inner
-   encoding's segments, so the borrower is released first. *)
-let deliver t ~pool ~group ?exclude ~inner batch =
+   single-encode single-batch fan-out. *)
+let deliver t ~group ?exclude ~inner batch =
   if Net.Tcp.batch_length batch = 0 then no_delivery
   else begin
     let split = Hashtbl.length t.proxied > 0 in
     if split then split_batch t batch;
     let direct = if split then t.hb_direct else batch in
     let n_controls = if split then Net.Tcp.batch_length t.hb_control else 0 in
-    let e = M.pre_encode ~pool (M.Response inner) in
+    let e = M.pre_encode (M.Response inner) in
     let wire = M.encoded_wire_size e in
     let d_direct = Net.Tcp.batch_length direct in
-    if n_controls = 0 then begin
-      if d_direct = 0 then M.release_encoded pool e
-      else
-        M.send_batch_encoded_buf direct
-          ~on_complete:(fun () -> M.release_encoded pool e)
-          e;
+    M.send_batch_encoded_buf direct e;
+    if n_controls = 0 then
       { d_direct; d_frames = 0; d_direct_bytes = d_direct * wire; d_frame_bytes = 0 }
-    end
     else begin
-      let ef = M.pre_encode_relay_fanout ~pool ~group ?exclude ~inner ~inner_enc:e () in
-      let fwire = M.encoded_wire_size ef in
+      let ef = M.pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc:e () in
       t.frames_sent <- t.frames_sent + n_controls;
-      let pending = ref (if d_direct > 0 then 2 else 1) in
-      let finish () =
-        decr pending;
-        if !pending = 0 then begin
-          M.release_encoded pool ef;
-          M.release_encoded pool e
-        end
-      in
-      if d_direct > 0 then M.send_batch_encoded_buf direct ~on_complete:finish e;
-      M.send_batch_encoded_buf t.hb_control ~on_complete:finish ef;
+      M.send_batch_encoded_buf t.hb_control ef;
       {
         d_direct;
         d_frames = n_controls;
         d_direct_bytes = d_direct * wire;
-        d_frame_bytes = n_controls * fwire;
+        d_frame_bytes = n_controls * M.encoded_wire_size ef;
       }
     end
   end

@@ -66,7 +66,6 @@ type delivered = {
 
 val deliver :
   t ->
-  pool:Proto.Pool.t ->
   group:Proto.Types.group_id ->
   ?exclude:Proto.Types.member_id ->
   inner:Proto.Message.response ->
@@ -77,5 +76,4 @@ val deliver :
     classic path, byte-identical when no relays are registered) plus one
     spliced [Relay_fanout] frame shared across every relay with a proxied
     recipient. [exclude] rides inside the frame so the relay skips the
-    sender of a sender-exclusive broadcast. Both encodings lease their
-    buffers from [pool] and are released once the transmits complete. *)
+    sender of a sender-exclusive broadcast. *)

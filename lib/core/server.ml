@@ -100,7 +100,7 @@ let stats t =
     relay_frames_sent = c.relay_frames_sent;
   }
 
-let pool_stats t = Proto.Pool.stats (Group_engine.pool t.eng)
+let pool_stats (_ : t) = { Proto.Pool.leases = 0; hits = 0; high_water = 0 }
 
 let relay_hub t = Group_engine.relay_hub t.eng
 
@@ -354,8 +354,7 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                   (* One NIC transmission covers every subscribed member;
                      sender exclusion for subscribed senders happens at the
                      client. Deliveries count per subscriber reached. *)
-                  let pool = Group_engine.pool t.eng in
-                  let e = M.pre_encode ~pool (M.Response (M.Deliver u)) in
+                  let e = M.pre_encode (M.Response (M.Deliver u)) in
                   let wire = M.encoded_wire_size e in
                   let chan =
                     Net.Multicast.channel t.fabric ~name:(mcast_channel_name g.g_id)
@@ -363,7 +362,6 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                   Group_engine.add_deliveries t.eng ~count:mcast_reached
                     ~bytes:(mcast_reached * wire);
                   Net.Multicast.send chan ~src:t.server_host ~size:wire
-                    ~on_complete:(fun () -> M.release_encoded pool e)
                     (M.Corona (M.encoded_message e))
                 end;
                 (* One serialization shared by every point-to-point

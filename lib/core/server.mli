@@ -126,9 +126,9 @@ val group_base : t -> Proto.Types.group_id -> ((Proto.Types.object_id * string) 
 val stats : t -> stats
 
 val pool_stats : t -> Proto.Pool.stats
-(** Lease counters of the server's frame-buffer pool: leases issued, shelf
-    hits/misses, live leases and the high-water mark — the allocation bench
-    reports these per run and asserts [live = 0] at drain. *)
+(** Always zeros: there is no frame-buffer pool behind it — fan-out
+    encodings are sized, not serialized into leased buffers. Kept only
+    until the end-to-end benchmark drops its [proto.pool_*] metrics. *)
 
 val relay_hub : t -> Relay_hub.t
 (** The relay registry (empty when no relay tier is deployed). *)

@@ -61,7 +61,7 @@ let print_findings format findings =
 let tally findings =
   let count rule = List.length (List.filter (fun (f : Finding.t) -> f.rule = rule) findings) in
   let rules =
-    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "R11" ]
+    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10" ]
   in
   let extra =
     List.sort_uniq String.compare
@@ -103,18 +103,9 @@ let run ?allowlist ?(format = Text) ?why ?budget ~roots () =
           1)
   | None ->
       let vsets = Exhaustive.variant_sets units in
-      (* (file, binding name) pairs reachable from a hot root — the R11
-         gate. Submodule name collisions make the filter coarser (more
-         bindings counted hot), never blind. *)
-      let hot_tbl = Hashtbl.create 128 in
       List.iter
-        (fun (d : Callgraph.def) ->
-          if Reach.is_reachable reach d.Callgraph.d_key then
-            Hashtbl.replace hot_tbl (d.Callgraph.d_file, d.Callgraph.d_name) ())
-        (Callgraph.defs_in_order cg);
-      List.iter
-        (fun (file, ctx, str) ->
-          Pairing.run ~hot:(fun ~name -> Hashtbl.mem hot_tbl (file, name)) ctx str;
+        (fun (_, ctx, str) ->
+          Pairing.run ctx str;
           Exhaustive.run ctx vsets str)
         ctxs;
       (* R8 findings land in the sink's own file, so its [@corona.allow]

@@ -1,7 +1,6 @@
 (* R9: resource pairing. An intraprocedural, CFG-ish walk over each function
    body that tracks acquire/release pairs (Locks acquire/release, WAL batch
-   begin/flush, raw channel open/close — the same lease/release shape the
-   ROADMAP-4 buffer pool will reuse) and reports when an exception edge can
+   begin/flush, raw channel open/close) and reports when an exception edge can
    escape while a resource is held: an explicit raise site, or a call from a
    small curated may-raise set (I/O and partial stdlib functions).
 
@@ -23,7 +22,6 @@ open Parsetree
 
 type pair = {
   p_id : string;
-  p_rule : string; (* reported rule: R9 for the classic pairs, R11 for pool leases *)
   p_acquire : string list list; (* path suffixes *)
   p_release : string list list;
   p_grant : string list; (* result constructors under which the resource is held *)
@@ -33,48 +31,26 @@ let pairs =
   [
     {
       p_id = "lock";
-      p_rule = "R9";
       p_acquire = [ [ "Locks"; "acquire" ] ];
       p_release = [ [ "Locks"; "release" ]; [ "Locks"; "release_all" ] ];
       p_grant = [ "Granted"; "Ok" ];
     };
     {
       p_id = "wal-batch";
-      p_rule = "R9";
       p_acquire = [ [ "Wal"; "begin_batch" ] ];
       p_release = [ [ "Wal"; "flush_batch" ]; [ "Wal"; "abort_batch" ] ];
       p_grant = [];
     };
     {
       p_id = "in-channel";
-      p_rule = "R9";
       p_acquire = [ [ "open_in" ]; [ "open_in_bin" ] ];
       p_release = [ [ "close_in" ]; [ "close_in_noerr" ] ];
       p_grant = [];
     };
     {
       p_id = "out-channel";
-      p_rule = "R9";
       p_acquire = [ [ "open_out" ]; [ "open_out_bin" ] ];
       p_release = [ [ "close_out" ]; [ "close_out_noerr" ] ];
-      p_grant = [];
-    };
-    (* R11: a pooled lease held across an exception edge leaks the slab (the
-       pool's leak counter only notices at drain). Any of the release/seal
-       entry points retires the lease; acquire-and-return is ownership
-       transfer, as for locks. Checked only in hot-reachable functions — a
-       cold path that leases is the pool-misuse property tests' business. *)
-    {
-      p_id = "pool-lease";
-      p_rule = "R11";
-      p_acquire = [ [ "Pool"; "lease" ] ];
-      p_release =
-        [
-          [ "Pool"; "release" ];
-          [ "Frame"; "release" ];
-          [ "Message"; "release_encoded" ];
-          [ "Message"; "seal_encoded" ];
-        ];
       p_grant = [];
     };
   ]
@@ -116,7 +92,7 @@ let may_raise path = List.exists (path_ends path) may_raise_pats
 
 type token = { tk_pair : pair; tk_what : string; tk_line : int; mutable tk_warned : bool }
 
-type env = { ctx : C.t; fname : string; hot : bool (* hot-reachable: gates R11 *) }
+type env = { ctx : C.t; fname : string }
 
 (* Branch join: union by token identity (tokens are shared across branch
    states, so the warned-once flag dedupes globally). *)
@@ -131,38 +107,28 @@ let rec release_one pid = function
   | tk :: tl when tk.tk_pair.p_id = pid -> tl
   | tk :: tl -> tk :: release_one pid tl
 
-let pair_prefix tk =
-  if tk.tk_pair.p_rule = "R11" then "pooled-lease pairing" else "resource pairing"
-
-let pair_advice tk =
-  if tk.tk_pair.p_rule = "R11" then
-    "release the lease on the exception edge or transfer ownership first"
-  else "release on the exception edge or use Fun.protect ~finally"
-
 let warn_held env shields state ~loc fmt_one =
   List.iter
     (fun tk ->
-      if
-        (not tk.tk_warned)
-        && (not (List.mem tk.tk_pair.p_id shields))
-        && (tk.tk_pair.p_rule <> "R11" || env.hot)
-      then begin
+      if (not tk.tk_warned) && not (List.mem tk.tk_pair.p_id shields) then begin
         tk.tk_warned <- true;
-        C.report env.ctx ~loc ~rule:tk.tk_pair.p_rule ~ident:env.fname (fmt_one tk)
+        C.report env.ctx ~loc ~rule:"R9" ~ident:env.fname (fmt_one tk)
       end)
     state
 
 let raise_site env shields state what loc =
   warn_held env shields state ~loc (fun tk ->
-      Printf.sprintf "%s: %s raises while `%s` (acquired at line %d) is held — %s"
-        (pair_prefix tk) what tk.tk_what tk.tk_line (pair_advice tk))
+      Printf.sprintf
+        "resource pairing: %s raises while `%s` (acquired at line %d) is held — release \
+         on the exception edge or use Fun.protect ~finally"
+        what tk.tk_what tk.tk_line)
 
 let may_raise_site env shields state what loc =
   warn_held env shields state ~loc (fun tk ->
       Printf.sprintf
-        "%s: `%s` can raise while `%s` (acquired at line %d) is held — the pending \
-         release would be skipped (wrap in Fun.protect ~finally)"
-        (pair_prefix tk) what tk.tk_what tk.tk_line)
+        "resource pairing: `%s` can raise while `%s` (acquired at line %d) is held — the \
+         pending release would be skipped (wrap in Fun.protect ~finally)"
+        what tk.tk_what tk.tk_line)
 
 (* Direct sub-expressions in syntactic order, via the default iterator's
    one-level traversal. *)
@@ -337,15 +303,13 @@ let has_acquire env e =
   it.I.expr it e;
   !found
 
-let check_binding ctx ~hot name vb =
-  let env = { ctx; fname = name; hot = hot ~name } in
+let check_binding ctx name vb =
+  let env = { ctx; fname = name } in
   if has_acquire env vb.pvb_expr then ignore (walk env [] [] vb.pvb_expr)
 
 (* Run over every toplevel (and submodule-level) binding of one file,
-   reporting into [ctx]. [hot] says whether a binding is reachable from a
-   hot root — R9 pairs are checked everywhere, R11 (pool leases) only in
-   hot-reachable functions. *)
-let run ?(hot = fun ~name:_ -> true) (ctx : C.t) (str : structure) =
+   reporting into [ctx]. *)
+let run (ctx : C.t) (str : structure) =
   let rec items l =
     List.iter
       (fun si ->
@@ -354,7 +318,7 @@ let run ?(hot = fun ~name:_ -> true) (ctx : C.t) (str : structure) =
             List.iter
               (fun vb ->
                 match C.pat_name vb.pvb_pat with
-                | Some name -> check_binding ctx ~hot name vb
+                | Some name -> check_binding ctx name vb
                 | None -> ())
               vbs
         | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure l'; _ }; _ } -> items l'

@@ -38,8 +38,6 @@ let analyze (g : G.t) : t =
   done;
   reach
 
-let is_reachable (reach : t) key = Hashtbl.mem reach key
-
 let kind_phrase = function
   | G.Alloc -> "allocation"
   | G.List_build -> "list building"

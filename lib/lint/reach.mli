@@ -9,10 +9,6 @@ val analyze : Callgraph.t -> t
 (** BFS from every hot root ([@@corona.hot] or [Fabric.transmit_many]
     caller), never traversing into [@@corona.cold] functions. *)
 
-val is_reachable : t -> string -> bool
-(** Whether a def key was reached from some hot root — the filter R11
-    (pooled-lease pairing) uses to confine itself to hot paths. *)
-
 val findings : Callgraph.t -> t -> Finding.t list
 (** One [R8] finding per allocation sink inside a reachable function, at the
     sink's source location (so [@corona.allow "R8"] on the allocation

@@ -123,8 +123,8 @@ val transmit_many :
 
     [on_complete] fires exactly once, after every recipient has reached its
     terminal outcome (delivered, dropped, or silenced by a sender-epoch
-    change) — the hook transports use to release pooled buffers whose bytes
-    were borrowed by this fan-out. When nothing is issued (empty [dsts] or a
+    change) — the hook transports use to recycle their per-fan-out
+    records. When nothing is issued (empty [dsts] or a
     dead sender) it fires synchronously before the call returns. The fan-out
     state itself is recycled: steady-state broadcasts allocate no
     per-recipient closures or event records.

@@ -35,15 +35,9 @@ val subscriber_count : t -> int
 val is_member : t -> Host.t -> bool
 (** Whether the host has any live subscription. *)
 
-val send :
-  t -> src:Host.t -> size:int -> ?on_complete:(unit -> unit) -> Payload.t -> unit
+val send : t -> src:Host.t -> size:int -> Payload.t -> unit
 (** One serialization + one NIC transmission at the source, then per-
     subscription propagation and receive cost. The sender host does not
-    receive its own packet.
-
-    [on_complete] fires exactly once, after every targeted subscription has
-    reached its terminal outcome (handled, or silenced by a crash) — the
-    release point for a pooled payload encoding. With no reachable targets,
-    or a dead sender, it fires synchronously. The per-send fan-out state is
-    recycled, so steady-state transmissions allocate no per-target closures
-    or event records. *)
+    receive its own packet; a dead sender sends nothing. The per-send
+    fan-out state is recycled, so steady-state transmissions allocate no
+    per-target closures or event records. *)

@@ -3,29 +3,13 @@
    chunks. The emitted byte sequence is identical to the historical
    [Buffer]-based writer (the golden-bytes tests in test_proto pin it). *)
 module Writer = struct
-  (* A pooled writer leases chunks from a {!Pool} and emits a
-     scatter-gather {!Frame} instead of one contiguous buffer: on
-     overflow it closes the current chunk as a segment and opens a fresh
-     one (no copy, unlike the classic doubling), and large cached
-     fragments are spliced as borrowed segments instead of blitted. The
-     concatenated segment bytes are identical to the classic writer's
-     output (golden-pinned). *)
-  type pooled = {
-    pk_pool : Pool.t;
-    mutable pk_lease : Pool.lease; (* lease backing the current chunk *)
-    mutable pk_start : int; (* start of the open segment within [buf] *)
-    mutable pk_owned_pushed : bool; (* [pk_lease] already owned by a segment *)
-    mutable pk_segs : Frame.seg list; (* closed segments, reversed *)
-    mutable pk_closed : int; (* bytes in closed segments *)
-    mutable pk_finished : bool;
-  }
-
   (* Where the bytes go. A sizing writer runs the same stores as the
-     others, but only to learn the length: fixed-width fields land in a
-     shared scratch buffer that wraps when full (nobody reads it back, so
-     concurrent sizing writers may share it), and string payloads are
-     counted without being touched — O(fields), not O(bytes). *)
-  type sink = Growable | Sizing | Pooled of pooled
+     growable one, but only to learn the length: fixed-width fields land
+     in a shared scratch buffer that wraps when full (nobody reads it
+     back, so concurrent sizing writers may share it), and string
+     payloads are counted without being touched — O(fields), not
+     O(bytes). *)
+  type sink = Growable | Sizing
 
   (* [counted]: bytes a sizing writer accounted for without keeping them *)
   type t = { mutable buf : Bytes.t; mutable len : int; mutable counted : int; sink : sink }
@@ -37,64 +21,11 @@ module Writer = struct
 
   let create_sizing () = { buf = scratch; len = 0; counted = 0; sink = Sizing }
 
-  let create_pooled ~pool ?(size_hint = 256) () =
-    let l = Pool.lease pool (max 16 size_hint) in
-    {
-      buf = Pool.bytes l;
-      len = 0;
-      counted = 0;
-      sink =
-        Pooled
-          {
-            pk_pool = pool;
-            pk_lease = l;
-            pk_start = 0;
-            pk_owned_pushed = false;
-            pk_segs = [];
-            pk_closed = 0;
-            pk_finished = false;
-          };
-    }
-
-  (* Close the open segment of a pooled writer, transferring chunk
-     ownership to the first segment that references it. No-op when the
-     open segment is empty. *)
-  let close_open_seg t pk =
-    if t.len > pk.pk_start then begin
-      let seg =
-        {
-          Frame.sg_bytes = t.buf;
-          sg_off = pk.pk_start;
-          sg_len = t.len - pk.pk_start;
-          sg_lease = Some pk.pk_lease;
-          sg_owned = not pk.pk_owned_pushed;
-        }
-      in
-      pk.pk_segs <- seg :: pk.pk_segs;
-      pk.pk_closed <- pk.pk_closed + seg.Frame.sg_len;
-      pk.pk_owned_pushed <- true;
-      pk.pk_start <- t.len
-    end
-
-  let grow_pooled t pk extra =
-    if pk.pk_finished then
-      invalid_arg "Codec.Writer: write after finish_frame";
-    close_open_seg t pk;
-    (* A chunk that never contributed a segment goes straight back. *)
-    if not pk.pk_owned_pushed then Pool.release pk.pk_pool pk.pk_lease;
-    let l = Pool.lease pk.pk_pool (max extra (2 * Bytes.length t.buf)) in
-    pk.pk_lease <- l;
-    pk.pk_owned_pushed <- false;
-    t.buf <- Pool.bytes l;
-    t.len <- 0;
-    pk.pk_start <- 0
-
   let ensure t extra =
     let needed = t.len + extra in
     let cap = Bytes.length t.buf in
     if needed > cap then
       match t.sink with
-      | Pooled pk -> grow_pooled t pk extra
       | Sizing ->
           (* every store is at most 8 bytes: wrapping the scratch is enough *)
           t.counted <- t.counted + t.len;
@@ -145,31 +76,13 @@ module Writer = struct
 
   let bool t v = u8 t (if v then 1 else 0)
 
-  (* Fragments at least this long are spliced as borrowed segments by a
-     pooled writer instead of copied; shorter ones aren't worth a segment
-     record. *)
-  let borrow_threshold = 64
-
-  (* Append pre-serialized bytes verbatim — no length prefix. A pooled
-     writer splices large fragments zero-copy (a borrowed segment over the
-     string); a sizing writer only counts them. *)
+  (* Append pre-serialized bytes verbatim — no length prefix. A sizing
+     writer only counts them. *)
   let raw t s =
     let n = String.length s in
     match t.sink with
     | Sizing -> t.counted <- t.counted + n
-    | Pooled pk when n >= borrow_threshold ->
-        close_open_seg t pk;
-        pk.pk_segs <-
-          {
-            Frame.sg_bytes = Bytes.unsafe_of_string s;
-            sg_off = 0;
-            sg_len = n;
-            sg_lease = None;
-            sg_owned = false;
-          }
-          :: pk.pk_segs;
-        pk.pk_closed <- pk.pk_closed + n
-    | Pooled _ | Growable ->
+    | Growable ->
         ensure t n;
         Bytes.blit_string s 0 t.buf t.len n;
         t.len <- t.len + n
@@ -177,24 +90,6 @@ module Writer = struct
   let string t s =
     u32 t (String.length s);
     raw t s
-
-  (* Splice another frame's bytes as borrowed segments (pooled writers):
-     the view shares the source's storage and keeps its leases only as
-     validity witnesses — releasing the produced frame never releases the
-     source's chunks. Classic writers fall back to a copy. *)
-  let raw_frame t f =
-    match t.sink with
-    | Pooled pk ->
-        close_open_seg t pk;
-        let segs = Frame.segs f in
-        Array.iter
-          (fun (s : Frame.seg) ->
-            pk.pk_segs <-
-              { s with Frame.sg_owned = false } :: pk.pk_segs;
-            pk.pk_closed <- pk.pk_closed + s.Frame.sg_len)
-          segs
-    | Sizing -> t.counted <- t.counted + Frame.total f
-    | Growable -> raw t (Frame.to_string f)
 
   (* A top-level loop rather than [List.iter (enc t)]: no partial
      application is allocated per list. *)
@@ -214,43 +109,12 @@ module Writer = struct
         u8 t 1;
         enc t v
 
-  let size t =
-    match t.sink with
-    | Growable | Sizing -> t.counted + t.len
-    | Pooled pk -> pk.pk_closed + (t.len - pk.pk_start)
+  let size t = t.counted + t.len
 
   let contents t =
     match t.sink with
     | Growable -> Bytes.sub_string t.buf 0 t.len
     | Sizing -> invalid_arg "Codec.Writer.contents: sizing writer"
-    | Pooled pk ->
-        let total = pk.pk_closed + (t.len - pk.pk_start) in
-        let out = Bytes.create total in
-        let off = ref 0 in
-        List.iter
-          (fun (s : Frame.seg) ->
-            Bytes.blit s.Frame.sg_bytes s.Frame.sg_off out !off s.Frame.sg_len;
-            off := !off + s.Frame.sg_len)
-          (List.rev pk.pk_segs);
-        Bytes.blit t.buf pk.pk_start out !off (t.len - pk.pk_start);
-        Bytes.unsafe_to_string out
-
-  (* Finalize a pooled writer into its scatter-gather frame. The writer is
-     spent afterwards: further writes raise. The caller owns the frame and
-     must {!Frame.release} it (or hand it to an owner that will). *)
-  let finish_frame t =
-    match t.sink with
-    | Growable | Sizing -> invalid_arg "Codec.Writer.finish_frame: not a pooled writer"
-    | Pooled pk ->
-        if pk.pk_finished then
-          invalid_arg "Codec.Writer.finish_frame: already finished";
-        close_open_seg t pk;
-        if not pk.pk_owned_pushed then Pool.release pk.pk_pool pk.pk_lease;
-        pk.pk_finished <- true;
-        t.buf <- Bytes.empty;
-        t.len <- 0;
-        pk.pk_start <- 0;
-        Frame.make (Array.of_list (List.rev pk.pk_segs))
 end
 
 module Reader = struct

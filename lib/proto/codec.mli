@@ -11,20 +11,12 @@ module Writer : sig
 
   val create : ?initial_capacity:int -> unit -> t
 
-  val create_pooled : pool:Pool.t -> ?size_hint:int -> unit -> t
-  (** A writer that leases its chunks from [pool] and emits a
-      scatter-gather {!Frame.t} via {!finish_frame} instead of growing
-      one contiguous buffer. Overflow opens a new chunk (no copy), and
-      {!string} splices large payloads as borrowed segments.
-      Byte-for-byte identical output to the classic writer. *)
-
   val create_sizing : unit -> t
   (** A writer that only measures: the same encoders run against it and
-      {!size} reports exactly what the classic writer would hold, but
-      fixed-width fields land in a shared scratch buffer and {!string} /
-      {!raw_frame} payloads are counted, not copied — the cost
-      is O(fields), not O(bytes). {!contents} and {!finish_frame} raise
-      [Invalid_argument]. *)
+      {!size} reports exactly what the growable writer would hold, but
+      fixed-width fields land in a shared scratch buffer and {!string}
+      payloads are counted, not copied — the cost is O(fields), not
+      O(bytes). {!contents} raises [Invalid_argument]. *)
 
   val u8 : t -> int -> unit
   (** @raise Invalid_argument outside [0, 255]. *)
@@ -43,15 +35,7 @@ module Writer : sig
   val bool : t -> bool -> unit
 
   val string : t -> string -> unit
-  (** u32 length prefix + bytes. On a pooled writer, strings past a small
-      threshold are borrowed (zero-copy segment), not blitted; a sizing
-      writer only counts them. *)
-
-  val raw_frame : t -> Frame.t -> unit
-  (** Splice another frame's bytes. On a pooled writer this borrows the
-      source's segments (keeping its leases only as validity witnesses —
-      releasing the result never releases the source); classic writers
-      copy, sizing writers count. *)
+  (** u32 length prefix + bytes. A sizing writer only counts them. *)
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** u32 count prefix + elements. *)
@@ -61,11 +45,6 @@ module Writer : sig
   val size : t -> int
 
   val contents : t -> string
-
-  val finish_frame : t -> Frame.t
-  (** Finalize a pooled writer into its frame; the writer is spent (later
-      writes raise). The caller owns the frame's chunks and must see them
-      {!Frame.release}d. @raise Invalid_argument on a classic writer. *)
 end
 
 module Reader : sig

@@ -593,72 +593,39 @@ let decode r =
 let frame_header_size = 8
 
 (* A message serialized exactly once. Client frames are charged by size
-   alone — the fabric carries the OCaml message — so an unpooled encoding
-   runs the encoder against a sizing writer and keeps only the length:
-   O(fields), whatever the payload weighs. The bytes are rebuilt on demand
-   by [encoded_bytes] (tests, goldens, peeks), by the same encoder, so they
+   alone — the fabric carries the OCaml message — so an encoding runs the
+   encoder against a sizing writer and keeps only the length: O(fields),
+   whatever the payload weighs. The bytes are rebuilt on demand by
+   [encoded_bytes] (tests, goldens, peeks), by the same encoder, so they
    can never disagree with the size. [encoded_wire_size] is derived from
    the stored length, never recomputed — every fan-out path shares one
-   [encoded] value across all recipients.
+   [encoded] value across all recipients. *)
+type encoded = { e_msg : t; e_len : int }
 
-   With a {!Pool}, the encoding is a scatter-gather {!Frame} of pooled
-   chunks instead: the owner hands the chunks back with [release_encoded]
-   once the fan-out has issued. Reading a released frame is a checked error
-   (generation-stamped leases), not a silent read of a recycled buffer. *)
-type repr = Enc_sized | Enc_frame of Frame.t | Enc_released
-
-type encoded = { e_msg : t; mutable e_repr : repr; e_len : int }
-
-let pre_encode ?pool msg =
-  match pool with
-  | None ->
-      let w = Codec.Writer.create_sizing () in
-      encode w msg;
-      { e_msg = msg; e_repr = Enc_sized; e_len = Codec.Writer.size w }
-  | Some pool ->
-      let w = Codec.Writer.create_pooled ~pool () in
-      encode w msg;
-      let f = Codec.Writer.finish_frame w in
-      { e_msg = msg; e_repr = Enc_frame f; e_len = Frame.total f }
+let pre_encode msg =
+  let w = Codec.Writer.create_sizing () in
+  encode w msg;
+  { e_msg = msg; e_len = Codec.Writer.size w }
 
 (* Relay fan-out splicing: the root serializes the inner response once
    (shared with any direct recipients via [pre_encode]) and wraps it in one
    [Relay_fanout] frame per relay — the frame itself is then shared across
    every relay control connection by [send_batch_encoded], so a broadcast
    costs the root O(relays) transmits and exactly two encodes however many
-   members sit behind the tier. Unpooled, the frame is sized from
-   [inner_enc]'s length; pooled, it borrows the inner frame's segments.
-   Either way it equals [pre_encode (Response (Relay_fanout ...))] —
-   pinned by a golden test. *)
-let pre_encode_relay_fanout ?pool ~group ?exclude ~inner ~inner_enc () =
+   members sit behind the tier. The frame is sized from [inner_enc]'s
+   length, and equals [pre_encode (Response (Relay_fanout ...))] — pinned
+   by a golden test. *)
+let pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc () =
   incr encodes;
-  (match inner_enc.e_repr with
-  | Enc_released ->
-      raise (Pool.Lease_error "pre_encode_relay_fanout: inner frame released")
-  | Enc_sized | Enc_frame _ -> ());
-  let e_msg = Response (Relay_fanout { group; exclude; inner }) in
-  match pool with
-  | None ->
-      let w = Codec.Writer.create_sizing () in
-      W.u8 w 1 (* Response *);
-      enc_relay_head w group exclude;
-      (* [inner_enc] is [pre_encode (Response inner)]: its body minus the
-         leading message tag byte is the bare [enc_response] *)
-      { e_msg; e_repr = Enc_sized; e_len = Codec.Writer.size w + inner_enc.e_len - 1 }
-  | Some pool ->
-      let w = Codec.Writer.create_pooled ~pool () in
-      W.u8 w 1 (* Response *);
-      enc_relay_head w group exclude;
-      (* The relay frame borrows the inner frame's segments instead of
-         copying them, so it must be released (or fully issued) before the
-         inner one: the borrowed view keeps the inner leases as validity
-         witnesses and a late read raises. A sized inner has no bytes to
-         borrow; its response is written in place. *)
-      (match inner_enc.e_repr with
-      | Enc_frame f -> W.raw_frame w (Frame.borrow f ~from:1)
-      | Enc_sized | Enc_released -> enc_response w inner);
-      let f = Codec.Writer.finish_frame w in
-      { e_msg; e_repr = Enc_frame f; e_len = Frame.total f }
+  let w = Codec.Writer.create_sizing () in
+  W.u8 w 1 (* Response *);
+  enc_relay_head w group exclude;
+  (* [inner_enc] is [pre_encode (Response inner)]: its body minus the
+     leading message tag byte is the bare [enc_response] *)
+  {
+    e_msg = Response (Relay_fanout { group; exclude; inner });
+    e_len = Codec.Writer.size w + inner_enc.e_len - 1;
+  }
 
 (* --- cross-shard barrier frames ----------------------------------------- *)
 
@@ -703,47 +670,14 @@ let decode_barrier_frame s =
 
 let encoded_message e = e.e_msg
 
-(* Rebuild the bytes of a sized encoding. Not counted in [encode_count]:
-   the logical message was serialized (sized) once already. *)
-let materialize e =
+(* Rebuild the bytes of an encoding. Not counted in [encode_count]: the
+   logical message was serialized (sized) once already. *)
+let encoded_bytes e =
   let w = Codec.Writer.create ~initial_capacity:e.e_len () in
   encode_body w e.e_msg;
   Codec.Writer.contents w
 
-let encoded_bytes e =
-  match e.e_repr with
-  | Enc_sized -> materialize e
-  | Enc_frame f -> Frame.to_string f
-  | Enc_released ->
-      raise (Pool.Lease_error "Message.encoded_bytes: frame already released")
-
-let encoded_frame e =
-  match e.e_repr with Enc_frame f -> Some f | Enc_sized | Enc_released -> None
-
 let encoded_wire_size e = frame_header_size + e.e_len
-
-(* Release a pooled encoding's chunks once the fan-out has issued. The
-   simulator passes messages by value past this point, so nothing reads
-   the bytes afterwards — and if something does, the generation stamps
-   catch it. Idempotent, and a no-op on sized encodings, so release points
-   can be wired unconditionally. *)
-let release_encoded pool e =
-  match e.e_repr with
-  | Enc_frame f ->
-      Frame.release pool f;
-      e.e_repr <- Enc_released
-  | Enc_sized | Enc_released -> ()
-
-(* Release the chunks but keep the encoding readable: for an [encoded]
-   that outlives its pool window. Its bytes are rebuilt on demand. *)
-let seal_encoded pool e =
-  match e.e_repr with
-  | Enc_frame f ->
-      Frame.release pool f;
-      e.e_repr <- Enc_sized
-  | Enc_sized -> ()
-  | Enc_released ->
-      raise (Pool.Lease_error "Message.seal_encoded: frame already released")
 
 let wire_size t = frame_header_size + Codec.encoded_size encode t
 
@@ -754,9 +688,8 @@ let send_encoded conn e = Net.Tcp.send conn ~size:(encoded_wire_size e) (Corona 
 let send_batch_encoded conns e =
   Net.Tcp.send_batch conns ~size:(encoded_wire_size e) (Corona e.e_msg)
 
-let send_batch_encoded_buf b ?on_complete e =
-  Net.Tcp.send_batch_buf b ~size:(encoded_wire_size e) ?on_complete
-    (Corona e.e_msg)
+let send_batch_encoded_buf b e =
+  Net.Tcp.send_batch_buf b ~size:(encoded_wire_size e) (Corona e.e_msg)
 
 (* --- fixed-offset header peeks ------------------------------------------ *)
 
@@ -811,49 +744,6 @@ let peek_seqno s =
   match peek_kind s with
   | Peek_response 6 -> Some (i64_at s 2)
   | Peek_response 15 -> Some (i64_at s 6)
-  | _ -> None
-
-(* Frame variants: the header sits in the first pooled chunk, so a peek is
-   a couple of bounds-checked byte loads — no materialization, and a
-   released frame raises instead of yielding recycled bytes. *)
-
-let frame_byte f i = Char.code (Frame.get f i)
-
-let peek_kind_frame f =
-  if Frame.total f < 2 then raise Codec.Reader.Truncated;
-  match frame_byte f 0 with
-  | 0 -> Peek_request (frame_byte f 1)
-  | 1 -> Peek_response (frame_byte f 1)
-  | n -> raise (R.Malformed (Printf.sprintf "message tag %d" n))
-
-let u32_at_frame f off =
-  if off + 4 > Frame.total f then raise Codec.Reader.Truncated;
-  (frame_byte f off lsl 24)
-  lor (frame_byte f (off + 1) lsl 16)
-  lor (frame_byte f (off + 2) lsl 8)
-  lor frame_byte f (off + 3)
-
-let i64_at_frame f off =
-  if off + 8 > Frame.total f then raise Codec.Reader.Truncated;
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor frame_byte f (off + i)
-  done;
-  !v
-
-let peek_group_frame f =
-  let off = group_offset (peek_kind_frame f) in
-  if off < 0 then None
-  else begin
-    let n = u32_at_frame f off in
-    if off + 4 + n > Frame.total f then raise Codec.Reader.Truncated;
-    Some (String.init n (fun i -> Frame.get f (off + 4 + i)))
-  end
-
-let peek_seqno_frame f =
-  match peek_kind_frame f with
-  | Peek_response 6 -> Some (i64_at_frame f 2)
-  | Peek_response 15 -> Some (i64_at_frame f 6)
   | _ -> None
 
 let rec pp ppf t =

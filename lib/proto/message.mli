@@ -188,21 +188,15 @@ type encoded
     per logical message and share it across every recipient; its wire size
     is derived from the stored length and never recomputed.
 
-    Without a pool, the encoder runs against a sizing writer
+    The encoder runs against a sizing writer
     ({!Codec.Writer.create_sizing}): the simulator charges frames by size
     and carries the message itself, so no bytes are built, and
-    {!encoded_bytes} rebuilds them on demand with the same encoder. Built
-    with a {!Pool}, the encoding is a scatter-gather {!Frame.t} of pooled
-    chunks; the owner calls {!release_encoded} once the fan-out has issued,
-    and any later read of the bytes is a checked error. *)
+    {!encoded_bytes} rebuilds them on demand with the same encoder. *)
 
-val pre_encode : ?pool:Pool.t -> t -> encoded
-(** Serialize now (one encode): size it, or with [pool] write it into
-    leased buffers — the result is frame-backed, and the caller owes a
-    {!release_encoded} (or {!seal_encoded}). *)
+val pre_encode : t -> encoded
+(** Serialize now (one sizing encode). *)
 
 val pre_encode_relay_fanout :
-  ?pool:Pool.t ->
   group:Types.group_id ->
   ?exclude:Types.member_id ->
   inner:response ->
@@ -212,36 +206,17 @@ val pre_encode_relay_fanout :
 (** Build a [Relay_fanout] frame around [inner_enc] (which must be
     [pre_encode (Response inner)]). Equal to
     [pre_encode (Response (Relay_fanout ...))] (golden-pinned) but performs
-    no re-serialization of the inner response: unpooled, its size comes
-    from [inner_enc]'s length; with [pool], the relay frame borrows the
-    inner frame's segments zero-copy, so it must be released or fully
-    issued before the inner one. Counts as one encode in
-    {!encode_count}. *)
+    no re-serialization of the inner response: its size comes from
+    [inner_enc]'s length. Counts as one encode in {!encode_count}. *)
 
 val encoded_message : encoded -> t
 
 val encoded_bytes : encoded -> string
-(** The body bytes (no frame header), built on demand: a sized encoding
-    re-runs the encoder (not counted in {!encode_count}), a frame-backed
-    one is copied out. @raise Pool.Lease_error after {!release_encoded}. *)
-
-val encoded_frame : encoded -> Frame.t option
-(** The backing frame of a pooled encoding ([None] if sized or
-    released) — for scatter-gather sinks and header peeks. *)
+(** The body bytes (no frame header), rebuilt on demand by re-running the
+    encoder (not counted in {!encode_count}). *)
 
 val encoded_wire_size : encoded -> int
 (** Framed size, from the stored length — no re-encode. *)
-
-val release_encoded : Pool.t -> encoded -> unit
-(** Return a pooled encoding's chunks once its fan-out has issued (the
-    simulator passes messages by value past that point). Idempotent; a
-    no-op on sized encodings. A read through the encoding after this
-    raises {!Pool.Lease_error}. *)
-
-val seal_encoded : Pool.t -> encoded -> unit
-(** Release the chunks but keep the encoding readable (as a sized one,
-    whose bytes are rebuilt on demand): for an encoding that outlives its
-    pool window. *)
 
 val send_encoded : Net.Tcp.conn -> encoded -> unit
 (** Send a pre-encoded message, charging its cached wire size. *)
@@ -251,12 +226,9 @@ val send_batch_encoded : Net.Tcp.conn list -> encoded -> unit
     {!Net.Tcp.send_batch}: one batched fabric transmit, one delivery event
     per recipient. *)
 
-val send_batch_encoded_buf :
-  Net.Tcp.batch -> ?on_complete:(unit -> unit) -> encoded -> unit
+val send_batch_encoded_buf : Net.Tcp.batch -> encoded -> unit
 (** {!send_batch_encoded} over a reusable {!Net.Tcp.batch} — the
-    allocation-free fan-out path. [on_complete] fires once every recipient
-    reached a terminal outcome: the point where a frame-backed encoding may
-    be {!release_encoded}d. *)
+    allocation-free fan-out path. *)
 
 val wire_size : t -> int
 (** Framed size in bytes: 8-byte frame header + encoded body, measured by
@@ -288,14 +260,6 @@ val peek_group : string -> Types.group_id option
 
 val peek_seqno : string -> int option
 (** Stream position of a [Deliver]/[Shard_deliver] frame. *)
-
-val peek_kind_frame : Frame.t -> peeked
-(** {!peek_kind} over a scatter-gather frame — a few byte loads, no
-    materialization. @raise Pool.Lease_error on a released frame. *)
-
-val peek_group_frame : Frame.t -> Types.group_id option
-
-val peek_seqno_frame : Frame.t -> int option
 
 val encode_count : unit -> int
 (** Number of whole-message serializations performed since start (or the

@@ -1,162 +1,1 @@
-(* Size-classed buffer pool with generation-stamped leases.
-
-   The fan-out hot loop leases scratch buffers here instead of calling
-   [Bytes.create] per frame: a released slab goes back on its class shelf
-   and the next lease of that class reuses it, so the steady-state encode
-   path allocates a 3-word lease token instead of a fresh buffer.
-
-   Safety is checked, not assumed: every slab carries a generation counter
-   bumped on release, and a lease remembers the generation it was issued
-   at. A double release, or any access through a stale lease, raises
-   {!Lease_error} instead of silently corrupting a recycled buffer. *)
-
-type slab = {
-  sl_bytes : Bytes.t;
-  sl_class : int; (* shelf index, or -1 for an oversize one-shot slab *)
-  mutable sl_gen : int; (* bumped on release; a lease is valid iff it matches *)
-  mutable sl_leased : bool;
-}
-
-type lease = { l_slab : slab; l_gen : int }
-
-exception Lease_error of string
-
-type stats = {
-  leases : int;
-  hits : int;  (** leases served from a shelf *)
-  misses : int;  (** leases that allocated a fresh slab *)
-  releases : int;
-  oversize : int;  (** requests larger than the largest class *)
-  outstanding : int;
-  high_water : int;  (** max simultaneous outstanding leases *)
-}
-
-(* A shelf is an array-stack of free slabs for one size class: push and pop
-   are field stores, no list cells on the hot path. *)
-type shelf = { mutable sh_slabs : slab array; mutable sh_n : int }
-
-type t = {
-  classes : int array;
-  shelves : shelf array;
-  mutable p_leases : int;
-  mutable p_hits : int;
-  mutable p_misses : int;
-  mutable p_releases : int;
-  mutable p_oversize : int;
-  mutable p_outstanding : int;
-  mutable p_high_water : int;
-}
-
-let default_classes = [| 64; 256; 1024; 4096; 16384; 65536 |]
-
-let dummy_slab =
-  { sl_bytes = Bytes.empty; sl_class = -2; sl_gen = 0; sl_leased = false }
-
-let create ?(classes = default_classes) () =
-  let classes = Array.copy classes in
-  Array.sort Int.compare classes;
-  {
-    classes;
-    shelves =
-      Array.init (Array.length classes) (fun _ ->
-          { sh_slabs = Array.make 8 dummy_slab; sh_n = 0 });
-    p_leases = 0;
-    p_hits = 0;
-    p_misses = 0;
-    p_releases = 0;
-    p_oversize = 0;
-    p_outstanding = 0;
-    p_high_water = 0;
-  }
-
-let class_for t n =
-  let k = Array.length t.classes in
-  let rec go i =
-    if i >= k then -1 else if t.classes.(i) >= n then i else go (i + 1)
-  in
-  go 0
-
-let shelf_push sh sl =
-  let cap = Array.length sh.sh_slabs in
-  if sh.sh_n = cap then begin
-    let bigger = Array.make (2 * cap) dummy_slab in
-    Array.blit sh.sh_slabs 0 bigger 0 cap;
-    sh.sh_slabs <- bigger
-  end;
-  sh.sh_slabs.(sh.sh_n) <- sl;
-  sh.sh_n <- sh.sh_n + 1
-
-let lease t n =
-  if n < 0 then invalid_arg "Pool.lease: negative size";
-  t.p_leases <- t.p_leases + 1;
-  t.p_outstanding <- t.p_outstanding + 1;
-  if t.p_outstanding > t.p_high_water then t.p_high_water <- t.p_outstanding;
-  let ci = class_for t n in
-  if ci < 0 then begin
-    t.p_oversize <- t.p_oversize + 1;
-    t.p_misses <- t.p_misses + 1;
-    let sl = { sl_bytes = Bytes.create n; sl_class = -1; sl_gen = 0; sl_leased = true } in
-    { l_slab = sl; l_gen = 0 }
-  end
-  else begin
-    let sh = t.shelves.(ci) in
-    if sh.sh_n > 0 then begin
-      t.p_hits <- t.p_hits + 1;
-      sh.sh_n <- sh.sh_n - 1;
-      let sl = sh.sh_slabs.(sh.sh_n) in
-      sh.sh_slabs.(sh.sh_n) <- dummy_slab;
-      sl.sl_leased <- true;
-      { l_slab = sl; l_gen = sl.sl_gen }
-    end
-    else begin
-      t.p_misses <- t.p_misses + 1;
-      let sl =
-        {
-          sl_bytes = Bytes.create t.classes.(ci);
-          sl_class = ci;
-          sl_gen = 0;
-          sl_leased = true;
-        }
-      in
-      { l_slab = sl; l_gen = 0 }
-    end
-  end
-
-let valid l = l.l_slab.sl_leased && l.l_slab.sl_gen = l.l_gen
-
-let bytes l =
-  if not (valid l) then raise (Lease_error "Pool.bytes: use after release");
-  l.l_slab.sl_bytes
-
-let capacity l =
-  if not (valid l) then raise (Lease_error "Pool.capacity: use after release");
-  Bytes.length l.l_slab.sl_bytes
-
-let release t l =
-  let sl = l.l_slab in
-  if not (sl.sl_leased && sl.sl_gen = l.l_gen) then
-    raise (Lease_error "Pool.release: double release (stale lease)");
-  sl.sl_gen <- sl.sl_gen + 1;
-  sl.sl_leased <- false;
-  t.p_releases <- t.p_releases + 1;
-  t.p_outstanding <- t.p_outstanding - 1;
-  (* Oversize slabs are one-shot: dropping them returns the memory to the
-     GC instead of pinning an arbitrarily large buffer on a shelf. *)
-  if sl.sl_class >= 0 then shelf_push t.shelves.(sl.sl_class) sl
-
-let outstanding t = t.p_outstanding
-
-let stats t =
-  {
-    leases = t.p_leases;
-    hits = t.p_hits;
-    misses = t.p_misses;
-    releases = t.p_releases;
-    oversize = t.p_oversize;
-    outstanding = t.p_outstanding;
-    high_water = t.p_high_water;
-  }
-
-(* Leak detection at drain: with every frame released, [outstanding] must
-   be zero. The count is exactly the number of leases never released. *)
-let leaked t = t.p_outstanding
+type stats = { leases : int; hits : int; high_water : int }

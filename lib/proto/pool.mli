@@ -1,57 +1,8 @@
-(** Size-classed buffer pool with generation-stamped leases.
+(** Fan-out buffer pool statistics — with no pool behind them.
 
-    Hot encode paths lease scratch buffers here instead of [Bytes.create]
-    per frame (the uberhf pooled-buffer discipline): a release puts the
-    slab back on its class shelf, the next lease of that class reuses it.
-    Misuse is a checked error — every slab carries a generation counter,
-    so a double release or any access through a stale lease raises
-    {!Lease_error} rather than scribbling on a recycled buffer. *)
+    Encodings are sized, never serialized into buffers, so nothing leases
+    anything and every counter reads 0. The record stays only because the
+    end-to-end benchmark still reports its three [proto.pool_*] metrics
+    from it; it goes when the benchmark drops them. *)
 
-type t
-
-type lease
-(** A checked handle on a pooled buffer. Valid from {!lease} until the
-    matching {!release}; every access revalidates the generation stamp. *)
-
-exception Lease_error of string
-(** Raised on double release or use-after-release. *)
-
-type stats = {
-  leases : int;
-  hits : int;  (** leases served from a shelf (buffer reused) *)
-  misses : int;  (** leases that allocated a fresh slab *)
-  releases : int;
-  oversize : int;  (** requests larger than the largest size class *)
-  outstanding : int;  (** currently leased, i.e. leaked if the pool is idle *)
-  high_water : int;  (** max simultaneous outstanding leases *)
-}
-
-val create : ?classes:int array -> unit -> t
-(** [classes] are the slab capacities (default 64 B … 64 KiB, ×4 steps);
-    a request is served from the smallest class that fits. Requests larger
-    than every class get a one-shot exact-size slab that is not shelved on
-    release. *)
-
-val lease : t -> int -> lease
-(** Lease a buffer with capacity ≥ the requested size. *)
-
-val release : t -> lease -> unit
-(** Return the buffer to its shelf.
-    @raise Lease_error if the lease was already released. *)
-
-val bytes : lease -> Bytes.t
-(** The leased buffer. @raise Lease_error after release. *)
-
-val capacity : lease -> int
-(** @raise Lease_error after release. *)
-
-val valid : lease -> bool
-(** Whether the lease is still live (no release yet). *)
-
-val outstanding : t -> int
-
-val leaked : t -> int
-(** Leases never released — call when the owning component is quiescent
-    (every in-flight frame retired); any nonzero count is a leak. *)
-
-val stats : t -> stats
+type stats = { leases : int; hits : int; high_water : int }

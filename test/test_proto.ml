@@ -534,6 +534,11 @@ let test_relay_fanout_splice () =
           Alcotest.(check string)
             "spliced frame = whole-message encode" (M.encoded_bytes whole)
             (M.encoded_bytes spliced);
+          (* the splice is sized from [inner_enc]'s length alone: pin that
+             arithmetic against the whole-message sizing encode *)
+          Alcotest.(check int)
+            "spliced wire size = whole-message wire size"
+            (M.encoded_wire_size whole) (M.encoded_wire_size spliced);
           let decoded =
             M.decode (Proto.Codec.Reader.of_string (M.encoded_bytes spliced))
           in
@@ -541,175 +546,66 @@ let test_relay_fanout_splice () =
         inners)
     [ None; Some "alice" ]
 
-(* --- buffer pool: generation-stamped leases ------------------------------ *)
+(* Header peeks read the dispatch fields straight off the encoded bytes;
+   they must agree with the full decode for every constructor. *)
+let decoded_group = function
+  | M.Request
+      ( M.Create_group { group; _ }
+      | M.Delete_group { group; _ }
+      | M.Join { group; _ }
+      | M.Leave { group; _ }
+      | M.Get_membership { group }
+      | M.Bcast { group; _ }
+      | M.Acquire_lock { group; _ }
+      | M.Release_lock { group; _ }
+      | M.Reduce_log { group; _ }
+      | M.Resend { group; _ } )
+  | M.Response
+      ( M.Group_created { group }
+      | M.State_chunk { group; _ }
+      | M.Group_deleted { group }
+      | M.Join_accepted { group; _ }
+      | M.Left { group }
+      | M.Membership_info { group; _ }
+      | M.Membership_changed { group; _ }
+      | M.Deliver { T.group; _ }
+      | M.Lock_granted { group; _ }
+      | M.Lock_busy { group; _ }
+      | M.Lock_released { group; _ }
+      | M.Log_reduced { group; _ }
+      | M.Request_failed { group; _ }
+      | M.Resend_request { group; _ }
+      | M.Shard_deliver { update = { T.group; _ }; _ }
+      | M.Shard_view { group; _ }
+      | M.Shard_joined { group; _ }
+      | M.Relay_fanout { group; _ } ) ->
+      Some group
+  | M.Request (M.Ping _ | M.Relay_register _ | M.Relay_proxy _ | M.Relay_heartbeat _)
+  | M.Response (M.Pong _ | M.Relay_registered _ | M.Relay_slice _) ->
+      None
 
-module P = Proto.Pool
+let decoded_seqno = function
+  | M.Response (M.Deliver u | M.Shard_deliver { update = u; _ }) -> Some u.T.seqno
+  | _ -> None
 
-(* Misuse must surface as [Lease_error], never as a read of recycled
-   bytes. *)
-let raises_lease_error f =
-  match f () with _ -> false | exception P.Lease_error _ -> true
-
-let test_pool_lease_reuse () =
-  let pool = P.create () in
-  let l1 = P.lease pool 100 in
-  Alcotest.(check bool) "live" true (P.valid l1);
-  Alcotest.(check bool) "capacity fits request" true (P.capacity l1 >= 100);
-  Bytes.set (P.bytes l1) 0 'x';
-  P.release pool l1;
-  Alcotest.(check bool) "dead after release" false (P.valid l1);
-  let l2 = P.lease pool 100 in
-  let st = P.stats pool in
-  Alcotest.(check int) "second lease is a shelf hit" 1 st.P.hits;
-  Alcotest.(check int) "one fresh slab" 1 st.P.misses;
-  Alcotest.(check int) "two leases" 2 st.P.leases;
-  Alcotest.(check int) "high water is one at a time" 1 st.P.high_water;
-  P.release pool l2;
-  Alcotest.(check int) "drained clean" 0 (P.leaked pool)
-
-let test_pool_double_release () =
-  let pool = P.create () in
-  let l = P.lease pool 64 in
-  P.release pool l;
-  Alcotest.(check bool) "second release is a checked error" true
-    (raises_lease_error (fun () -> P.release pool l));
-  let st = P.stats pool in
-  Alcotest.(check int) "only one release counted" 1 st.P.releases
-
-let test_pool_use_after_release () =
-  let pool = P.create () in
-  let l = P.lease pool 64 in
-  P.release pool l;
-  (* the slab may already be re-leased: every accessor must refuse *)
-  let fresh = P.lease pool 64 in
-  Alcotest.(check bool) "bytes after release" true
-    (raises_lease_error (fun () -> P.bytes l));
-  Alcotest.(check bool) "capacity after release" true
-    (raises_lease_error (fun () -> P.capacity l));
-  Alcotest.(check bool) "the recycled lease still works" true
-    (Bytes.length (P.bytes fresh) >= 64);
-  P.release pool fresh
-
-let test_pool_leak_at_drain () =
-  let pool = P.create () in
-  let l1 = P.lease pool 64 in
-  let l2 = P.lease pool 64 in
-  let l3 = P.lease pool 64 in
-  P.release pool l2;
-  let st = P.stats pool in
-  Alcotest.(check int) "outstanding" 2 st.P.outstanding;
-  Alcotest.(check int) "leaked = outstanding at drain" 2 (P.leaked pool);
-  Alcotest.(check int) "high water saw all three" 3 st.P.high_water;
-  P.release pool l1;
-  P.release pool l3;
-  Alcotest.(check int) "clean once everything is back" 0 (P.leaked pool)
-
-let test_pool_oversize () =
-  let pool = P.create ~classes:[| 64; 256 |] () in
-  let big = P.lease pool 100_000 in
-  Alcotest.(check bool) "oversize request served" true (P.capacity big >= 100_000);
-  Alcotest.(check int) "counted as oversize" 1 (P.stats pool).P.oversize;
-  P.release pool big;
-  let big2 = P.lease pool 100_000 in
-  (* one-shot slabs are not shelved: the second oversize lease is a miss *)
-  Alcotest.(check int) "oversize slabs never shelved" 0 (P.stats pool).P.hits;
-  P.release pool big2
-
-let prop_pool_stale_leases_always_checked =
-  QCheck.Test.make ~name:"stale leases always raise (generation stamps)" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 20) (int_range 1 512))
-    (fun sizes ->
-      let pool = P.create () in
-      let leases = List.map (P.lease pool) sizes in
-      List.iter (P.release pool) leases;
-      (* re-lease the same classes so most released slabs are live again
-         under a new generation; the old handles must all be refused *)
-      let fresh = List.map (P.lease pool) sizes in
-      let stale_checked =
-        List.for_all
-          (fun l -> (not (P.valid l)) && raises_lease_error (fun () -> P.bytes l))
-          leases
-      in
-      List.iter (P.release pool) fresh;
-      stale_checked && P.leaked pool = 0)
-
-(* Pooled scatter-gather frames must put exactly the PR 1–8 copied bytes on
-   the wire: the golden corpus re-run through a pool. *)
-let test_pooled_frames_byte_identical () =
-  let pool = P.create () in
-  List.iter
-    (fun (name, msg, expect) ->
-      let e = M.pre_encode ~pool msg in
-      Alcotest.(check string)
-        (name ^ " (pooled)") expect
-        (hex_of_string (M.encoded_bytes e));
-      M.release_encoded pool e)
-    golden_frames;
-  Alcotest.(check int) "no leases leaked by the corpus" 0 (P.leaked pool)
-
-let test_pooled_splices_byte_identical () =
-  let pool = P.create () in
-  let inner = M.Deliver sample_update in
-  let whole_fan =
-    M.pre_encode (M.Response (M.Relay_fanout { group = "g"; exclude = Some "alice"; inner }))
-  in
-  let inner_enc = M.pre_encode ~pool (M.Response inner) in
-  let fan =
-    M.pre_encode_relay_fanout ~pool ~group:"g" ~exclude:"alice" ~inner ~inner_enc ()
-  in
-  Alcotest.(check string)
-    "pooled relay-fanout splice = copied encode" (M.encoded_bytes whole_fan)
-    (M.encoded_bytes fan);
-  (* the fan-out frame borrows the inner frame's segments: release the
-     borrower first, then the owner *)
-  M.release_encoded pool fan;
-  M.release_encoded pool inner_enc;
-  Alcotest.(check int) "no leases leaked by the splices" 0 (P.leaked pool)
-
-(* Reading a pooled encoding after its release is a checked error, exactly
-   like a raw stale lease. *)
-let test_pooled_encoding_use_after_release () =
-  let pool = P.create () in
-  let e = M.pre_encode ~pool (M.Response (M.Deliver sample_update)) in
-  ignore (M.encoded_wire_size e);
-  M.release_encoded pool e;
-  Alcotest.(check bool) "bytes after release_encoded" true
-    (raises_lease_error (fun () -> M.encoded_bytes e))
-
-(* Header peeks are the decode-side half of zero-copy: the dispatch fields
-   read straight off the buffer must agree between the string and frame
-   variants, and with the full decode. *)
 let test_peek_consistency () =
-  let pool = P.create () in
   let check_one msg =
-    let e = M.pre_encode ~pool msg in
-    let body = M.encoded_bytes e in
-    let frame = Option.get (M.encoded_frame e) in
+    let body = M.encoded_bytes (M.pre_encode msg) in
+    let decoded = M.decode (R.of_string body) in
     let name = Format.asprintf "%a" M.pp msg in
-    (match (M.peek_kind body, msg) with
-    | M.Peek_request _, M.Request _ | M.Peek_response _, M.Response _ -> ()
+    (match (M.peek_kind body, decoded) with
+    | M.Peek_request k, M.Request _ | M.Peek_response k, M.Response _ ->
+        Alcotest.(check int) ("peek_kind tag: " ^ name) (Char.code body.[1]) k
     | _ -> Alcotest.failf "peek_kind wrong family for %s" name);
-    Alcotest.(check bool)
-      ("peek_kind frame = string: " ^ name)
-      true
-      (M.peek_kind_frame frame = M.peek_kind body);
     Alcotest.(check (option string))
-      ("peek_group frame = string: " ^ name)
-      (M.peek_group body) (M.peek_group_frame frame);
+      ("peek_group = decoded group: " ^ name)
+      (decoded_group decoded) (M.peek_group body);
     Alcotest.(check (option int))
-      ("peek_seqno frame = string: " ^ name)
-      (M.peek_seqno body) (M.peek_seqno_frame frame);
-    (match msg with
-    | M.Response (M.Deliver u) ->
-        Alcotest.(check (option int))
-          ("peek_seqno reads the stream position: " ^ name)
-          (Some u.T.seqno) (M.peek_seqno body)
-    | _ -> ());
-    M.release_encoded pool e
+      ("peek_seqno = decoded seqno: " ^ name)
+      (decoded_seqno decoded) (M.peek_seqno body)
   in
   List.iter (fun r -> check_one (M.Request r)) all_request_samples;
-  List.iter (fun r -> check_one (M.Response r)) all_response_samples;
-  Alcotest.(check int) "no leases leaked by the peeks" 0 (P.leaked pool)
+  List.iter (fun r -> check_one (M.Response r)) all_response_samples
 
 (* --- property-based roundtrips over random messages ---------------------- *)
 
@@ -935,6 +831,7 @@ let () =
           tc "join-accepted splice is byte-identical" `Quick test_join_accepted_splice;
           tc "sizing a join reply allocates no payload" `Quick test_pre_encode_join_allocation;
           tc "relay-fanout splice is byte-identical" `Quick test_relay_fanout_splice;
+          tc "header peeks agree with full decode" `Quick test_peek_consistency;
           tc "wire size scales with payload" `Quick test_wire_size_scales_with_payload;
           q prop_roundtrip;
           q prop_wire_size_consistent;
@@ -942,18 +839,5 @@ let () =
           q prop_decode_consumes_everything;
           q prop_decode_garbage_never_crashes;
           q prop_truncated_encodings_never_crash;
-        ] );
-      ( "pool",
-        [
-          tc "lease/release reuses slabs" `Quick test_pool_lease_reuse;
-          tc "double release is a checked error" `Quick test_pool_double_release;
-          tc "use-after-release is a checked error" `Quick test_pool_use_after_release;
-          tc "leak detection at drain" `Quick test_pool_leak_at_drain;
-          tc "oversize slabs are one-shot" `Quick test_pool_oversize;
-          tc "pooled frames match the golden bytes" `Quick test_pooled_frames_byte_identical;
-          tc "pooled splices match copied encodes" `Quick test_pooled_splices_byte_identical;
-          tc "released encodings refuse reads" `Quick test_pooled_encoding_use_after_release;
-          tc "header peeks agree with full decode" `Quick test_peek_consistency;
-          q prop_pool_stale_leases_always_checked;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Unit and property tests for the discrete-event engine, RNG, statistics
-   and trace recorder. *)
+(* Unit and property tests for the discrete-event engine, RNG and
+   statistics. *)
 
 let test_clock_starts_at_zero () =
   let e = Sim.Engine.create () in
@@ -509,26 +509,6 @@ let test_histogram () =
   Alcotest.(check (float 1e-9)) "bound lo" 3.0 lo;
   Alcotest.(check (float 1e-9)) "bound hi" 4.0 hi
 
-(* --- trace ------------------------------------------------------------- *)
-
-let test_trace () =
-  let e = Sim.Engine.create () in
-  let tr = Sim.Trace.create e in
-  ignore
-    (Sim.Engine.schedule e ~delay:1.5 (fun () ->
-         Sim.Trace.record tr ~component:"net" "packet sent"));
-  Sim.Trace.record tr ~component:"app" "started";
-  Sim.Engine.run e;
-  Alcotest.(check int) "two records" 2 (List.length (Sim.Trace.records tr));
-  (match Sim.Trace.find tr ~component:"net" "packet" with
-  | Some r -> Alcotest.(check (float 0.0)) "timestamped" 1.5 r.Sim.Trace.at
-  | None -> Alcotest.fail "record not found");
-  Alcotest.(check int) "count matching" 1
-    (Sim.Trace.count_matching tr ~component:"app" "start");
-  Sim.Trace.set_enabled tr false;
-  Sim.Trace.record tr ~component:"app" "ignored";
-  Alcotest.(check int) "disabled drops" 2 (List.length (Sim.Trace.records tr))
-
 let () =
   let tc = Alcotest.test_case in
   let q = QCheck_alcotest.to_alcotest in
@@ -573,5 +553,4 @@ let () =
           q prop_mean_between_min_max;
           q prop_merge_counts;
         ] );
-      ("trace", [ tc "record, find, disable" `Quick test_trace ]);
     ]
