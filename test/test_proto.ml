@@ -546,6 +546,60 @@ let test_relay_fanout_splice () =
         inners)
     [ None; Some "alice" ]
 
+(* --- shared fan-out encodings ---------------------------------------------
+   The fan-out path builds one [encoded] per logical message and hands it to
+   every recipient. Encodings are immutable sized values with nothing to
+   lease or release, so any holder may read them again at any time and must
+   always see the golden bytes. *)
+
+let test_pooled_frames_byte_identical () =
+  List.iter
+    (fun (name, msg, expect) ->
+      let e = M.pre_encode msg in
+      let before = M.encode_count () in
+      (* two recipients reading the same shared encoding *)
+      let first = hex_of_string (M.encoded_bytes e) in
+      let second = hex_of_string (M.encoded_bytes e) in
+      Alcotest.(check string) (name ^ " (first read)") expect first;
+      Alcotest.(check string) (name ^ " (second read)") expect second;
+      Alcotest.(check int)
+        (name ^ " reads do not count as encodes")
+        before (M.encode_count ());
+      Alcotest.(check bool)
+        (name ^ " keeps the original message")
+        true
+        (M.encoded_message e = msg);
+      Alcotest.(check int)
+        (name ^ " wire size = framed golden length")
+        ((String.length expect / 2) + 8)
+        (M.encoded_wire_size e))
+    golden_frames
+
+let test_pooled_splices_byte_identical () =
+  let inner = M.Deliver sample_update in
+  let whole_fan =
+    M.pre_encode (M.Response (M.Relay_fanout { group = "g"; exclude = Some "alice"; inner }))
+  in
+  let inner_enc = M.pre_encode (M.Response inner) in
+  let inner_bytes = M.encoded_bytes inner_enc in
+  let fan =
+    M.pre_encode_relay_fanout ~group:"g" ~exclude:"alice" ~inner ~inner_enc ()
+  in
+  Alcotest.(check string)
+    "relay-fanout splice = copied encode" (M.encoded_bytes whole_fan)
+    (M.encoded_bytes fan);
+  Alcotest.(check int)
+    "splice wire size = copied wire size"
+    (M.encoded_wire_size whole_fan) (M.encoded_wire_size fan);
+  (* the splice borrows nothing from the inner encoding: both stay readable
+     and unchanged in either order *)
+  Alcotest.(check string)
+    "inner encoding unchanged by the splice" inner_bytes
+    (M.encoded_bytes inner_enc);
+  Alcotest.(check string)
+    "splice still readable afterwards" (M.encoded_bytes whole_fan)
+    (M.encoded_bytes fan)
+
 (* Header peeks read the dispatch fields straight off the encoded bytes;
    they must agree with the full decode for every constructor. *)
 let decoded_group = function
@@ -839,5 +893,10 @@ let () =
           q prop_decode_consumes_everything;
           q prop_decode_garbage_never_crashes;
           q prop_truncated_encodings_never_crash;
+        ] );
+      ( "pool",
+        [
+          tc "pooled frames match the golden bytes" `Quick test_pooled_frames_byte_identical;
+          tc "pooled splices match copied encodes" `Quick test_pooled_splices_byte_identical;
         ] );
     ]
