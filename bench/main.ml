@@ -190,7 +190,7 @@ let run_engine_micro () =
   json_add "micro"
     [
       ("name", Printf.sprintf "%S" name);
-      ("ns_per_event", json_num ns);
+      ("host_ns_per_event", json_num ns);
       ("minor_words_per_event", json_num words);
     ];
   Workload.Report.table
@@ -232,7 +232,7 @@ let run_micro () =
             json_add "micro"
               [
                 ("name", Printf.sprintf "%S" name);
-                ("ns_per_run", match ns with Some v -> json_num v | None -> "null");
+                ("host_ns_per_run", match ns with Some v -> json_num v | None -> "null");
               ];
             [ name; (match ns with Some v -> Printf.sprintf "%.0f" v | None -> "n/a") ])
           (Test.elements t))
@@ -351,8 +351,8 @@ let run_fanout () =
   json_add "fanout"
     [
       ("name", "\"codec-path x300\"");
-      ("seed_ns_per_bcast", json_num seed_ns);
-      ("encode_once_ns_per_bcast", json_num once_ns);
+      ("host_seed_ns_per_bcast", json_num seed_ns);
+      ("host_encode_once_ns_per_bcast", json_num once_ns);
       ("speedup", Printf.sprintf "%.1f" (seed_ns /. once_ns));
     ];
   let rows =
@@ -386,7 +386,7 @@ let run_fanout () =
             ("name", Printf.sprintf "%S" label);
             ("members", string_of_int members);
             ("bcasts", string_of_int bcasts);
-            ("ns_per_bcast", json_num ns);
+            ("host_ns_per_bcast", json_num ns);
             ("minor_words_per_bcast", json_num minor_words);
             ("fanout_encodes_per_bcast", Printf.sprintf "%.2f" enc);
             ("deliveries_sent", string_of_int deliveries);
@@ -495,9 +495,9 @@ let scale_point ~label ~members ~bcasts ~engine ~fabric ~hosts ~server_for =
         ("deployment", Printf.sprintf "%S" label);
         ("members", string_of_int members);
         ("bcasts", string_of_int bcasts);
-        ("ns_per_bcast", json_num ns_per_bcast);
+        ("host_ns_per_bcast", json_num ns_per_bcast);
         ("minor_words_per_bcast", json_num minor_words_per_bcast);
-        ("events_per_sec", json_num events_per_sec);
+        ("host_events_per_sec", json_num events_per_sec);
         ("sim_events", string_of_int events);
         ("batches", string_of_int batches);
       ];
@@ -662,7 +662,7 @@ let sharded_point ~members ~shards ~bcasts_per_writer =
         ("us_per_bcast", json_num us_per_bcast);
         ("virtual_span_s", Printf.sprintf "%.4f" span);
         ("sim_events", string_of_int events);
-        ("wall_s", Printf.sprintf "%.2f" wall);
+        ("host_wall_s", Printf.sprintf "%.2f" wall);
       ];
   (us_per_bcast, span, events)
 
@@ -838,7 +838,7 @@ let run_relay () =
                ("relays", string_of_int relays);
                ("bcasts", string_of_int bcasts);
                ("root_tx_per_bcast", Printf.sprintf "%.2f" r_tx);
-               ("ns_per_bcast", json_num r_ns);
+               ("host_ns_per_bcast", json_num r_ns);
                ("minor_words_per_bcast", json_num r_minor);
              ]
             @
@@ -847,7 +847,7 @@ let run_relay () =
             | Some (f_ns, f_tx, ratio) ->
                 [
                   ("flat_root_tx_per_bcast", Printf.sprintf "%.2f" f_tx);
-                  ("flat_ns_per_bcast", json_num f_ns);
+                  ("host_flat_ns_per_bcast", json_num f_ns);
                   ("root_tx_reduction", Printf.sprintf "%.1f" ratio);
                 ]);
         [

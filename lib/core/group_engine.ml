@@ -22,7 +22,10 @@ type counters = {
 
 type t = {
   engine : Sim.Engine.t;
-  conn_of_member : (T.member_id, Net.Tcp.conn) Hashtbl.t;
+  (* each member's connection cell, the same cell its group entries hold,
+     so [bind] reaches every group and a fan-out follows a pointer. A cell
+     lives while the member is bound or in some group. *)
+  conn_of_member : (T.member_id, Membership.cell) Hashtbl.t;
   (* reverse index of [conn_of_member], keyed by connection id, so a
      disconnect touches only the members of that connection *)
   members_of_conn : (int, (T.member_id, unit) Hashtbl.t) Hashtbl.t;
@@ -106,7 +109,7 @@ let send t conn response = send_encoded t conn (M.pre_encode (M.Response respons
 
 let send_member t member response =
   match Hashtbl.find_opt t.conn_of_member member with
-  | Some conn when Net.Tcp.is_open conn -> send t conn response
+  | Some { conn = Some conn } when Net.Tcp.is_open conn -> send t conn response
   | Some _ | None -> ()
 
 let fail t conn group reason = send t conn (M.Request_failed { group; reason })
@@ -125,26 +128,47 @@ let index tbl key x =
   in
   Hashtbl.replace set x ()
 
+let cell t member =
+  match Hashtbl.find t.conn_of_member member with
+  | c -> c
+  | exception Not_found ->
+      let c = { Membership.conn = None } in
+      Hashtbl.replace t.conn_of_member member c;
+      c
+
+(* Forget the member's cell once nothing holds it: no connection, and no
+   group entry (every entry's group is in [groups_of_member]). *)
+let release_cell t member (c : Membership.cell) =
+  if Option.is_none c.conn && not (Hashtbl.mem t.groups_of_member member) then
+    Hashtbl.remove t.conn_of_member member
+
 let bind t member conn =
-  (match Hashtbl.find_opt t.conn_of_member member with
+  let c = cell t member in
+  (match c.conn with
   | Some old when Net.Tcp.id old <> Net.Tcp.id conn -> (
       (* rejoin over a new connection: unhook from the old one's set *)
       match Hashtbl.find_opt t.members_of_conn (Net.Tcp.id old) with
       | Some set -> Hashtbl.remove set member
       | None -> ())
   | Some _ | None -> ());
-  Hashtbl.replace t.conn_of_member member conn;
+  c.conn <- Some conn;
   index t.members_of_conn (Net.Tcp.id conn) member
 
 let unindex t member group =
   match Hashtbl.find_opt t.groups_of_member member with
   | Some set ->
       Hashtbl.remove set group;
-      if Hashtbl.length set = 0 then Hashtbl.remove t.groups_of_member member
+      if Hashtbl.length set = 0 then begin
+        Hashtbl.remove t.groups_of_member member;
+        match Hashtbl.find_opt t.conn_of_member member with
+        | Some c -> release_cell t member c
+        | None -> ()
+      end
   | None -> ()
 
 let add_member t ms ~group ~member ~role ~notify =
-  Membership.add ms ~member ~role ~notify ~joined_at:(Sim.Engine.now t.engine);
+  Membership.add ms ~member ~role ~notify ~joined_at:(Sim.Engine.now t.engine)
+    ~cell:(cell t member);
   index t.groups_of_member member group
 
 let remove_member t ms ~group member =
@@ -167,14 +191,12 @@ let fill_batch t ms ?exclude ?(skip = no_skip) () =
   List.iter
     (fun (m : Membership.entry) ->
       let excluded =
-        match exclude with Some x -> x = m.member | None -> false
+        match exclude with Some x -> String.equal x m.member | None -> false
       in
       if not (excluded || skip m.member) then
-        (* Exception-based lookup: per recipient per fan-out, so
-           [find_opt]'s [Some] would be a hot-loop allocation. *)
-        match Hashtbl.find t.conn_of_member m.member with
-        | conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
-        | exception Not_found -> ())
+        match m.cell.conn with
+        | Some conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
+        | None -> ())
     (Membership.entries ms)
 
 (* Send [inner] to the filled batch: one encode shared by all direct
@@ -215,8 +237,9 @@ let notify t ms ~group ?members change =
         (fun m ->
           if m <> changed then
             match Hashtbl.find t.conn_of_member m with
-            | conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
-            | exception Not_found -> ())
+            | { conn = Some conn } ->
+                if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
+            | { conn = None } | (exception Not_found) -> ())
         targets;
       let d =
         flush t ~group ~exclude:changed (M.Membership_changed { group; change; members })
@@ -292,7 +315,11 @@ let disconnect t conn k =
   Hashtbl.remove t.members_of_conn (Net.Tcp.id conn);
   List.iter
     (fun member ->
-      Hashtbl.remove t.conn_of_member member;
+      (match Hashtbl.find_opt t.conn_of_member member with
+      | Some c ->
+          c.conn <- None;
+          release_cell t member c
+      | None -> ());
       let groups =
         match Hashtbl.find_opt t.groups_of_member member with
         | Some set -> Hashtbl.fold (fun gid () acc -> gid :: acc) set []

@@ -1,8 +1,11 @@
+type cell = { mutable conn : Net.Tcp.conn option }
+
 type entry = {
   member : Proto.Types.member_id;
   role : Proto.Types.role;
   notify : bool;
   joined_at : float;
+  cell : cell;
 }
 
 (* Members sit in [order], a join-ordered array with tombstones: a join
@@ -26,7 +29,14 @@ type t = {
 }
 
 (* The tombstone; compared physically, never handed out. *)
-let dead = { member = ""; role = Proto.Types.Observer; notify = false; joined_at = 0.0 }
+let dead =
+  {
+    member = "";
+    role = Proto.Types.Observer;
+    notify = false;
+    joined_at = 0.0;
+    cell = { conn = None };
+  }
 
 let create () =
   {
@@ -48,8 +58,8 @@ let count t = Hashtbl.length t.index
 
 let is_empty t = Hashtbl.length t.index = 0
 
-let add t ~member ~role ~notify ~joined_at =
-  let entry = { member; role; notify; joined_at } in
+let add t ~member ~role ~notify ~joined_at ~cell =
+  let entry = { member; role; notify; joined_at; cell } in
   (match Hashtbl.find_opt t.index member with
   | Some i ->
       if t.order.(i).notify then t.notify_count <- t.notify_count - 1;

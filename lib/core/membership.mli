@@ -14,11 +14,18 @@
     cached and rebuilt after a membership change by one linear walk of the
     array, with no sort. *)
 
+type cell = { mutable conn : Net.Tcp.conn option }
+(** The connection a member is served over, [None] while it has none. The
+    server holds one cell per member and hands the same cell to every group
+    entry of that member, so a rebind reaches all its groups at once and a
+    fan-out reads the connection without a lookup. *)
+
 type entry = {
   member : Proto.Types.member_id;
   role : Proto.Types.role;
   notify : bool;
   joined_at : float;
+  cell : cell;
 }
 
 type t
@@ -31,6 +38,7 @@ val add :
   role:Proto.Types.role ->
   notify:bool ->
   joined_at:float ->
+  cell:cell ->
   unit
 (** Adds or re-adds. A rejoin of a present member replaces its entry in
     its slot, so it keeps its position in join order; a member that left

@@ -114,31 +114,11 @@ let conn_closed t conn =
           Proxied r
       | None -> Not_relay)
 
-(* Partition fan-out recipients: proxied connections collapse to their
-   relay's control connection (deduped via the [seen] scratch table, and
-   only while that control connection is open — otherwise the proxied
-   connection stays direct as a degraded fallback). Order within each class
-   follows the input order. *)
-let split t conns =
-  Hashtbl.reset t.seen;
-  let direct, controls =
-    List.fold_left
-      (fun (direct, controls) conn ->
-        match Hashtbl.find_opt t.proxied (Net.Tcp.id conn) with
-        | Some r when Net.Tcp.is_open r.r_conn ->
-            if Hashtbl.mem t.seen r.r_index then (direct, controls)
-            else begin
-              Hashtbl.replace t.seen r.r_index ();
-              (direct, r.r_conn :: controls)
-            end
-        | Some _ | None -> (conn :: direct, controls))
-      ([], []) conns
-  in
-  (List.rev direct, List.rev controls)
-[@@corona.hot]
-
-(* Batch flavor of [split]: partition the caller's recipient batch into the
-   hub's two scratch batches. Same classification and ordering rules. *)
+(* Partition the caller's recipient batch into the hub's two scratch
+   batches: proxied connections collapse to their relay's control connection
+   (deduped via the [seen] scratch table, and only while that control
+   connection is open — otherwise the proxied connection stays direct as a
+   degraded fallback). Order within each class follows the batch order. *)
 let split_batch t batch =
   Net.Tcp.batch_clear t.hb_direct;
   Net.Tcp.batch_clear t.hb_control;

@@ -52,11 +52,6 @@ type closed = Control of relay | Proxied of relay | Not_relay
 val conn_closed : t -> Net.Tcp.conn -> closed
 (** Classify and unhook a closing connection. *)
 
-val split : t -> Net.Tcp.conn list -> Net.Tcp.conn list * Net.Tcp.conn list
-(** Partition fan-out recipients into (direct, relay control) connections;
-    proxied recipients collapse to their relay's control connection,
-    deduplicated. *)
-
 type delivered = {
   d_direct : int;  (** point-to-point recipients *)
   d_frames : int;  (** relay control frames (≤ relay count) *)

@@ -366,9 +366,14 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                 end;
                 (* One serialization shared by every point-to-point
                    recipient; proxied recipients collapse to one spliced
-                   frame per relay. *)
-                Group_engine.deliver t.eng g.g_members ~group ?exclude
-                  ~skip:(fun m -> Hashtbl.mem g.g_mcast_members m)
+                   frame per relay. Multicast subscribers are skipped, and
+                   with none the recipients need no per-member test. *)
+                let skip =
+                  if mcast_reached > 0 then
+                    Some (fun m -> Hashtbl.mem g.g_mcast_members m)
+                  else None
+                in
+                Group_engine.deliver t.eng g.g_members ~group ?exclude ?skip
                   (M.Deliver u)
               in
               (match g.g_keeper with

@@ -3,21 +3,38 @@
 
 type entry = { mutable base : string; mutable segments : string list (* newest first *) }
 
+(* Monomorphic string keys: [String.equal] and [String.hash] skip the
+   generic compare and hash. [String.hash] equals [Hashtbl.hash] on
+   strings, so buckets fall where they did; every traversal sorts anyway. *)
+module Objects = Hashtbl.Make (struct
+  type t = Proto.Types.object_id
+
+  let equal = String.equal
+  let hash = String.hash
+end)
+
 type t = {
-  objects : (Proto.Types.object_id, entry) Hashtbl.t;
+  objects : entry Objects.t;
   mutable version : int;
       (* bumped on every applied mutation — the join-state cache key.
          Materialization is not a mutation: it rewrites the segment layout
          without changing the materialized value. *)
 }
 
-let create () = { objects = Hashtbl.create 16; version = 0 }
+let create () = { objects = Objects.create 16; version = 0 }
 
 let version t = t.version
 
+(* An existing object is overwritten in place: a steady-state [Set_state]
+   apply then allocates nothing, and promotes no fresh entry. *)
 let set_object t obj data =
   t.version <- t.version + 1;
-  Hashtbl.replace t.objects obj { base = data; segments = [] }
+  match Objects.find t.objects obj with
+  | e ->
+      e.base <- data;
+      e.segments <- []
+  | exception Not_found ->
+      Objects.replace t.objects obj { base = data; segments = [] }
 
 let of_objects pairs =
   let t = create () in
@@ -28,10 +45,10 @@ let append_object t obj data =
   t.version <- t.version + 1;
   (* Exception-based lookup: the hot delivery loop appends to an existing
      object, and [find_opt]'s [Some] would be a per-delivery allocation. *)
-  match Hashtbl.find t.objects obj with
+  match Objects.find t.objects obj with
   | e -> e.segments <- data :: e.segments
   | exception Not_found ->
-      Hashtbl.replace t.objects obj { base = ""; segments = [ data ] }
+      Objects.replace t.objects obj { base = ""; segments = [ data ] }
 
 let apply t (u : Proto.Types.update) =
   match u.kind with
@@ -51,14 +68,14 @@ let materialize e =
       e.segments <- [];
       s
 
-let get t obj = Option.map materialize (Hashtbl.find_opt t.objects obj)
+let get t obj = Option.map materialize (Objects.find_opt t.objects obj)
 
-let mem t obj = Hashtbl.mem t.objects obj
+let mem t obj = Objects.mem t.objects obj
 
 (* One sorted snapshot of the entries, shared by every traversal below so
    none of them pays a per-id re-lookup. *)
 let sorted_entries t =
-  Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.objects []
+  Objects.fold (fun id e acc -> (id, e) :: acc) t.objects []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let object_ids t = List.map fst (sorted_entries t)
@@ -68,10 +85,10 @@ let objects t = List.map (fun (id, e) -> (id, materialize e)) (sorted_entries t)
 let restrict t ids =
   List.filter_map (fun id -> Option.map (fun s -> (id, s)) (get t id)) ids
 
-let object_count t = Hashtbl.length t.objects
+let object_count t = Objects.length t.objects
 
 let total_bytes t =
-  Hashtbl.fold
+  Objects.fold
     (fun _ e acc ->
       acc + String.length e.base
       + List.fold_left (fun n s -> n + String.length s) 0 e.segments)
@@ -102,4 +119,4 @@ let equal a b = objects a = objects b
 
 let clear t =
   t.version <- t.version + 1;
-  Hashtbl.reset t.objects
+  Objects.reset t.objects

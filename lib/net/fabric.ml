@@ -150,7 +150,8 @@ let transmit t ~src ~dst ~size ?(on_dropped = ignore) k =
     if Host.is_alive dst then Host.exec dst ~cost:deserialize_cost k
     else on_dropped ()
   in
-  if Host.name src = Host.name dst then
+  (* [add_host] rejects duplicate names, so host identity is physical. *)
+  if src == dst then
     (* Loopback: skip NIC and network. *)
     Host.exec src ~cost:serialize_cost (fun () -> deliver ())
   else
@@ -336,7 +337,7 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
       let cpu_dst = Host.cpu dst in
       b.b_deser.(i) <-
         cpu_dst.Host.recv_overhead +. (float_of_int size *. cpu_dst.Host.per_byte_cost);
-      if Host.name src = Host.name dst then begin
+      if src == dst then begin
         (* Loopback: skip NIC and network, deliver at serialize finish. *)
         b.b_kind.(i) <- 0;
         until.(i) <- fin.(i);

@@ -80,7 +80,7 @@ let leave t host ?key () =
   t.cache_dirty <- true;
   t.subs <-
     List.filter
-      (fun s -> not (Host.name s.m_host = Host.name host && s.m_key = key))
+      (fun s -> not (s.m_host == host && s.m_key = key))
       t.subs
 
 let join t host ?key ~handler () =
@@ -117,7 +117,7 @@ let live_subs t =
 let subscriber_count t = List.length (live_subs t)
 
 let is_member t host =
-  List.exists (fun s -> Host.name s.m_host = Host.name host) (live_subs t)
+  List.exists (fun s -> s.m_host == host) (live_subs t)
 
 (* Stage 1 fires at the per-target propagation timestamp: sender-epoch
    guard (a sender crash before its NIC finished the transmission kills the
@@ -222,7 +222,7 @@ let send t ~src ~size payload =
     for i = 0 to t.cache_n - 1 do
       let s = t.cache.(i) in
       if
-        Host.name s.m_host <> Host.name src
+        s.m_host != src
         && Fabric.reachable t.fabric src s.m_host
       then begin
         mb.mb_subs.(!cnt) <- s;

@@ -169,7 +169,7 @@ let rec send_batch conns ~size payload =
   | [] -> ()
   | c0 :: _ as live ->
       let mine, rest =
-        List.partition (fun c -> Host.name c.host = Host.name c0.host) live
+        List.partition (fun c -> c.host == c0.host) live
       in
       let arr = Array.of_list mine in
       let seqs =
@@ -276,7 +276,7 @@ let send_batch_buf b ~size payload =
   for i = 0 to b.ba_n - 1 do
     let c = b.ba_conns.(i) in
     if c.open_ then begin
-      if !live > 0 && Host.name c.host <> Host.name b.ba_conns.(0).host then
+      if !live > 0 && c.host != b.ba_conns.(0).host then
         mixed := true;
       b.ba_conns.(!live) <- c;
       incr live

@@ -27,8 +27,9 @@ let int t n =
   let mask = Int64.shift_right_logical (next_raw t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int n))
 
-let float t x =
-  (* 53 significant bits, as in the standard library. *)
+let[@inline] float t x =
+  (* 53 significant bits, as in the standard library. Inlined so a caller
+     that consumes the draw at once keeps it unboxed. *)
   let bits = Int64.shift_right_logical (next_raw t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. x
 

@@ -22,5 +22,8 @@ val is_empty : t -> bool
 
 val write : t -> string -> unit
 (** Write the accumulated rows to [path] as a JSON object mapping each
-    section to its array of rows, in first-appearance order. No file is
-    written (or truncated) when the accumulator is empty. *)
+    section to its array of rows. Sections of an existing file at [path]
+    that this sweep has no rows for are kept as they were, in their place;
+    the sweep's sections replace their namesakes and new ones follow, in
+    first-appearance order. No file is written (or truncated) when the
+    accumulator is empty. *)

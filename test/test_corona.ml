@@ -713,6 +713,119 @@ let test_multiple_groups_one_client () =
   Alcotest.(check (option string)) "g1 isolated" (Some "one") (get "g1");
   Alcotest.(check (option string)) "g2 isolated" (Some "two") (get "g2")
 
+(* Connect a client and run the world until it is connected. *)
+let connected w ~host ~member =
+  let c = ref None in
+  connect_client w ~host ~member (fun x -> c := Some x);
+  run w.engine;
+  Option.get !c
+
+let reconnected w c =
+  let c2 = ref None in
+  Corona.Client.reconnect c
+    ~on_connected:(fun x -> c2 := Some x)
+    ~on_failed:(fun () -> Alcotest.fail "reconnect failed")
+    ();
+  run w.engine;
+  Option.get !c2
+
+let join_now w c ~group =
+  Corona.Client.join c ~group ~k:(fun r -> ignore (expect_join "join" r)) ();
+  run w.engine
+
+(* The client's replica digest equals the server's. *)
+let check_replica_agrees server c ~group label =
+  let digest st = Corona.Shared_state.digest st in
+  match (Corona.Server.group_state server group, Corona.Client.replica c group) with
+  | Some srv, Some mine -> Alcotest.(check string) label (digest srv) (digest mine)
+  | _ -> Alcotest.failf "%s: no replica of %s" label group
+
+(* A member of two groups comes back on a second connection and rejoins
+   only g1, while its first connection is still open. Its g2 entry must
+   follow the rebind: g2 broadcasts arrive over the new connection, before
+   and after the old connection's close is processed. *)
+let test_rebind_reaches_every_group () =
+  let w, server = make_world () in
+  let a = connected w ~host:w.client_hosts.(0) ~member:"a" in
+  let b = connected w ~host:w.client_hosts.(1) ~member:"b" in
+  List.iter
+    (fun group ->
+      Corona.Client.create_group a ~group ~k:(expect_ok "create") ();
+      join_now w a ~group;
+      join_now w b ~group)
+    [ "g1"; "g2" ];
+  let b2 = reconnected w b in
+  Corona.Client.rejoin b2 ~group:"g1" ~k:(fun r -> ignore (expect_join "rejoin" r)) ();
+  run w.engine;
+  let old_n = Corona.Client.deliveries_received b in
+  let new_n = Corona.Client.deliveries_received b2 in
+  Corona.Client.bcast_state a ~group:"g2" ~obj:"o" ~data:"one" ();
+  run w.engine;
+  Alcotest.(check int) "g2 delivery over the new connection" (new_n + 1)
+    (Corona.Client.deliveries_received b2);
+  Alcotest.(check int) "none over the old one" old_n (Corona.Client.deliveries_received b);
+  check_replica_agrees server b2 ~group:"g2" "g2 replica after rebind";
+  Corona.Client.disconnect b;
+  run w.engine;
+  Alcotest.(check (list string)) "the old close leaves b in g2" [ "a"; "b" ]
+    (List.map (fun (m : T.member) -> m.member) (Corona.Server.group_members server "g2"));
+  Corona.Client.bcast_state a ~group:"g2" ~obj:"o" ~data:"two" ();
+  run w.engine;
+  Alcotest.(check int) "g2 still reached after the old close" (new_n + 2)
+    (Corona.Client.deliveries_received b2);
+  check_replica_agrees server b2 ~group:"g2" "g2 replica after the old close"
+
+(* The client's one-entry replica cache must never outlive its table entry:
+   after a leave and rejoin, a delete, re-create and rejoin, a reconnect and
+   rejoin (the table and its cache shared between client records), and a
+   full-state join that replaces a replica the cache holds, deliveries land
+   in the live replica. Each broadcast writes new bytes, so a delivery into
+   a stale replica would leave the live one behind. *)
+let test_client_replica_cache_follows_the_table () =
+  let w, server = make_world () in
+  let a = connected w ~host:w.client_hosts.(0) ~member:"a" in
+  let b = connected w ~host:w.client_hosts.(1) ~member:"b" in
+  let n = ref 0 in
+  let bcast () =
+    incr n;
+    Corona.Client.bcast_state a ~group:"g" ~obj:"o" ~data:(Printf.sprintf "v%d" !n) ();
+    run w.engine
+  in
+  let create () =
+    Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+    join_now w a ~group:"g"
+  in
+  create ();
+  join_now w b ~group:"g";
+  bcast ();
+  check_replica_agrees server b ~group:"g" "first delivery";
+  Corona.Client.leave b ~group:"g" ~k:(expect_ok "leave");
+  run w.engine;
+  join_now w b ~group:"g";
+  bcast ();
+  check_replica_agrees server b ~group:"g" "after leave and rejoin";
+  Corona.Client.delete_group a ~group:"g" ~k:(expect_ok "delete");
+  run w.engine;
+  Alcotest.(check bool) "deleted group dropped" true
+    (Option.is_none (Corona.Client.replica b "g"));
+  create ();
+  join_now w b ~group:"g";
+  bcast ();
+  check_replica_agrees server b ~group:"g" "after delete, re-create and rejoin";
+  Corona.Client.disconnect b;
+  run w.engine;
+  bcast ();
+  let b2 = reconnected w b in
+  Corona.Client.rejoin b2 ~group:"g" ~k:(fun r -> ignore (expect_join "rejoin" r)) ();
+  run w.engine;
+  bcast ();
+  check_replica_agrees server b2 ~group:"g" "after reconnect and rejoin";
+  join_now w b2 ~group:"g";
+  bcast ();
+  check_replica_agrees server b2 ~group:"g" "after a full-state join replaced the replica";
+  Alcotest.(check (option string)) "latest write applied" (Some (Printf.sprintf "v%d" !n))
+    (Option.bind (Corona.Client.replica b2 "g") (fun st -> Corona.Shared_state.get st "o"))
+
 let test_delete_group_notifies_members () =
   let w, server = make_world () in
   let deleted_seen = ref 0 in
@@ -1028,6 +1141,9 @@ let () =
           tc "rejoin after log reduction falls back" `Quick
             test_rejoin_after_log_reduction_falls_back;
           tc "multiple groups on one connection" `Quick test_multiple_groups_one_client;
+          tc "rebind reaches every group" `Quick test_rebind_reaches_every_group;
+          tc "client replica cache follows the table" `Quick
+            test_client_replica_cache_follows_the_table;
           tc "delete notifies members, durably" `Quick test_delete_group_notifies_members;
           tc "get_membership query" `Quick test_get_membership_query;
           tc "ping measures rtt" `Quick test_ping_measures_rtt;

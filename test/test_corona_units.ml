@@ -64,6 +64,90 @@ let prop_matches_reference_model =
         (SS.objects s)
       && SS.object_count s = Hashtbl.length model)
 
+(* Set, append, get and clear against an association-list model, checked
+   after every step: the objects, each object's bytes, the digest (equal to
+   that of the same objects built flat, whatever the segment layout) and
+   the version (up on every mutation, unchanged by a read). Sets land on
+   present objects as often as on absent ones, so the in-place overwrite is
+   exercised both ways. *)
+type ss_op = S_set of int * string | S_append of int * string | S_get of int | S_clear
+
+let prop_shared_state_ops_match_model =
+  let id i = Printf.sprintf "o%d" i in
+  let gen =
+    let open QCheck.Gen in
+    let data = string_size ~gen:printable (int_range 0 6) in
+    let op =
+      frequency
+        [
+          (4, map2 (fun i d -> S_set (i, d)) (int_range 0 3) data);
+          (4, map2 (fun i d -> S_append (i, d)) (int_range 0 3) data);
+          (2, map (fun i -> S_get i) (int_range 0 3));
+          (1, return S_clear);
+        ]
+    in
+    list_size (int_range 0 50) op
+  in
+  let print = function
+    | S_set (i, d) -> Printf.sprintf "set %s %S" (id i) d
+    | S_append (i, d) -> Printf.sprintf "append %s %S" (id i) d
+    | S_get i -> "get " ^ id i
+    | S_clear -> "clear"
+  in
+  QCheck.Test.make ~count:300 ~name:"shared state set/append/get/clear = assoc-list model"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print ops)) gen)
+    (fun ops ->
+      let s = SS.create () in
+      let model = ref [] in
+      let put obj v = model := (obj, v) :: List.remove_assoc obj !model in
+      List.for_all
+        (fun op ->
+          let v0 = SS.version s in
+          let mutates =
+            match op with
+            | S_set (i, d) ->
+                SS.apply s (upd ~kind:T.Set_state (id i) d);
+                put (id i) d;
+                true
+            | S_append (i, d) ->
+                SS.apply s (upd ~kind:T.Append_update (id i) d);
+                put (id i) (Option.value (List.assoc_opt (id i) !model) ~default:"" ^ d);
+                true
+            | S_get i ->
+                SS.get s (id i) = List.assoc_opt (id i) !model
+            | S_clear ->
+                SS.clear s;
+                model := [];
+                true
+          in
+          let expected = List.sort (fun (a, _) (b, _) -> String.compare a b) !model in
+          let version_ok =
+            match op with S_get _ -> SS.version s = v0 | _ -> SS.version s > v0
+          in
+          mutates && version_ok
+          && SS.objects s = expected
+          && SS.object_count s = List.length expected
+          && List.for_all (fun i -> SS.mem s (id i) = List.mem_assoc (id i) expected)
+               [ 0; 1; 2; 3 ]
+          && SS.digest s = SS.digest (SS.of_objects expected))
+        ops)
+
+(* A steady-state [Set_state] apply overwrites the object's entry in place:
+   no minor allocation, so no fresh entry is promoted per delivery. *)
+let test_set_state_apply_allocates_nothing () =
+  let s = SS.create () in
+  let u = upd ~kind:T.Set_state "doc" "payload" in
+  SS.apply s u;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    SS.apply s u
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (option string)) "state kept" (Some "payload") (SS.get s "doc");
+  if words >= 0.5 then
+    Alcotest.failf "%.2f minor words per steady-state Set_state apply (expected 0)" words
+
 (* --- state log ------------------------------------------------------------ *)
 
 let make_log ?(policy = Corona.State_log.No_reduction) ?(initial = []) () =
@@ -313,13 +397,17 @@ let prop_lock_single_holder =
 
 let test_membership_join_order_and_rejoin () =
   let m = Corona.Membership.create () in
-  Corona.Membership.add m ~member:"a" ~role:T.Principal ~notify:true ~joined_at:0.0;
-  Corona.Membership.add m ~member:"b" ~role:T.Observer ~notify:false ~joined_at:1.0;
-  Corona.Membership.add m ~member:"c" ~role:T.Principal ~notify:true ~joined_at:2.0;
+  Corona.Membership.add m ~member:"a" ~role:T.Principal ~notify:true ~joined_at:0.0
+    ~cell:{ conn = None };
+  Corona.Membership.add m ~member:"b" ~role:T.Observer ~notify:false ~joined_at:1.0
+    ~cell:{ conn = None };
+  Corona.Membership.add m ~member:"c" ~role:T.Principal ~notify:true ~joined_at:2.0
+    ~cell:{ conn = None };
   Alcotest.(check (list string)) "join order" [ "a"; "b"; "c" ]
     (List.map (fun (x : T.member) -> x.member) (Corona.Membership.members m));
   (* Rejoin updates in place, keeping position. *)
-  Corona.Membership.add m ~member:"b" ~role:T.Principal ~notify:true ~joined_at:3.0;
+  Corona.Membership.add m ~member:"b" ~role:T.Principal ~notify:true ~joined_at:3.0
+    ~cell:{ conn = None };
   Alcotest.(check (list string)) "rejoin keeps order" [ "a"; "b"; "c" ]
     (List.map (fun (x : T.member) -> x.member) (Corona.Membership.members m));
   Alcotest.(check (option bool)) "role updated" (Some true)
@@ -366,8 +454,9 @@ let prop_membership_matches_model =
       let m = M.create () in
       let model = ref [] in
       let add ~member ~role ~notify ~joined_at =
-        M.add m ~member ~role ~notify ~joined_at;
-        let e = { M.member; role; notify; joined_at } in
+        let cell = { M.conn = None } in
+        M.add m ~member ~role ~notify ~joined_at ~cell;
+        let e = { M.member; role; notify; joined_at; cell } in
         if List.exists (fun (x : M.entry) -> x.member = member) !model then
           model := List.map (fun (x : M.entry) -> if x.member = member then e else x) !model
         else model := !model @ [ e ]
@@ -852,6 +941,9 @@ let () =
           tc "objects sorted, sizes" `Quick test_objects_sorted_and_sizes;
           tc "copy independent" `Quick test_copy_is_independent;
           q prop_matches_reference_model;
+          q prop_shared_state_ops_match_model;
+          tc "Set_state apply allocates nothing" `Quick
+            test_set_state_apply_allocates_nothing;
         ] );
       ( "state-log",
         [

@@ -192,6 +192,48 @@ let test_sweep_independent_accumulation () =
   Alcotest.(check string) "non-finite renders null" "null" (Workload.Sweep.num nan);
   Alcotest.(check string) "finite renders 1dp" "12.3" (Workload.Sweep.num 12.34)
 
+(* A partial bench run (say [scale] alone) rewrites its output file with
+   only its own sections; the file's other sections must survive as they
+   were, in their place. *)
+let test_sweep_write_keeps_other_sections () =
+  let read path =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let path = Filename.temp_file "sweep" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let first = Workload.Sweep.create () in
+      Workload.Sweep.add first ~section:"a" [ ("members", "100"); ("ns", "1.0") ];
+      Workload.Sweep.add first ~section:"a" [ ("members", "300"); ("ns", "2.0") ];
+      Workload.Sweep.add first ~section:"b" [ ("relays", "32") ];
+      Workload.Sweep.write first path;
+      let again = Workload.Sweep.create () in
+      Workload.Sweep.add again ~section:"b" [ ("relays", "64") ];
+      Workload.Sweep.write again path;
+      Alcotest.(check string) "a kept, b replaced"
+        "{\n\
+        \  \"a\": [\n\
+        \    {\"members\": 100, \"ns\": 1.0},\n\
+        \    {\"members\": 300, \"ns\": 2.0}\n\
+        \  ],\n\
+        \  \"b\": [\n\
+        \    {\"relays\": 64}\n\
+        \  ]\n\
+         }\n"
+        (read path);
+      let late = Workload.Sweep.create () in
+      Workload.Sweep.add late ~section:"c" [ ("x", "1") ];
+      Workload.Sweep.write late path;
+      let contents = read path in
+      Alcotest.(check bool) "a new section goes last, the others stay" true
+        (String.length contents > 0
+        && String.starts_with ~prefix:"{\n  \"a\": [" contents
+        && String.ends_with ~suffix:"  \"c\": [\n    {\"x\": 1}\n  ]\n}\n" contents))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "workload"
@@ -202,6 +244,8 @@ let () =
           tc "unit renderers" `Quick test_report_units;
           tc "sweep accumulators are independent" `Quick
             test_sweep_independent_accumulation;
+          tc "sweep write keeps other sections" `Quick
+            test_sweep_write_keeps_other_sections;
         ] );
       ( "testbed",
         [
