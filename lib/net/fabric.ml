@@ -26,7 +26,6 @@ type t = {
   mutable batches : int;
   mutable extensions : (string * ext) list;
   mutable free_batches : batch list; (* recycled transmit_many state *)
-  mutable order_scratch : int array; (* multi-worker NIC ordering, issue-time only *)
 }
 
 (* Recycled per-fan-out state for [transmit_many]: scratch arrays sized to
@@ -43,6 +42,7 @@ and batch = {
   mutable b_remaining : int;
   mutable b_dsts : Host.t array;
   mutable b_fin : float array; (* sender-CPU finish, issue scratch *)
+  mutable b_arrive : float array; (* stage-1 time: the engine runs read it *)
   mutable b_until : float array; (* sender-epoch guard horizon per recipient *)
   mutable b_deser : float array;
   mutable b_kind : int array; (* 0 = deliver, 1 = drop (partition/loss) *)
@@ -72,7 +72,6 @@ let create ?(config = lan) engine =
     batches = 0;
     extensions = [];
     free_batches = [];
-    order_scratch = [||];
   }
 
 let find_ext t name = List.assoc_opt name t.extensions
@@ -176,8 +175,8 @@ let transmit t ~src ~dst ~size ?(on_dropped = ignore) k =
    pays. Correctness hinges on the accumulator model being closed-form: a
    same-instant fan-out through [transmit] reserves every recipient's
    serialize slice synchronously at issue time (recipient order), then each
-   exec-finish event reserves the NIC in heap order — i.e. stable-sorted by
-   exec finish time. We replay exactly those reservations inline, so delivery
+   exec-finish event reserves the NIC in heap order, which is recipient
+   order again. We replay exactly those reservations inline, so delivery
    timestamps are byte-identical to the chained path. Deliberate divergences
    (documented in DESIGN.md): packet/byte counters are charged and loss /
    jitter randomness is drawn at issue time rather than at NIC-finish time,
@@ -187,8 +186,10 @@ let transmit t ~src ~dst ~size ?(on_dropped = ignore) k =
 
    The per-recipient state lives in a recycled [batch] record (leased from
    [free_batches] at issue, re-shelved when the countdown reaches zero) and
-   both delivery stages are pooled indexed events, so the steady-state loop
-   allocates neither closures nor event records per recipient. *)
+   both delivery stages are pooled engine runs, so the steady-state loop
+   allocates neither closures nor event records per recipient, and the
+   event queue holds one entry per stretch of non-decreasing arrivals
+   rather than one per recipient. *)
 
 (* Stage 1 fires at the delivery (or drop-report) timestamp: sender-epoch
    guard, then either the drop callback or the receiver-CPU reservation
@@ -211,7 +212,8 @@ let rec batch_stage1 b i =
          slot for the deserialize finish so no float return is boxed. *)
       Host.reserve_cpu_slot dst ~costs:b.b_deser ~into:b.b_fin i;
       b.b_dst_epoch.(i) <- Host.epoch dst;
-      Sim.Engine.schedule_pooled b.b_fab.engine ~at:b.b_fin.(i) b.b_stage2 i
+      Sim.Engine.schedule_run b.b_fab.engine ~times:b.b_fin ~first:i ~last:i
+        b.b_stage2
     end
     else begin
       b.b_on_dropped i;
@@ -246,6 +248,7 @@ let new_batch t src =
       b_remaining = 0;
       b_dsts = [||];
       b_fin = [||];
+      b_arrive = [||];
       b_until = [||];
       b_deser = [||];
       b_kind = [||];
@@ -276,12 +279,23 @@ let acquire_batch t src n =
     done;
     b.b_dsts <- Array.make !cap src;
     b.b_fin <- Array.make !cap 0.0;
+    b.b_arrive <- Array.make !cap 0.0;
     b.b_until <- Array.make !cap 0.0;
     b.b_deser <- Array.make !cap 0.0;
     b.b_kind <- Array.make !cap 0;
     b.b_dst_epoch <- Array.make !cap 0
   end;
   b
+
+let schedule_stretches engine ~times ~n h =
+  let first = ref 0 in
+  for i = 1 to n - 1 do
+    if times.(i) < times.(i - 1) then begin
+      Sim.Engine.schedule_run engine ~times ~first:!first ~last:(i - 1) h;
+      first := i
+    end
+  done;
+  if n > 0 then Sim.Engine.schedule_run engine ~times ~first:!first ~last:(n - 1) h
 
 let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u)
     ~dsts ?len k =
@@ -302,37 +316,18 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
     in
     let fin = b.b_fin in
     Host.reserve_cpu_many src ~cost:serialize_cost ~n ~into:fin;
-    (* With one worker the finish times are already increasing in recipient
-       order; with several, NIC reservation order is heap order over the
-       exec-finish events: stable sort on (finish time, recipient index). *)
-    let sorted = cpu_src.Host.workers > 1 in
-    if sorted then begin
-      if Array.length t.order_scratch < n then
-        t.order_scratch <- Array.make (max 16 n) 0;
-      let order = t.order_scratch in
-      for i = 0 to n - 1 do
-        order.(i) <- i
-      done;
-      (* [Array.sort] sorts the whole array, so take an exact-length view;
-         multi-worker senders are rare enough that this copy is off the
-         single-worker hot path entirely. *)
-      let sub = Array.sub order 0 n in
-      Array.sort
-        (fun a b ->
-          let c = Float.compare fin.(a) fin.(b) in
-          if c <> 0 then c else Int.compare a b)
-        sub;
-      Array.blit sub 0 order 0 n
-    end;
-    (* One loop for every network shape: the rare features (partitions,
+    (* The chained path reserves the NIC in the order its exec-finish events
+       fire: by (finish time, recipient index). Equal-cost reservations on
+       the earliest-free worker finish in non-decreasing order, however
+       many workers the sender has, so that order is recipient order.
+       One loop serves every network shape: the rare features (partitions,
        latency overrides, loss, jitter) each cost one test when absent, the
        NIC finish lands in [until] without a boxed return, and jitter and
-       loss draws stay in issue order. *)
+       loss draws stay in recipient order. *)
     let cfg = t.config in
     let uniform_latency = Hashtbl.length t.latency_overrides = 0 in
-    let until = b.b_until in
-    for j = 0 to n - 1 do
-      let i = if sorted then t.order_scratch.(j) else j in
+    let until = b.b_until and arrive = b.b_arrive in
+    for i = 0 to n - 1 do
       let dst = b.b_dsts.(i) in
       let cpu_dst = Host.cpu dst in
       b.b_deser.(i) <-
@@ -341,7 +336,7 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
         (* Loopback: skip NIC and network, deliver at serialize finish. *)
         b.b_kind.(i) <- 0;
         until.(i) <- fin.(i);
-        Sim.Engine.schedule_pooled t.engine ~at:fin.(i) b.b_stage1 i
+        arrive.(i) <- fin.(i)
       end
       else begin
         Host.reserve_nic_slot src ~size ~fins:fin ~into:until i;
@@ -359,7 +354,7 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
           (* The chained path reports partition/loss drops at NIC-finish
              time; keep that so retransmit timers fire identically. *)
           b.b_kind.(i) <- 1;
-          Sim.Engine.schedule_pooled t.engine ~at:until.(i) b.b_stage1 i
+          arrive.(i) <- until.(i)
         end
         else begin
           (* [cfg]'s floats are stored flat, so passing [cfg.jitter] would box
@@ -369,10 +364,12 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
             +. if cfg.jitter > 0.0 then Sim.Rng.float t.rng 1.0 *. cfg.jitter else 0.0
           in
           b.b_kind.(i) <- 0;
-          Sim.Engine.schedule_pooled t.engine ~at:(until.(i) +. delay) b.b_stage1 i
+          arrive.(i) <- until.(i) +. delay
         end
       end
-    done
+    done;
+    (* Loopback, drops and jitter can each break the arrival order. *)
+    schedule_stretches t.engine ~times:arrive ~n b.b_stage1
   end
   else on_complete () (* nothing issued: the caller may reclaim at once *)
 

@@ -98,6 +98,15 @@ val transmit :
     is dead at delivery time, or by random loss. Loopback transmissions skip
     the NIC and network stages. *)
 
+val schedule_stretches :
+  Sim.Engine.t -> times:float array -> n:int -> (int -> unit) -> unit
+(** [schedule_stretches e ~times ~n h] runs [h i] at [times.(i)] for
+    [i = 0 .. n - 1], scheduled in index order as one
+    {!Sim.Engine.schedule_run} per maximal non-decreasing stretch of
+    [times]. The fan-outs schedule their arrivals through it; as with a
+    run, [times.(0 .. n - 1)] must stay unchanged until every [h i] has
+    fired. *)
+
 val transmit_many :
   t ->
   src:Host.t ->
@@ -114,7 +123,9 @@ val transmit_many :
     are identical to issuing [Array.length dsts] chained {!transmit} calls at
     the same instant: the sender's CPU-worker and NIC FIFO finish times are
     computed in closed form at issue time, collapsing the three chained heap
-    events per recipient into a single scheduled delivery each. Divergences
+    events per recipient into a single arrival event each, and the arrivals
+    go through {!schedule_stretches}: the event queue holds one entry per
+    non-decreasing stretch of them, not one per recipient. Divergences
     from the chained path (all invisible to protocol logic in the common
     case): packet counters are charged and loss/jitter randomness is drawn at
     issue time rather than NIC-finish time, and the partition check happens

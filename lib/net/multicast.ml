@@ -33,6 +33,7 @@ and mbatch = {
   mutable mb_remaining : int;
   mutable mb_subs : subscription array;
   mutable mb_scratch : float array; (* per-target deser cost / finish slot *)
+  mutable mb_arrive : float array; (* per-target stage-1 time: a run reads it *)
   mutable mb_stage1 : int -> unit;
   mutable mb_stage2 : int -> unit;
 }
@@ -139,8 +140,8 @@ let rec mb_stage1 mb i =
         cpu.Host.recv_overhead
         +. (float_of_int mb.mb_size *. cpu.Host.per_byte_cost);
       Host.reserve_cpu_slot s.m_host ~costs:mb.mb_scratch ~into:mb.mb_scratch i;
-      Sim.Engine.schedule_pooled (Fabric.engine mb.mb_chan.fabric)
-        ~at:mb.mb_scratch.(i) mb.mb_stage2 i
+      Sim.Engine.schedule_run (Fabric.engine mb.mb_chan.fabric)
+        ~times:mb.mb_scratch ~first:i ~last:i mb.mb_stage2
     end
     else mb_terminal mb
   end
@@ -170,6 +171,7 @@ let new_mbatch t src =
       mb_remaining = 0;
       mb_subs = [||];
       mb_scratch = [||];
+      mb_arrive = [||];
       mb_stage1 = ignore_i;
       mb_stage2 = ignore_i;
     }
@@ -188,7 +190,8 @@ let acquire_mb t src =
   in
   if Array.length mb.mb_subs < t.cache_n then begin
     mb.mb_subs <- Array.make (Array.length t.cache) t.cache.(0);
-    mb.mb_scratch <- Array.make (Array.length t.cache) 0.0
+    mb.mb_scratch <- Array.make (Array.length t.cache) 0.0;
+    mb.mb_arrive <- Array.make (Array.length t.cache) 0.0
   end;
   mb
 
@@ -236,18 +239,17 @@ let send t ~src ~size payload =
     end
     else begin
       mb.mb_remaining <- !cnt;
+      (* With uniform latency every target propagates at the same instant
+         and the whole fan-out is one engine run; per-target overrides may
+         split it into several. *)
+      let arrive = mb.mb_arrive in
       if Fabric.has_latency_overrides t.fabric then
         for i = 0 to !cnt - 1 do
-          let delay = Fabric.latency t.fabric src mb.mb_subs.(i).m_host in
-          Sim.Engine.schedule_pooled engine ~at:(nic_fin +. delay) mb.mb_stage1 i
+          arrive.(i) <- nic_fin +. Fabric.latency t.fabric src mb.mb_subs.(i).m_host
         done
-      else begin
-        (* Uniform latency: every target propagates at the same instant, so
-           one boxed timestamp serves the whole fan-out. *)
-        let at = nic_fin +. (Fabric.config t.fabric).Fabric.base_latency in
-        for i = 0 to !cnt - 1 do
-          Sim.Engine.schedule_pooled engine ~at mb.mb_stage1 i
-        done
-      end
+      else
+        Array.fill arrive 0 !cnt
+          (nic_fin +. (Fabric.config t.fabric).Fabric.base_latency);
+      Fabric.schedule_stretches engine ~times:arrive ~n:!cnt mb.mb_stage1
     end
   end

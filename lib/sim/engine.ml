@@ -16,10 +16,12 @@ type event_id = event
 
 let ignore_i (_ : int) = ()
 
-(* The handle of every slab slot that holds a pooled event or nothing.
+(* The handle of every slab slot that holds a pooled run or nothing.
    It never escapes, so nothing can cancel it: it stays [Pending], as a
-   pooled event is never a tombstone. *)
+   pooled run is never a tombstone. *)
 let no_handle = { st = Pending; run = ignore }
+
+let no_times : float array = [||]
 
 (* The queue is a structure of arrays in two parts.
 
@@ -28,19 +30,31 @@ let no_handle = { st = Pending; run = ignore }
      hole and writes only floats and ints, so it pays no write barrier
      ([caml_modify]) per level and no pointer chase per comparison.
    - The slab holds what fires, indexed by [slot]: the classic handle (or
-     [no_handle]), and the pooled callback with its argument. A slot is
-     written once on schedule and cleared once on pop; free slots sit on
-     the [free] stack. Every slot is either free or named by exactly one
-     heap entry (tombstones included), so [len + nfree] is the capacity
-     of all seven arrays, and a full slab means a full heap. *)
+     [no_handle]), or a pooled run: its callback, the caller's [times]
+     array, the index of the element that fires next and the index of the
+     last one. A slot is written once on schedule and cleared once its
+     last element pops; free slots sit on the [free] stack. Every slot is
+     either free or named by exactly one heap entry (tombstones included),
+     so [len + nfree] is the capacity of all nine arrays, and a full slab
+     means a full heap.
+
+   A run holds one heap entry for all of its elements. Its key is the next
+   element's [(times.(j), seq)]; the run reserved the seq block of all its
+   elements up front. When element [j] fires, the root key becomes
+   element [j + 1]'s and sifts down in place. Each later element of a run
+   has a larger key than the one before it, so the heap minimum is the
+   same event at every step as if every element had been pushed on its
+   own: firing order does not change. *)
 type t = {
   mutable at : float array;
   mutable seq : int array; (* tie-break: schedule order *)
   mutable slot : int array;
   mutable len : int;
   mutable handle : event array;
-  mutable fn : (int -> unit) array; (* pooled events only *)
-  mutable arg : int array;
+  mutable fn : (int -> unit) array; (* pooled runs only *)
+  mutable times : float array array;
+  mutable arg : int array; (* the element that fires next *)
+  mutable last : int array;
   mutable free : int array;
   mutable nfree : int;
   mutable clock : time;
@@ -63,7 +77,9 @@ let create ?(seed = 1L) () =
     len = 0;
     handle = Array.make cap no_handle;
     fn = Array.make cap ignore_i;
+    times = Array.make cap no_times;
     arg = Array.make cap 0;
+    last = Array.make cap 0;
     free = free_stack ~hi:cap;
     nfree = cap;
     clock = 0.0;
@@ -91,7 +107,9 @@ let grow t =
   t.slot <- extend t.slot 0;
   t.handle <- extend t.handle no_handle;
   t.fn <- extend t.fn ignore_i;
+  t.times <- extend t.times no_times;
   t.arg <- extend t.arg 0;
+  t.last <- extend t.last 0;
   t.free <- free_stack ~hi:ncap;
   t.nfree <- cap
 
@@ -127,43 +145,45 @@ let[@inline] push t at sq s =
   Array.unsafe_set q !i sq;
   Array.unsafe_set sl !i s
 
+(* Put key [(ka, kq)] for slot [ks] at the root of a heap of [n] keys
+   and move it down past every smaller child. Inlined, so the float key
+   crosses no call boxed. *)
+let[@inline] sift_down t n ka kq ks =
+  let a = t.at and q = t.seq and sl = t.slot in
+  let i = ref 0 in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n
+           && (let ra = Array.unsafe_get a r and la = Array.unsafe_get a l in
+               ra < la || (ra = la && Array.unsafe_get q r < Array.unsafe_get q l))
+        then r
+        else l
+      in
+      let ca = Array.unsafe_get a c in
+      if ca < ka || (ca = ka && Array.unsafe_get q c < kq) then begin
+        Array.unsafe_set a !i ca;
+        Array.unsafe_set q !i (Array.unsafe_get q c);
+        Array.unsafe_set sl !i (Array.unsafe_get sl c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  Array.unsafe_set a !i ka;
+  Array.unsafe_set q !i kq;
+  Array.unsafe_set sl !i ks
+
 (* Drop the top key (precondition: [t.len > 0]): the last key fills the
-   hole at the root, which moves down past every smaller child. *)
+   hole at the root and sifts down. *)
 let remove_top t =
   let n = t.len - 1 in
   t.len <- n;
-  if n > 0 then begin
-    let a = t.at and q = t.seq and sl = t.slot in
-    let ka = Array.unsafe_get a n and kq = Array.unsafe_get q n in
-    let ks = Array.unsafe_get sl n in
-    let i = ref 0 in
-    let moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 in
-      if l >= n then moving := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < n
-             && (let ra = Array.unsafe_get a r and la = Array.unsafe_get a l in
-                 ra < la || (ra = la && Array.unsafe_get q r < Array.unsafe_get q l))
-          then r
-          else l
-        in
-        let ca = Array.unsafe_get a c in
-        if ca < ka || (ca = ka && Array.unsafe_get q c < kq) then begin
-          Array.unsafe_set a !i ca;
-          Array.unsafe_set q !i (Array.unsafe_get q c);
-          Array.unsafe_set sl !i (Array.unsafe_get sl c);
-          i := c
-        end
-        else moving := false
-      end
-    done;
-    Array.unsafe_set a !i ka;
-    Array.unsafe_set q !i kq;
-    Array.unsafe_set sl !i ks
-  end
+  if n > 0 then sift_down t n t.at.(n) t.seq.(n) t.slot.(n)
 
 let schedule_at t at run =
   let at = if at < t.clock then t.clock else at in
@@ -176,15 +196,20 @@ let schedule_at t at run =
   t.live <- t.live + 1;
   e
 
-let schedule_pooled t ~at run_i arg =
+let schedule_run t ~times ~first ~last h =
+  if first < 0 || first > last || last >= Array.length times then
+    invalid_arg "Engine.schedule_run: empty run or index out of bounds";
+  let at = times.(first) in
   let at = if at < t.clock then t.clock else at in
   let sq = t.next_seq in
-  t.next_seq <- sq + 1;
+  t.next_seq <- sq + (last - first + 1);
   let s = alloc_slot t in
-  t.fn.(s) <- run_i;
-  t.arg.(s) <- arg;
+  t.fn.(s) <- h;
+  t.times.(s) <- times;
+  t.arg.(s) <- first;
+  t.last.(s) <- last;
   push t at sq s;
-  t.live <- t.live + 1
+  t.live <- t.live + (last - first + 1)
 
 let schedule t ~delay run =
   let delay = if delay < 0.0 then 0.0 else delay in
@@ -207,21 +232,32 @@ let rec step t =
   else begin
     let s = t.slot.(0) in
     let at = t.at.(0) in
-    remove_top t;
     let e = t.handle.(s) in
     if e == no_handle then begin
-      (* Read out the callback and free the slot before firing: the
-         callback may schedule the next pooled event into this very slot. *)
-      let f = t.fn.(s) and a = t.arg.(s) in
-      t.fn.(s) <- ignore_i;
-      free_slot t s;
+      let f = t.fn.(s) and j = t.arg.(s) in
+      if j < t.last.(s) then begin
+        (* Advance the run in place: element [j + 1] takes over the root
+           with the next seq of the block, clamped like its first time. *)
+        let next = t.times.(s).(j + 1) in
+        t.arg.(s) <- j + 1;
+        sift_down t t.len (if next < at then at else next) (t.seq.(0) + 1) s
+      end
+      else begin
+        (* Read out the callback and free the slot before firing: the
+           callback may schedule the next pooled run into this very slot. *)
+        remove_top t;
+        t.fn.(s) <- ignore_i;
+        t.times.(s) <- no_times;
+        free_slot t s
+      end;
       t.live <- t.live - 1;
       t.fired <- t.fired + 1;
       t.clock <- at;
-      f a;
+      f j;
       true
     end
     else begin
+      remove_top t;
       t.handle.(s) <- no_handle;
       free_slot t s;
       match e.st with

@@ -7,7 +7,9 @@
     The queue is a binary heap whose keys (time, schedule order, slab slot)
     live in flat float and int arrays, over a slab of callbacks whose slots
     are reused: a push or pop moves only unboxed numbers, so it pays no GC
-    write barrier per heap level. *)
+    write barrier per heap level. A {!schedule_run} of pooled events holds
+    one heap entry however many elements it has: the queue grows with the
+    number of runs, not with the number of recipients of a fan-out. *)
 
 type t
 
@@ -38,15 +40,27 @@ val schedule : t -> delay:time -> (unit -> unit) -> event_id
 val schedule_at : t -> time -> (unit -> unit) -> event_id
 (** [schedule_at t at f] runs [f] at absolute time [at] (clamped to [now]). *)
 
-val schedule_pooled : t -> at:time -> (int -> unit) -> int -> unit
-(** [schedule_pooled t ~at f i] runs [f i] at absolute time [at] (clamped
-    to [now]). The event is just a reused slab slot holding [f] and [i],
-    with no record of its own: the steady-state fan-out loop schedules
-    without allocating beyond the boxed [at]. Pooled events are not
-    cancellable (no handle escapes, which is exactly what makes slot reuse
-    safe); callers needing revocation keep a guard of their own (e.g. a
-    host-epoch check) and use [f]'s argument to index it. Ordering is
-    identical to {!schedule_at} at equal timestamps. *)
+val schedule_run :
+  t -> times:float array -> first:int -> last:int -> (int -> unit) -> unit
+(** [schedule_run t ~times ~first ~last h] runs [h j] at [times.(j)] for
+    [j = first .. last]. [times] must be non-decreasing on that range; the
+    first time is clamped to [now], and so is every later one that falls
+    before it. The run is one reused slab slot and one heap entry holding
+    [h], [times] and the next index, with no record of its own: the
+    steady-state fan-out loop schedules without allocating. Element [j]
+    fires exactly as if it had been scheduled on its own by
+    {!schedule_at}, in index order: the run reserves the schedule-order
+    positions of all its elements up front, and {!pending} and
+    {!events_fired} count each element.
+
+    The engine reads [times.(first)] at the call and [times.(j + 1)] when
+    element [j] fires, so the caller must leave [times.(first + 1 .. last)]
+    unchanged until the run ends; a run of one leaves the array free at
+    once. Runs are not cancellable (no handle escapes, which is exactly
+    what makes slot reuse safe); callers needing revocation keep a guard of
+    their own (e.g. a host-epoch check) and use [h]'s argument to index it.
+    Raises [Invalid_argument] unless [0 <= first <= last < Array.length
+    times]. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event in O(1). The event stays queued as a tombstone

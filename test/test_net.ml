@@ -109,11 +109,12 @@ let test_partition_blocks_and_heals () =
 (* --- transmit_many golden equivalence ------------------------------------ *)
 
 (* Identical worlds fed either N chained [transmit] calls at one instant or a
-   single [transmit_many]; per-recipient delivery (and drop) timestamps must
-   match exactly. The topology deliberately stresses every equivalence
-   subtlety: multi-worker sender (NIC reservation order = stable sort on exec
-   finish), mixed destination profiles, a repeated destination host, a
-   loopback recipient, and nonzero jitter (RNG draw order). *)
+   single [transmit_many]; per-recipient delivery (and drop) timestamps, and
+   the order in which recipients fire, must match exactly. The topology
+   deliberately stresses every equivalence subtlety: multi-worker sender
+   (NIC reservation order = stable sort on exec finish), mixed destination
+   profiles, a repeated destination host, a loopback recipient, and nonzero
+   jitter (RNG draw order). *)
 let fanout_world ~config ~seed =
   let engine = Sim.Engine.create ~seed () in
   let fabric = Net.Fabric.create ~config engine in
@@ -129,35 +130,54 @@ let fanout_world ~config ~seed =
   let dsts = [| d0; d1; d2; d3; src (* loopback *); d5; d1 (* repeat *) |] in
   (engine, fabric, src, dsts)
 
-let run_fanout ~config ~seed ~size ?crash_src_at ~batched () =
+(* [crash_dsts_at] crashes every destination but the sender: a recipient
+   whose host is down on arrival reports its drop at its arrival instant.
+   [busy] jobs occupy sender workers just before the fan-out, so its
+   serialize slices start on workers that free up at different times. *)
+let run_fanout ~config ~seed ~size ?crash_src_at ?crash_dsts_at ?(busy = []) ~batched () =
   let engine, fabric, src, dsts = fanout_world ~config ~seed in
   let n = Array.length dsts in
   let delivered = Array.make n nan and dropped = Array.make n nan in
+  let order = ref [] in
+  let deliver i =
+    delivered.(i) <- Sim.Engine.now engine;
+    order := Printf.sprintf "k%d" i :: !order
+  and drop i =
+    dropped.(i) <- Sim.Engine.now engine;
+    order := Printf.sprintf "x%d" i :: !order
+  in
   (match crash_src_at with
   | Some at -> ignore (Sim.Engine.schedule_at engine at (fun () -> Net.Host.crash src))
   | None -> ());
+  (match crash_dsts_at with
+  | Some at ->
+      ignore
+        (Sim.Engine.schedule_at engine at (fun () ->
+             Array.iter (fun d -> if d != src then Net.Host.crash d) dsts))
+  | None -> ());
   ignore
     (Sim.Engine.schedule engine ~delay:0.002 (fun () ->
+         List.iter (fun cost -> Net.Host.exec src ~cost ignore) busy;
          if batched then
-           Net.Fabric.transmit_many fabric ~src ~size ~dsts
-             ~on_dropped:(fun i -> dropped.(i) <- Sim.Engine.now engine)
-             (fun i -> delivered.(i) <- Sim.Engine.now engine)
+           Net.Fabric.transmit_many fabric ~src ~size ~dsts ~on_dropped:drop deliver
          else
            Array.iteri
              (fun i dst ->
                Net.Fabric.transmit fabric ~src ~dst ~size
-                 ~on_dropped:(fun () -> dropped.(i) <- Sim.Engine.now engine)
-                 (fun () -> delivered.(i) <- Sim.Engine.now engine))
+                 ~on_dropped:(fun () -> drop i)
+                 (fun () -> deliver i))
              dsts));
   Sim.Engine.run engine;
-  (fabric, Array.to_list delivered, Array.to_list dropped)
+  (fabric, Array.to_list delivered, Array.to_list dropped, List.rev !order)
 
-let check_fanout_equivalence ~config ?crash_src_at name =
-  let _, chained_del, chained_drop =
-    run_fanout ~config ~seed:11L ~size:1024 ?crash_src_at ~batched:false ()
+let check_fanout_equivalence ~config ?crash_src_at ?crash_dsts_at ?busy name =
+  let _, chained_del, chained_drop, chained_order =
+    run_fanout ~config ~seed:11L ~size:1024 ?crash_src_at ?crash_dsts_at ?busy
+      ~batched:false ()
   in
-  let fabric, batched_del, batched_drop =
-    run_fanout ~config ~seed:11L ~size:1024 ?crash_src_at ~batched:true ()
+  let fabric, batched_del, batched_drop, batched_order =
+    run_fanout ~config ~seed:11L ~size:1024 ?crash_src_at ?crash_dsts_at ?busy
+      ~batched:true ()
   in
   Alcotest.(check int) "batched path exercised" 1 (Net.Fabric.batches_sent fabric);
   (* NaN-safe exact comparison: undelivered slots must stay undelivered. *)
@@ -167,25 +187,57 @@ let check_fanout_equivalence ~config ?crash_src_at name =
     (show chained_del) (show batched_del);
   Alcotest.(check string)
     (name ^ ": drop timestamps identical")
-    (show chained_drop) (show batched_drop)
+    (show chained_drop) (show batched_drop);
+  Alcotest.(check (list string))
+    (name ^ ": recipients fire in the same order")
+    chained_order batched_order
 
 let test_transmit_many_golden () =
   check_fanout_equivalence ~config:Net.Fabric.lan "lan";
   (* Campus profile: nonzero jitter exercises RNG draw ordering. *)
-  check_fanout_equivalence ~config:Net.Fabric.campus "campus"
+  check_fanout_equivalence ~config:Net.Fabric.campus "campus";
+  (* Two of the quad sender's four workers busy for different times: the
+     serialize slices still finish in recipient order. *)
+  check_fanout_equivalence ~config:Net.Fabric.campus ~busy:[ 3e-3; 1e-3 ]
+    "campus, busy workers"
+
+(* Jitter 25x one 1 kB NIC slot (0.8 ms at 10 Mbps): arrival times leave
+   issue order, so the batched fan-out's arrivals split into several
+   non-decreasing stretches, each its own queue run. *)
+let test_transmit_many_golden_wide_jitter () =
+  let wide = { Net.Fabric.base_latency = 1.5e-3; jitter = 20e-3; loss_rate = 0.0 } in
+  check_fanout_equivalence ~config:wide "wide jitter";
+  (* Crashing the destinations right after issue turns every non-loopback
+     recipient's arrival into a drop report at that instant. *)
+  let crash_dsts_at = 0.002 +. 1e-6 in
+  check_fanout_equivalence ~config:wide ~crash_dsts_at "wide jitter, dsts down";
+  let _, _, arrivals, _ =
+    run_fanout ~config:wide ~seed:11L ~size:1024 ~crash_dsts_at ~batched:true ()
+  in
+  let arrivals = List.filter (fun a -> not (Float.is_nan a)) arrivals in
+  Alcotest.(check int) "every remote recipient arrives" 6 (List.length arrivals);
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> a <= b && monotone rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "arrivals split into more than one stretch" false
+    (monotone arrivals)
 
 let test_transmit_many_golden_with_loss () =
   let lossy = { Net.Fabric.base_latency = 1.5e-3; jitter = 0.2e-3; loss_rate = 0.3 } in
   check_fanout_equivalence ~config:lossy "lossy";
   (* Same dropped set and drop instants under loss: verified by the exact
      drop-timestamp comparison above; make sure the case is non-trivial. *)
-  let _, _, drops = run_fanout ~config:lossy ~seed:11L ~size:1024 ~batched:true () in
+  let _, _, drops, _ = run_fanout ~config:lossy ~seed:11L ~size:1024 ~batched:true () in
   Alcotest.(check bool) "at least one loss drawn" true
     (List.exists (fun d -> not (Float.is_nan d)) drops)
 
-(* A fan-out over a jittered LAN (every testbed's network) allocates only
-   the jitter draw and the boxed delivery time per recipient: at most 6
-   minor words. *)
+(* A fan-out over a jittered LAN (every testbed's network), measured on
+   both sides of the queue. Issuing it allocates only the jitter draw per
+   recipient: at most 2.5 minor words (the arrival times go into the
+   batch's own array, so no boxed time is passed per recipient). Delivering
+   it allocates only the engine's boxed clock at each of a recipient's two
+   events: at most 4.5 words (a boxed stage-2 time would add 2). *)
 let test_transmit_many_jitter_allocation () =
   let engine = Sim.Engine.create ~seed:3L () in
   let config = { Net.Fabric.lan with Net.Fabric.jitter = 0.8e-3 } in
@@ -202,17 +254,22 @@ let test_transmit_many_jitter_allocation () =
   Sim.Engine.run engine;
   let w0 = Gc.minor_words () in
   Net.Fabric.transmit_many fabric ~src ~size:1000 ~dsts k;
-  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let w1 = Gc.minor_words () in
   Sim.Engine.run engine;
+  let w2 = Gc.minor_words () in
+  let issue = (w1 -. w0) /. float_of_int n and deliver = (w2 -. w1) /. float_of_int n in
   Alcotest.(check int) "every recipient reached twice" (2 * n) !got;
-  if words > 6.0 then Alcotest.failf "%.2f minor words per recipient (at most 6)" words
+  if issue > 2.5 then
+    Alcotest.failf "issue: %.2f minor words per recipient (at most 2.5)" issue;
+  if deliver > 4.5 then
+    Alcotest.failf "delivery: %.2f minor words per recipient (at most 4.5)" deliver
 
 let test_transmit_many_golden_src_crash () =
   (* Crash the sender mid-fan-out: the delivered prefix and the silenced
      suffix must be identical between the chained and batched paths. *)
   let crash_at = 0.002 +. 0.0015 in
   check_fanout_equivalence ~config:Net.Fabric.lan ~crash_src_at:crash_at "crash";
-  let _, delivered, _ =
+  let _, delivered, _, _ =
     run_fanout ~config:Net.Fabric.lan ~seed:11L ~size:1024 ~crash_src_at:crash_at
       ~batched:true ()
   in
@@ -384,6 +441,36 @@ let test_multicast_delivery () =
   Alcotest.(check int) "one packet on the source NIC" 1
     (Net.Fabric.packets_sent fabric)
 
+(* Per-target latency overrides put the arrivals out of join order: the
+   send splits them into several runs, and each target still receives at
+   its own latency after the one NIC transmission, earliest first, equal
+   arrivals in join order. *)
+let test_multicast_per_target_latency () =
+  let engine, fabric = make_world () in
+  let src = Net.Fabric.add_host fabric ~name:"src" () in
+  let lat = [| 5e-3; 1e-3; 3e-3; 3e-3; 0.5e-3 |] in
+  let chan = Net.Multicast.channel fabric ~name:"chan" in
+  let got = ref [] in
+  Array.iteri
+    (fun i l ->
+      let name = Printf.sprintf "m%d" i in
+      let h = Net.Fabric.add_host fabric ~name () in
+      Net.Fabric.set_latency fabric ~src:"src" ~dst:name l;
+      Net.Multicast.join chan h
+        ~handler:(fun ~size:_ _ -> got := (i, Sim.Engine.now engine) :: !got)
+        ())
+    lat;
+  Net.Multicast.send chan ~src ~size:100 (Net.Payload.Raw "x");
+  Sim.Engine.run engine;
+  let got = List.rev !got in
+  Alcotest.(check (list int)) "earliest arrival first, ties in join order"
+    [ 4; 1; 2; 3; 0 ] (List.map fst got);
+  let offsets = List.map (fun (i, at) -> at -. lat.(i)) got in
+  List.iter
+    (fun o ->
+      Alcotest.(check (float 1e-12)) "same send, own latency" (List.hd offsets) o)
+    offsets
+
 let test_multicast_respects_partition_and_crash () =
   let engine, fabric = make_world () in
   let src = Net.Fabric.add_host fabric ~name:"src" () in
@@ -501,6 +588,8 @@ let () =
           tc "partition blocks and heals" `Quick test_partition_blocks_and_heals;
           tc "latency override" `Quick test_latency_override;
           tc "transmit_many golden equivalence" `Quick test_transmit_many_golden;
+          tc "transmit_many golden under wide jitter" `Quick
+            test_transmit_many_golden_wide_jitter;
           tc "transmit_many golden under loss" `Quick
             test_transmit_many_golden_with_loss;
           tc "transmit_many golden under src crash" `Quick
@@ -524,6 +613,7 @@ let () =
         [
           tc "delivery excludes sender" `Quick test_multicast_delivery;
           tc "respects partition and crash" `Quick test_multicast_respects_partition_and_crash;
+          tc "per-target latency" `Quick test_multicast_per_target_latency;
           tc "multiple subscribers per host" `Quick
             test_multicast_multiple_subscribers_per_host;
           tc "registry shares channels" `Quick test_multicast_registry_shared;

@@ -182,7 +182,11 @@ module Model = struct
   let schedule t ~delay run =
     schedule_at t (t.clock +. if delay < 0.0 then 0.0 else delay) run
 
-  let schedule_pooled t ~at f a = ignore (schedule_at t at (fun () -> f a))
+  (* A run is its elements scheduled one by one, in index order. *)
+  let schedule_run t ~times ~first ~last h =
+    for j = first to last do
+      ignore (schedule_at t times.(j) (fun () -> h j))
+    done
 
   let cancel t e =
     if e.st = Pending then begin
@@ -232,7 +236,8 @@ module type ENGINE = sig
 
   val schedule_at : t -> float -> (unit -> unit) -> id
 
-  val schedule_pooled : t -> at:float -> (int -> unit) -> int -> unit
+  val schedule_run :
+    t -> times:float array -> first:int -> last:int -> (int -> unit) -> unit
 
   val cancel : t -> id -> unit
 
@@ -246,12 +251,19 @@ module type ENGINE = sig
 end
 
 (* What a fired event does besides logging itself. *)
-type nested = Then_schedule of float | Then_pooled of float | Then_cancel of int
+type nested =
+  | Then_schedule of float
+  | Then_pooled of float
+  | Then_run of float list (* offsets from now, non-decreasing *)
+  | Then_cancel of int
 
 type op =
   | Schedule of float * nested option (* delay, may be negative *)
   | Schedule_at of float * nested option (* absolute, may be in the past *)
   | Pooled of float * nested option (* absolute, may be in the past *)
+  | Run of float list * nested option
+      (* absolute, non-decreasing, the first may be in the past; the
+         nested action hangs off every element *)
   | Cancel of int (* picks a handle made so far, fired or not *)
   | Step
   | Run_until of float
@@ -264,6 +276,7 @@ module Replay (E : ENGINE) = struct
     let fires = ref [] and obs = ref [] in
     let handles = ref [||] and next_id = ref 0 in
     let nested_of = Hashtbl.create 16 in
+    let slot = [| nan |] in
     let cancel k =
       let n = Array.length !handles in
       if n > 0 then E.cancel t !handles.(k mod n)
@@ -274,6 +287,7 @@ module Replay (E : ENGINE) = struct
       | None -> ()
       | Some (Then_schedule d) -> classic (fun f -> E.schedule t ~delay:d f) None
       | Some (Then_pooled d) -> pooled (E.now t +. d) None
+      | Some (Then_run offsets) -> run (List.map (fun d -> E.now t +. d) offsets) None
       | Some (Then_cancel k) -> cancel k
     and fresh nested =
       let id = !next_id in
@@ -284,13 +298,29 @@ module Replay (E : ENGINE) = struct
       let id = fresh nested in
       let h = sched (fun () -> fire id) in
       handles := Array.append !handles [| h |]
-    and pooled at nested = E.schedule_pooled t ~at fire (fresh nested) in
+    (* A pooled event is a run of one over a shared slot, overwritten at
+       once: the engine must have read its time at the call. *)
+    and pooled at nested =
+      let id = fresh nested in
+      slot.(0) <- at;
+      E.schedule_run t ~times:slot ~first:0 ~last:0 (fun _ -> fire id);
+      slot.(0) <- nan
+    (* The run's times sit between two pads that break the order: the
+       engine must read only [first .. last]. *)
+    and run times nested =
+      let n = List.length times in
+      let base = !next_id in
+      List.iter (fun _ -> ignore (fresh nested)) times;
+      let arr = Array.of_list ((1e9 :: times) @ [ -1e9 ]) in
+      E.schedule_run t ~times:arr ~first:1 ~last:n (fun j -> fire (base + j - 1))
+    in
     List.iter
       (fun op ->
         (match op with
         | Schedule (d, n) -> classic (fun f -> E.schedule t ~delay:d f) n
         | Schedule_at (at, n) -> classic (fun f -> E.schedule_at t at f) n
         | Pooled (at, n) -> pooled at n
+        | Run (times, n) -> run times n
         | Cancel k -> cancel k
         | Step -> ignore (E.step t)
         | Run_until u -> E.run ~until:u t);
@@ -312,16 +342,31 @@ end)
 module Model_run = Replay (Model)
 
 (* Times on a coarse grid, so equal timestamps (the schedule-order
-   tie-break) and past times (the clamp to [now]) come up constantly. *)
+   tie-break) and past times (the clamp to [now]) come up constantly. A
+   run's times start on that grid and climb by 0 (equal timestamps), a half
+   or a whole unit; a third of runs have one element, and runs up to eight
+   long span several [run ~until] horizons, which then stop mid-run. *)
 let gen_op =
   let open QCheck.Gen in
   let time = map (fun k -> float_of_int k /. 2.0) (int_range (-2) 8) in
+  let run_times =
+    let steps =
+      frequency
+        [ (1, return []); (2, list_size (int_range 1 7) (oneofl [ 0.0; 0.5; 1.0 ])) ]
+    in
+    map2
+      (fun start steps ->
+        List.rev
+          (List.fold_left (fun acc d -> (List.hd acc +. d) :: acc) [ start ] steps))
+      time steps
+  in
   let nested =
     frequency
       [
         (3, return None);
         (1, map (fun d -> Some (Then_schedule d)) time);
         (1, map (fun d -> Some (Then_pooled d)) time);
+        (1, map (fun ts -> Some (Then_run ts)) run_times);
         (1, map (fun k -> Some (Then_cancel k)) nat);
       ]
   in
@@ -330,6 +375,7 @@ let gen_op =
       (3, map2 (fun d n -> Schedule (d, n)) time nested);
       (2, map2 (fun at n -> Schedule_at (at, n)) time nested);
       (3, map2 (fun at n -> Pooled (at, n)) time nested);
+      (3, map2 (fun ts n -> Run (ts, n)) run_times nested);
       (3, map (fun k -> Cancel k) nat);
       (2, return Step);
       (1, map (fun u -> Run_until u) time);
@@ -339,6 +385,8 @@ let show_op = function
   | Schedule (d, _) -> Printf.sprintf "schedule %g" d
   | Schedule_at (at, _) -> Printf.sprintf "schedule_at %g" at
   | Pooled (at, _) -> Printf.sprintf "pooled %g" at
+  | Run (ts, _) ->
+      Printf.sprintf "run [%s]" (String.concat ";" (List.map string_of_float ts))
   | Cancel k -> Printf.sprintf "cancel #%d" k
   | Step -> "step"
   | Run_until u -> Printf.sprintf "run ~until:%g" u
@@ -351,27 +399,31 @@ let prop_engine_matches_model =
     (fun ops -> Real_run.exec ops = Model_run.exec ops)
 
 (* The queue's sifts must not allocate: 100k pooled schedule+step pairs at
-   2000 pending may allocate only the caller's boxed time and the boxed
-   clock, 4 minor words per event. A sift written with closures that
-   capture the key allocates several times that. *)
+   2000 pending, each a run of one over the caller's one-slot times array,
+   may allocate only the engine's boxed clock, 2 minor words per event. A
+   sift written with closures that capture the key allocates several times
+   that, and a boxed time crossing the call adds 2 more. *)
 let test_pooled_step_allocation () =
   let e = Sim.Engine.create () in
   let hits = ref 0 in
-  let f i = hits := !hits + i in
+  let f (_ : int) = incr hits in
+  let times = [| 0.0 |] in
   let delay i = float_of_int (i * 7919 mod 1000) in
   for i = 0 to 1999 do
-    Sim.Engine.schedule_pooled e ~at:(delay i) f 1
+    times.(0) <- delay i;
+    Sim.Engine.schedule_run e ~times ~first:0 ~last:0 f
   done;
   let pairs = 100_000 in
   let w0 = Gc.minor_words () in
   for i = 1 to pairs do
-    Sim.Engine.schedule_pooled e ~at:(Sim.Engine.now e +. delay i) f 1;
+    times.(0) <- Sim.Engine.now e +. delay i;
+    Sim.Engine.schedule_run e ~times ~first:0 ~last:0 f;
     ignore (Sim.Engine.step e)
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int pairs in
   Alcotest.(check int) "pending held" 2000 (Sim.Engine.pending e);
   Alcotest.(check int) "every pair fired one event" pairs !hits;
-  if words > 4.0 then Alcotest.failf "%.2f minor words per event (at most 4)" words
+  if words > 2.0 then Alcotest.failf "%.2f minor words per event (at most 2)" words
 
 (* --- rng --------------------------------------------------------------- *)
 
@@ -531,7 +583,7 @@ let () =
           tc "deterministic runs" `Quick test_determinism;
           q prop_events_fire_in_nondecreasing_time;
           q prop_engine_matches_model;
-          tc "pooled step allocates at most 4 words" `Quick test_pooled_step_allocation;
+          tc "pooled step allocates at most 2 words" `Quick test_pooled_step_allocation;
         ] );
       ( "rng",
         [

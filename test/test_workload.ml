@@ -132,6 +132,45 @@ let test_join_ordering () =
   Alcotest.(check bool) "slow member dominates healthy" true (slow > healthy +. 1.0);
   Alcotest.(check bool) "crashed donor pays the timeout" true (crashed > 3.0)
 
+(* Virtual-time golden for the single-server fan-out: 300 members on the
+   jittered LAN every testbed uses, the last joiner broadcasting 20
+   sender-inclusive updates 20 ms apart. Every delivery, in firing order,
+   as (member, seqno, delivery time to the bit), hashes to one pinned
+   digest. A queue or fan-out change that moves any delivery, or reorders
+   two of them, changes the digest. *)
+let test_fanout_virtual_time_golden () =
+  let tb = Workload.Testbed.single_server ~seed:19L () in
+  let members = 300 and bcasts = 20 in
+  let log = Buffer.create (members * bcasts * 32) and deliveries = ref 0 in
+  let on_event cl = function
+    | Corona.Client.Delivered u ->
+        incr deliveries;
+        Printf.bprintf log "%s %d %h\n" (Corona.Client.member cl) u.T.seqno
+          (Sim.Engine.now tb.s_engine)
+    | _ -> ()
+  in
+  Workload.Testbed.spawn_clients tb.s_fabric ~hosts:tb.s_client_hosts
+    ~server_for:(fun _ -> tb.s_server_host)
+    ~n:members
+    (fun cls ->
+      Corona.Client.create_group cls.(0) ~group:"g"
+        ~k:(fun _ ->
+          Workload.Testbed.join_all cls ~group:"g" ~transfer:T.No_state (fun () ->
+              Array.iter (fun cl -> Corona.Client.set_on_event cl on_event) cls;
+              let probe = cls.(members - 1) in
+              for k = 0 to bcasts - 1 do
+                ignore
+                  (Sim.Engine.schedule tb.s_engine ~delay:(0.02 *. float_of_int k)
+                     (fun () ->
+                       Corona.Client.bcast_update probe ~group:"g" ~obj:"o"
+                         ~data:(String.make 100 'x') ()))
+              done))
+        ());
+  Sim.Engine.run tb.s_engine;
+  Alcotest.(check int) "every member got every broadcast" (members * bcasts) !deliveries;
+  Alcotest.(check string) "delivery digest" "10eed77e415df493b0d59ec7808c3bd6"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
 let test_disk_regimes () =
   let _, async_backlog =
     Workload.Exp_disk.flood ~logging:Corona.Server.Async_logging ~disk_rate:0.1e6
@@ -260,5 +299,6 @@ let () =
           tc "table2 replicated wins" `Quick test_table2_replicated_wins;
           tc "join ordering corona < slow < crashed" `Quick test_join_ordering;
           tc "disk regimes" `Quick test_disk_regimes;
+          tc "fan-out virtual-time golden" `Quick test_fanout_virtual_time_golden;
         ] );
     ]
