@@ -105,12 +105,13 @@ let bench_log_append () =
   done;
   Corona.State_log.next_seqno log
 
+(* The classic sequencer's hold-back: one stream of [Shard_holdback]. *)
 let bench_holdback () =
-  let hb = Ordering.Holdback.create () in
+  let hb = Ordering.Shard_holdback.create ~shards:1 () in
   for i = 99 downto 0 do
-    ignore (Ordering.Holdback.offer hb ~seqno:i i)
+    ignore (Ordering.Shard_holdback.offer hb ~shard:0 ~seqno:i i)
   done;
-  Ordering.Holdback.next_expected hb
+  Ordering.Shard_holdback.next_expected hb ~shard:0
 
 let bench_vclock () =
   let sites = Array.init 16 (Printf.sprintf "site-%d") in

@@ -427,7 +427,7 @@ let reconcile_after_heal t =
               List.iter
                 (fun (n, objects, vec) ->
                   if vec <> best_vec || objects <> best_objects then
-                    Replication.Node.adopt_group_state_sharded n group
+                    Replication.Node.adopt_group_state n group
                       ~objects:best_objects ~positions)
                 holders)
         (group_ids t);

@@ -1,7 +1,8 @@
 (* Per-shard hold-back queues with cross-shard barrier gating.
 
-   Each shard carries its own contiguous sequence-number stream (its own
-   [Holdback]-style buffer). A cross-shard barrier is a vector of per-shard
+   Each shard carries its own contiguous sequence-number stream with its own
+   out-of-order buffer; one shard is the classic single sequencer's total
+   order. A cross-shard barrier is a vector of per-shard
    positions stamped by the coordinator: the barrier payload fires exactly
    when every shard's applied position has reached its slot in the vector,
    and while a barrier is parked no shard may run past its slot — so every
@@ -16,6 +17,11 @@ type ('u, 'b) action = Deliver of int * 'u (* shard, item *) | Barrier of 'b
 type 'u stream = {
   mutable next : int; (* next expected seqno on this shard *)
   buffer : (int, 'u) Hashtbl.t; (* out-of-order arrivals *)
+  mutable min_buffered : int;
+      (* Lower bound on the smallest buffered seqno; [max_int] when empty.
+         Kept lazily: inserts tighten it in O(1), drains may leave it stale
+         (below every buffered seqno), and [gap] recomputes only then — so a
+         gap probe per offer is O(1), not a fold over the buffer. *)
 }
 
 type ('u, 'b) t = {
@@ -27,7 +33,9 @@ type ('u, 'b) t = {
 let create ~shards () =
   if shards < 1 then invalid_arg "Shard_holdback.create: shards < 1";
   {
-    shards = Array.init shards (fun _ -> { next = 0; buffer = Hashtbl.create 8 });
+    shards =
+      Array.init shards (fun _ ->
+          { next = 0; buffer = Hashtbl.create 8; min_buffered = max_int });
     parked = [];
     last_bar = -1;
   }
@@ -64,7 +72,8 @@ let drain_shard t s acc =
           Hashtbl.remove st.buffer st.next;
           acc := Deliver (s, item) :: !acc;
           st.next <- st.next + 1
-  done
+  done;
+  if Hashtbl.length st.buffer = 0 then st.min_buffered <- max_int
 
 (* Fire every satisfied head barrier, then re-drain all shards the lifted
    cap may have unblocked; repeat until a barrier still waits or none are
@@ -86,6 +95,7 @@ let offer t ~shard ~seqno item =
   if seqno < st.next || Hashtbl.mem st.buffer seqno then []
   else begin
     Hashtbl.replace st.buffer seqno item;
+    if seqno < st.min_buffered then st.min_buffered <- seqno;
     let acc = ref [] in
     drain_shard t shard acc;
     settle t acc;
@@ -109,11 +119,14 @@ let gap t ~shard =
   let st = t.shards.(shard) in
   if Hashtbl.length st.buffer = 0 then None
   else begin
-    let min_buffered =
-      Hashtbl.fold (fun s _ acc -> min s acc) st.buffer max_int
-    in
-    if min_buffered > st.next then Some (st.next, min_buffered - 1) else None
+    if st.min_buffered < st.next then
+      (* Stale bound (a drain consumed the old minimum): recompute, amortized
+         against the drain that invalidated it. *)
+      st.min_buffered <- Hashtbl.fold (fun s _ acc -> min s acc) st.buffer max_int;
+    if st.min_buffered > st.next then Some (st.next, st.min_buffered - 1) else None
   end
+
+let pending t ~shard = Hashtbl.length t.shards.(shard).buffer
 
 (* A barrier can also stall on streams that will never advance on their own
    (the missing updates were lost with a crashed sequencer): expose which
@@ -146,6 +159,7 @@ let reset t ~vector =
     (fun s next ->
       let st = t.shards.(s) in
       Hashtbl.reset st.buffer;
+      st.min_buffered <- max_int;
       st.next <- next)
     vector
 

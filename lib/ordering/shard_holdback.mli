@@ -1,7 +1,8 @@
 (** Per-shard hold-back queues with cross-shard barrier gating.
 
-    Each shard carries its own contiguous sequence-number stream (its own
-    [Holdback]-style buffer). A cross-shard barrier is a vector of
+    Each shard carries its own contiguous sequence-number stream with its
+    own out-of-order buffer; with one shard this is the classic single
+    sequencer's hold-back queue (Corona's total order, §4.1). A cross-shard barrier is a vector of
     per-shard positions stamped by the coordinator: the barrier payload
     fires exactly when every shard's applied position has reached its slot
     in the vector, and while a barrier is parked no shard may run past its
@@ -44,7 +45,11 @@ val poll : ('u, 'b) t -> ('u, 'b) action list
 
 val gap : ('u, 'b) t -> shard:int -> (int * int) option
 (** First missing contiguous range on a shard, for gap repair:
-    [Some (from, upto)] when something is buffered beyond a hole. *)
+    [Some (from, upto)] when something is buffered beyond a hole. O(1)
+    amortized: the buffer's minimum is kept lazily. *)
+
+val pending : ('u, 'b) t -> shard:int -> int
+(** Held-back (out-of-order) items buffered on a shard. *)
 
 val stalled_shards : ('u, 'b) t -> (int * int) list
 (** Shards still short of the head barrier's slot, as [(shard, next)] —

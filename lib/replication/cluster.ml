@@ -62,7 +62,9 @@ let reconcile t ~group ~side_a ~side_b ~resolution =
   let live = live_nodes t in
   List.iter
     (fun (g, objects, at_seqno) ->
-      List.iter (fun n -> Node.adopt_group_state n g ~at_seqno ~objects) live)
+      List.iter
+        (fun n -> Node.adopt_group_state n g ~objects ~positions:[ (0, at_seqno) ])
+        live)
     outcome.Reconcile.o_groups;
   (* Re-unify under the earliest live server in the startup list. *)
   (match live with

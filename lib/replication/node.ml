@@ -8,11 +8,9 @@ type config = {
   server_port : int;
   heartbeat_interval : float;
   failure_timeout : float;
-  election_timeout : float;
   reduction : SL.reduction_policy;
   access : Corona.Access_control.t;
   relaxed_membership : bool;
-  server_multicast : bool;
   record_lock_journal : bool;
   wal_batching : Storage.Wal.batch_config option;
   shards : int;
@@ -25,16 +23,18 @@ let default_config =
     server_port = 7100;
     heartbeat_interval = 0.5;
     failure_timeout = 1.6;
-    election_timeout = 0.4;
     reduction = SL.No_reduction;
     access = Corona.Access_control.allow_all;
     relaxed_membership = false;
-    server_multicast = false;
     record_lock_journal = false;
     wal_batching = None;
     shards = 1;
     sharded_direct_views = false;
   }
+
+(* Escalation unit of the election; also paces the recovery round's settle
+   timer and the barrier re-prepare. *)
+let election_timeout = 0.4
 
 type role = Coordinator | Replica
 
@@ -48,34 +48,30 @@ type stats = {
   took_over_at : float option;
 }
 
-(* Sharded sequencing state of a group copy (cfg.shards > 1): one state log
-   per shard — disjoint (group, object-id) slices, each its own contiguous
-   seqno stream and WAL — plus the cross-shard hold-back that interleaves
-   barrier-stamped ops identically on every replica. *)
-type sgroup = {
-  sg_logs : SL.t array;
-  sg_hb :
-    ( T.update * T.delivery_mode * Smsg.origin_tag,
-      int * int array * Smsg.shard_op )
-    Ordering.Shard_holdback.t;
-}
+module SH = Ordering.Shard_holdback
 
-(* Local copy of a group at a replica. [rg_log = None] while the state fetch
-   is in flight. *)
+(* Local copy of a group at a replica: one state log per sequencing shard —
+   disjoint (group, object-id) slices, each its own contiguous seqno stream
+   and WAL — behind one hold-back that releases every stream in order and
+   interleaves barrier-stamped ops identically on every replica. A classic
+   copy is the one-shard case; its log keeps the plain group name.
+   [rg_logs = None] while the state fetch is in flight. *)
 type rgroup = {
   rg_id : T.group_id;
   mutable rg_persistent : bool;
-  mutable rg_log : SL.t option;
+  mutable rg_logs : SL.t array option;
   rg_local : Corona.Membership.t; (* clients of this replica *)
   mutable rg_global : T.member list;
-  rg_holdback : (T.update * T.delivery_mode * Smsg.origin_tag) Ordering.Holdback.t;
+  rg_hb :
+    ( T.update * T.delivery_mode * Smsg.origin_tag,
+      int * int array * Smsg.shard_op )
+    SH.t;
   rg_last_og : (int * Smsg.server_id, int) Hashtbl.t;
       (* duplicate filter: (shard, origin server) -> last og_seq applied. A
          classic copy is shard 0; sharded, one origin's forwards spray
          across shards, so a single per-origin watermark would not be
          monotone. *)
   mutable rg_expecting_blob : bool; (* a State_blob is on its way *)
-  mutable rg_shards : sgroup option; (* sharded-mode copy, else None *)
   mutable rg_pending_sjoins : T.member_id list;
       (* sharded joins whose barrier fired before our copy was seeded *)
 }
@@ -203,16 +199,13 @@ let is_current t =
 (* --- inspection -------------------------------------------------------- *)
 
 let groups_held t =
-  Hashtbl.fold
-    (fun g rg acc ->
-      if rg.rg_log <> None || rg.rg_shards <> None then g :: acc else acc)
-    t.rgroups []
+  Hashtbl.fold (fun g rg acc -> if rg.rg_logs <> None then g :: acc else acc) t.rgroups []
   |> List.sort String.compare
 
-let log_of t g =
-  match Hashtbl.find_opt t.rgroups g with
-  | Some { rg_log = Some log; _ } -> Some log
-  | Some { rg_log = None; _ } | None -> None
+(* The group-wide log: only a one-shard copy has one. *)
+let group_log rg = match rg.rg_logs with Some [| log |] -> Some log | Some _ | None -> None
+
+let log_of t g = Option.bind (Hashtbl.find_opt t.rgroups g) group_log
 
 let group_state t g = Option.map SL.state (log_of t g)
 
@@ -243,26 +236,26 @@ let lock_journal t =
 
 (* --- sharded inspection ------------------------------------------------- *)
 
-let group_shard_vector t g =
+(* A seeded copy, or None. *)
+let held t g =
   match Hashtbl.find_opt t.rgroups g with
-  | Some { rg_shards = Some sg; _ } ->
-      Some (Ordering.Shard_holdback.positions sg.sg_hb)
-  | Some _ | None -> None
+  | Some ({ rg_logs = Some logs; _ } as rg) -> Some (rg, logs)
+  | Some { rg_logs = None; _ } | None -> None
 
-(* Merged materialized objects of a sharded copy: shard slices are disjoint
-   by construction, so concatenation (re-sorted by id) is the group state. *)
-let shard_snapshot_objects sg =
+let group_shard_vector t g = Option.map (fun (rg, _) -> SH.positions rg.rg_hb) (held t g)
+
+(* Merged materialized objects of a copy: shard slices are disjoint by
+   construction, so concatenation (re-sorted by id) is the group state. *)
+let shard_snapshot_objects logs =
   let objs =
     Array.fold_left
       (fun acc log -> List.rev_append (Corona.Shared_state.objects (SL.state log)) acc)
-      [] sg.sg_logs
+      [] logs
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) objs
 
 let group_shard_objects t g =
-  match Hashtbl.find_opt t.rgroups g with
-  | Some { rg_shards = Some sg; _ } -> Some (shard_snapshot_objects sg)
-  | Some _ | None -> None
+  Option.map (fun (_, logs) -> shard_snapshot_objects logs) (held t g)
 
 let barrier_journal t = List.rev t.barrier_journal
 
@@ -301,13 +294,12 @@ and make_rgroup t group =
     {
       rg_id = group;
       rg_persistent = false;
-      rg_log = None;
+      rg_logs = None;
       rg_local = Corona.Membership.create ();
       rg_global = [];
-      rg_holdback = Ordering.Holdback.create ();
+      rg_hb = SH.create ~shards:t.cfg.shards ();
       rg_last_og = Hashtbl.create 8;
       rg_expecting_blob = false;
-      rg_shards = None;
       rg_pending_sjoins = [];
     }
   in
@@ -319,34 +311,71 @@ and rgroup_of t group =
   | Some rg -> rg
   | None -> make_rgroup t group
 
-(* A state log named [name] (a group, or one shard of it) on its own WAL. *)
-and make_log t name ~persistent ~at_seqno ~initial =
-  let wal = Corona.Server_storage.wal_for t.storage ?batching:t.cfg.wal_batching name in
-  SL.create ~group:name ~persistent ~wal
-    ~checkpoints:(Corona.Server_storage.checkpoints t.storage)
-    ~policy:t.cfg.reduction ~at_seqno ~initial ()
+(* The log of one shard of a group, on its own WAL: a classic copy's single
+   log keeps the plain group name. *)
+and shard_log_name t group shard =
+  if sharded t then group ^ "#" ^ string_of_int shard else group
 
-and seed_rgroup t rg ~persistent ~at_seqno ~objects =
-  let log = make_log t rg.rg_id ~persistent ~at_seqno ~initial:objects in
-  rg.rg_persistent <- persistent;
-  rg.rg_log <- Some log;
+(* One log per shard, stream [s] starting at [vector.(s)] with the objects
+   [by_shard.(s)]. *)
+and make_logs t rg ~vector ~by_shard =
+  Array.init t.cfg.shards (fun s ->
+      let name = shard_log_name t rg.rg_id s in
+      let wal = Corona.Server_storage.wal_for t.storage ?batching:t.cfg.wal_batching name in
+      SL.create ~group:name ~persistent:rg.rg_persistent ~wal
+        ~checkpoints:(Corona.Server_storage.checkpoints t.storage)
+        ~policy:t.cfg.reduction ~at_seqno:vector.(s) ~initial:by_shard.(s) ())
+
+(* Seed (or overwrite) a copy from a snapshot: objects are routed to their
+   shard's log by the same deterministic map the sequencers use, and each
+   stream starts at the snapshot's position for it ([positions] lists
+   (shard, next); a missing shard starts at 0). *)
+and seed_rgroup t rg ~objects ~positions =
+  let shards = t.cfg.shards in
+  let vector = Array.make shards 0 in
+  List.iter (fun (s, n) -> if s >= 0 && s < shards then vector.(s) <- n) positions;
+  let by_shard = Array.make shards [] in
+  List.iter
+    (fun (obj, data) ->
+      let s = Ordering.Shard_map.shard_of ~shards ~group:rg.rg_id ~obj in
+      by_shard.(s) <- (obj, data) :: by_shard.(s))
+    objects;
+  SH.reset rg.rg_hb ~vector;
+  rg.rg_logs <- Some (make_logs t rg ~vector ~by_shard:(Array.map List.rev by_shard));
+  (* Sharded, the per-shard duplicate filters restart with the streams; a
+     classic copy keeps the watermarks of updates it applied while its
+     state was in flight. *)
+  if sharded t then Hashtbl.reset rg.rg_last_og;
   rg.rg_expecting_blob <- false;
-  Ordering.Holdback.reset rg.rg_holdback ~next:at_seqno;
+  (* The adopted positions may already satisfy a parked barrier. *)
+  run_actions t rg (SH.poll rg.rg_hb);
+  let waiting = List.rev rg.rg_pending_sjoins in
+  rg.rg_pending_sjoins <- [];
+  List.iter (fun member -> complete_shard_join t rg member) waiting;
   complete_ready_joins t rg
+
+(* A sharded copy logs from its first sequenced update or barrier on, at
+   position 0, before any state arrives (a seed overwrites it). *)
+and logs_of t rg =
+  match rg.rg_logs with
+  | Some logs -> logs
+  | None ->
+      let shards = t.cfg.shards in
+      let logs =
+        make_logs t rg ~vector:(Array.make shards 0) ~by_shard:(Array.make shards [])
+      in
+      rg.rg_logs <- Some logs;
+      logs
 
 and drop_rgroup t group =
   (match Hashtbl.find_opt t.rgroups group with
-  | Some rg -> (
+  | Some rg ->
       E.forget_group t.eng rg.rg_local ~group;
-      match rg with
-      | { rg_log = Some log; _ } -> SL.delete_durable log
-      | { rg_shards = Some sg; _ } ->
-          Array.iteri
-            (fun s log ->
-              SL.delete_durable log;
-              Corona.Server_storage.drop_group t.storage (shard_log_name group s))
-            sg.sg_logs
-      | _ -> ())
+      Option.iter
+        (Array.iteri (fun s log ->
+             SL.delete_durable log;
+             Corona.Server_storage.drop_group t.storage (shard_log_name t group s)))
+        rg.rg_logs
   | None -> ());
   Corona.Server_storage.drop_group t.storage group;
   Hashtbl.remove t.rgroups group
@@ -364,8 +393,10 @@ and admit t rg member (pj : pending_join) =
   in
   E.add_member t.eng rg.rg_local ~group:rg.rg_id ~member ~role ~notify:pj.pj_notify
 
+(* A classic join takes its state from the group-wide log; a sharded one
+   completes when its view barrier fires ([complete_shard_join]). *)
 and complete_join t rg member (pj : pending_join) =
-  match (rg.rg_log, pj.pj_result) with
+  match (group_log rg, pj.pj_result) with
   | Some log, Some (_, members) ->
       rg.rg_global <- members;
       admit t rg member pj;
@@ -388,27 +419,15 @@ and complete_ready_joins t rg =
    hold-back, apply whatever became deliverable, and fetch the missing
    suffix from the coordinator if the stream has a gap. *)
 and offer t rg ~shard (u : T.update) mode origin =
-  let gap =
-    if sharded t then begin
-      let sg = sgroup_of t rg in
-      run_shard_actions t rg
-        (Ordering.Shard_holdback.offer sg.sg_hb ~shard ~seqno:u.seqno (u, mode, origin));
-      Option.map
-        (fun (from_seqno, _) ->
-          Smsg.Fetch_shard { from = t.self; group = rg.rg_id; shard; from_seqno })
-        (Ordering.Shard_holdback.gap sg.sg_hb ~shard)
-    end
-    else begin
-      List.iter
-        (fun (u, mode, origin) -> apply t rg ~shard u mode origin)
-        (Ordering.Holdback.offer rg.rg_holdback ~seqno:u.seqno (u, mode, origin));
-      Option.map
-        (fun (from_seqno, _) ->
-          Smsg.Fetch_updates { from = t.self; group = rg.rg_id; from_seqno })
-        (Ordering.Holdback.gap rg.rg_holdback)
-    end
-  in
-  Option.iter (send_srv t t.coord) gap
+  if sharded t then ignore (logs_of t rg);
+  run_actions t rg (SH.offer rg.rg_hb ~shard ~seqno:u.seqno (u, mode, origin));
+  match SH.gap rg.rg_hb ~shard with
+  | None -> ()
+  | Some (from_seqno, _) ->
+      let group = rg.rg_id in
+      send_srv t t.coord
+        (if sharded t then Smsg.Fetch_shard { from = t.self; group; shard; from_seqno }
+         else Smsg.Fetch_updates { from = t.self; group; from_seqno })
 
 (* Repaired updates carry no origin tag: [apply] skips the duplicate filter
    for them. *)
@@ -436,17 +455,10 @@ and apply t rg ~shard (u : T.update) mode (origin : Smsg.origin_tag) =
   if origin.og_server <> "" then Hashtbl.replace rg.rg_last_og key origin.og_seq;
   if origin.og_server = t.self then Hashtbl.remove t.pending_bcast origin.og_seq;
   if not duplicate then begin
-    let resp =
-      match rg.rg_shards with
-      | Some sg ->
-          SL.apply_sequenced sg.sg_logs.(shard) u ~on_durable:(fun _ -> ());
-          M.Shard_deliver { shard; update = u }
-      | None ->
-          (match rg.rg_log with
-          | Some log -> SL.apply_sequenced log u ~on_durable:(fun _ -> ())
-          | None -> ());
-          M.Deliver u
-    in
+    (match rg.rg_logs with
+    | Some logs -> SL.apply_sequenced logs.(shard) u ~on_durable:(fun _ -> ())
+    | None -> ());
+    let resp = if sharded t then M.Shard_deliver { shard; update = u } else M.Deliver u in
     t.s_applied <- t.s_applied + 1;
     let exclude =
       match mode with T.Sender_exclusive -> Some u.sender | T.Sender_inclusive -> None
@@ -460,68 +472,11 @@ and apply t rg ~shard (u : T.update) mode (origin : Smsg.origin_tag) =
 and shard_owner t shard =
   if Array.length t.shard_owners = 0 then t.coord else t.shard_owners.(shard)
 
-and shard_log_name group shard = group ^ "#" ^ string_of_int shard
-
-and sgroup_of t rg =
-  match rg.rg_shards with
-  | Some sg -> sg
-  | None ->
-      let shards = t.cfg.shards in
-      let sg =
-        {
-          sg_logs =
-            Array.init shards (fun s ->
-                make_log t (shard_log_name rg.rg_id s) ~persistent:rg.rg_persistent
-                  ~at_seqno:0 ~initial:[]);
-          sg_hb = Ordering.Shard_holdback.create ~shards ();
-        }
-      in
-      rg.rg_shards <- Some sg;
-      sg
-
-(* Seed (or overwrite) a sharded copy from a snapshot: objects are routed to
-   their shard's log by the same deterministic map the sequencers use, and
-   each stream starts at the snapshot's per-shard position. *)
-and seed_sgroup t rg ~objects ~positions =
-  let shards = t.cfg.shards in
-  let vec = Array.make shards 0 in
-  List.iter (fun (s, n) -> if s >= 0 && s < shards then vec.(s) <- n) positions;
-  let by_shard = Array.make shards [] in
-  List.iter
-    (fun (obj, data) ->
-      let s = Ordering.Shard_map.shard_of ~shards ~group:rg.rg_id ~obj in
-      by_shard.(s) <- (obj, data) :: by_shard.(s))
-    objects;
-  let hb =
-    match rg.rg_shards with
-    | Some old -> old.sg_hb
-    | None -> Ordering.Shard_holdback.create ~shards ()
-  in
-  Ordering.Shard_holdback.reset hb ~vector:vec;
-  let sg =
-    {
-      sg_logs =
-        Array.init shards (fun s ->
-            make_log t (shard_log_name rg.rg_id s) ~persistent:rg.rg_persistent
-              ~at_seqno:vec.(s) ~initial:(List.rev by_shard.(s)));
-      sg_hb = hb;
-    }
-  in
-  rg.rg_shards <- Some sg;
-  Hashtbl.reset rg.rg_last_og;
-  rg.rg_expecting_blob <- false;
-  (* The adopted positions may already satisfy a parked barrier. *)
-  run_shard_actions t rg (Ordering.Shard_holdback.poll sg.sg_hb);
-  let waiting = List.rev rg.rg_pending_sjoins in
-  rg.rg_pending_sjoins <- [];
-  List.iter (fun member -> complete_shard_join t rg member) waiting
-
 (* Stream positions come from the hold-back, not the logs: a re-sequenced
    duplicate consumes its slot everywhere but is never logged (the classic
    duplicate-filter contract), so the log's next seqno may trail. *)
-and shard_positions sg =
-  Array.to_list
-    (Array.mapi (fun s n -> (s, n)) (Ordering.Shard_holdback.positions sg.sg_hb))
+and shard_positions rg =
+  Array.to_list (Array.mapi (fun s n -> (s, n)) (SH.positions rg.rg_hb))
 
 (* Size the message once and issue one batched transmit to [servers], minus
    [except]. Self-delivery (synchronous [handle_smsg]) happens after the peer
@@ -593,13 +548,11 @@ and first_sequencing t ~group ~shard (origin : Smsg.origin_tag) =
       Hashtbl.replace t.seq_dedup key origin.og_seq;
       true
 
-and run_shard_actions t rg actions =
+and run_actions t rg actions =
   List.iter
     (function
-      | Ordering.Shard_holdback.Deliver (shard, (u, mode, origin)) ->
-          apply t rg ~shard u mode origin
-      | Ordering.Shard_holdback.Barrier (bar, vector, op) ->
-          apply_shard_op t rg ~bar ~vector op)
+      | SH.Deliver (shard, (u, mode, origin)) -> apply t rg ~shard u mode origin
+      | SH.Barrier (bar, vector, op) -> apply_shard_op t rg ~bar ~vector op)
     actions
 
 (* A cross-shard op fires at its stamped vector: every replica runs this at
@@ -656,7 +609,7 @@ and complete_shard_join t rg member =
   match Hashtbl.find_opt t.pending_join (rg.rg_id, member) with
   | None -> ()
   | Some pj ->
-      let sg = sgroup_of t rg in
+      let logs = logs_of t rg in
       admit t rg member pj;
       if Net.Tcp.is_open pj.pj_conn then begin
         E.send t.eng pj.pj_conn
@@ -665,17 +618,12 @@ and complete_shard_join t rg member =
                group = rg.rg_id;
                at_seqno = 0;
                state =
-                 M.Snapshot { objects = shard_snapshot_objects sg; log_tail = [] };
+                 M.Snapshot { objects = shard_snapshot_objects logs; log_tail = [] };
                members = rg.rg_global;
                multicast = false;
              });
         E.send t.eng pj.pj_conn
-          (M.Shard_joined
-             {
-               group = rg.rg_id;
-               vector =
-                 Array.to_list (Ordering.Shard_holdback.positions sg.sg_hb);
-             })
+          (M.Shard_joined { group = rg.rg_id; vector = Array.to_list (SH.positions rg.rg_hb) })
       end
 
 (* --- coordinator: barrier engine ------------------------------------------ *)
@@ -838,10 +786,8 @@ and shard_handle t ~from msg =
       match Hashtbl.find_opt t.rgroups group with
       | None -> ()
       | Some rg ->
-          let sg = sgroup_of t rg in
-          run_shard_actions t rg
-            (Ordering.Shard_holdback.offer_barrier sg.sg_hb ~bar ~vector
-               (bar, vector, op)))
+          ignore (logs_of t rg);
+          run_actions t rg (SH.offer_barrier rg.rg_hb ~bar ~vector (bar, vector, op)))
   | Smsg.Shard_assign { epoch; owners; positions; origins } ->
       if epoch >= t.shard_epoch then begin
         t.shard_epoch <- epoch;
@@ -866,33 +812,19 @@ and shard_handle t ~from msg =
         resend_bcasts t
       end
   | Smsg.Fetch_shard { from; group; shard; from_seqno } -> (
-      match Hashtbl.find_opt t.rgroups group with
-      | Some { rg_shards = Some sg; _ }
-        when from <> t.self && SL.next_seqno sg.sg_logs.(shard) > from_seqno ->
+      match held t group with
+      | Some (_, logs) when from <> t.self && SL.next_seqno logs.(shard) > from_seqno ->
           send_srv t from
             (Smsg.Shard_updates
-               { group; shard; updates = SL.updates_from sg.sg_logs.(shard) from_seqno })
-      | _ -> relay_fetch t ~from group msg)
+               { group; shard; updates = SL.updates_from logs.(shard) from_seqno })
+      | Some _ | None -> relay_fetch t ~from group msg)
   | Smsg.Shard_updates { group; shard; updates } -> offer_repairs t group ~shard updates
   | _ -> ()
 
 (* --- coordinator: directory operations ----------------------------------- *)
 
-and srv_mcast_channel t =
-  Net.Multicast.channel t.fabric ~name:"corona-srv"
-
 and coord_fan_group t entry ?except msg =
-  match msg with
-  | Smsg.Sequenced _ when t.cfg.server_multicast ->
-      (* §4.1: one transmission reaches every server; replicas that hold no
-         copy of the group simply ignore the update. Gap repair covers
-         best-effort losses. *)
-      Net.Multicast.send (srv_mcast_channel t) ~src:t.node_host
-        ~size:(Smsg.wire_size msg) (Smsg.Srv msg);
-      (* The channel skips the sending host: deliver locally too. *)
-      if List.mem t.self (Directory.replicas_of entry) then
-        handle_smsg t ~from:t.self msg
-  | _ -> send_peers t ?except (Directory.replicas_of entry) msg
+  send_peers t ?except (Directory.replicas_of entry) msg
 [@@corona.hot]
 
 and coord_handle t ~from msg =
@@ -1140,8 +1072,7 @@ and replica_handle t ~from msg =
           | None ->
               let rg = rgroup_of t group in
               rg.rg_persistent <- persistent;
-              if t.cfg.shards > 1 then seed_sgroup t rg ~objects:initial ~positions:[]
-              else seed_rgroup t rg ~persistent ~at_seqno:0 ~objects:initial;
+              seed_rgroup t rg ~objects:initial ~positions:[];
               if Net.Tcp.is_open conn then E.send t.eng conn (M.Group_created { group })))
   | Smsg.Join_result { group; member; error; next_seqno; members; holder } -> (
       let key = (group, member) in
@@ -1159,19 +1090,15 @@ and replica_handle t ~from msg =
               (* Sharded, the join completes when its view barrier fires
                  ([complete_shard_join]); here we only make sure a copy is on
                  its way. *)
-              let seeded =
-                if sharded t then rg.rg_shards <> None else rg.rg_log <> None
-              in
-              match (seeded, holder) with
-              | true, _ -> if not (sharded t) then complete_join t rg member pj
+              match (rg.rg_logs <> None, holder) with
+              | true, _ -> complete_join t rg member pj
               | false, Some _ -> rg.rg_expecting_blob <- true
               | false, None ->
                   (* We are the first holder (or the only copy was lost):
-                     start from an empty state at the group's position. *)
-                  if rg.rg_expecting_blob then ()
-                  else if sharded t then seed_sgroup t rg ~objects:[] ~positions:[]
-                  else
-                    seed_rgroup t rg ~persistent:false ~at_seqno:next_seqno ~objects:[]))
+                     start from an empty state at the group's position (the
+                     directory counts no group-wide seqno when sharded). *)
+                  if not rg.rg_expecting_blob then
+                    seed_rgroup t rg ~objects:[] ~positions:[ (0, next_seqno) ]))
   | Smsg.Membership_update { group; change; members } -> (
       match Hashtbl.find_opt t.rgroups group with
       | None -> ()
@@ -1203,9 +1130,7 @@ and replica_handle t ~from msg =
   | Smsg.Fetch_state { from = requester; group } ->
       let at_seqno, objects, error, shards =
         match Hashtbl.find_opt t.rgroups group with
-        | Some { rg_shards = Some sg; _ } ->
-            (0, shard_snapshot_objects sg, None, shard_positions sg)
-        | Some { rg_log = Some log; _ } ->
+        | Some { rg_logs = Some [| log |]; _ } ->
             (* State copy for re-replication: share the materialized objects
                with the join-state cache instead of paying a fresh
                materialize per fetch. *)
@@ -1213,27 +1138,28 @@ and replica_handle t ~from msg =
               Corona.Transfer.snapshot_objects ~cache:(E.transfer_cache t.eng) log,
               None,
               [] )
-        | Some { rg_log = None; _ } | None -> (0, [], Some "state not here", [])
+        | Some ({ rg_logs = Some logs; _ } as rg) ->
+            (0, shard_snapshot_objects logs, None, shard_positions rg)
+        | Some { rg_logs = None; _ } | None -> (0, [], Some "state not here", [])
       in
       send_srv t requester (Smsg.State_blob { group; at_seqno; objects; error; shards })
   | Smsg.State_blob { group; at_seqno = _; objects; error; shards = blob_shards }
     when t.cfg.shards > 1 -> (
       match Hashtbl.find_opt t.rgroups group with
-      | Some rg when rg.rg_shards = None || rg.rg_expecting_blob -> (
+      | Some rg when rg.rg_logs = None || rg.rg_expecting_blob -> (
           match error with
-          | None -> seed_sgroup t rg ~objects ~positions:blob_shards
+          | None -> seed_rgroup t rg ~objects ~positions:blob_shards
           | Some _ ->
               rg.rg_expecting_blob <- false;
               (* Seed an empty sharded copy rather than stalling pending
                  joins forever. *)
-              if rg.rg_shards = None then
-                seed_sgroup t rg ~objects:[] ~positions:[])
+              if rg.rg_logs = None then seed_rgroup t rg ~objects:[] ~positions:[])
       | Some _ | None -> ())
   | Smsg.State_blob { group; at_seqno; objects; error; shards = _ } -> (
       match Hashtbl.find_opt t.rgroups group with
-      | Some rg when rg.rg_log = None -> (
+      | Some rg when rg.rg_logs = None -> (
           match error with
-          | None -> seed_rgroup t rg ~persistent:rg.rg_persistent ~at_seqno ~objects
+          | None -> seed_rgroup t rg ~objects ~positions:[ (0, at_seqno) ]
           | Some _ ->
               rg.rg_expecting_blob <- false;
               (* Complete any waiting joins from an empty state rather than
@@ -1248,12 +1174,12 @@ and replica_handle t ~from msg =
                   t.pending_join []
               in
               (match waiting with
-              | ns :: _ -> seed_rgroup t rg ~persistent:false ~at_seqno:ns ~objects:[]
+              | ns :: _ -> seed_rgroup t rg ~objects:[] ~positions:[ (0, ns) ]
               | [] -> ()))
       | Some _ | None -> ())
   | Smsg.Fetch_updates { from; group; from_seqno } -> (
-      match Hashtbl.find_opt t.rgroups group with
-      | Some { rg_log = Some log; _ } when SL.next_seqno log > from_seqno ->
+      match Option.bind (Hashtbl.find_opt t.rgroups group) group_log with
+      | Some log when SL.next_seqno log > from_seqno ->
           (* We are a holder with the missing suffix: answer directly. *)
           send_srv t from
             (Smsg.Updates_blob { group; updates = SL.updates_from log from_seqno })
@@ -1262,8 +1188,7 @@ and replica_handle t ~from msg =
   | Smsg.Add_replica { group; holder = _ } ->
       (* The blob will follow (the coordinator ordered the fetch). *)
       let rg = rgroup_of t group in
-      if rg.rg_log = None && (t.cfg.shards <= 1 || rg.rg_shards = None) then
-        rg.rg_expecting_blob <- true
+      if rg.rg_logs = None then rg.rg_expecting_blob <- true
   | Smsg.Delete_group { group } when from = t.coord ->
       (* A deposed coordinator's delete, still in flight when a partition
          heals, must not destroy the copy the current reign serves. *)
@@ -1412,7 +1337,7 @@ and start_directory_recovery t ~announce =
   let round = t.dir_round in
   ignore
     (Sim.Engine.schedule (Net.Fabric.engine t.fabric)
-       ~delay:(2.0 *. t.cfg.election_timeout)
+       ~delay:(2.0 *. election_timeout)
        (fun () -> if (not t.dir_ready) && t.dir_round = round then finish_directory_recovery t))
 
 (* This node's holdings for a directory rebuild, newest-first in table
@@ -1421,14 +1346,12 @@ and start_directory_recovery t ~announce =
 and dir_reports t =
   Hashtbl.fold
     (fun g rg acc ->
-      if rg.rg_log = None && rg.rg_shards = None then acc
+      if rg.rg_logs = None then acc
       else
         {
           Smsg.dr_group = g;
           dr_persistent = rg.rg_persistent;
-          dr_next_seqno =
-            (if rg.rg_log = None then 0
-             else Ordering.Holdback.next_expected rg.rg_holdback);
+          dr_next_seqno = (if sharded t then 0 else SH.next_expected rg.rg_hb ~shard:0);
           dr_members =
             List.map
               (fun (e : Corona.Membership.entry) ->
@@ -1436,8 +1359,7 @@ and dir_reports t =
               (Corona.Membership.entries rg.rg_local);
           dr_origins =
             Hashtbl.fold (fun (s, o) seq acc -> (s, o, seq) :: acc) rg.rg_last_og [];
-          dr_shards =
-            (match rg.rg_shards with Some sg -> shard_positions sg | None -> []);
+          dr_shards = (if sharded t then shard_positions rg else []);
         }
         :: acc)
     t.rgroups []
@@ -1581,21 +1503,14 @@ and dispatch_smsg t ~from msg =
 
 (* --- client request handling ---------------------------------------------- *)
 
-let adopt_group_state t group ~at_seqno ~objects =
-  let rg = rgroup_of t group in
-  let persistent = rg.rg_persistent in
-  rg.rg_log <- None;
-  Hashtbl.reset rg.rg_last_og;
-  seed_rgroup t rg ~persistent ~at_seqno ~objects
-
-let adopt_group_state_sharded t group ~objects ~positions =
+let adopt_group_state t group ~objects ~positions =
   let rg = rgroup_of t group in
   (* Post-heal resync: barriers parked under the previous regime are dead
-     (the healed coordinator re-prepares in-flight ones). *)
-  (match rg.rg_shards with
-  | Some sg -> Ordering.Shard_holdback.clear_barriers sg.sg_hb
-  | None -> ());
-  seed_sgroup t rg ~objects ~positions
+     (the healed coordinator re-prepares in-flight ones), and so are the
+     duplicate filters of the overwritten streams. *)
+  SH.clear_barriers rg.rg_hb;
+  Hashtbl.reset rg.rg_last_og;
+  seed_rgroup t rg ~objects ~positions
 
 let admin_heal t ~coordinator =
   t.alive <- t.server_list;
@@ -1687,8 +1602,10 @@ let handle_client_request t conn (req : M.request) =
   | M.Reduce_log { group; member = _ } -> (
       (* Log reduction is a local matter: each holder trims its own copy. *)
       match Hashtbl.find_opt t.rgroups group with
-      | Some { rg_log = Some log; _ } -> E.reduce_log t.eng conn ~group log
-      | Some { rg_log = None; _ } | None -> E.fail t.eng conn group "no such group")
+      | Some { rg_logs = Some [| log |]; _ } -> E.reduce_log t.eng conn ~group log
+      | Some { rg_logs = Some _; _ } ->
+          E.fail t.eng conn group "sharded group: no group-wide log to reduce"
+      | Some { rg_logs = None; _ } | None -> E.fail t.eng conn group "no such group")
   | M.Resend _ ->
       (* §6 sender-assisted recovery is a single-server feature; replicated
          groups restore lost suffixes from other holders instead. *)
@@ -1733,7 +1650,7 @@ let heartbeat_tick t =
       if t.node_role = Coordinator then
         List.iter
           (fun ib ->
-            if now_ -. ib.ib_started > t.cfg.election_timeout then begin
+            if now_ -. ib.ib_started > election_timeout then begin
               ib.ib_pos <- [];
               barrier_prepare_round t ib
             end)
@@ -1742,14 +1659,11 @@ let heartbeat_tick t =
          died with their sequencer: fetch the missing suffixes. *)
       Hashtbl.iter
         (fun group rg ->
-          match rg.rg_shards with
-          | None -> ()
-          | Some sg ->
-              List.iter
-                (fun (shard, from_seqno) ->
-                  send_srv t t.coord
-                    (Smsg.Fetch_shard { from = t.self; group; shard; from_seqno }))
-                (Ordering.Shard_holdback.stalled_shards sg.sg_hb))
+          List.iter
+            (fun (shard, from_seqno) ->
+              send_srv t t.coord
+                (Smsg.Fetch_shard { from = t.self; group; shard; from_seqno }))
+            (SH.stalled_shards rg.rg_hb))
         t.rgroups
     end
   end;
@@ -1831,8 +1745,7 @@ let create fabric node_host ?(config = default_config) ~storage ~server_list
       last_seen = Hashtbl.create 16;
       election =
         lazy
-          (Election.List_order.create_with ~timeout:config.election_timeout
-             (election_env t));
+          (Election.List_order.create_with ~timeout:election_timeout (election_env t));
       stopped = false;
       node_epoch = Net.Host.epoch node_host;
       shard_epoch = 0;
@@ -1855,18 +1768,6 @@ let create fabric node_host ?(config = default_config) ~storage ~server_list
       s_took_over_at = None;
     }
   in
-  if config.server_multicast then
-    Net.Multicast.join
-      (Net.Multicast.channel fabric ~name:"corona-srv")
-      node_host ~key:self
-      ~handler:(fun ~size:_ payload ->
-        match payload with
-        | Smsg.Srv (Smsg.Sequenced _ as msg) ->
-            (* Sender identity travels in the origin tag; "from" is only
-               used for reply routing, which Sequenced never needs. *)
-            dispatch_smsg t ~from:t.coord msg
-        | Smsg.Srv _ | _ -> ())
-      ();
   ignore (Net.Tcp.listen fabric node_host ~port:config.server_port ~on_accept:(accept_peer t));
   ignore (Net.Tcp.listen fabric node_host ~port:config.client_port ~on_accept:(accept_client t));
   Sim.Engine.periodic (Net.Fabric.engine fabric) ~every:config.heartbeat_interval

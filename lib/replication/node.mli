@@ -25,19 +25,12 @@ type config = {
   server_port : int;
   heartbeat_interval : float;
   failure_timeout : float;  (** silence before declaring a peer dead *)
-  election_timeout : float;  (** escalation unit of the paper's election *)
   reduction : Corona.State_log.reduction_policy;
   access : Corona.Access_control.t;
   relaxed_membership : bool;
       (** §4.1 relaxation: the origin replica notifies its local clients of
           joins/leaves immediately, without waiting for the coordinator
           round-trip *)
-  server_multicast : bool;
-      (** §4.1: "it is possible to use IP-multicast for broadcasting
-          messages among the servers, while also maintaining point-to-point
-          connections" — when on, the coordinator fans [Sequenced] updates
-          out on one inter-server channel; control traffic and recovery stay
-          on the TCP mesh *)
   record_lock_journal : bool;
       (** keep the directory's per-group lock grant journals in memory for
           invariant checking ({!Check}); off by default *)
@@ -62,9 +55,10 @@ type config = {
 }
 
 val default_config : config
-(** Ports 7000/7100, 0.5 s heartbeats, 1.6 s failure timeout, 0.4 s election
-    unit, no auto reduction, allow-all access, relaxation and server
-    multicast off. *)
+(** Ports 7000/7100, 0.5 s heartbeats, 1.6 s failure timeout, no auto
+    reduction, allow-all access, relaxation off, one shard. The election's
+    escalation unit is fixed at 0.4 s; it also paces the recovery round's
+    settle timer and the barrier re-prepare. *)
 
 type role = Coordinator | Replica
 
@@ -139,13 +133,13 @@ val shard_owners : t -> Smsg.server_id array
     [[||]] unsharded). *)
 
 val group_shard_vector : t -> Proto.Types.group_id -> int array option
-(** Applied per-shard positions of the local sharded copy — the next
-    expected seqno of each stream. [None] if no sharded copy here. *)
+(** Applied per-shard positions of the local copy — the next expected seqno
+    of each stream (one entry on a classic copy). [None] if no copy here. *)
 
 val group_shard_objects :
   t -> Proto.Types.group_id -> (Proto.Types.object_id * string) list option
-(** Merged object view of the local sharded copy: every shard's objects,
-    sorted by id (shards cover disjoint slices). *)
+(** Merged object view of the local copy: every shard's objects, sorted by
+    id (shards cover disjoint slices). *)
 
 val barrier_journal : t -> string list
 (** Encoded {!Proto.Message.barrier_frame} records journaled while this node
@@ -155,24 +149,16 @@ val barrier_journal : t -> string list
 val adopt_group_state :
   t ->
   Proto.Types.group_id ->
-  at_seqno:int ->
-  objects:(Proto.Types.object_id * string) list ->
-  unit
-(** Partition reconciliation hook (§4.2): overwrite the local copy of a
-    group with the resolved state. The application chooses the resolution;
-    this applies it. *)
-
-val adopt_group_state_sharded :
-  t ->
-  Proto.Types.group_id ->
   objects:(Proto.Types.object_id * string) list ->
   positions:(int * int) list ->
   unit
-(** Sharded counterpart of {!adopt_group_state}: overwrite the local sharded
-    copy with resolved objects (re-routed to shards by the deterministic
-    map) and per-shard stream positions. Barriers parked under the previous
-    regime are dropped (the healed coordinator re-prepares in-flight
-    ones). *)
+(** Partition reconciliation hook (§4.2): overwrite the local copy of a
+    group with the resolved state. The application chooses the resolution;
+    this applies it. [objects] are routed to shards by the deterministic
+    map; [positions] gives each stream's next seqno as [(shard, next)] —
+    a classic copy is shard 0 at the group's seqno. Barriers parked under
+    the previous regime are dropped (the healed coordinator re-prepares
+    in-flight ones). *)
 
 val admin_heal : t -> coordinator:Smsg.server_id -> unit
 (** After a partition heals: accept [coordinator] as the single coordinator

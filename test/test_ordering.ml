@@ -1,24 +1,8 @@
-(* Tests for the ordering substrate: Lamport clocks, vector clock laws,
-   causal delivery (BSS), and the sequencer hold-back queue. *)
+(* Tests for the ordering substrate: vector clock laws, causal delivery
+   (BSS), the (group, object) shard map, and the sequencer hold-back — per
+   shard, with cross-shard barriers; one shard is the classic total order. *)
 
 module V = Ordering.Vclock
-
-(* --- lamport ---------------------------------------------------------- *)
-
-let test_lamport_basic () =
-  let c = Ordering.Lamport.create () in
-  Alcotest.(check int) "starts at 0" 0 (Ordering.Lamport.now c);
-  Alcotest.(check int) "tick" 1 (Ordering.Lamport.tick c);
-  Alcotest.(check int) "observe jumps past remote" 11 (Ordering.Lamport.observe c 10);
-  Alcotest.(check int) "observe old remote still advances" 12
-    (Ordering.Lamport.observe c 3)
-
-let test_lamport_stamps_total_order () =
-  let a = Ordering.Lamport.create () and b = Ordering.Lamport.create () in
-  let s1 = Ordering.Lamport.stamp a ~site:"a" in
-  let s2 = Ordering.Lamport.stamp b ~site:"b" in
-  (* Equal times break ties by site: the order is total either way. *)
-  Alcotest.(check bool) "comparable" true (Ordering.Lamport.Stamp.compare s1 s2 <> 0)
 
 (* --- vclock ------------------------------------------------------------- *)
 
@@ -129,94 +113,6 @@ let prop_causal_delivery_order_per_sender =
         arrival;
       List.rev !delivered = List.init n Fun.id)
 
-(* --- holdback -------------------------------------------------------------- *)
-
-let test_holdback_in_order () =
-  let hb = Ordering.Holdback.create () in
-  Alcotest.(check (list string)) "0 released" [ "a" ]
-    (Ordering.Holdback.offer hb ~seqno:0 "a");
-  Alcotest.(check (list string)) "1 released" [ "b" ]
-    (Ordering.Holdback.offer hb ~seqno:1 "b")
-
-let test_holdback_gap_then_run () =
-  let hb = Ordering.Holdback.create () in
-  Alcotest.(check (list string)) "2 held" [] (Ordering.Holdback.offer hb ~seqno:2 "c");
-  Alcotest.(check (list string)) "1 held" [] (Ordering.Holdback.offer hb ~seqno:1 "b");
-  Alcotest.(check (option (pair int int))) "gap reported" (Some (0, 0))
-    (Ordering.Holdback.gap hb);
-  Alcotest.(check (list string)) "0 releases the run" [ "a"; "b"; "c" ]
-    (Ordering.Holdback.offer hb ~seqno:0 "a");
-  Alcotest.(check (option (pair int int))) "no gap" None (Ordering.Holdback.gap hb)
-
-let test_holdback_duplicates_and_stale () =
-  let hb = Ordering.Holdback.create () in
-  ignore (Ordering.Holdback.offer hb ~seqno:0 "a");
-  Alcotest.(check (list string)) "stale dropped" []
-    (Ordering.Holdback.offer hb ~seqno:0 "a'");
-  ignore (Ordering.Holdback.offer hb ~seqno:2 "c");
-  Alcotest.(check (list string)) "duplicate buffered dropped" []
-    (Ordering.Holdback.offer hb ~seqno:2 "c'");
-  Alcotest.(check (list string)) "run preserves first copy" [ "b"; "c" ]
-    (Ordering.Holdback.offer hb ~seqno:1 "b")
-
-let test_holdback_reset () =
-  let hb = Ordering.Holdback.create () in
-  ignore (Ordering.Holdback.offer hb ~seqno:5 "x");
-  Ordering.Holdback.reset hb ~next:10;
-  Alcotest.(check int) "pending cleared" 0 (Ordering.Holdback.pending hb);
-  Alcotest.(check (list string)) "resumes at new position" [ "y" ]
-    (Ordering.Holdback.offer hb ~seqno:10 "y")
-
-let test_holdback_gap_after_drain () =
-  (* Exercises the lazily-tracked minimum: draining the old minimum leaves
-     the cached bound stale, and the next [gap] probe must recompute it
-     rather than report a gap that has already closed. *)
-  let hb = Ordering.Holdback.create () in
-  ignore (Ordering.Holdback.offer hb ~seqno:5 "e");
-  ignore (Ordering.Holdback.offer hb ~seqno:9 "i");
-  Alcotest.(check (option (pair int int))) "initial gap" (Some (0, 4))
-    (Ordering.Holdback.gap hb);
-  List.iter
-    (fun s -> ignore (Ordering.Holdback.offer hb ~seqno:s (string_of_int s)))
-    [ 0; 1; 2; 3 ];
-  Alcotest.(check (list string)) "drain through the old minimum" [ "4"; "e" ]
-    (Ordering.Holdback.offer hb ~seqno:4 "4");
-  Alcotest.(check (option (pair int int))) "gap recomputed after drain"
-    (Some (6, 8))
-    (Ordering.Holdback.gap hb);
-  Alcotest.(check (list string)) "rest drains" [ "6"; "7"; "8"; "i" ]
-    (List.concat_map
-       (fun s -> Ordering.Holdback.offer hb ~seqno:s (string_of_int s))
-       [ 8; 7; 6 ]);
-  Alcotest.(check (option (pair int int))) "empty buffer, no gap" None
-    (Ordering.Holdback.gap hb)
-
-let test_holdback_gap_after_reset () =
-  let hb = Ordering.Holdback.create () in
-  ignore (Ordering.Holdback.offer hb ~seqno:3 "x");
-  Ordering.Holdback.reset hb ~next:10;
-  Alcotest.(check (option (pair int int))) "reset clears gap" None
-    (Ordering.Holdback.gap hb);
-  ignore (Ordering.Holdback.offer hb ~seqno:12 "z");
-  Alcotest.(check (option (pair int int)))
-    "gap relative to the reset position" (Some (10, 11))
-    (Ordering.Holdback.gap hb)
-
-let prop_holdback_releases_in_sequence =
-  QCheck.Test.make ~name:"any permutation is released 0..n-1 in order" ~count:200
-    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let arrival = Array.init n Fun.id in
-      let rng = Sim.Rng.create (Int64.of_int seed) in
-      Sim.Rng.shuffle rng arrival;
-      let hb = Ordering.Holdback.create () in
-      let out = ref [] in
-      Array.iter
-        (fun i ->
-          List.iter (fun x -> out := x :: !out) (Ordering.Holdback.offer hb ~seqno:i i))
-        arrival;
-      List.rev !out = List.init n Fun.id && Ordering.Holdback.pending hb = 0)
-
 (* --- shard map ------------------------------------------------------------ *)
 
 module SM = Ordering.Shard_map
@@ -267,7 +163,7 @@ let test_shard_map_initial_owners () =
     [| "s0"; "s1"; "s2"; "s0"; "s1" |]
     (SM.initial_owners ~shards:5 [ "s0"; "s1"; "s2" ])
 
-(* --- shard holdback ------------------------------------------------------- *)
+(* --- hold-back queues --------------------------------------------------- *)
 
 module SH = Ordering.Shard_holdback
 
@@ -276,6 +172,92 @@ let deliveries actions =
 
 let barriers actions =
   List.filter_map (function SH.Barrier b -> Some b | SH.Deliver _ -> None) actions
+
+(* --- holdback: one shard, the classic sequencer's single stream ---------- *)
+
+let one_stream () = SH.create ~shards:1 ()
+
+let offer1 hb ~seqno x = List.map snd (deliveries (SH.offer hb ~shard:0 ~seqno x))
+
+let test_holdback_in_order () =
+  let hb = one_stream () in
+  Alcotest.(check (list string)) "0 released" [ "a" ] (offer1 hb ~seqno:0 "a");
+  Alcotest.(check (list string)) "1 released" [ "b" ] (offer1 hb ~seqno:1 "b")
+
+let test_holdback_gap_then_run () =
+  let hb = one_stream () in
+  Alcotest.(check (list string)) "2 held" [] (offer1 hb ~seqno:2 "c");
+  Alcotest.(check (list string)) "1 held" [] (offer1 hb ~seqno:1 "b");
+  Alcotest.(check (option (pair int int))) "gap reported" (Some (0, 0))
+    (SH.gap hb ~shard:0);
+  Alcotest.(check (list string)) "0 releases the run" [ "a"; "b"; "c" ]
+    (offer1 hb ~seqno:0 "a");
+  Alcotest.(check (option (pair int int))) "no gap" None (SH.gap hb ~shard:0)
+
+let test_holdback_duplicates_and_stale () =
+  let hb = one_stream () in
+  ignore (offer1 hb ~seqno:0 "a");
+  Alcotest.(check (list string)) "stale dropped" [] (offer1 hb ~seqno:0 "a'");
+  ignore (offer1 hb ~seqno:2 "c");
+  Alcotest.(check (list string)) "duplicate buffered dropped" []
+    (offer1 hb ~seqno:2 "c'");
+  Alcotest.(check (list string)) "run preserves first copy" [ "b"; "c" ]
+    (offer1 hb ~seqno:1 "b")
+
+let test_holdback_reset () =
+  let hb = one_stream () in
+  ignore (offer1 hb ~seqno:5 "x");
+  SH.reset hb ~vector:[| 10 |];
+  Alcotest.(check int) "pending cleared" 0 (SH.pending hb ~shard:0);
+  Alcotest.(check (list string)) "resumes at new position" [ "y" ]
+    (offer1 hb ~seqno:10 "y")
+
+let test_holdback_gap_after_drain () =
+  (* Exercises the lazily-tracked minimum: draining the old minimum leaves
+     the cached bound stale, and the next [gap] probe must recompute it
+     rather than report a gap that has already closed. *)
+  let hb = one_stream () in
+  ignore (offer1 hb ~seqno:5 "e");
+  ignore (offer1 hb ~seqno:9 "i");
+  Alcotest.(check (option (pair int int))) "initial gap" (Some (0, 4))
+    (SH.gap hb ~shard:0);
+  List.iter (fun s -> ignore (offer1 hb ~seqno:s (string_of_int s))) [ 0; 1; 2; 3 ];
+  Alcotest.(check (list string)) "drain through the old minimum" [ "4"; "e" ]
+    (offer1 hb ~seqno:4 "4");
+  Alcotest.(check (option (pair int int))) "gap recomputed after drain"
+    (Some (6, 8))
+    (SH.gap hb ~shard:0);
+  Alcotest.(check (list string)) "rest drains" [ "6"; "7"; "8"; "i" ]
+    (List.concat_map (fun s -> offer1 hb ~seqno:s (string_of_int s)) [ 8; 7; 6 ]);
+  Alcotest.(check (option (pair int int))) "empty buffer, no gap" None
+    (SH.gap hb ~shard:0)
+
+let test_holdback_gap_after_reset () =
+  let hb = one_stream () in
+  ignore (offer1 hb ~seqno:3 "x");
+  SH.reset hb ~vector:[| 10 |];
+  Alcotest.(check (option (pair int int))) "reset clears gap" None
+    (SH.gap hb ~shard:0);
+  ignore (offer1 hb ~seqno:12 "z");
+  Alcotest.(check (option (pair int int)))
+    "gap relative to the reset position" (Some (10, 11))
+    (SH.gap hb ~shard:0)
+
+let prop_holdback_releases_in_sequence =
+  QCheck.Test.make ~name:"any permutation is released 0..n-1 in order" ~count:200
+    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let arrival = Array.init n Fun.id in
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      Sim.Rng.shuffle rng arrival;
+      let hb = one_stream () in
+      let out = ref [] in
+      Array.iter
+        (fun i -> List.iter (fun x -> out := x :: !out) (offer1 hb ~seqno:i i))
+        arrival;
+      List.rev !out = List.init n Fun.id && SH.pending hb ~shard:0 = 0)
+
+(* --- shard holdback: N streams with cross-shard barriers ---------------- *)
 
 let test_shard_streams_independent () =
   let hb = SH.create ~shards:2 () in
@@ -394,11 +376,6 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ordering"
     [
-      ( "lamport",
-        [
-          tc "tick and observe" `Quick test_lamport_basic;
-          tc "stamps totally ordered" `Quick test_lamport_stamps_total_order;
-        ] );
       ( "vclock",
         [
           tc "causal relations" `Quick test_vclock_relations;

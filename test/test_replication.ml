@@ -160,43 +160,6 @@ let test_total_order_three_replicas () =
   let seqnos = List.map fst (seq 0) in
   Alcotest.(check (list int)) "gapless total order" (List.init 30 Fun.id) seqnos
 
-(* §4.1 option: the coordinator fans sequenced updates over one
-   inter-server IP-multicast transmission; the flow must be identical. *)
-let test_server_multicast_fanout () =
-  let config =
-    { Replication.Node.default_config with server_multicast = true }
-  in
-  let w = make_world ~config () in
-  let got = ref [] in
-  connect w ~idx:0 ~member:"a" (fun a ->
-      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
-      Corona.Client.join a ~group:"g"
-        ~k:(fun _ ->
-          connect w ~idx:1 ~member:"b" (fun b ->
-              Corona.Client.set_on_event b (fun _ -> function
-                | Corona.Client.Delivered u -> got := u.T.data :: !got
-                | _ -> ());
-              Corona.Client.join b ~group:"g"
-                ~k:(fun _ ->
-                  for i = 0 to 9 do
-                    Corona.Client.bcast_update a ~group:"g" ~obj:"o"
-                      ~data:(Printf.sprintf "u%d" i) ()
-                  done)
-                ()))
-        ());
-  run ~until:30.0 w;
-  Alcotest.(check (list string)) "all updates via the server channel"
-    (List.init 10 (Printf.sprintf "u%d"))
-    (List.rev !got);
-  (* Replica copies converge too. *)
-  let n = Replication.Cluster.replica_for w.cluster 1 in
-  match Replication.Node.group_state n "g" with
-  | Some st ->
-      Alcotest.(check (option string)) "copy converged"
-        (Some (String.concat "" (List.init 10 (Printf.sprintf "u%d"))))
-        (Corona.Shared_state.get st "o")
-  | None -> Alcotest.fail "no copy"
-
 (* §4.1 relaxation: the origin replica notifies its local clients of a
    join before the coordinator round-trip; remote clients still hear it
    exactly once. *)
@@ -875,6 +838,49 @@ let sharded_owner_loss ~victim () =
   Alcotest.(check bool) "post-recovery write to the moved shard delivered" true
     (List.mem "after" !c_got)
 
+(* Log reduction is a local matter: the replica serving the requester trims
+   its own copy after five writes. A classic copy answers [Log_reduced]; a
+   sharded copy has no group-wide log and refuses, naming sharding. *)
+let reduce_after_writes ?config () =
+  let w = make_world ?config () in
+  let reply = ref None in
+  connect w ~idx:0 ~member:"a" (fun a ->
+      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g"
+        ~k:(fun r ->
+          ignore (expect_join "join a" r);
+          for i = 0 to 4 do
+            Corona.Client.bcast_update a ~group:"g" ~obj:"o" ~data:(string_of_int i) ()
+          done;
+          ignore
+            (Sim.Engine.schedule w.engine ~delay:1.0 (fun () ->
+                 Corona.Client.reduce_log a ~group:"g" ~k:(fun r -> reply := Some r))))
+        ());
+  run ~until:5.0 w;
+  (w, !reply)
+
+let test_reduce_log_classic () =
+  let w, reply = reduce_after_writes () in
+  (match reply with
+  | Some (Corona.Client.R_reduced upto) ->
+      Alcotest.(check int) "trimmed through every write" 5 upto
+  | _ -> Alcotest.fail "expected Log_reduced");
+  let base n = Option.map snd (Replication.Node.group_base n "g") in
+  let serving = Replication.Cluster.replica_for w.cluster 0 in
+  Alcotest.(check (option int)) "the serving copy's base moved" (Some 5) (base serving);
+  Alcotest.(check bool) "the backup copy is untouched" true
+    (List.exists
+       (fun n -> n != serving && base n = Some 0)
+       (Replication.Cluster.live_nodes w.cluster))
+
+let test_reduce_log_sharded () =
+  let config = { Replication.Node.default_config with shards = 2 } in
+  match reduce_after_writes ~config () with
+  | _, Some (Corona.Client.R_failed reason) ->
+      Alcotest.(check bool) ("refusal names sharding: " ^ reason) true
+        (String.starts_with ~prefix:"sharded" reason)
+  | _ -> Alcotest.fail "expected a refusal"
+
 let test_sharded_coordinator_crash () = sharded_owner_loss ~victim:"srv-0" ()
 
 let test_sharded_owner_crash () = sharded_owner_loss ~victim:"srv-1" ()
@@ -939,7 +945,6 @@ let () =
           tc "coordinator failover" `Quick test_coordinator_failover;
           tc "replica crash re-replication" `Quick test_replica_crash_rereplication;
           tc "partition and reconcile" `Quick test_partition_and_reconcile;
-          tc "server-side multicast fan-out" `Quick test_server_multicast_fanout;
           tc "relaxed membership notification" `Quick
             test_relaxed_membership_notification;
           tc "locks across replicas" `Quick test_locks_across_replicas;
@@ -965,5 +970,7 @@ let () =
             test_sharded_owner_crash;
           tc "recovery round waits out a dead server" `Quick
             test_round_waits_out_dead_server;
+          tc "log reduction on a classic copy" `Quick test_reduce_log_classic;
+          tc "log reduction refused on a sharded copy" `Quick test_reduce_log_sharded;
         ] );
     ]
