@@ -43,9 +43,14 @@ type expect_kind =
 
 type expectation = { e_kind : expect_kind; e_k : reply -> unit }
 
+(* A replica is log-structured: [gr_state] is a checkpoint, and the newest
+   [gr_pending] entries of the [gr_recent] ring are the deliveries not yet
+   applied to it, oldest first. A delivery only stores into the ring, which
+   sender-assisted recovery needs anyway; [state_of] folds the pending
+   entries in before anything reads or writes the state. *)
 type group_replica = {
-  gr_state : Shared_state.t;
-  mutable gr_last_seqno : int; (* highest applied; join_seqno - 1 initially *)
+  gr_state : Shared_state.t; (* touched only by [fold_pending] and [state_of] *)
+  mutable gr_last_seqno : int; (* highest delivered; join_seqno - 1 initially *)
   mutable gr_via_mcast : bool; (* deliveries arrive on the multicast channel *)
   gr_recent : T.update array;
       (* bounded circular cache the sender-assisted crash recovery (§6)
@@ -53,6 +58,7 @@ type group_replica = {
          remembered update is two stores instead of a list cons + trim *)
   mutable gr_recent_n : int; (* live entries, ≤ Array.length gr_recent *)
   mutable gr_recent_head : int;
+  mutable gr_pending : int; (* newest ring entries not yet in [gr_state] *)
   gr_own_exclusive : (T.object_id * string) Queue.t;
       (* our sender-exclusive sends already applied optimistically; their
          multicast echoes must not be re-applied *)
@@ -71,6 +77,7 @@ let no_replica =
     gr_recent = [||];
     gr_recent_n = 0;
     gr_recent_head = 0;
+    gr_pending = 0;
     gr_own_exclusive = Queue.create ();
     gr_shard_next = Hashtbl.create 1;
   }
@@ -189,15 +196,30 @@ let dummy_update =
     timestamp = 0.0;
   }
 
+(* Apply the pending deliveries to the checkpoint, oldest first. *)
+let fold_pending r =
+  let n = r.gr_pending in
+  r.gr_pending <- 0;
+  for j = 0 to n - 1 do
+    let idx = (r.gr_recent_head - n + j + recent_cache_size) mod recent_cache_size in
+    Shared_state.apply r.gr_state r.gr_recent.(idx)
+  done
+
+(* The replica's state, current as of this call. *)
+let state_of r =
+  fold_pending r;
+  r.gr_state
+
 let apply_join_state t group at_seqno (state : M.join_state) =
   match (state, Hashtbl.find_opt t.replicas.tbl group) with
   | M.Update_history updates, Some replica ->
       (* Resync onto the surviving replica (reconnection, [15]): replayed
          updates overlap-safely through the sequence-number guard. *)
+      let st = state_of replica in
       List.iter
         (fun (u : T.update) ->
           if u.seqno > replica.gr_last_seqno then begin
-            Shared_state.apply replica.gr_state u;
+            Shared_state.apply st u;
             replica.gr_last_seqno <- u.seqno
           end)
         updates;
@@ -211,28 +233,36 @@ let apply_join_state t group at_seqno (state : M.join_state) =
           gr_recent = Array.make recent_cache_size dummy_update;
           gr_recent_n = 0;
           gr_recent_head = 0;
+          gr_pending = 0;
           gr_own_exclusive = Queue.create ();
           gr_shard_next = Hashtbl.create 4;
         }
       in
+      let st = state_of replica in
       (match state with
       | M.Snapshot { objects; log_tail } ->
           List.iter
             (fun (obj, data) ->
-              if Shared_state.mem replica.gr_state obj then
-                Shared_state.append_object replica.gr_state obj data
-              else Shared_state.set_object replica.gr_state obj data)
+              if Shared_state.mem st obj then Shared_state.append_object st obj data
+              else Shared_state.set_object st obj data)
             (drain_chunks t group @ objects);
-          List.iter (fun u -> Shared_state.apply replica.gr_state u) log_tail
-      | M.Update_history updates ->
-          List.iter (fun u -> Shared_state.apply replica.gr_state u) updates);
+          List.iter (fun u -> Shared_state.apply st u) log_tail
+      | M.Update_history updates -> List.iter (fun u -> Shared_state.apply st u) updates);
       set_replica t.replicas group replica
 
+(* Two stores. A ring full of pending entries is folded first, so no
+   pending update is overwritten. *)
 let remember_update replica (u : T.update) =
+  if replica.gr_pending = recent_cache_size then fold_pending replica;
   replica.gr_recent.(replica.gr_recent_head) <- u;
   replica.gr_recent_head <- (replica.gr_recent_head + 1) mod recent_cache_size;
   if replica.gr_recent_n < recent_cache_size then
     replica.gr_recent_n <- replica.gr_recent_n + 1
+
+(* A delivery's only write: into the ring, pending until the next read. *)
+let defer_update replica u =
+  remember_update replica u;
+  replica.gr_pending <- replica.gr_pending + 1
 
 (* The remembered updates with [seqno >= from_seqno], ascending (stable, so
    equal-seqno shard updates keep newest-first submission order, as the old
@@ -290,6 +320,9 @@ and handle_delivery t (u : T.update) =
         | Some (obj, data) when obj = u.obj && data = u.data ->
             ignore (Queue.pop r.gr_own_exclusive);
             r.gr_last_seqno <- max r.gr_last_seqno u.seqno;
+            (* Fold first: the echo enters the ring already applied, and the
+               pending entries must stay the newest ones. *)
+            fold_pending r;
             remember_update r u;
             true
         | Some _ | None -> false
@@ -297,11 +330,10 @@ and handle_delivery t (u : T.update) =
       if not own_exclusive_echo then begin
         t.deliveries <- t.deliveries + 1;
         if u.seqno > r.gr_last_seqno then begin
-          remember_update r u;
           (* Our own sender-exclusive updates were applied at send time and
              never come back; this seqno guard covers the sender-inclusive
              echo. *)
-          Shared_state.apply r.gr_state u;
+          defer_update r u;
           r.gr_last_seqno <- u.seqno
         end;
         (* [Delivered] is a boxed constructor — only build it for a
@@ -383,8 +415,7 @@ let handle_response t (resp : M.response) =
           in
           if u.seqno >= next then begin
             Hashtbl.replace replica.gr_shard_next shard (u.seqno + 1);
-            remember_update replica u;
-            Shared_state.apply replica.gr_state u;
+            defer_update replica u;
             t.deliveries <- t.deliveries + 1;
             emit t (Shard_delivered { shard; update = u })
           end)
@@ -516,7 +547,7 @@ let bcast t ~group ~kind ~obj ~data ~mode =
               timestamp = now t;
             }
           in
-          Shared_state.apply replica.gr_state u
+          Shared_state.apply (state_of replica) u
       | None -> ())
   | T.Sender_inclusive -> ());
   send t (M.Bcast { group; sender = t.member; kind; obj; data; mode })
@@ -548,7 +579,7 @@ let ping t ~k =
 (* --- replica accessors ------------------------------------------------ *)
 
 let replica t group =
-  Option.map (fun r -> r.gr_state) (Hashtbl.find_opt t.replicas.tbl group)
+  Option.map state_of (Hashtbl.find_opt t.replicas.tbl group)
 
 let joined_groups t =
   Hashtbl.fold (fun g _ acc -> g :: acc) t.replicas.tbl [] |> List.sort String.compare

@@ -9,7 +9,9 @@
 
     Replica semantics: sender-inclusive broadcasts are applied when the
     server's copy comes back (total order preserved); sender-exclusive
-    broadcasts are applied optimistically at send time. *)
+    broadcasts are applied optimistically at send time. A delivery is
+    stored in the replica's recent-update cache and applied lazily, in
+    delivery order, before the replica's state is next read or written. *)
 
 type t
 
@@ -166,13 +168,17 @@ val ping : t -> k:(rtt:float -> unit) -> unit
 (* --- local replica --------------------------------------------------- *)
 
 val replica : t -> Proto.Types.group_id -> Shared_state.t option
-(** Local copy of a joined group's shared state. *)
+(** Local copy of a joined group's shared state. It first applies every
+    delivery not yet applied, so the handle is current as of this call;
+    later deliveries reach it only at the next [replica] call (or the next
+    sender-exclusive send or resync in the group). Call [replica] again
+    rather than keeping the handle. *)
 
 val joined_groups : t -> Proto.Types.group_id list
 
 val last_seqno : t -> Proto.Types.group_id -> int option
-(** Highest sequence number applied to the replica (join point - 1 when
-    nothing delivered yet). *)
+(** Highest sequence number delivered to the replica (join point - 1 when
+    nothing delivered yet); {!replica} reflects every update up to it. *)
 
 val shard_positions : t -> Proto.Types.group_id -> int list option
 (** Sharded groups: next expected seqno per shard stream (index = shard),

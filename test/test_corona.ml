@@ -45,6 +45,21 @@ let expect_join name = function
   | Corona.Client.R_failed reason -> Alcotest.failf "%s failed: %s" name reason
   | _ -> Alcotest.failf "%s: unexpected reply" name
 
+(* The client's replica digest equals the server's, and its last seqno is
+   the server's last ([?last_seqno] overrides that for a client that never
+   hears its own sender-exclusive writes). *)
+let check_replica_agrees ?last_seqno server c ~group label =
+  let digest st = Corona.Shared_state.digest st in
+  match (Corona.Server.group_state server group, Corona.Client.replica c group) with
+  | Some srv, Some mine ->
+      Alcotest.(check string) label (digest srv) (digest mine);
+      Alcotest.(check (option int)) (label ^ ": last seqno")
+        (match last_seqno with
+        | Some _ -> last_seqno
+        | None -> Option.map pred (Corona.Server.group_next_seqno server group))
+        (Corona.Client.last_seqno c group)
+  | _ -> Alcotest.failf "%s: no replica of %s" label group
+
 (* --- tests ------------------------------------------------------------ *)
 
 let test_create_join_bcast () =
@@ -112,20 +127,37 @@ let test_full_state_transfer_on_join () =
         ());
   run w.engine
 
-let test_sender_exclusive_not_echoed () =
-  let w, _server = make_world () in
+(* a's sender-exclusive write is applied at send time and never echoed.
+   With [rounds > 0], a and b then ping-pong on the same object: each of
+   a's writes makes b append p_i, whose delivery makes a answer with an
+   exclusive u_i. The server orders x p0 u0 p1 u1 ..., and a's replica
+   matches it only if each send first folds in the delivery still pending
+   in the replica. *)
+let sender_exclusive_not_echoed ~rounds =
+  let w, server = make_world () in
   let echoes = ref 0 in
   let peer_deliveries = ref 0 in
+  let a_ref = ref None in
   connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
+      a_ref := Some a;
+      let answered = ref 0 in
       Corona.Client.set_on_event a (fun _ -> function
-        | Corona.Client.Delivered _ -> incr echoes
+        | Corona.Client.Delivered u when u.T.sender = "a" -> incr echoes
+        | Corona.Client.Delivered _ ->
+            Corona.Client.bcast_update a ~group:"g" ~obj:"o"
+              ~data:(Printf.sprintf "u%d;" !answered) ~mode:T.Sender_exclusive ();
+            incr answered
         | _ -> ());
       Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
       Corona.Client.join a ~group:"g"
         ~k:(fun _ ->
           connect_client w ~host:w.client_hosts.(1) ~member:"b" (fun b ->
               Corona.Client.set_on_event b (fun _ -> function
-                | Corona.Client.Delivered _ -> incr peer_deliveries
+                | Corona.Client.Delivered u when u.T.sender = "a" ->
+                    if !peer_deliveries < rounds then
+                      Corona.Client.bcast_update b ~group:"g" ~obj:"o"
+                        ~data:(Printf.sprintf "p%d;" !peer_deliveries) ();
+                    incr peer_deliveries
                 | _ -> ());
               Corona.Client.join b ~group:"g"
                 ~k:(fun _ ->
@@ -140,26 +172,39 @@ let test_sender_exclusive_not_echoed () =
         ());
   run w.engine;
   Alcotest.(check int) "sender not echoed" 0 !echoes;
-  Alcotest.(check int) "peer got it" 1 !peer_deliveries
+  Alcotest.(check int) "peer got it" (1 + rounds) !peer_deliveries;
+  (* Seqnos run x = 0, p0 = 1, u0 = 2, ...; a last heard p_(rounds-1). *)
+  check_replica_agrees ~last_seqno:((2 * rounds) - 1) server (Option.get !a_ref)
+    ~group:"g" "sender's replica"
 
-let test_total_order_across_senders () =
-  let w, _server = make_world ~clients:3 () in
+let test_sender_exclusive_not_echoed () =
+  sender_exclusive_not_echoed ~rounds:0;
+  sender_exclusive_not_echoed ~rounds:20
+
+(* Two senders burst concurrently and both members see one order. At 150
+   updates each, neither member reads its replica while 300 deliveries
+   arrive, so the recent-update ring wraps while full of pending entries. *)
+let total_order_across_senders ~per_sender =
+  let w, server = make_world ~clients:3 () in
   let order_a = ref [] and order_b = ref [] in
+  let a_ref = ref None and b_ref = ref None in
   let record cell = fun _ -> function
     | Corona.Client.Delivered u -> cell := u.T.seqno :: !cell
     | _ -> ()
   in
   connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
+      a_ref := Some a;
       Corona.Client.set_on_event a (record order_a);
       Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
       Corona.Client.join a ~group:"g"
         ~k:(fun _ ->
           connect_client w ~host:w.client_hosts.(1) ~member:"b" (fun b ->
+              b_ref := Some b;
               Corona.Client.set_on_event b (record order_b);
               Corona.Client.join b ~group:"g"
                 ~k:(fun _ ->
                   (* Both fire a burst concurrently. *)
-                  for i = 0 to 9 do
+                  for i = 0 to per_sender - 1 do
                     Corona.Client.bcast_update a ~group:"g" ~obj:"o"
                       ~data:(Printf.sprintf "a%d" i) ();
                     Corona.Client.bcast_update b ~group:"g" ~obj:"o"
@@ -168,9 +213,18 @@ let test_total_order_across_senders () =
                 ()))
         ());
   run w.engine;
-  let a = List.rev !order_a and b = List.rev !order_b in
-  Alcotest.(check (list int)) "a sees 0..19 in order" (List.init 20 Fun.id) a;
-  Alcotest.(check (list int)) "b sees same order" a b
+  let a_order = List.rev !order_a and b_order = List.rev !order_b in
+  let n = 2 * per_sender in
+  Alcotest.(check (list int))
+    (Printf.sprintf "a sees 0..%d in order" (n - 1))
+    (List.init n Fun.id) a_order;
+  Alcotest.(check (list int)) "b sees same order" a_order b_order;
+  let a = Option.get !a_ref and b = Option.get !b_ref in
+  check_replica_agrees server a ~group:"g" (Printf.sprintf "a after %d deliveries" n);
+  check_replica_agrees server b ~group:"g" (Printf.sprintf "b after %d deliveries" n)
+
+let test_total_order_across_senders () =
+  List.iter (fun per_sender -> total_order_across_senders ~per_sender) [ 10; 150 ]
 
 let test_persistent_group_outlives_members () =
   let w, server = make_world () in
@@ -552,11 +606,17 @@ let test_multicast_delivery_mode () =
         (Corona.Shared_state.get st "o")
   | None -> Alcotest.fail "no server state")
 
-let test_multicast_exclusive_echo_suppressed () =
+(* a writes [writes] sender-exclusive updates over the multicast channel; b
+   writes [peer_writes] sender-inclusive ones to another object, interleaved
+   with a's, so a's own echoes arrive between deliveries it has not yet
+   folded into its replica. Each echo is swallowed, never applied twice. *)
+let multicast_exclusive_echo_suppressed ~writes ~peer_writes =
   let config = { Corona.Server.default_config with use_ip_multicast = true } in
-  let w, _server = make_world ~config () in
+  let w, server = make_world ~config () in
   let a_deliveries = ref 0 and b_deliveries = ref 0 in
+  let a_ref = ref None in
   connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
+      a_ref := Some a;
       Corona.Client.set_on_event a (fun _ -> function
         | Corona.Client.Delivered _ -> incr a_deliveries
         | _ -> ());
@@ -569,22 +629,36 @@ let test_multicast_exclusive_echo_suppressed () =
                 | _ -> ());
               Corona.Client.join b ~group:"g"
                 ~k:(fun _ ->
-                  Corona.Client.bcast_update a ~group:"g" ~obj:"o" ~data:"u"
-                    ~mode:T.Sender_exclusive ();
-                  let st = Option.get (Corona.Client.replica a "g") in
-                  Alcotest.(check (option string)) "optimistic apply" (Some "u")
-                    (Corona.Shared_state.get st "o"))
+                  for i = 0 to max writes peer_writes - 1 do
+                    if i < peer_writes then
+                      Corona.Client.bcast_update b ~group:"g" ~obj:"p"
+                        ~data:(Printf.sprintf "p%d;" i) ();
+                    if i < writes then begin
+                      Corona.Client.bcast_update a ~group:"g" ~obj:"o"
+                        ~data:(Printf.sprintf "u%d;" i) ~mode:T.Sender_exclusive ();
+                      let st = Option.get (Corona.Client.replica a "g") in
+                      Alcotest.(check (option string)) "optimistic apply"
+                        (Some (String.concat "" (List.init (i + 1) (Printf.sprintf "u%d;"))))
+                        (Corona.Shared_state.get st "o")
+                    end
+                  done)
                 ()))
         ());
   run w.engine;
-  Alcotest.(check int) "sender's multicast echo suppressed" 0 !a_deliveries;
-  Alcotest.(check int) "peer delivered once" 1 !b_deliveries;
+  Alcotest.(check int) "sender's multicast echoes suppressed" peer_writes !a_deliveries;
+  Alcotest.(check int) "peer delivered each once" (writes + peer_writes) !b_deliveries;
   (* And the sender's replica was not double-applied. *)
-  ()
+  check_replica_agrees server (Option.get !a_ref) ~group:"g" "sender's replica"
+
+let test_multicast_exclusive_echo_suppressed () =
+  multicast_exclusive_echo_suppressed ~writes:1 ~peer_writes:0;
+  multicast_exclusive_echo_suppressed ~writes:20 ~peer_writes:20
 
 let test_reconnect_resync () =
   (* Companion-paper behavior: a client drops its link, misses updates,
-     reconnects and rejoins — only the missed suffix travels. *)
+     reconnects and rejoins — only the missed suffix travels. b never reads
+     its replica before the rejoin, so "+1" is still pending in it when the
+     [Update_history] of "+2" and "+3" lands. *)
   let w, server = make_world () in
   let phase = ref 0 in
   let a_ref = ref None and b_ref = ref None in
@@ -630,7 +704,8 @@ let test_reconnect_resync () =
     (Corona.Server.stats server).Corona.Server.state_transfer_bytes - bytes_before
   in
   (* Only "+2" and "+3" travelled, not the 14-byte base nor "+1". *)
-  Alcotest.(check int) "only the missed suffix travelled" 4 bytes_moved
+  Alcotest.(check int) "only the missed suffix travelled" 4 bytes_moved;
+  check_replica_agrees server b ~group:"g" "resynced replica"
 
 let test_rejoin_after_log_reduction_falls_back () =
   let w, _server = make_world () in
@@ -733,13 +808,6 @@ let join_now w c ~group =
   Corona.Client.join c ~group ~k:(fun r -> ignore (expect_join "join" r)) ();
   run w.engine
 
-(* The client's replica digest equals the server's. *)
-let check_replica_agrees server c ~group label =
-  let digest st = Corona.Shared_state.digest st in
-  match (Corona.Server.group_state server group, Corona.Client.replica c group) with
-  | Some srv, Some mine -> Alcotest.(check string) label (digest srv) (digest mine)
-  | _ -> Alcotest.failf "%s: no replica of %s" label group
-
 (* A member of two groups comes back on a second connection and rejoins
    only g1, while its first connection is still open. Its g2 entry must
    follow the rebind: g2 broadcasts arrive over the new connection, before
@@ -779,7 +847,8 @@ let test_rebind_reaches_every_group () =
    after a leave and rejoin, a delete, re-create and rejoin, a reconnect and
    rejoin (the table and its cache shared between client records), and a
    full-state join that replaces a replica the cache holds, deliveries land
-   in the live replica. Each broadcast writes new bytes, so a delivery into
+   in the live replica. Two reads with a delivery between both see the
+   current state. Each broadcast writes new bytes, so a delivery into
    a stale replica would leave the live one behind. *)
 let test_client_replica_cache_follows_the_table () =
   let w, server = make_world () in
@@ -799,6 +868,8 @@ let test_client_replica_cache_follows_the_table () =
   join_now w b ~group:"g";
   bcast ();
   check_replica_agrees server b ~group:"g" "first delivery";
+  bcast ();
+  check_replica_agrees server b ~group:"g" "second read, one delivery later";
   Corona.Client.leave b ~group:"g" ~k:(expect_ok "leave");
   run w.engine;
   join_now w b ~group:"g";
@@ -1028,13 +1099,15 @@ let test_chunked_transfer_interleaving () =
     true
     (!update_rtt < 0.05 && Float.is_finite !join_done)
 
-let test_sender_assisted_recovery () =
-  (* §6: "if none of the replicas has logged an update, the update message
-     can be retrieved by the crash recovery algorithm from the original
-     sender of the message, based on the sequence number". Crash the server
-     with updates still in the disk queue; the rejoining sender restores the
-     lost suffix. *)
-  let total = 60 in
+(* §6: "if none of the replicas has logged an update, the update message
+   can be retrieved by the crash recovery algorithm from the original sender
+   of the message, based on the sequence number". Crash the server with
+   updates still in the disk queue; the rejoining sender restores the lost
+   suffix. At [total = 300] the sender's 128-entry recent-update ring has
+   wrapped, while full of pending deliveries, before the crash; the crash
+   waits until the lost suffix fits in the ring, and the resend must still
+   return it in seqno order. *)
+let sender_assisted_recovery ~total =
   let w, _server = make_world () in
   let a_ref = ref None in
   connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
@@ -1056,7 +1129,7 @@ let test_sender_assisted_recovery () =
       if
         (not !crashed)
         && Storage.Wal.next_index wal = total
-        && Storage.Wal.durable_upto wal > 0
+        && Storage.Wal.durable_upto wal > max 0 (total - 100)
         && Storage.Wal.durable_upto wal < total - 5
       then begin
         crashed := true;
@@ -1081,6 +1154,7 @@ let test_sender_assisted_recovery () =
   let client_knows = Option.get (Corona.Client.last_seqno a "g") + 1 in
   Alcotest.(check bool) "the client is ahead of the recovered disk" true
     (client_knows > recovered_from_disk);
+  let sender_state = Corona.Shared_state.digest (Option.get (Corona.Client.replica a "g")) in
   Corona.Client.reconnect a
     ~on_connected:(fun a2 ->
       Corona.Client.rejoin a2 ~group:"g"
@@ -1108,7 +1182,13 @@ let test_sender_assisted_recovery () =
     (Some client_knows)
     (Corona.Server.group_next_seqno server2 "g");
   Alcotest.(check bool) "recovered past the durable prefix" true
-    (client_knows > !durable_at_crash)
+    (client_knows > !durable_at_crash);
+  Alcotest.(check (option string)) "server state = the sender's replica before the crash"
+    (Some sender_state)
+    (Option.map Corona.Shared_state.digest (Corona.Server.group_state server2 "g"))
+
+let test_sender_assisted_recovery () =
+  List.iter (fun total -> sender_assisted_recovery ~total) [ 60; 300 ]
 
 let () =
   let tc = Alcotest.test_case in

@@ -533,15 +533,17 @@ let test_random_soak_with_failover () =
     [ 606L; 707L; 808L ]
 
 (* A coordinator crash in the middle of a sequenced fan-out: the batch for
-   seqno 25 reached only srv-1, which repaired the other copies through an
-   untagged [Updates_blob]. The writer's replica then re-sent its forward;
-   the new coordinator must not sequence it a second time. Every member
-   sees a gapless, duplicate-free stream and every live copy agrees. *)
+   seqno 25 reached two of the six live copies, so 0.15 s after the crash
+   their next seqnos still split 26/25 (asserted, so the case cannot quietly
+   stop splitting) and recovery must repair the others. The writer's replica
+   then re-sent its forward; the new coordinator must not sequence it a
+   second time. Every member sees a gapless, duplicate-free stream and every
+   live copy agrees. *)
 let test_crash_mid_fanout_no_seqno_hole () =
   let tb = Workload.Testbed.replicated ~seed:7L ~replicas:6 ~client_machines:6 () in
   let c = tb.r_cluster and engine = tb.r_engine in
   let seen = Array.make 6 [] in
-  let start = ref infinity in
+  let start = ref infinity and split = ref [] in
   Workload.Testbed.spawn_clients tb.r_fabric ~hosts:tb.r_client_hosts
     ~server_for:(fun i -> Replication.Node.host (Replication.Cluster.replica_for c i))
     ~n:6
@@ -562,10 +564,22 @@ let test_crash_mid_fanout_no_seqno_hole () =
                    Corona.Client.bcast_update cls.(1) ~group:"g" ~obj:"o"
                      ~data:(Printf.sprintf "%d;" k) ()))
           done;
+          let crash = !start +. 0.5 +. 3.5e-3 in
           Net.Fault.crash_at tb.r_fabric
             (Replication.Node.host (Replication.Cluster.node c "srv-0"))
-            ~at:(!start +. 0.5 +. 3.0e-3)));
+            ~at:crash;
+          ignore
+            (Sim.Engine.schedule engine ~delay:(crash +. 0.15 -. !start) (fun () ->
+                 split :=
+                   List.filter_map
+                     (fun n -> Replication.Node.group_next_seqno n "g")
+                     (Replication.Cluster.live_nodes c)))));
   Workload.Testbed.run_until engine (fun () -> Sim.Engine.now engine > !start +. 20.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "live copies split by the crash (next seqnos %s)"
+       (String.concat "," (List.map string_of_int !split)))
+    true
+    (List.length (List.sort_uniq Int.compare !split) > 1);
   Array.iteri
     (fun i l ->
       Alcotest.(check (list int))
@@ -836,7 +850,22 @@ let sharded_owner_loss ~victim () =
   Corona.Client.bcast_update b ~group:"g" ~obj ~data:"after" ();
   run ~until:25.0 w;
   Alcotest.(check bool) "post-recovery write to the moved shard delivered" true
-    (List.mem "after" !c_got)
+    (List.mem "after" !c_got);
+  (* Both writers' replicas, folded from their [Shard_deliver]s, match the
+     live copies in objects and stream positions. *)
+  let id, _, _ = List.hd copies in
+  let n = Replication.Cluster.node w.cluster id in
+  let v = Array.to_list (Option.get (Replication.Node.group_shard_vector n "g")) in
+  let o = Option.get (Replication.Node.group_shard_objects n "g") in
+  List.iter
+    (fun cl ->
+      let who = Corona.Client.member cl in
+      Alcotest.(check (option string)) (who ^ ": replica digest")
+        (Some (Corona.Shared_state.digest (Corona.Shared_state.of_objects o)))
+        (Option.map Corona.Shared_state.digest (Corona.Client.replica cl "g"));
+      Alcotest.(check (option (list int))) (who ^ ": shard positions") (Some v)
+        (Corona.Client.shard_positions cl "g"))
+    !writers
 
 (* Log reduction is a local matter: the replica serving the requester trims
    its own copy after five writes. A classic copy answers [Log_reduced]; a
