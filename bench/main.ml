@@ -1,11 +1,13 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (plus the ablations DESIGN.md calls out) from the simulated
-   testbed, and runs Bechamel micro-benchmarks of the hot in-process paths.
+(* Performance harness: Bechamel micro-benchmarks of the hot in-process
+   paths, plus the fan-out, scale, sharded, relay and transfer sweeps whose
+   rows it writes to BENCH_*.json. The paper's tables and figures are run
+   by the experiment CLI ([dune exec bin/corona_cli.exe -- all]).
 
    Usage:
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig3 table2 micro   # a subset
-     dune exec bench/main.exe -- --quick             # reduced sizes *)
+     dune exec bench/main.exe                  # everything
+     dune exec bench/main.exe -- micro fanout  # a subset
+     dune exec bench/main.exe -- --quick       # reduced sizes
+     dune exec bench/main.exe -- --smoke scale # smallest sizes, no JSON *)
 
 module T = Proto.Types
 
@@ -494,18 +496,17 @@ let scale_point ~label ~members ~bcasts ~engine ~fabric ~hosts ~server_for =
     failwith (Printf.sprintf "scale %s/%d: batched fan-out path never used" label members);
   let ns_per_bcast = wall /. float_of_int bcasts *. 1e9 in
   let events_per_sec = float_of_int events /. wall in
-  if not !smoke then
-    scale_add "scale"
-      [
-        ("deployment", Printf.sprintf "%S" label);
-        ("members", string_of_int members);
-        ("bcasts", string_of_int bcasts);
-        ("host_ns_per_bcast", json_num ns_per_bcast);
-        ("minor_words_per_bcast", json_num minor_words_per_bcast);
-        ("host_events_per_sec", json_num events_per_sec);
-        ("sim_events", string_of_int events);
-        ("batches", string_of_int batches);
-      ];
+  scale_add "scale"
+    [
+      ("deployment", Printf.sprintf "%S" label);
+      ("members", string_of_int members);
+      ("bcasts", string_of_int bcasts);
+      ("host_ns_per_bcast", json_num ns_per_bcast);
+      ("minor_words_per_bcast", json_num minor_words_per_bcast);
+      ("host_events_per_sec", json_num events_per_sec);
+      ("sim_events", string_of_int events);
+      ("batches", string_of_int batches);
+    ];
   [
     label;
     string_of_int members;
@@ -657,18 +658,17 @@ let sharded_point ~members ~shards ~bcasts_per_writer =
   let wall = Unix.gettimeofday () -. wall0 in
   let events = Sim.Engine.events_fired engine - events0 in
   let us_per_bcast = span /. float_of_int total *. 1e6 in
-  if not !smoke then
-    scale_add "sharded"
-      [
-        ("members", string_of_int members);
-        ("groups", string_of_int groups);
-        ("shards", string_of_int shards);
-        ("bcasts", string_of_int total);
-        ("us_per_bcast", json_num us_per_bcast);
-        ("virtual_span_s", Printf.sprintf "%.4f" span);
-        ("sim_events", string_of_int events);
-        ("host_wall_s", Printf.sprintf "%.2f" wall);
-      ];
+  scale_add "sharded"
+    [
+      ("members", string_of_int members);
+      ("groups", string_of_int groups);
+      ("shards", string_of_int shards);
+      ("bcasts", string_of_int total);
+      ("us_per_bcast", json_num us_per_bcast);
+      ("virtual_span_s", Printf.sprintf "%.4f" span);
+      ("sim_events", string_of_int events);
+      ("host_wall_s", Printf.sprintf "%.2f" wall);
+    ];
   (us_per_bcast, span, events)
 
 let run_sharded () =
@@ -836,25 +836,24 @@ let run_relay () =
           end
           else None
         in
-        if not !smoke then
-          scale_add "relay"
-            ([
-               ("members", string_of_int members);
-               ("relays", string_of_int relays);
-               ("bcasts", string_of_int bcasts);
-               ("root_tx_per_bcast", Printf.sprintf "%.2f" r_tx);
-               ("host_ns_per_bcast", json_num r_ns);
-               ("minor_words_per_bcast", json_num r_minor);
-             ]
-            @
-            match flat with
-            | None -> []
-            | Some (f_ns, f_tx, ratio) ->
-                [
-                  ("flat_root_tx_per_bcast", Printf.sprintf "%.2f" f_tx);
-                  ("host_flat_ns_per_bcast", json_num f_ns);
-                  ("root_tx_reduction", Printf.sprintf "%.1f" ratio);
-                ]);
+        scale_add "relay"
+          ([
+             ("members", string_of_int members);
+             ("relays", string_of_int relays);
+             ("bcasts", string_of_int bcasts);
+             ("root_tx_per_bcast", Printf.sprintf "%.2f" r_tx);
+             ("host_ns_per_bcast", json_num r_ns);
+             ("minor_words_per_bcast", json_num r_minor);
+           ]
+          @
+          match flat with
+          | None -> []
+          | Some (f_ns, f_tx, ratio) ->
+              [
+                ("flat_root_tx_per_bcast", Printf.sprintf "%.2f" f_tx);
+                ("host_flat_ns_per_bcast", json_num f_ns);
+                ("root_tx_reduction", Printf.sprintf "%.1f" ratio);
+              ]);
         [
           string_of_int members;
           string_of_int relays;
@@ -900,17 +899,16 @@ let run_transfer_sweep () =
           failwith
             (Printf.sprintf "storm %d: encode-work ratio %.1f < 2 (misses %d)" members
                ratio r.st_misses);
-        if not !smoke then
-          transfer_add "join_storm"
-            [
-              ("members", string_of_int r.st_members);
-              ("cache_hits", string_of_int r.st_hits);
-              ("cache_misses", string_of_int r.st_misses);
-              ("encode_work_ratio", Printf.sprintf "%.1f" ratio);
-              ("storm_virtual_s", Printf.sprintf "%.4f" r.st_span);
-              ("state_bytes", string_of_int r.st_bytes);
-              ("minor_words_per_join", json_num r.st_minor_words_per_join);
-            ];
+        transfer_add "join_storm"
+          [
+            ("members", string_of_int r.st_members);
+            ("cache_hits", string_of_int r.st_hits);
+            ("cache_misses", string_of_int r.st_misses);
+            ("encode_work_ratio", Printf.sprintf "%.1f" ratio);
+            ("storm_virtual_s", Printf.sprintf "%.4f" r.st_span);
+            ("state_bytes", string_of_int r.st_bytes);
+            ("minor_words_per_join", json_num r.st_minor_words_per_join);
+          ];
         [
           string_of_int r.st_members;
           string_of_int r.st_hits;
@@ -945,19 +943,18 @@ let run_transfer_sweep () =
         if speedup < 3.0 then
           failwith
             (Printf.sprintf "durable %dB: group-commit speedup %.1fx < 3x" size speedup);
-        if not !smoke then
-          transfer_add "durable_multicast"
-            [
-              ("record_bytes", string_of_int size);
-              ("records", string_of_int records);
-              ("rps_per_record_seek", Printf.sprintf "%.1f" off.du_rps);
-              ("rps_group_commit", Printf.sprintf "%.1f" on_.du_rps);
-              ("speedup", Printf.sprintf "%.1f" speedup);
-              ("physical_writes", string_of_int on_.du_physical_writes);
-              ("records_committed", string_of_int on_.du_records_committed);
-              ("max_batch_records", string_of_int on_.du_max_batch);
-              ("minor_words_per_bcast", json_num on_.du_minor_words_per_bcast);
-            ];
+        transfer_add "durable_multicast"
+          [
+            ("record_bytes", string_of_int size);
+            ("records", string_of_int records);
+            ("rps_per_record_seek", Printf.sprintf "%.1f" off.du_rps);
+            ("rps_group_commit", Printf.sprintf "%.1f" on_.du_rps);
+            ("speedup", Printf.sprintf "%.1f" speedup);
+            ("physical_writes", string_of_int on_.du_physical_writes);
+            ("records_committed", string_of_int on_.du_records_committed);
+            ("max_batch_records", string_of_int on_.du_max_batch);
+            ("minor_words_per_bcast", json_num on_.du_minor_words_per_bcast);
+          ];
         [
           string_of_int size;
           Printf.sprintf "%.0f" off.du_rps;
@@ -981,52 +978,6 @@ let run_transfer_sweep () =
 
 let experiments : (string * string * (unit -> unit)) list =
   [
-    ( "fig3",
-      "Figure 3: RTT vs #clients, stateful vs stateless",
-      fun () ->
-        if !quick then Workload.Exp_fig3.run ~count:40 ~client_counts:[ 10; 30; 60 ] ()
-        else Workload.Exp_fig3.run () );
-    ( "fig3-size",
-      "Figure 3 (text): message-size sweep",
-      fun () ->
-        if !quick then Workload.Exp_fig3.run_size_sweep ~count:40 ()
-        else Workload.Exp_fig3.run_size_sweep () );
-    ( "fig3-mcast",
-      "Extension: hybrid IP-multicast delivery",
-      fun () ->
-        if !quick then
-          Workload.Exp_fig3.run_multicast ~count:40 ~client_counts:[ 10; 30; 60 ] ()
-        else Workload.Exp_fig3.run_multicast () );
-    ( "table1",
-      "Table 1: server throughput, two machines, two sizes",
-      fun () ->
-        if !quick then Workload.Exp_table1.run ~duration:5.0 ()
-        else Workload.Exp_table1.run () );
-    ( "table2",
-      "Table 2: 100/200/300 clients, single vs replicated",
-      fun () ->
-        if !quick then Workload.Exp_table2.run ~count:20 ~client_counts:[ 100; 200 ] ()
-        else Workload.Exp_table2.run () );
-    ("join", "Join latency: Corona vs ISIS-style baseline", Workload.Exp_join.run);
-    ( "transfer",
-      "State-transfer policies + join-storm cache + WAL group commit",
-      fun () ->
-        if not !smoke then Workload.Exp_transfer.run ();
-        run_transfer_sweep () );
-    ("logreduction", "State-log reduction", Workload.Exp_logreduction.run);
-    ( "disk",
-      "Disk-logging ablation",
-      fun () ->
-        if !quick then Workload.Exp_disk.run ~duration:5.0 ()
-        else Workload.Exp_disk.run () );
-    ("failover", "Coordinator failover + election algorithms", Workload.Exp_failover.run);
-    ("partition", "Partition divergence and reconciliation", Workload.Exp_partition.run);
-    ("qos", "QoS-adaptive transfer pacing", Workload.Exp_qos.run);
-    ( "churn",
-      "Client churn: joins/leaves/crashes must be unobtrusive",
-      fun () ->
-        if !quick then Workload.Exp_churn.run ~duration:6.0 ()
-        else Workload.Exp_churn.run () );
     ("micro", "Bechamel micro-benchmarks", run_micro);
     ("fanout", "300-member fan-out macro-benchmark (encode-once)", run_fanout);
     ("scale", "Scaling sweep: 100 -> 10k members, single + replicated", run_scale);
@@ -1036,6 +987,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ( "relay",
       "Hierarchical relay fan-out: 10k -> 100k members behind 32 relays",
       run_relay );
+    ("transfer", "Join-storm snapshot cache + WAL group commit", run_transfer_sweep);
   ]
 
 let () =
@@ -1048,7 +1000,7 @@ let () =
           false
         end
         else if a = "--smoke" then begin
-          (* CI stage: smallest sizes, no BENCH_scale.json rewrite. *)
+          (* CI stage: smallest sizes, no BENCH_*.json rewrite. *)
           smoke := true;
           false
         end
@@ -1071,5 +1023,7 @@ let () =
             experiments;
           exit 1)
     selected;
-  write_json_results ();
+  (* A smoke run checks that each sweep still runs end to end; its sizes
+     are not measurements, so it leaves every BENCH_*.json as it was. *)
+  if not !smoke then write_json_results ();
   Format.printf "@.done: %d experiment group(s).@." (List.length selected)

@@ -278,7 +278,7 @@ and send_srv t dst msg =
   if dst = t.self then handle_smsg t ~from:t.self msg
   else begin
     match Hashtbl.find_opt t.peers dst with
-    | Some conn when Net.Tcp.is_open conn -> Smsg.send conn msg
+    | Some conn when Net.Tcp.is_open conn -> Smsg.send ~sharded:(sharded t) conn msg
     | Some _ -> () (* peer died; higher-level retries cover it *)
     | None ->
         (* The mesh handshake has not completed yet (it races the first
@@ -417,17 +417,15 @@ and complete_ready_joins t rg =
 
 (* Offer a sequenced update of [shard] (0 on a classic copy) to the copy's
    hold-back, apply whatever became deliverable, and fetch the missing
-   suffix from the coordinator if the stream has a gap. *)
+   suffix of that stream from the coordinator if it has a gap. *)
 and offer t rg ~shard (u : T.update) mode origin =
   if sharded t then ignore (logs_of t rg);
   run_actions t rg (SH.offer rg.rg_hb ~shard ~seqno:u.seqno (u, mode, origin));
   match SH.gap rg.rg_hb ~shard with
   | None -> ()
   | Some (from_seqno, _) ->
-      let group = rg.rg_id in
       send_srv t t.coord
-        (if sharded t then Smsg.Fetch_shard { from = t.self; group; shard; from_seqno }
-         else Smsg.Fetch_updates { from = t.self; group; from_seqno })
+        (Smsg.Fetch_updates { from = t.self; group = rg.rg_id; shard; from_seqno })
 
 (* Repaired updates carry no origin tag: [apply] skips the duplicate filter
    for them. *)
@@ -483,7 +481,7 @@ and shard_positions rg =
    sends are issued — a deterministic, uniform order regardless of where
    [t.self] sits in the list. *)
 and send_peers t ?except servers msg =
-  let s = Smsg.pre msg in
+  let s = Smsg.pre ~sharded:(sharded t) msg in
   let deliver_self = ref false in
   let conns =
     List.rev
@@ -504,7 +502,7 @@ and send_peers t ?except servers msg =
              | None ->
                  (* Mesh handshake not complete: park the message. *)
                  let q = Option.value (Hashtbl.find_opt t.outbox srv) ~default:[] in
-                 Hashtbl.replace t.outbox srv (Smsg.sized_msg s :: q);
+                 Hashtbl.replace t.outbox srv (msg :: q);
                  acc)
          [] servers)
   in
@@ -533,7 +531,7 @@ and owner_sequence t msg ~origin ~epoch:_ ~shard ~group ~sender ~kind ~obj ~data
     t.s_sequenced <- t.s_sequenced + 1;
     let u = { T.seqno; group; kind; obj; data; sender; timestamp = now t } in
     send_peers t t.alive
-      (Smsg.Sequenced_s { epoch = t.shard_epoch; shard; origin; update = u; mode })
+      (Smsg.Sequenced { epoch = t.shard_epoch; shard; origin; update = u; mode })
   end
 
 (* Sequencer-side duplicate filter, shared by the coordinator (shard 0) and
@@ -736,18 +734,21 @@ and reassign_shards t reports =
       barrier_prepare_round t ib)
     t.bar_inflight
 
-(* --- sharded message handling --------------------------------------------- *)
+(* --- sequencing streams ------------------------------------------------------ *)
 
-and shard_handle t ~from msg =
+(* Every seqno stream's traffic, classic (shard 0 at epoch 0, sequenced by the
+   coordinator) or sharded: sequenced updates, gap repair, and the sharded
+   owners' forwards, barriers and ownership table. *)
+and stream_handle t ~from msg =
   match msg with
-  | Smsg.Fwd_bcast_s { origin; epoch; shard; group; sender; kind; obj; data; mode }
-    ->
+  | Smsg.Fwd_bcast { origin; epoch; shard; group; sender; kind; obj; data; mode } ->
       owner_sequence t msg ~origin ~epoch ~shard ~group ~sender ~kind ~obj ~data
         ~mode
-  | Smsg.Sequenced_s { epoch; shard; origin; update; mode } ->
+  | Smsg.Sequenced { epoch; shard; origin; update; mode } ->
       (* Accept newer epochs (our Shard_assign may still be in flight) and
          the shard's current, live owner; drop other stale ones — a deposed
-         or dead owner cannot extend a stream that the new owner continues. *)
+         or dead owner cannot extend a stream that the new owner continues.
+         A classic deployment stays at epoch 0, so this always accepts. *)
       if epoch >= t.shard_epoch || (from = shard_owner t shard && List.mem from t.alive)
       then begin
         if epoch > t.shard_epoch then t.shard_epoch <- epoch;
@@ -780,7 +781,7 @@ and shard_handle t ~from msg =
           Hashtbl.remove t.frozen group;
           let parked = Option.value (Hashtbl.find_opt t.freeze_q group) ~default:[] in
           Hashtbl.remove t.freeze_q group;
-          List.iter (fun m -> shard_handle t ~from:t.self m) (List.rev parked)
+          List.iter (fun m -> stream_handle t ~from:t.self m) (List.rev parked)
       | Some _ | None -> ());
       (* Replica side: park until every stream reaches its slot. *)
       match Hashtbl.find_opt t.rgroups group with
@@ -805,20 +806,21 @@ and shard_handle t ~from msg =
         Hashtbl.reset t.freeze_q;
         (* Oldest first per group: the owner's origin filter would drop a
            forward replayed after a later one from the same origin. *)
-        List.iter (fun m -> shard_handle t ~from:t.self m) parked;
+        List.iter (fun m -> stream_handle t ~from:t.self m) parked;
         (* Re-send un-acknowledged forwards to the (possibly new) owners: the
            owner-side dedup and the per-shard origin filters make this safe
            whether or not the original was sequenced. *)
         resend_bcasts t
       end
-  | Smsg.Fetch_shard { from; group; shard; from_seqno } -> (
+  | Smsg.Fetch_updates { from; group; shard; from_seqno } -> (
       match held t group with
       | Some (_, logs) when from <> t.self && SL.next_seqno logs.(shard) > from_seqno ->
+          (* We hold the missing suffix: answer directly. *)
           send_srv t from
-            (Smsg.Shard_updates
+            (Smsg.Updates_blob
                { group; shard; updates = SL.updates_from logs.(shard) from_seqno })
       | Some _ | None -> relay_fetch t ~from group msg)
-  | Smsg.Shard_updates { group; shard; updates } -> offer_repairs t group ~shard updates
+  | Smsg.Updates_blob { group; shard; updates } -> offer_repairs t group ~shard updates
   | _ -> ()
 
 (* --- coordinator: directory operations ----------------------------------- *)
@@ -920,26 +922,27 @@ and coord_handle t ~from msg =
               coord_fan_group t entry (Smsg.Delete_group { group });
               Directory.remove_group t.dir group
             end)
-    | Smsg.Fwd_bcast { origin; group; sender; kind; obj; data; mode } -> (
-        match Directory.find t.dir group with
-        | None -> send_srv t origin.og_server (Smsg.Bcast_reject { origin; reason = "no such group" })
-        | Some entry -> (
+    | Smsg.Fwd_bcast { origin; epoch = _; shard; group; sender; kind; obj; data; mode }
+      -> (
+        (* Classic sequencing: the checks [Server.handle_bcast] makes. *)
+        let reject reason = send_srv t origin.og_server (Smsg.Bcast_reject { origin; reason }) in
+        match (t.cfg.access.can_update sender group, Directory.find t.dir group) with
+        | Corona.Access_control.Deny reason, _ -> reject reason
+        | Corona.Access_control.Allow, None -> reject "no such group"
+        | Corona.Access_control.Allow, Some entry -> (
             match Directory.member_info entry sender with
-            | None ->
-                send_srv t origin.og_server
-                  (Smsg.Bcast_reject { origin; reason = "sender is not a member" })
+            | None -> reject "sender is not a member"
             | Some info when info.mi_role = T.Observer ->
-                send_srv t origin.og_server
-                  (Smsg.Bcast_reject
-                     { origin; reason = "observers may not update shared state" })
+                reject "observers may not update shared state"
             | Some _ ->
-                if first_sequencing t ~group ~shard:0 origin then begin
+                if first_sequencing t ~group ~shard origin then begin
                   let seqno = Directory.sequence entry in
                   t.s_sequenced <- t.s_sequenced + 1;
                   let u =
                     { T.seqno; group; kind; obj; data; sender; timestamp = now t }
                   in
-                  coord_fan_group t entry (Smsg.Sequenced { origin; update = u; mode })
+                  coord_fan_group t entry
+                    (Smsg.Sequenced { epoch = t.shard_epoch; shard; origin; update = u; mode })
                 end))
     | Smsg.Fwd_lock { origin; group; lock; member; acquire } -> (
         match Directory.find t.dir group with
@@ -1120,10 +1123,6 @@ and replica_handle t ~from msg =
                  else complete_shard_join t rg member
              | _ -> ());
           E.notify t.eng rg.rg_local ~group ~members change)
-  | Smsg.Sequenced { origin; update; mode } -> (
-      match Hashtbl.find_opt t.rgroups update.group with
-      | None -> ()
-      | Some rg -> offer t rg ~shard:0 update mode origin)
   | Smsg.Bcast_reject { origin; reason } ->
       ignore reason;
       if origin.og_server = t.self then Hashtbl.remove t.pending_bcast origin.og_seq
@@ -1143,23 +1142,20 @@ and replica_handle t ~from msg =
         | Some { rg_logs = None; _ } | None -> (0, [], Some "state not here", [])
       in
       send_srv t requester (Smsg.State_blob { group; at_seqno; objects; error; shards })
-  | Smsg.State_blob { group; at_seqno = _; objects; error; shards = blob_shards }
-    when t.cfg.shards > 1 -> (
+  | Smsg.State_blob { group; at_seqno; objects; error; shards = blob_shards } -> (
+      (* A sharded copy may already log (from position 0) while its blob is
+         on the way; a classic one only expects a blob while it has none. *)
       match Hashtbl.find_opt t.rgroups group with
       | Some rg when rg.rg_logs = None || rg.rg_expecting_blob -> (
           match error with
-          | None -> seed_rgroup t rg ~objects ~positions:blob_shards
-          | Some _ ->
+          | None ->
+              seed_rgroup t rg ~objects
+                ~positions:(if sharded t then blob_shards else [ (0, at_seqno) ])
+          | Some _ when sharded t ->
               rg.rg_expecting_blob <- false;
               (* Seed an empty sharded copy rather than stalling pending
                  joins forever. *)
-              if rg.rg_logs = None then seed_rgroup t rg ~objects:[] ~positions:[])
-      | Some _ | None -> ())
-  | Smsg.State_blob { group; at_seqno; objects; error; shards = _ } -> (
-      match Hashtbl.find_opt t.rgroups group with
-      | Some rg when rg.rg_logs = None -> (
-          match error with
-          | None -> seed_rgroup t rg ~objects ~positions:[ (0, at_seqno) ]
+              if rg.rg_logs = None then seed_rgroup t rg ~objects:[] ~positions:[]
           | Some _ ->
               rg.rg_expecting_blob <- false;
               (* Complete any waiting joins from an empty state rather than
@@ -1177,14 +1173,6 @@ and replica_handle t ~from msg =
               | ns :: _ -> seed_rgroup t rg ~objects:[] ~positions:[ (0, ns) ]
               | [] -> ()))
       | Some _ | None -> ())
-  | Smsg.Fetch_updates { from; group; from_seqno } -> (
-      match Option.bind (Hashtbl.find_opt t.rgroups group) group_log with
-      | Some log when SL.next_seqno log > from_seqno ->
-          (* We are a holder with the missing suffix: answer directly. *)
-          send_srv t from
-            (Smsg.Updates_blob { group; updates = SL.updates_from log from_seqno })
-      | _ -> relay_fetch t ~from group msg)
-  | Smsg.Updates_blob { group; updates } -> offer_repairs t group ~shard:0 updates
   | Smsg.Add_replica { group; holder = _ } ->
       (* The blob will follow (the coordinator ordered the fetch). *)
       let rg = rgroup_of t group in
@@ -1214,10 +1202,9 @@ and replica_handle t ~from msg =
       if coord <> t.coord || Election.List_order.electing (election t) then
         Election.List_order.handle (election t) ~from (Election.Victory { from = coord })
   | Smsg.Dir_reply _ | Smsg.Fwd_create _ | Smsg.Fwd_delete _ | Smsg.Fwd_join _
-  | Smsg.Fwd_leave _ | Smsg.Fwd_bcast _ | Smsg.Fwd_lock _ | Smsg.Fwd_bcast_s _
-  | Smsg.Sequenced_s _ | Smsg.Barrier_prepare _ | Smsg.Barrier_pos _
-  | Smsg.Barrier_commit _ | Smsg.Shard_assign _ | Smsg.Fetch_shard _
-  | Smsg.Shard_updates _ ->
+  | Smsg.Fwd_leave _ | Smsg.Fwd_bcast _ | Smsg.Fwd_lock _ | Smsg.Sequenced _
+  | Smsg.Fetch_updates _ | Smsg.Updates_blob _ | Smsg.Barrier_prepare _
+  | Smsg.Barrier_pos _ | Smsg.Barrier_commit _ | Smsg.Shard_assign _ ->
       ignore from
 
 (* --- failure handling / election ----------------------------------------- *)
@@ -1401,7 +1388,7 @@ and finish_directory_recovery t =
         (fun (srv, n) ->
           if n < max_next then
             send_srv t freshest
-              (Smsg.Fetch_updates { from = srv; group; from_seqno = n }))
+              (Smsg.Fetch_updates { from = srv; group; shard = 0; from_seqno = n }))
         positions)
     by_group;
   (* Sharded ownership recovers with the directory, so sequencing never
@@ -1421,14 +1408,13 @@ and on_new_coordinator t coord =
   Hashtbl.replace t.last_seen coord (now t);
   resend_pending t
 
-(* A broadcast forward goes to its sequencer: a sharded one to its shard's
-   current owner under the current epoch, a classic one to the
-   coordinator. *)
+(* A broadcast forward goes to its shard's current owner under the current
+   epoch: the coordinator on a classic deployment. *)
 and forward_bcast t msg =
   match msg with
-  | Smsg.Fwd_bcast_s r ->
-      send_srv t (shard_owner t r.shard) (Smsg.Fwd_bcast_s { r with epoch = t.shard_epoch })
-  | _ -> send_srv t t.coord msg
+  | Smsg.Fwd_bcast r ->
+      send_srv t (shard_owner t r.shard) (Smsg.Fwd_bcast { r with epoch = t.shard_epoch })
+  | _ -> ()
 
 (* Re-send the un-acknowledged broadcast forwards, in origin order. *)
 and resend_bcasts t =
@@ -1481,6 +1467,9 @@ and dispatch_smsg t ~from msg =
     | Smsg.Heartbeat _ | Smsg.Heartbeat_ack _ | Smsg.Elect_me _ | Smsg.Elect_ack _
     | Smsg.Coordinator_is _ | Smsg.Dir_query _ ->
         replica_handle t ~from msg
+    (* The one sequencer fork: a shard owner stamps a sharded forward, the
+       coordinator a classic one against its directory. *)
+    | Smsg.Fwd_bcast _ when sharded t -> stream_handle t ~from msg
     | Smsg.Fwd_create _ | Smsg.Fwd_delete _ | Smsg.Fwd_join _ | Smsg.Fwd_leave _
     | Smsg.Fwd_bcast _ | Smsg.Fwd_lock _ ->
         if t.node_role = Coordinator then coord_handle t ~from msg
@@ -1490,14 +1479,14 @@ and dispatch_smsg t ~from msg =
           t.dir_waiting_on <- List.filter (fun s -> s <> from) t.dir_waiting_on;
           if t.dir_waiting_on = [] && not t.dir_ready then finish_directory_recovery t
         end
-    | Smsg.Fwd_bcast_s _ | Smsg.Sequenced_s _ | Smsg.Barrier_prepare _
-    | Smsg.Barrier_pos _ | Smsg.Barrier_commit _ | Smsg.Shard_assign _
-    | Smsg.Fetch_shard _ | Smsg.Shard_updates _ ->
-        shard_handle t ~from msg
+    | Smsg.Sequenced _ | Smsg.Fetch_updates _ | Smsg.Updates_blob _
+    | Smsg.Barrier_prepare _ | Smsg.Barrier_pos _ | Smsg.Barrier_commit _
+    | Smsg.Shard_assign _ ->
+        stream_handle t ~from msg
     | Smsg.Create_result _ | Smsg.Join_result _ | Smsg.Membership_update _
-    | Smsg.Sequenced _ | Smsg.Bcast_reject _ | Smsg.Fetch_state _ | Smsg.State_blob _
+    | Smsg.Bcast_reject _ | Smsg.Fetch_state _ | Smsg.State_blob _
     | Smsg.Add_replica _ | Smsg.Delete_group _ | Smsg.Delete_refused _
-    | Smsg.Lock_result _ | Smsg.Fetch_updates _ | Smsg.Updates_blob _ ->
+    | Smsg.Lock_result _ ->
         replica_handle t ~from msg
   end
 
@@ -1530,6 +1519,20 @@ let relaxed_leave t rg change =
   E.notify t.eng rg.rg_local ~group:rg.rg_id
     ~members:(List.filter (fun (m : T.member) -> m.member <> gone) rg.rg_global)
     change
+
+(* A shard owner need not know the directory, so on a sharded deployment
+   the origin replica makes [Server.handle_bcast]'s checks against its own
+   member table before it forwards, and drops a refused write as a
+   [Bcast_reject] would. On a classic one the coordinator makes them. *)
+let refused_at_origin t ~group ~sender =
+  sharded t
+  &&
+  match t.cfg.access.can_update sender group with
+  | Corona.Access_control.Deny _ -> true
+  | Corona.Access_control.Allow -> (
+      match Hashtbl.find_opt t.rgroups group with
+      | Some rg -> Corona.Membership.role_of rg.rg_local sender <> Some T.Principal
+      | None -> true)
 
 let handle_client_request t conn (req : M.request) =
   match req with
@@ -1575,22 +1578,21 @@ let handle_client_request t conn (req : M.request) =
       | Some rg -> E.send t.eng conn (M.Membership_info { group; members = rg.rg_global })
       | None -> E.fail t.eng conn group "no such group")
   | M.Bcast { group; sender; kind; obj; data; mode } ->
-      let og_seq = t.fwd_seq in
-      t.fwd_seq <- og_seq + 1;
-      let origin = { Smsg.og_server = t.self; og_seq } in
-      t.s_fwd_bcasts <- t.s_fwd_bcasts + 1;
-      let msg =
-        if sharded t then
-          (* Sharded: route by the deterministic (group, object) map straight
-             to the shard's sequencer — the coordinator is not on the data
-             path. *)
-          let shard = Ordering.Shard_map.shard_of ~shards:t.cfg.shards ~group ~obj in
-          Smsg.Fwd_bcast_s
+      if not (refused_at_origin t ~group ~sender) then begin
+        let og_seq = t.fwd_seq in
+        t.fwd_seq <- og_seq + 1;
+        let origin = { Smsg.og_server = t.self; og_seq } in
+        t.s_fwd_bcasts <- t.s_fwd_bcasts + 1;
+        (* Route by the deterministic (group, object) map to the shard's
+           sequencer: sharded, the coordinator is not on the data path. *)
+        let shard = Ordering.Shard_map.shard_of ~shards:t.cfg.shards ~group ~obj in
+        let msg =
+          Smsg.Fwd_bcast
             { origin; epoch = t.shard_epoch; shard; group; sender; kind; obj; data; mode }
-        else Smsg.Fwd_bcast { origin; group; sender; kind; obj; data; mode }
-      in
-      Hashtbl.replace t.pending_bcast og_seq msg;
-      forward_bcast t msg
+        in
+        Hashtbl.replace t.pending_bcast og_seq msg;
+        forward_bcast t msg
+      end
   | M.Acquire_lock { group; lock; member } ->
       Hashtbl.replace t.pending_lock (group, lock, member) conn;
       send_srv t t.coord
@@ -1662,7 +1664,7 @@ let heartbeat_tick t =
           List.iter
             (fun (shard, from_seqno) ->
               send_srv t t.coord
-                (Smsg.Fetch_shard { from = t.self; group; shard; from_seqno }))
+                (Smsg.Fetch_updates { from = t.self; group; shard; from_seqno }))
             (SH.stalled_shards rg.rg_hb))
         t.rgroups
     end
@@ -1676,7 +1678,7 @@ let wire_peer t peer_id conn =
   (match Hashtbl.find_opt t.outbox peer_id with
   | Some queued ->
       Hashtbl.remove t.outbox peer_id;
-      List.iter (Smsg.send conn) (List.rev queued)
+      List.iter (Smsg.send ~sharded:(sharded t) conn) (List.rev queued)
   | None -> ());
   t.conn_ids <- (Net.Tcp.id conn, peer_id) :: t.conn_ids;
   Net.Tcp.set_on_close conn (fun reason ->
@@ -1785,7 +1787,7 @@ let connect_peers t nodes =
           ~on_connected:(fun conn ->
             wire_peer t peer_id conn;
             (* Hello: lets the acceptor map the connection to us. *)
-            Smsg.send conn (Smsg.Heartbeat { from = t.self }))
+            Smsg.send ~sharded:(sharded t) conn (Smsg.Heartbeat { from = t.self }))
           ~on_failed:(fun () -> ())
           ())
     nodes

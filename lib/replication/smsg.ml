@@ -74,6 +74,8 @@ type t =
     }
   | Fwd_bcast of {
       origin : origin_tag;
+      epoch : int;
+      shard : int;
       group : Proto.Types.group_id;
       sender : Proto.Types.member_id;
       kind : Proto.Types.update_kind;
@@ -82,6 +84,8 @@ type t =
       mode : Proto.Types.delivery_mode;
     }
   | Sequenced of {
+      epoch : int;
+      shard : int;
       origin : origin_tag;
       update : Proto.Types.update;
       mode : Proto.Types.delivery_mode;
@@ -101,10 +105,12 @@ type t =
   | Fetch_updates of {
       from : server_id;
       group : Proto.Types.group_id;
+      shard : int;
       from_seqno : int;
     }
   | Updates_blob of {
       group : Proto.Types.group_id;
+      shard : int;
       updates : Proto.Types.update list;
     }
   | Fwd_lock of {
@@ -126,27 +132,6 @@ type t =
   | Coordinator_is of { coord : server_id }
   | Dir_query of { from : server_id }
   | Dir_reply of { from : server_id; reports : dir_report list }
-  (* sharded sequencing: each shard owns a slice of the (group, object-id)
-     keyspace with its own seqno stream; the shard's owner sequences and fans
-     to every server, not through the coordinator *)
-  | Fwd_bcast_s of {
-      origin : origin_tag;
-      epoch : int;
-      shard : int;
-      group : Proto.Types.group_id;
-      sender : Proto.Types.member_id;
-      kind : Proto.Types.update_kind;
-      obj : Proto.Types.object_id;
-      data : string;
-      mode : Proto.Types.delivery_mode;
-    }
-  | Sequenced_s of {
-      epoch : int;
-      shard : int;
-      origin : origin_tag;
-      update : Proto.Types.update;
-      mode : Proto.Types.delivery_mode;
-    }
   (* cross-shard barrier: coordinator freezes each shard owner, collects a
      vector of per-shard positions, then fans the stamped op to everyone *)
   | Barrier_prepare of { bar : int; epoch : int; group : Proto.Types.group_id }
@@ -172,18 +157,6 @@ type t =
           (* (group, shard, next) — seeds new allocators *)
       origins : (Proto.Types.group_id * int * server_id * int) list;
           (* (group, shard, origin, og_seq) — seeds new owners' dedup *)
-    }
-  (* per-shard gap repair, answered from the owner's retained shard log *)
-  | Fetch_shard of {
-      from : server_id;
-      group : Proto.Types.group_id;
-      shard : int;
-      from_seqno : int;
-    }
-  | Shard_updates of {
-      group : Proto.Types.group_id;
-      shard : int;
-      updates : Proto.Types.update list;
     }
 
 type Net.Payload.t += Srv of t
@@ -224,7 +197,12 @@ let shard_op_size = function
       + members_size members + str origin
   | Op_lock { lock; member } -> str lock + str member
 
-let wire_size t =
+(* The shard stamp: [shard] costs 4 bytes, and [epoch] 8 more on the
+   forward and sequenced messages. Only a sharded deployment sends it; a
+   classic one is the one-shard layout, whose frames carry neither. *)
+let wire_size ~sharded t =
+  let shard_b = if sharded then 4 else 0 in
+  let stamp_b = if sharded then 8 + 4 else 0 in
   header
   +
   match t with
@@ -244,8 +222,8 @@ let wire_size t =
   | Fwd_leave { origin; group; member; _ } -> str origin + str group + str member + 1
   | Membership_update { group; members; _ } -> str group + 8 + members_size members
   | Fwd_bcast { origin; group; sender; obj; data; _ } ->
-      tag_size origin + str group + str sender + 1 + str obj + str data + 1
-  | Sequenced { origin; update; _ } -> tag_size origin + update_size update + 1
+      stamp_b + tag_size origin + str group + str sender + 1 + str obj + str data + 1
+  | Sequenced { origin; update; _ } -> stamp_b + tag_size origin + update_size update + 1
   | Bcast_reject { origin; reason } -> tag_size origin + str reason
   | Fetch_state { from; group } -> str from + str group
   | State_blob { group; objects; error; shards; _ } ->
@@ -254,9 +232,9 @@ let wire_size t =
       + (match shards with [] -> 0 | l -> pos_pairs_size l)
   | Add_replica { group; holder } ->
       str group + (match holder with Some h -> str h | None -> 1)
-  | Fetch_updates { from; group; _ } -> str from + str group + 8
-  | Updates_blob { group; updates } ->
-      str group + List.fold_left (fun acc u -> acc + update_size u) 4 updates
+  | Fetch_updates { from; group; _ } -> shard_b + str from + str group + 8
+  | Updates_blob { group; updates; _ } ->
+      shard_b + str group + List.fold_left (fun acc u -> acc + update_size u) 4 updates
   | Fwd_lock { origin; group; lock; member; _ } ->
       str origin + str group + str lock + str member + 1
   | Lock_result { group; lock; member; result } ->
@@ -271,10 +249,6 @@ let wire_size t =
   | Dir_query { from } -> str from
   | Dir_reply { from; reports } ->
       str from + List.fold_left (fun acc r -> acc + report_size r) 4 reports
-  | Fwd_bcast_s { origin; group; sender; obj; data; _ } ->
-      tag_size origin + 8 + 4 + str group + str sender + 1 + str obj + str data + 1
-  | Sequenced_s { origin; update; _ } ->
-      8 + 4 + tag_size origin + update_size update + 1
   | Barrier_prepare { group; _ } -> 8 + 8 + str group
   | Barrier_pos { from; group; positions; _ } ->
       str from + 8 + str group + pos_pairs_size positions
@@ -285,96 +259,14 @@ let wire_size t =
       + Array.fold_left (fun acc o -> acc + str o) 4 owners
       + List.fold_left (fun acc (g, _, _) -> acc + str g + 4 + 8) 4 positions
       + List.fold_left (fun acc (g, _, o, _) -> acc + str g + 4 + str o + 8) 4 origins
-  | Fetch_shard { from; group; _ } -> str from + str group + 4 + 8
-  | Shard_updates { group; updates; _ } ->
-      str group + 4
-      + List.fold_left (fun acc u -> acc + update_size u) 4 updates
 
-let send conn t = Net.Tcp.send conn ~size:(wire_size t) (Srv t)
+let send ~sharded conn t = Net.Tcp.send conn ~size:(wire_size ~sharded t) (Srv t)
 
 (* A message whose wire size was computed once; fan-out paths (the
-   coordinator's star multicast of [Sequenced] updates in particular) share
-   it across all recipients instead of re-walking the message per peer. *)
+   sequencers' multicast of [Sequenced] updates in particular) share it
+   across all recipients instead of re-walking the message per peer. *)
 type sized = { s_msg : t; s_size : int }
 
-let pre msg = { s_msg = msg; s_size = wire_size msg }
-
-let sized_msg s = s.s_msg
-
-let sized_size s = s.s_size
-
-let send_sized conn s = Net.Tcp.send conn ~size:s.s_size (Srv s.s_msg)
+let pre ~sharded msg = { s_msg = msg; s_size = wire_size ~sharded msg }
 
 let send_sized_batch conns s = Net.Tcp.send_batch conns ~size:s.s_size (Srv s.s_msg)
-
-let pp ppf = function
-  | Heartbeat { from } -> Format.fprintf ppf "heartbeat from=%s" from
-  | Heartbeat_ack { from } -> Format.fprintf ppf "heartbeat_ack from=%s" from
-  | Fwd_create { origin; group; _ } -> Format.fprintf ppf "fwd_create %s from=%s" group origin
-  | Create_result { group; error = None } -> Format.fprintf ppf "create_ok %s" group
-  | Create_result { group; error = Some e } ->
-      Format.fprintf ppf "create_fail %s: %s" group e
-  | Fwd_delete { group; _ } -> Format.fprintf ppf "fwd_delete %s" group
-  | Delete_group { group } -> Format.fprintf ppf "delete_group %s" group
-  | Delete_refused { group; reason } ->
-      Format.fprintf ppf "delete_refused %s: %s" group reason
-  | Fwd_join { group; member; origin; _ } ->
-      Format.fprintf ppf "fwd_join %s/%s from=%s" group member origin
-  | Join_result { group; member; error = None; _ } ->
-      Format.fprintf ppf "join_ok %s/%s" group member
-  | Join_result { group; member; error = Some e; _ } ->
-      Format.fprintf ppf "join_fail %s/%s: %s" group member e
-  | Fwd_leave { group; member; crashed; _ } ->
-      Format.fprintf ppf "fwd_leave %s/%s crashed=%b" group member crashed
-  | Membership_update { group; change; _ } ->
-      Format.fprintf ppf "membership_update %s %a" group Proto.Types.pp_membership_change change
-  | Fwd_bcast { origin; group; sender; _ } ->
-      Format.fprintf ppf "fwd_bcast %s by %s (%s#%d)" group sender origin.og_server
-        origin.og_seq
-  | Sequenced { update; _ } -> Format.fprintf ppf "sequenced %a" Proto.Types.pp_update update
-  | Bcast_reject { reason; _ } -> Format.fprintf ppf "bcast_reject: %s" reason
-  | Fetch_state { from; group } -> Format.fprintf ppf "fetch_state %s from=%s" group from
-  | State_blob { group; at_seqno; error = None; _ } ->
-      Format.fprintf ppf "state_blob %s at=%d" group at_seqno
-  | State_blob { group; error = Some e; _ } ->
-      Format.fprintf ppf "state_blob %s error=%s" group e
-  | Add_replica { group; holder } ->
-      Format.fprintf ppf "add_replica %s holder=%s" group
-        (Option.value holder ~default:"-")
-  | Fetch_updates { from; group; from_seqno } ->
-      Format.fprintf ppf "fetch_updates %s from_seqno=%d for %s" group from_seqno from
-  | Updates_blob { group; updates } ->
-      Format.fprintf ppf "updates_blob %s (%d updates)" group (List.length updates)
-  | Fwd_lock { group; lock; member; acquire; _ } ->
-      Format.fprintf ppf "fwd_lock %s/%s %s acquire=%b" group lock member acquire
-  | Lock_result { group; lock; member; _ } ->
-      Format.fprintf ppf "lock_result %s/%s -> %s" group lock member
-  | Elect_me { from } -> Format.fprintf ppf "elect_me %s" from
-  | Elect_ack { from; candidate; ok } ->
-      Format.fprintf ppf "elect_ack %s -> %s ok=%b" from candidate ok
-  | Coordinator_is { coord } -> Format.fprintf ppf "coordinator_is %s" coord
-  | Dir_query { from } -> Format.fprintf ppf "dir_query %s" from
-  | Dir_reply { from; reports } ->
-      Format.fprintf ppf "dir_reply %s (%d groups)" from (List.length reports)
-  | Fwd_bcast_s { origin; shard; group; sender; _ } ->
-      Format.fprintf ppf "fwd_bcast_s %s[%d] by %s (%s#%d)" group shard sender
-        origin.og_server origin.og_seq
-  | Sequenced_s { shard; update; _ } ->
-      Format.fprintf ppf "sequenced_s [%d] %a" shard Proto.Types.pp_update update
-  | Barrier_prepare { bar; group; _ } ->
-      Format.fprintf ppf "barrier_prepare b%d %s" bar group
-  | Barrier_pos { from; bar; group; positions } ->
-      Format.fprintf ppf "barrier_pos b%d %s from=%s (%d shards)" bar group from
-        (List.length positions)
-  | Barrier_commit { bar; group; op; _ } ->
-      Format.fprintf ppf "barrier_commit b%d %s %s" bar group (shard_op_label op)
-  | Shard_assign { epoch; owners; positions; _ } ->
-      Format.fprintf ppf "shard_assign e%d [%s] (%d positions)" epoch
-        (String.concat ";" (Array.to_list owners))
-        (List.length positions)
-  | Fetch_shard { from; group; shard; from_seqno } ->
-      Format.fprintf ppf "fetch_shard %s[%d] from_seqno=%d for %s" group shard
-        from_seqno from
-  | Shard_updates { group; shard; updates } ->
-      Format.fprintf ppf "shard_updates %s[%d] (%d updates)" group shard
-        (List.length updates)

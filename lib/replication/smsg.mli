@@ -1,9 +1,19 @@
 (** Server-to-server protocol of the replicated Corona service (§4).
 
     Servers form a star for sequencing — replicas forward client broadcasts
-    to the coordinator, which assigns sequence numbers and multicasts them to
+    to a sequencer, which assigns sequence numbers and multicasts them to
     the replicas serving the group — plus a full mesh for control traffic:
     state fetches, heartbeats, election, and directory recovery.
+
+    {b One layout, one or N shards.} The sequencing messages ({!t.Fwd_bcast},
+    {!t.Sequenced}, {!t.Fetch_updates}, {!t.Updates_blob}) carry a [shard]
+    stamp, and the forward and sequenced ones an ownership [epoch] too. A
+    classic deployment is the one-shard layout: shard 0, epoch 0, and the
+    coordinator as the owner of shard 0. The stamp is on the wire only on a
+    sharded deployment ([~sharded] of {!wire_size}, {!send} and {!pre}):
+    the shard count is fixed per deployment, so both ends know whether it is
+    there, and a classic frame keeps its size. [dr_shards] and
+    [State_blob.shards] follow the same rule.
 
     Unlike the client protocol (which has a real binary codec), server
     messages carry a structural {!wire_size} so the simulator charges honest
@@ -105,18 +115,25 @@ type t =
   (* sequencing *)
   | Fwd_bcast of {
       origin : origin_tag;
+      epoch : int;  (** the origin's shard epoch when it (re-)sent this *)
+      shard : int;
       group : Proto.Types.group_id;
       sender : Proto.Types.member_id;
       kind : Proto.Types.update_kind;
       obj : Proto.Types.object_id;
       data : string;
       mode : Proto.Types.delivery_mode;
-    }
+    }  (** origin replica -> owner of [shard]: sequence this broadcast *)
   | Sequenced of {
+      epoch : int;
+      shard : int;
       origin : origin_tag;
       update : Proto.Types.update;
       mode : Proto.Types.delivery_mode;
-    }  (** coordinator -> replicas of the group, in sequence order *)
+    }
+      (** owner of [shard] -> replicas, in the shard's stream order: the
+          group's replicas on a classic deployment, every live server on a
+          sharded one *)
   | Bcast_reject of { origin : origin_tag; reason : string }
   (* state replication *)
   | Fetch_state of { from : server_id; group : Proto.Types.group_id }
@@ -136,10 +153,14 @@ type t =
   | Fetch_updates of {
       from : server_id;
       group : Proto.Types.group_id;
+      shard : int;
       from_seqno : int;
-    }  (** gap repair: replica -> coordinator (relayed to a holder) *)
+    }
+      (** gap repair of one stream: replica -> coordinator, answered from
+          its own log or relayed to a holder *)
   | Updates_blob of {
       group : Proto.Types.group_id;
+      shard : int;
       updates : Proto.Types.update list;
     }  (** holder -> stale replica: the missing sequenced updates *)
   (* locks (coordinator-owned in replicated mode) *)
@@ -162,25 +183,7 @@ type t =
   | Coordinator_is of { coord : server_id }
   | Dir_query of { from : server_id }
   | Dir_reply of { from : server_id; reports : dir_report list }
-  (* sharded sequencing (§ DESIGN.md "Sharded sequencing") *)
-  | Fwd_bcast_s of {
-      origin : origin_tag;
-      epoch : int;
-      shard : int;
-      group : Proto.Types.group_id;
-      sender : Proto.Types.member_id;
-      kind : Proto.Types.update_kind;
-      obj : Proto.Types.object_id;
-      data : string;
-      mode : Proto.Types.delivery_mode;
-    }  (** origin replica -> owner of [shard]: sequence this broadcast *)
-  | Sequenced_s of {
-      epoch : int;
-      shard : int;
-      origin : origin_tag;
-      update : Proto.Types.update;
-      mode : Proto.Types.delivery_mode;
-    }  (** shard owner -> every server, in the shard's stream order *)
+  (* cross-shard barrier and shard ownership (§ DESIGN.md "Sharded sequencing") *)
   | Barrier_prepare of { bar : int; epoch : int; group : Proto.Types.group_id }
       (** coordinator -> each shard owner: freeze the group's streams and
           report your positions *)
@@ -206,42 +209,23 @@ type t =
       origins : (Proto.Types.group_id * int * server_id * int) list;
           (** (group, shard, origin, og_seq) seeding new owners' dedup *)
     }  (** coordinator -> every server, closing a directory-recovery round *)
-  | Fetch_shard of {
-      from : server_id;
-      group : Proto.Types.group_id;
-      shard : int;
-      from_seqno : int;
-    }  (** per-shard gap repair, answered from the owner's retained log *)
-  | Shard_updates of {
-      group : Proto.Types.group_id;
-      shard : int;
-      updates : Proto.Types.update list;
-    }
 
 type Net.Payload.t += Srv of t
   (** Transport payload for the server mesh. *)
 
-val wire_size : t -> int
+val wire_size : sharded:bool -> t -> int
 (** Structural estimate of the encoded size in bytes (header + fields +
-    payload data). *)
+    payload data). [sharded]: whether the deployment has more than one
+    shard, i.e. whether the shard stamp is on the wire. *)
 
-val send : Net.Tcp.conn -> t -> unit
+val send : sharded:bool -> Net.Tcp.conn -> t -> unit
 
 type sized
 (** A message paired with its wire size, computed once — fan-out paths
     share one [sized] value across all recipient servers. *)
 
-val pre : t -> sized
-
-val sized_msg : sized -> t
-
-val sized_size : sized -> int
-
-val send_sized : Net.Tcp.conn -> sized -> unit
+val pre : sharded:bool -> t -> sized
 
 val send_sized_batch : Net.Tcp.conn list -> sized -> unit
 (** Fan a pre-sized message out over many connections via
     {!Net.Tcp.send_batch} (one batched fabric transmit). *)
-
-val pp : Format.formatter -> t -> unit
-(** Constructor name plus key fields, for traces. *)

@@ -371,21 +371,51 @@ let test_delete_group_cluster_wide () =
         (List.filter (( = ) "g") (Replication.Node.groups_held n)))
     (Replication.Cluster.live_nodes w.cluster)
 
-(* Observers may not update, enforced at the coordinator. *)
-let test_observer_rejected_at_coordinator () =
-  let w = make_world () in
+(* [a] creates g, joins it with [role] and writes o := x on a cluster of
+   [shards] shards under [access]; the value of o at every live copy. *)
+let write_outcome ~shards ?(access = Corona.Access_control.allow_all) ~role () =
+  let config = { Replication.Node.default_config with shards; access } in
+  let w = make_world ~config () in
   connect w ~idx:0 ~member:"a" (fun a ->
       Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
-      Corona.Client.join a ~group:"g" ~role:T.Observer
-        ~k:(fun _ -> Corona.Client.bcast_state a ~group:"g" ~obj:"o" ~data:"x" ())
+      Corona.Client.join a ~group:"g" ~role
+        ~k:(fun r ->
+          ignore (expect_join "join" r);
+          Corona.Client.bcast_state a ~group:"g" ~obj:"o" ~data:"x" ())
         ());
   run ~until:20.0 w;
-  let n = Replication.Cluster.replica_for w.cluster 0 in
-  match Replication.Node.group_state n "g" with
-  | Some st ->
-      Alcotest.(check (option string)) "update rejected" None
-        (Corona.Shared_state.get st "o")
-  | None -> Alcotest.fail "group missing"
+  List.filter_map
+    (fun n ->
+      Option.map (List.assoc_opt "o") (Replication.Node.group_shard_objects n "g"))
+    (Replication.Cluster.live_nodes w.cluster)
+
+let expect_write name ~applied copies =
+  Alcotest.(check bool) (name ^ ": copies held") true (List.length copies >= 2);
+  List.iter
+    (Alcotest.(check (option string)) name (if applied then Some "x" else None))
+    copies
+
+(* Observers may not update, nor may anyone [can_update] denies, as
+   [Server.handle_bcast] rules. Classic, the coordinator refuses the write;
+   sharded, the origin replica does, since the shard owner need not know
+   the directory. *)
+let test_observer_rejected_at_coordinator () =
+  let read_only =
+    {
+      Corona.Access_control.allow_all with
+      can_update = (fun _ _ -> Corona.Access_control.Deny "read-only");
+    }
+  in
+  List.iter
+    (fun shards ->
+      let name what = Printf.sprintf "%s, %d shard(s)" what shards in
+      expect_write (name "principal's write") ~applied:true
+        (write_outcome ~shards ~role:T.Principal ());
+      expect_write (name "observer's write") ~applied:false
+        (write_outcome ~shards ~role:T.Observer ());
+      expect_write (name "write can_update denies") ~applied:false
+        (write_outcome ~shards ~access:read_only ~role:T.Principal ()))
+    [ 1; 2 ]
 
 (* The paper's k-crash tolerance on the real cluster: coordinator and the
    next server die together; the third takes over via the escalating

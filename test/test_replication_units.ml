@@ -247,21 +247,61 @@ let prop_rollback_prefix_of_both =
 
 (* --- smsg sizes ------------------------------------------------------------- *)
 
+let smsg_origin = { Replication.Smsg.og_server = "s"; og_seq = 1 }
+
+let smsg_fwd data =
+  Replication.Smsg.Fwd_bcast
+    {
+      origin = smsg_origin;
+      epoch = 3;
+      shard = 1;
+      group = "g";
+      sender = "m";
+      kind = T.Set_state;
+      obj = "o";
+      data;
+      mode = T.Sender_inclusive;
+    }
+
+let smsg_update data =
+  { T.seqno = 0; group = "g"; kind = T.Set_state; obj = "o"; data; sender = "m"; timestamp = 0.0 }
+
+(* A classic deployment is the one-shard layout of the sequencing messages:
+   each frame costs what the classic message did, and on a sharded
+   deployment what the shard-stamped one did. The stamp is 12 bytes on the
+   forward and sequenced messages (epoch + shard) and 4 on gap repair. *)
 let test_smsg_sizes_scale () =
-  let mk data =
-    Replication.Smsg.wire_size
-      (Replication.Smsg.Fwd_bcast
-         {
-           origin = { Replication.Smsg.og_server = "s"; og_seq = 1 };
-           group = "g";
-           sender = "m";
-           kind = T.Set_state;
-           obj = "o";
-           data;
-           mode = T.Sender_inclusive;
-         })
-  in
-  Alcotest.(check int) "payload bytes dominate" 5000 (mk (String.make 5000 'x') - mk "")
+  let module S = Replication.Smsg in
+  List.iter
+    (fun sharded ->
+      let mk data = S.wire_size ~sharded (smsg_fwd data) in
+      Alcotest.(check int)
+        (Printf.sprintf "payload bytes dominate (sharded=%b)" sharded)
+        5000
+        (mk (String.make 5000 'x') - mk ""))
+    [ false; true ];
+  let update = smsg_update "x" in
+  List.iter
+    (fun (name, msg, classic, sharded, stamp) ->
+      Alcotest.(check int) (name ^ ", classic") classic (S.wire_size ~sharded:false msg);
+      Alcotest.(check int) (name ^ ", sharded") sharded (S.wire_size ~sharded:true msg);
+      Alcotest.(check int) (name ^ ", stamp") stamp
+        (S.wire_size ~sharded:true msg - S.wire_size ~sharded:false msg))
+    [
+      ("forward", smsg_fwd "x", 43, 55, 12);
+      ( "sequenced",
+        S.Sequenced
+          { epoch = 3; shard = 1; origin = smsg_origin; update; mode = T.Sender_inclusive },
+        59,
+        71,
+        12 );
+      ( "fetch",
+        S.Fetch_updates { from = "s"; group = "g"; shard = 1; from_seqno = 4 },
+        26,
+        30,
+        4 );
+      ("repair", S.Updates_blob { group = "g"; shard = 1; updates = [ update ] }, 54, 58, 4);
+    ]
 
 let () =
   let tc = Alcotest.test_case in
