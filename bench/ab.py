@@ -5,6 +5,7 @@ Usage, from the root of the repository:
 
     python3 bench/ab.py --workload fanout --pairs 10 --seed 4242 --seconds 20
     python3 bench/ab.py --workload join_churn --base HEAD~1 --head HEAD
+    python3 bench/ab.py --workload micro --pairs 10
 
 Each side is exported into its own directory under --dir (`git archive`
 of the revision, or a copy of the tracked and untracked-but-not-ignored
@@ -20,8 +21,13 @@ The report gives each side's median and interquartile range of
 host_ops_per_s (higher is better), the pairs head won, the median delta, and whether that delta is larger
 than the base's IQR ("beats noise"). It also says whether every virt_*
 metric was identical between the two sides, which holds when a change
-leaves the modeled system's virtual time alone. Needs git, dune and
-python3 only; no network.
+leaves the modeled system's virtual time alone.
+
+`--workload micro` compares the event loop instead: each run is
+`bench/main.exe --quick --smoke micro` (which writes no BENCH_*.json), and
+the report covers its `engine pooled step @2000 pending` row, host
+ns/event (lower is better) and minor words/event. --seed and --seconds do
+not apply to it. Needs git, dune and python3 only; no network.
 """
 
 import argparse
@@ -35,6 +41,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC = "host_ops_per_s"
+MICRO_ROW = "engine pooled step @2000 pending"
+MICRO_METRIC = "host_ns_per_event"
 
 
 def git(*args):
@@ -63,12 +71,26 @@ def export(rev, dest):
     return sha[:12]
 
 
-def build(side_dir):
+def build(side_dir, target):
     env = dict(os.environ, DUNE_CACHE="disabled")
     subprocess.run(
-        ["dune", "build", "--root", side_dir, "./perfbench/corona_bench.exe"],
+        ["dune", "build", "--root", side_dir, target],
         cwd=side_dir, env=env, check=True, stdout=sys.stderr, stderr=sys.stderr,
     )
+
+
+def run_micro(side_dir, args):
+    exe = os.path.join(side_dir, "_build", "default", "bench", "main.exe")
+    proc = subprocess.run([exe, "--quick", "--smoke", "micro"],
+                          cwd=side_dir, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-2000:])
+        sys.exit("ab: micro run in %s exited %d" % (side_dir, proc.returncode))
+    for line in proc.stdout.splitlines():
+        if line.strip().startswith(MICRO_ROW):
+            ns, words = line.strip()[len(MICRO_ROW):].split()[:2]
+            return {MICRO_METRIC: float(ns), "minor_words_per_event": float(words)}
+    sys.exit("ab: no %r row in the micro output of %s" % (MICRO_ROW, side_dir))
 
 
 def run_once(side_dir, args):
@@ -97,7 +119,7 @@ def quartiles(xs):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True,
-                    choices=["fanout", "join_churn", "replicated_failover"])
+                    choices=["fanout", "join_churn", "replicated_failover", "micro"])
     ap.add_argument("--base", default="HEAD",
                     help="base revision (default HEAD)")
     ap.add_argument("--head", default="worktree",
@@ -110,34 +132,40 @@ def main():
                     help="directory for the two exports; emptied "
                          "first (default: corona-ab in the system temp dir)")
     args = ap.parse_args()
+    micro = args.workload == "micro"
+    metric = MICRO_METRIC if micro else METRIC
+    run = run_micro if micro else run_once
+    # +1 when higher is better, -1 when lower is.
+    sign = -1 if micro else 1
 
     shutil.rmtree(args.dir, ignore_errors=True)
     sides = {}
     for name, rev in (("base", args.base), ("head", args.head)):
         d = os.path.join(args.dir, name)
         sides[name] = (d, export(rev, d))
-        build(d)
+        build(d, "./bench/main.exe" if micro else "./perfbench/corona_bench.exe")
 
     runs = {"base": [], "head": []}
-    print("ab: %s seed %d, %g s runs, %s; base %s, head %s" % (
-        args.workload, args.seed, args.seconds, METRIC,
-        sides["base"][1], sides["head"][1]), flush=True)
+    setting = ("%r row" % MICRO_ROW if micro
+               else "seed %d, %g s runs" % (args.seed, args.seconds))
+    print("ab: %s %s, %s; base %s, head %s" % (
+        args.workload, setting, metric, sides["base"][1], sides["head"][1]), flush=True)
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for name in order:
-            runs[name].append(run_once(sides[name][0], args))
-        b = runs["base"][-1][METRIC]
-        h = runs["head"][-1][METRIC]
+            runs[name].append(run(sides[name][0], args))
+        b = runs["base"][-1][metric]
+        h = runs["head"][-1][metric]
         print("pair %2d  base %12.3f  head %12.3f  %+6.1f%%" % (
             i + 1, b, h, 100.0 * (h - b) / b), flush=True)
 
-    base = [r[METRIC] for r in runs["base"]]
-    head = [r[METRIC] for r in runs["head"]]
-    won = sum(1 for b, h in zip(base, head) if h > b)
+    base = [r[metric] for r in runs["base"]]
+    head = [r[metric] for r in runs["head"]]
+    won = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
     bq1, bmed, bq3 = quartiles(base)
     hq1, hmed, hq3 = quartiles(head)
     delta = hmed - bmed
-    beats = delta > bq3 - bq1
+    beats = sign * delta > bq3 - bq1
     virt = [k for k in runs["base"][0] if k.startswith("virt_")]
     same_virt = all(
         r[k] == runs["base"][0][k] for k in virt for r in runs["base"] + runs["head"]
@@ -146,12 +174,14 @@ def main():
     print("head median %.3f  IQR %.3f-%.3f" % (hmed, hq1, hq3))
     print("median delta %+.1f%%  pairs won %d/%d  beats noise (delta > base IQR): %s"
           % (100.0 * delta / bmed, won, len(base), "yes" if beats else "no"))
-    print("virt_* identical on both sides: %s" % ("yes" if same_virt else "no"))
+    if not micro:
+        print("virt_* identical on both sides: %s" % ("yes" if same_virt else "no"))
     for k in runs["base"][0]:
-        if not k.startswith("virt_") and k != METRIC:
-            print("  %-16s base median %12.4f  head median %12.4f" % (
-                k, statistics.median(r[k] for r in runs["base"]),
-                statistics.median(r[k] for r in runs["head"])))
+        if not k.startswith("virt_") and k != metric:
+            (b1, b2, b3), (h1, h2, h3) = (
+                quartiles([r[k] for r in runs[name]]) for name in ("base", "head"))
+            print("  %-22s base median %12.4f (IQR %.4f-%.4f)  head median %12.4f"
+                  " (IQR %.4f-%.4f)" % (k, b2, b1, b3, h2, h1, h3))
     return 0
 
 

@@ -188,8 +188,7 @@ let no_skip (_ : T.member_id) = false
    transmit. *)
 let fill_batch t ms ?exclude ?(skip = no_skip) () =
   Net.Tcp.batch_clear t.fan_batch;
-  List.iter
-    (fun (m : Membership.entry) ->
+  Membership.iter_live ms (fun (m : Membership.entry) ->
       let excluded =
         match exclude with Some x -> String.equal x m.member | None -> false
       in
@@ -197,7 +196,6 @@ let fill_batch t ms ?exclude ?(skip = no_skip) () =
         match m.cell.conn with
         | Some conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
         | None -> ())
-    (Membership.entries ms)
 
 (* Send [inner] to the filled batch: one encode shared by all direct
    recipients, one spliced [Relay_fanout] frame shared by every relay

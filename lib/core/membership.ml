@@ -122,6 +122,12 @@ let fold_live t f acc =
   done;
   !acc
 
+let iter_live t f =
+  for i = 0 to t.len - 1 do
+    let e = t.order.(i) in
+    if e != dead then f e
+  done
+
 let entries t =
   match t.entries_cache with
   | Some l -> l

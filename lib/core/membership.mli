@@ -60,6 +60,11 @@ val is_empty : t -> bool
 val entries : t -> entry list
 (** Join order. *)
 
+val iter_live : t -> (entry -> unit) -> unit
+(** [iter_live t f] applies [f] to every member in join order, straight
+    from the array: unlike {!entries}, it builds no list after a join or
+    leave. [f] must not add or remove members. *)
+
 val members : t -> Proto.Types.member list
 (** Join order, as wire-level member records. *)
 

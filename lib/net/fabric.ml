@@ -40,7 +40,7 @@ and batch = {
   mutable b_src : Host.t;
   mutable b_issued_at : float;
   mutable b_remaining : int;
-  mutable b_dsts : Host.t array;
+  mutable b_dsts : Host.t array; (* the caller's array, held until completion *)
   mutable b_fin : float array; (* sender-CPU finish, issue scratch *)
   mutable b_arrive : float array; (* stage-1 time: the engine runs read it *)
   mutable b_until : float array; (* sender-epoch guard horizon per recipient *)
@@ -272,12 +272,11 @@ let acquire_batch t src n =
         b
     | [] -> new_batch t src
   in
-  if Array.length b.b_dsts < n then begin
-    let cap = ref (max 16 (Array.length b.b_dsts)) in
+  if Array.length b.b_fin < n then begin
+    let cap = ref (max 16 (Array.length b.b_fin)) in
     while !cap < n do
       cap := !cap * 2
     done;
-    b.b_dsts <- Array.make !cap src;
     b.b_fin <- Array.make !cap 0.0;
     b.b_arrive <- Array.make !cap 0.0;
     b.b_until <- Array.make !cap 0.0;
@@ -309,7 +308,7 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
     b.b_k <- k;
     b.b_on_dropped <- on_dropped;
     b.b_on_complete <- on_complete;
-    Array.blit dsts 0 b.b_dsts 0 n;
+    if b.b_dsts != dsts then b.b_dsts <- dsts;
     let cpu_src = Host.cpu src in
     let serialize_cost =
       cpu_src.Host.send_overhead +. (float_of_int size *. cpu_src.Host.per_byte_cost)
@@ -328,7 +327,7 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
     let uniform_latency = Hashtbl.length t.latency_overrides = 0 in
     let until = b.b_until and arrive = b.b_arrive in
     for i = 0 to n - 1 do
-      let dst = b.b_dsts.(i) in
+      let dst = dsts.(i) in
       let cpu_dst = Host.cpu dst in
       b.b_deser.(i) <-
         cpu_dst.Host.recv_overhead +. (float_of_int size *. cpu_dst.Host.per_byte_cost);
@@ -347,9 +346,15 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
           | None -> false
           | Some _ -> not (same_component t src dst)
         in
+        (* Each draw lands in [arrive.(i)], which the arrival time
+           overwrites below: no boxed float crosses [Sim.Rng]. *)
         if
           partitioned
-          || (cfg.loss_rate > 0.0 && Sim.Rng.float t.rng 1.0 < cfg.loss_rate)
+          || cfg.loss_rate > 0.0
+             && begin
+                  Sim.Rng.unit_into t.rng arrive i;
+                  arrive.(i) < cfg.loss_rate
+                end
         then begin
           (* The chained path reports partition/loss drops at NIC-finish
              time; keep that so retransmit timers fire identically. *)
@@ -357,11 +362,17 @@ let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u
           arrive.(i) <- until.(i)
         end
         else begin
-          (* [cfg]'s floats are stored flat, so passing [cfg.jitter] would box
-             it; [float rng 1.0 *. x] is bit-identical to [float rng x]. *)
+          (* A unit draw times [cfg.jitter] is bit-identical to
+             [Sim.Rng.float rng cfg.jitter]. *)
+          let jitter =
+            if cfg.jitter > 0.0 then begin
+              Sim.Rng.unit_into t.rng arrive i;
+              arrive.(i) *. cfg.jitter
+            end
+            else 0.0
+          in
           let delay =
-            (if uniform_latency then cfg.base_latency else latency t src dst)
-            +. if cfg.jitter > 0.0 then Sim.Rng.float t.rng 1.0 *. cfg.jitter else 0.0
+            (if uniform_latency then cfg.base_latency else latency t src dst) +. jitter
           in
           b.b_kind.(i) <- 0;
           arrive.(i) <- until.(i) +. delay

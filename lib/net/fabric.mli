@@ -142,7 +142,11 @@ val transmit_many :
 
     [len] bounds the fan-out to the first [len] entries of [dsts] (default:
     the whole array) — callers that reuse a capacity-padded scratch array
-    pass the live prefix length instead of re-slicing per send. *)
+    pass the live prefix length instead of re-slicing per send.
+
+    The fan-out holds [dsts] itself, not a copy, and reads [dsts.(i)] again
+    when recipient [i]'s message arrives: the caller must leave the first
+    [len] entries unchanged until [on_complete] fires. *)
 
 val record_packet : t -> size:int -> unit
 (** Transports built beside {!transmit} (e.g. {!Multicast}) report their NIC

@@ -50,6 +50,7 @@ let modem_client =
 
 type t = {
   engine : Sim.Engine.t;
+  clock : float array; (* the engine's clock cell: read flat, never boxed *)
   name : string;
   cpu : cpu_profile;
   nic_bandwidth : float;
@@ -73,6 +74,7 @@ let create engine ~name ?(cpu = ultrasparc) ?(nic_bandwidth = default_bandwidth)
     ?(multicast_capable = true) () =
   {
     engine;
+    clock = Sim.Engine.clock engine;
     name;
     cpu;
     nic_bandwidth;
@@ -122,7 +124,7 @@ let rec earliest_free (free : float array) i best =
 
 let reserve_cpu t ~cost =
   let cost = if cost < 0.0 then 0.0 else cost in
-  let now = Sim.Engine.now t.engine in
+  let now = t.clock.(0) in
   let best = earliest_free t.worker_free 1 0 in
   let start = if t.worker_free.(best) > now then t.worker_free.(best) else now in
   let finish = start +. cost in
@@ -136,7 +138,7 @@ let reserve_cpu t ~cost =
    without [n] boxed-float returns crossing the module boundary. *)
 let reserve_cpu_many t ~cost ~n ~into =
   let cost = if cost < 0.0 then 0.0 else cost in
-  let now = Sim.Engine.now t.engine in
+  let now = t.clock.(0) in
   let free = t.worker_free in
   for i = 0 to n - 1 do
     let best = earliest_free free 1 0 in
@@ -151,7 +153,7 @@ let reserve_cpu_many t ~cost ~n ~into =
    to [into.(i)] — no float crosses the call boundary. *)
 let reserve_cpu_slot t ~costs ~into i =
   let cost = if costs.(i) < 0.0 then 0.0 else costs.(i) in
-  let now = Sim.Engine.now t.engine in
+  let now = t.clock.(0) in
   let best = earliest_free t.worker_free 1 0 in
   let start = if t.worker_free.(best) > now then t.worker_free.(best) else now in
   let finish = start +. cost in
@@ -180,7 +182,7 @@ let exec t ~cost f = if t.alive then guarded_at t (reserve_cpu t ~cost) f
 
 let nic_send t ~size f =
   if t.alive then
-    guarded_at t (reserve_nic_from t ~from:(Sim.Engine.now t.engine) ~size) f
+    guarded_at t (reserve_nic_from t ~from:t.clock.(0) ~size) f
 
 let has_transitions t = match t.transitions with [] -> false | _ :: _ -> true
 
@@ -188,7 +190,7 @@ let epoch_changed_within t ~after ~until =
   List.exists (fun at -> at > after && at <= until) t.transitions
 
 let cpu_busy_until t =
-  let now = Sim.Engine.now t.engine in
+  let now = t.clock.(0) in
   Array.fold_left (fun acc x -> min acc (max x now)) infinity t.worker_free
 
 let crash t =
@@ -196,7 +198,7 @@ let crash t =
     t.alive <- false;
     t.epoch <- t.epoch + 1;
     (* Queued work is implicitly dropped by the epoch guard. *)
-    let now = Sim.Engine.now t.engine in
+    let now = t.clock.(0) in
     t.transitions <- now :: t.transitions;
     t.worker_free <- Array.map (fun _ -> now) t.worker_free;
     t.nic_free.(0) <- now;
@@ -207,7 +209,7 @@ let restart t =
   if not t.alive then begin
     t.alive <- true;
     t.epoch <- t.epoch + 1;
-    let now = Sim.Engine.now t.engine in
+    let now = t.clock.(0) in
     t.transitions <- now :: t.transitions;
     t.worker_free <- Array.map (fun _ -> now) t.worker_free;
     t.nic_free.(0) <- now

@@ -228,7 +228,9 @@ let send t ~src ~size payload =
         s.m_host != src
         && Fabric.reachable t.fabric src s.m_host
       then begin
-        mb.mb_subs.(!cnt) <- s;
+        (* Mostly the subscription the slot held last send: store only on
+           change, so no write barrier per target. *)
+        if mb.mb_subs.(!cnt) != s then mb.mb_subs.(!cnt) <- s;
         incr cnt
       end
     done;

@@ -9,21 +9,30 @@ let pp_close_reason ppf = function
    outgoing messages and reorders at the receiver, so delivery is FIFO even
    under jitter; fabric-level drops (loss or partition) are retransmitted
    until the connection closes, which models TCP stalling across a partition
-   and resuming on heal. *)
+   and resuming on heal.
+
+   An in-order arrival is on every fan-out's per-recipient path, so it
+   reads only plain fields of the endpoint: [peer] and [receiver] hold
+   sentinels (the endpoint itself, [no_receiver]) rather than option
+   boxes, and [held] counts the holdback entries so the fast path does not
+   touch the hashtable. *)
 
 type conn = {
   id : int;
   fabric : Fabric.t;
   host : Host.t;
-  mutable peer : conn option; (* None only during construction *)
+  mutable peer : conn; (* the endpoint itself until the handshake completes *)
   mutable open_ : bool;
-  mutable receiver : (size:int -> Payload.t -> unit) option;
+  mutable receiver : size:int -> Payload.t -> unit; (* [no_receiver] until set *)
   mutable on_close : (close_reason -> unit) option;
   mutable send_seq : int;
   mutable recv_next : int;
+  mutable held : int; (* entries in [holdback] *)
   holdback : (int, int * Payload.t) Hashtbl.t; (* seq -> size, payload *)
   mutable early : (int * Payload.t) list; (* delivered before receiver set, newest first *)
 }
+
+let no_receiver ~size:(_ : int) (_ : Payload.t) = ()
 
 let retransmit_timeout = 0.5
 
@@ -81,9 +90,8 @@ let fresh_id fabric =
 let engine_of c = Fabric.engine c.fabric
 
 let peer_exn c =
-  match c.peer with
-  | Some p -> p
-  | None -> invalid_arg "Tcp: endpoint used before handshake completed"
+  if c.peer == c then invalid_arg "Tcp: endpoint used before handshake completed"
+  else c.peer
 
 let local_host c = c.host
 
@@ -93,24 +101,32 @@ let is_open c = c.open_
 
 let id c = c.id
 
+let held c = c.held
+
 let close_endpoint c reason =
   if c.open_ then begin
     c.open_ <- false;
     Hashtbl.reset c.holdback;
+    c.held <- 0;
     match c.on_close with Some f -> f reason | None -> ()
   end
 
-(* Deliver buffered in-order messages to the receiver (or stash them). *)
+(* Hand one in-order message to the receiver, or stash it until one is
+   set. *)
+let receive c ~size payload =
+  if c.receiver == no_receiver then c.early <- (size, payload) :: c.early
+  else c.receiver ~size payload
+
+(* Deliver buffered in-order messages. *)
 let rec flush_ready c =
-  if c.open_ then
+  if c.open_ && c.held > 0 then
     match Hashtbl.find_opt c.holdback c.recv_next with
     | None -> ()
     | Some (size, payload) ->
         Hashtbl.remove c.holdback c.recv_next;
+        c.held <- c.held - 1;
         c.recv_next <- c.recv_next + 1;
-        (match c.receiver with
-        | Some f -> f ~size payload
-        | None -> c.early <- (size, payload) :: c.early);
+        receive c ~size payload;
         flush_ready c
 
 (* One arriving in-sequence message. The steady state — it carries exactly
@@ -121,19 +137,18 @@ let rec flush_ready c =
    dropped. *)
 let deliver_to dst seq ~size payload =
   if dst.open_ then
-    if seq = dst.recv_next && Hashtbl.length dst.holdback = 0 then begin
+    if seq = dst.recv_next && dst.held = 0 then begin
       dst.recv_next <- seq + 1;
-      match dst.receiver with
-      | Some f -> f ~size payload
-      | None -> dst.early <- (size, payload) :: dst.early
+      receive dst ~size payload
     end
     else if seq >= dst.recv_next && not (Hashtbl.mem dst.holdback seq) then begin
       Hashtbl.replace dst.holdback seq (size, payload);
+      dst.held <- dst.held + 1;
       flush_ready dst
     end
 
 let set_receiver c f =
-  c.receiver <- Some f;
+  c.receiver <- f;
   let backlog = List.rev c.early in
   c.early <- [];
   List.iter (fun (size, payload) -> if c.open_ then f ~size payload) backlog
@@ -209,6 +224,9 @@ let batch_create () = { ba_conns = [||]; ba_n = 0 }
 
 let batch_clear b = b.ba_n <- 0
 
+(* A refill mostly writes each slot with the connection it already holds
+   (the same members, in the same order): store only on change, so the
+   steady state pays no write barrier per recipient. *)
 let batch_add b c =
   let cap = Array.length b.ba_conns in
   if b.ba_n = cap then begin
@@ -216,7 +234,7 @@ let batch_add b c =
     Array.blit b.ba_conns 0 bigger 0 cap;
     b.ba_conns <- bigger
   end;
-  b.ba_conns.(b.ba_n) <- c;
+  if b.ba_conns.(b.ba_n) != c then b.ba_conns.(b.ba_n) <- c;
   b.ba_n <- b.ba_n + 1
 
 let batch_length b = b.ba_n
@@ -278,7 +296,7 @@ let send_batch_buf b ~size payload =
     if c.open_ then begin
       if !live > 0 && c.host != b.ba_conns.(0).host then
         mixed := true;
-      b.ba_conns.(!live) <- c;
+      if !live <> i then b.ba_conns.(!live) <- c;
       incr live
     end
   done;
@@ -320,7 +338,8 @@ let send_batch_buf b ~size payload =
       let s = c.send_seq in
       c.send_seq <- s + 1;
       inf.if_seqs.(i) <- s;
-      inf.if_dsts.(i) <- (peer_exn c).host
+      let h = (peer_exn c).host in
+      if inf.if_dsts.(i) != h then inf.if_dsts.(i) <- h
     done;
     inf.if_size <- size;
     inf.if_payload <- payload;
@@ -342,38 +361,34 @@ let close c =
    live peer learns about it after latency + crash_notify_delay (keepalive /
    reset detection). *)
 let watch_crash c =
-  let p_delay () =
-    match c.peer with
-    | Some p -> Fabric.latency c.fabric c.host p.host
-    | None -> 0.0
-  in
   Host.on_crash c.host (fun () ->
       if c.open_ then begin
-        let notify_delay = p_delay () +. crash_notify_delay in
-        let peer = c.peer in
+        let p = c.peer in
         c.open_ <- false;
         c.on_close <- None;
-        match peer with
-        | Some p ->
-            ignore
-              (Sim.Engine.schedule (engine_of c) ~delay:notify_delay (fun () ->
-                   close_endpoint p Peer_crashed))
-        | None -> ()
+        if p != c then begin
+          let notify_delay = Fabric.latency c.fabric c.host p.host +. crash_notify_delay in
+          ignore
+            (Sim.Engine.schedule (engine_of c) ~delay:notify_delay (fun () ->
+                 close_endpoint p Peer_crashed))
+        end
       end)
 
 let make_endpoint fabric host id =
-  let c =
+  let holdback = Hashtbl.create 8 in
+  let rec c =
     {
       id;
       fabric;
       host;
-      peer = None;
+      peer = c;
       open_ = true;
-      receiver = None;
+      receiver = no_receiver;
       on_close = None;
       send_seq = 0;
       recv_next = 0;
-      holdback = Hashtbl.create 8;
+      held = 0;
+      holdback;
       early = [];
     }
   in
@@ -419,8 +434,8 @@ let connect fabric ~src ~dst ~port ?(timeout = 5.0) ~on_connected ~on_failed () 
           let id = fresh_id fabric in
           let client_end = make_endpoint fabric src id in
           let server_end = make_endpoint fabric dst id in
-          client_end.peer <- Some server_end;
-          server_end.peer <- Some client_end;
+          client_end.peer <- server_end;
+          server_end.peer <- client_end;
           (* SYN-ACK: accept fires on the server now, the client learns after
              the return trip. *)
           l.l_on_accept server_end;

@@ -97,3 +97,7 @@ val peer_host : conn -> Host.t
 
 val id : conn -> int
 (** Unique identifier (same value on both endpoints of a connection). *)
+
+val held : conn -> int
+(** Frames received out of order and held back until the gap before them
+    fills. [0] whenever the connection is in order, and after a close. *)

@@ -32,11 +32,18 @@ let no_times : float array = [||]
    - The slab holds what fires, indexed by [slot]: the classic handle (or
      [no_handle]), or a pooled run: its callback, the caller's [times]
      array, the index of the element that fires next and the index of the
-     last one. A slot is written once on schedule and cleared once its
-     last element pops; free slots sit on the [free] stack. Every slot is
-     either free or named by exactly one heap entry (tombstones included),
-     so [len + nfree] is the capacity of all nine arrays, and a full slab
-     means a full heap.
+     last one. A classic handle is written on schedule and reset to
+     [no_handle] when it pops. A run's callback and array are written only
+     when they differ from what the slot already holds, and a freed slot
+     keeps its last run's pair: the fan-outs schedule their persistent
+     pooled callbacks over their own scratch arrays, so in the steady
+     state a run pays no pointer store and hence no write barrier. Free
+     slots sit on the [free] stack. Every slot is either free or named by
+     exactly one heap entry (tombstones included), so [len + nfree] is the
+     capacity of all nine arrays, and a full slab means a full heap.
+   - The clock is the one cell of a float array, not a mutable float
+     field: a float stored into a record that also holds pointers is
+     boxed afresh on every event, while a float-array store is flat.
 
    A run holds one heap entry for all of its elements. Its key is the next
    element's [(times.(j), seq)]; the run reserved the seq block of all its
@@ -57,7 +64,7 @@ type t = {
   mutable last : int array;
   mutable free : int array;
   mutable nfree : int;
-  mutable clock : time;
+  clock : float array; (* one cell: the virtual time *)
   mutable next_seq : int;
   mutable live : int; (* scheduled and not cancelled *)
   mutable fired : int; (* events executed since creation *)
@@ -82,14 +89,16 @@ let create ?(seed = 1L) () =
     last = Array.make cap 0;
     free = free_stack ~hi:cap;
     nfree = cap;
-    clock = 0.0;
+    clock = [| 0.0 |];
     next_seq = 0;
     live = 0;
     fired = 0;
     root_rng = Rng.create seed;
   }
 
-let now t = t.clock
+let now t = t.clock.(0)
+
+let clock t = t.clock
 
 let rng t = t.root_rng
 
@@ -186,7 +195,8 @@ let remove_top t =
   if n > 0 then sift_down t n t.at.(n) t.seq.(n) t.slot.(n)
 
 let schedule_at t at run =
-  let at = if at < t.clock then t.clock else at in
+  let now = t.clock.(0) in
+  let at = if at < now then now else at in
   let sq = t.next_seq in
   t.next_seq <- sq + 1;
   let e = { st = Pending; run } in
@@ -199,13 +209,13 @@ let schedule_at t at run =
 let schedule_run t ~times ~first ~last h =
   if first < 0 || first > last || last >= Array.length times then
     invalid_arg "Engine.schedule_run: empty run or index out of bounds";
-  let at = times.(first) in
-  let at = if at < t.clock then t.clock else at in
+  let at = times.(first) and now = t.clock.(0) in
+  let at = if at < now then now else at in
   let sq = t.next_seq in
   t.next_seq <- sq + (last - first + 1);
   let s = alloc_slot t in
-  t.fn.(s) <- h;
-  t.times.(s) <- times;
+  if t.fn.(s) != h then t.fn.(s) <- h;
+  if t.times.(s) != times then t.times.(s) <- times;
   t.arg.(s) <- first;
   t.last.(s) <- last;
   push t at sq s;
@@ -213,7 +223,7 @@ let schedule_run t ~times ~first ~last h =
 
 let schedule t ~delay run =
   let delay = if delay < 0.0 then 0.0 else delay in
-  schedule_at t (t.clock +. delay) run
+  schedule_at t (t.clock.(0) +. delay) run
 
 let cancel t e =
   match e.st with
@@ -244,15 +254,15 @@ let rec step t =
       end
       else begin
         (* Read out the callback and free the slot before firing: the
-           callback may schedule the next pooled run into this very slot. *)
+           callback may schedule the next pooled run into this very slot.
+           The slot keeps [f] and its array, so a run that reuses them
+           stores nothing. *)
         remove_top t;
-        t.fn.(s) <- ignore_i;
-        t.times.(s) <- no_times;
         free_slot t s
       end;
       t.live <- t.live - 1;
       t.fired <- t.fired + 1;
-      t.clock <- at;
+      t.clock.(0) <- at;
       f j;
       true
     end
@@ -267,7 +277,7 @@ let rec step t =
           e.st <- Fired;
           t.live <- t.live - 1;
           t.fired <- t.fired + 1;
-          t.clock <- at;
+          t.clock.(0) <- at;
           e.run ();
           true
     end
@@ -292,7 +302,7 @@ let run ?until t =
         else if t.len > 0 && t.at.(0) <= limit then ignore (step t)
         else begin
           continue := false;
-          if t.clock < limit then t.clock <- limit
+          if t.clock.(0) < limit then t.clock.(0) <- limit
         end
       done
 

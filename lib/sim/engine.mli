@@ -28,7 +28,14 @@ val create : ?seed:int64 -> unit -> t
     (default [1L]) initializes the engine's root {!Rng}. *)
 
 val now : t -> time
-(** Current virtual time. *)
+(** Current virtual time. The result crosses the call as a boxed float
+    (every module is compiled [-opaque] under dune's dev profile, so no
+    call is inlined across modules): a per-event reader uses {!clock}. *)
+
+val clock : t -> float array
+(** The one-cell array whose element [0] is {!now}, the same array for the
+    engine's whole life. A reader that holds it reads the clock flat, with
+    no allocation. Callers must not write it. *)
 
 val rng : t -> Rng.t
 (** The engine's root random stream. Components should {!Rng.split} it. *)
@@ -56,7 +63,9 @@ val schedule_run :
     The engine reads [times.(first)] at the call and [times.(j + 1)] when
     element [j] fires, so the caller must leave [times.(first + 1 .. last)]
     unchanged until the run ends; a run of one leaves the array free at
-    once. Runs are not cancellable (no handle escapes, which is exactly
+    once. The slot keeps [h] and [times] after the run ends, until a later
+    run in the same slot replaces them: schedule persistent callbacks over
+    long-lived arrays, as the fan-outs do, and a run stores no pointer. Runs are not cancellable (no handle escapes, which is exactly
     what makes slot reuse safe); callers needing revocation keep a guard of
     their own (e.g. a host-epoch check) and use [h]'s argument to index it.
     Raises [Invalid_argument] unless [0 <= first <= last < Array.length

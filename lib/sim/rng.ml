@@ -9,8 +9,9 @@ let create seed =
   Bytes.set_int64_ne t 0 seed;
   t
 
-(* splitmix64 step (Steele, Lea, Flood 2014). Inlined so the callers that
-   consume the draw at once keep it unboxed. *)
+(* splitmix64 step (Steele, Lea, Flood 2014). Inlined into the draws
+   below, which keep the int64 unboxed. Nothing in another module can
+   inline it: every module is compiled [-opaque] under dune's dev profile. *)
 let[@inline] next_raw t =
   let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
   Bytes.set_int64_ne t 0 z;
@@ -27,11 +28,14 @@ let int t n =
   let mask = Int64.shift_right_logical (next_raw t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int n))
 
+(* 53 significant bits, as in the standard library. Inlined into the
+   callers below; a caller in another module gets its result as a boxed
+   float (see [next_raw]), and a per-recipient caller uses [unit_into]. *)
 let[@inline] float t x =
-  (* 53 significant bits, as in the standard library. Inlined so a caller
-     that consumes the draw at once keeps it unboxed. *)
   let bits = Int64.shift_right_logical (next_raw t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. x
+
+let unit_into t a i = a.(i) <- float t 1.0
 
 let bool t = Int64.logand (next_raw t) 1L = 1L
 

@@ -21,7 +21,12 @@ val int : t -> int -> int
 (** [int t n] draws uniformly from [0 .. n-1]. [n] must be positive. *)
 
 val float : t -> float -> float
-(** [float t x] draws uniformly from [\[0, x)]. *)
+(** [float t x] draws uniformly from [\[0, x)]. The result crosses the call
+    as a boxed float: a per-recipient caller uses {!unit_into}. *)
+
+val unit_into : t -> float array -> int -> unit
+(** [unit_into t a i] stores [float t 1.0] into [a.(i)]: the same draw,
+    advancing the stream the same way, with no boxed result. *)
 
 val bool : t -> bool
 
