@@ -34,9 +34,7 @@ type backend = B_single of single | B_repl of Replication.Cluster.t
    the relays only change where clients connect and what the fan-out path
    looks like. *)
 type relay_dep = {
-  rd_idx : int;
   rd_host : Net.Host.t;
-  mutable rd_relay : Corona.Relay.t option;
   mutable rd_alive : bool;
 }
 
@@ -94,21 +92,12 @@ let create fabric ?(sharded_direct_views = false) ?(clients = 0) (kind : Sched.k
       let rds =
         Array.init relays (fun i ->
             let name = Printf.sprintf "relay-%d" i in
-            let rd =
-              {
-                rd_idx = i;
-                rd_host = Net.Fabric.add_host fabric ~name ();
-                rd_relay = None;
-                rd_alive = true;
-              }
-            in
-            rd.rd_relay <-
-              Some
-                (Corona.Relay.create fabric rd.rd_host ~relay:name
-                   ~root:s.s_host
-                   ~on_ready:(fun _ -> ())
-                   ~on_failed:(fun () -> ())
-                   ());
+            let rd = { rd_host = Net.Fabric.add_host fabric ~name (); rd_alive = true } in
+            ignore
+              (Corona.Relay.create fabric rd.rd_host ~relay:name ~root:s.s_host
+                 ~on_ready:(fun _ -> ())
+                 ~on_failed:(fun () -> ())
+                 ());
             rd)
       in
       {
@@ -152,9 +141,6 @@ let server_host t idx =
   | B_repl c -> Replication.Node.host (node_at c idx)
 
 let relay_count t = Array.length t.relays
-
-let relay_at t i =
-  if i < 0 || i >= Array.length t.relays then None else t.relays.(i).rd_relay
 
 let relay_alive t i =
   i >= 0 && i < Array.length t.relays

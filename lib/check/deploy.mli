@@ -43,9 +43,6 @@ val restart_times : t -> float list
 
 val relay_count : t -> int
 
-val relay_at : t -> int -> Corona.Relay.t option
-(** The relay at this index, [None] out of range (or not yet started). *)
-
 val crash_relay : t -> int -> unit
 (** Relay deployments: kill a relay's host permanently. Its members fail
     over client-side. *)

@@ -183,16 +183,17 @@ let forget_group t ms ~group =
 
 let no_skip (_ : T.member_id) = false
 
-(* The open connections of a group's members in join order, minus [exclude]
-   and anything [skip] rejects: the recipient list handed to the batched
-   transmit. *)
-let fill_batch t ms ?exclude ?(skip = no_skip) () =
+(* The open connections of a group's members in join order, minus [exclude],
+   anything [skip] rejects and, when [notify_only], every member that did
+   not subscribe to membership changes: the recipient list handed to the
+   batched transmit. *)
+let fill_batch t ms ~notify_only ?exclude ?(skip = no_skip) () =
   Net.Tcp.batch_clear t.fan_batch;
   Membership.iter_live ms (fun (m : Membership.entry) ->
       let excluded =
         match exclude with Some x -> String.equal x m.member | None -> false
       in
-      if not (excluded || skip m.member) then
+      if (m.notify || not notify_only) && not (excluded || skip m.member) then
         match m.cell.conn with
         | Some conn -> if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
         | None -> ())
@@ -207,7 +208,7 @@ let flush t ~group ?exclude inner =
 [@@corona.hot]
 
 let fan t ms ~group ?exclude ?skip inner =
-  fill_batch t ms ?exclude ?skip ();
+  fill_batch t ms ~notify_only:false ?exclude ?skip ();
   flush t ~group ?exclude inner
 [@@corona.hot]
 
@@ -222,27 +223,19 @@ let deliver t ms ~group ?exclude ?skip inner =
     ~bytes:(d.Relay_hub.d_direct_bytes + d.Relay_hub.d_frame_bytes)
 [@@corona.hot]
 
+(* Subscribers minus the changed member. Without subscribers the group is
+   not walked at all: a join storm with notifications off would otherwise
+   pay O(members) per join. *)
 let notify t ms ~group ?members change =
-  match Membership.notify_targets ms with
-  | [] -> ()
-  | targets ->
-      let members =
-        match members with Some l -> l | None -> Membership.members ms
-      in
-      let changed = T.changed_member change in
-      Net.Tcp.batch_clear t.fan_batch;
-      List.iter
-        (fun m ->
-          if m <> changed then
-            match Hashtbl.find t.conn_of_member m with
-            | { conn = Some conn } ->
-                if Net.Tcp.is_open conn then Net.Tcp.batch_add t.fan_batch conn
-            | { conn = None } | (exception Not_found) -> ())
-        targets;
-      let d =
-        flush t ~group ~exclude:changed (M.Membership_changed { group; change; members })
-      in
-      t.responses_sent <- t.responses_sent + d.Relay_hub.d_direct
+  if Membership.notify_count ms > 0 then begin
+    let members =
+      match members with Some l -> l | None -> Membership.members ms
+    in
+    let exclude = T.changed_member change in
+    fill_batch t ms ~notify_only:true ~exclude ();
+    let d = flush t ~group ~exclude (M.Membership_changed { group; change; members }) in
+    t.responses_sent <- t.responses_sent + d.Relay_hub.d_direct
+  end
 [@@corona.hot]
 
 (* --- joins (§3.2: state transfer customized per client) ----------------- *)

@@ -144,12 +144,7 @@ let members t =
       t.members_cache <- Some l;
       l
 
-(* The [notify_count = 0] fast path matters: a 100k-member join storm with
-   notifications off would otherwise walk the whole group on every join
-   just to produce an empty list — an O(n²) storm. *)
-let notify_targets t =
-  if t.notify_count = 0 then []
-  else fold_live t (fun e l -> if e.notify then e.member :: l else l) []
+let notify_count t = t.notify_count
 
 (* --- relay slice partitioning ------------------------------------------- *)
 

@@ -68,7 +68,7 @@ val iter_live : t -> (entry -> unit) -> unit
 val members : t -> Proto.Types.member list
 (** Join order, as wire-level member records. *)
 
-val notify_targets : t -> Proto.Types.member_id list
+val notify_count : t -> int
 (** Members that subscribed to membership-change notifications. *)
 
 val slice_owner : relays:int -> members:int -> int -> int

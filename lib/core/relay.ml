@@ -33,13 +33,6 @@ type down = {
   mutable d_pending : (int * Net.Payload.t) list; (* pre-upstream backlog *)
 }
 
-type stats = {
-  fanouts_received : int;
-  deliveries_sent : int; (* local re-fan recipients reached *)
-  proxied_up : int; (* member requests forwarded to the root *)
-  proxied_down : int; (* root replies forwarded to members *)
-}
-
 type t = {
   fabric : Net.Fabric.t;
   host : Net.Host.t;
@@ -47,31 +40,12 @@ type t = {
   root : Net.Host.t;
   root_port : int;
   mutable control : Net.Tcp.conn option;
-  mutable r_index : int; (* -1 until Relay_registered *)
-  mutable slices : (int * int) list; (* adopted relay-index ranges, [lo,hi) *)
   listener : Net.Tcp.listener option ref;
   downs : (int, down) Hashtbl.t; (* member conn id -> down *)
   groups : (Proto.Types.group_id, (int, down) Hashtbl.t) Hashtbl.t;
-  mutable st : stats;
+  fan_batch : Net.Tcp.batch; (* re-fan fill buffer, refilled per frame *)
   mutable alive : bool;
 }
-
-let host t = t.host
-
-let id t = t.r_id
-
-let index t = t.r_index
-
-let slices t = t.slices
-
-let stats t = t.st
-
-let member_count t = Hashtbl.length t.downs
-
-let group_member_count t g =
-  match Hashtbl.find_opt t.groups g with
-  | Some tbl -> Hashtbl.length tbl
-  | None -> 0
 
 (* --- membership snooping ----------------------------------------------- *)
 
@@ -97,16 +71,19 @@ let drop_down t d =
 
 (* --- local re-fan ------------------------------------------------------- *)
 
-(* Collect the member connections a [Relay_fanout] frame targets: every
-   group member behind this relay, minus [exclude] (the sender of a
-   sender-exclusive broadcast), and — for membership-change notifications —
-   minus members who joined with [notify = false]. *)
-let fan_targets t ~group ~exclude ~notify_only =
+(* Fill [fan_batch] with the member connections a [Relay_fanout] frame
+   targets: every group member behind this relay, minus [exclude] (the
+   sender of a sender-exclusive broadcast), and — for membership-change
+   notifications — minus members who joined with [notify = false]. They go
+   in reverse table-visit order: the order sets each member's NIC slot, so
+   it fixes the relay hop's delivery times. *)
+let fill_batch t ~group ~exclude ~notify_only =
+  Net.Tcp.batch_clear t.fan_batch;
   match Hashtbl.find_opt t.groups group with
-  | None -> []
+  | None -> ()
   | Some tbl ->
-      Hashtbl.fold
-        (fun _ d acc ->
+      Hashtbl.iter
+        (fun _ d ->
           let excluded =
             match (exclude, d.d_member) with
             | Some x, Some m -> String.equal x m
@@ -119,30 +96,26 @@ let fan_targets t ~group ~exclude ~notify_only =
             | Some notify -> not notify
             | None -> true
           in
-          if excluded || muted then acc else d.d_conn :: acc)
-        tbl []
+          if not (excluded || muted) then Net.Tcp.batch_add t.fan_batch d.d_conn)
+        tbl;
+      Net.Tcp.batch_rev t.fan_batch
 
 let fan_out t ~group ~exclude ~inner =
-  t.st <- { t.st with fanouts_received = t.st.fanouts_received + 1 };
   let notify_only =
     match inner with M.Membership_changed _ -> true | _ -> false
   in
-  let conns = fan_targets t ~group ~exclude ~notify_only in
-  (match conns with
-  | [] -> ()
-  | conns ->
-      (* One local encode shared across the whole slice via the batched
-         transmit — the relay-side half of the O(relays) encode bound. *)
-      let e = M.pre_encode (M.Response inner) in
-      M.send_batch_encoded conns e);
-  (match inner with
+  fill_batch t ~group ~exclude ~notify_only;
+  if Net.Tcp.batch_length t.fan_batch > 0 then
+    (* One local encode shared across the whole slice via the batched
+       transmit — the relay-side half of the O(relays) encode bound. *)
+    M.send_batch_encoded t.fan_batch (M.pre_encode (M.Response inner));
+  match inner with
   | M.Group_deleted { group } ->
       (match Hashtbl.find_opt t.groups group with
       | Some tbl -> Hashtbl.iter (fun _ d -> Hashtbl.remove d.d_groups group) tbl
       | None -> ());
       Hashtbl.remove t.groups group
-  | _ -> ());
-  t.st <- { t.st with deliveries_sent = t.st.deliveries_sent + List.length conns }
+  | _ -> ()
 [@@corona.hot]
 
 (* --- proxied pass-through ---------------------------------------------- *)
@@ -162,9 +135,7 @@ let forward_up t d ~size payload =
       | _ -> ())
   | _ -> ());
   match d.d_up with
-  | Some up ->
-      t.st <- { t.st with proxied_up = t.st.proxied_up + 1 };
-      Net.Tcp.send up ~size payload
+  | Some up -> Net.Tcp.send up ~size payload
   | None -> d.d_pending <- (size, payload) :: d.d_pending
 
 let forward_down t d ~size payload =
@@ -175,7 +146,6 @@ let forward_down t d ~size payload =
       | M.Group_deleted { group } -> remove_membership t d group
       | _ -> ())
   | _ -> ());
-  t.st <- { t.st with proxied_down = t.st.proxied_down + 1 };
   Net.Tcp.send d.d_conn ~size payload
 
 let accept_member t conn =
@@ -206,10 +176,7 @@ let accept_member t conn =
           Net.Tcp.set_on_close up (fun _ -> Net.Tcp.close conn);
           let backlog = List.rev d.d_pending in
           d.d_pending <- [];
-          List.iter (fun (size, payload) ->
-              t.st <- { t.st with proxied_up = t.st.proxied_up + 1 };
-              Net.Tcp.send up ~size payload)
-            backlog
+          List.iter (fun (size, payload) -> Net.Tcp.send up ~size payload) backlog
         end)
       ~on_failed:(fun () -> Net.Tcp.close conn)
       ()
@@ -219,11 +186,6 @@ let accept_member t conn =
 
 let handle_control t msg =
   match msg with
-  | M.Response (M.Relay_registered { index; _ }) -> t.r_index <- index
-  | M.Response (M.Relay_slice { lo; hi; _ }) ->
-      (* Canonical relay-index ranges this relay now fronts: its own at
-         registration, a dead sibling's on handoff. *)
-      t.slices <- t.slices @ [ (lo, hi) ]
   | M.Response (M.Relay_fanout { group; exclude; inner }) ->
       fan_out t ~group ~exclude ~inner
   | M.Response _ | M.Request _ -> ()
@@ -242,18 +204,10 @@ let create fabric host ~relay ~root ?(root_port = 7000) ?(port = 7000)
       root;
       root_port;
       control = None;
-      r_index = -1;
-      slices = [];
       listener = ref None;
       downs = Hashtbl.create 1024;
       groups = Hashtbl.create 16;
-      st =
-        {
-          fanouts_received = 0;
-          deliveries_sent = 0;
-          proxied_up = 0;
-          proxied_down = 0;
-        };
+      fan_batch = Net.Tcp.batch_create ();
       alive = true;
     }
   in

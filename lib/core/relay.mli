@@ -15,13 +15,6 @@
 
 type t
 
-type stats = {
-  fanouts_received : int;  (** [Relay_fanout] frames from the root *)
-  deliveries_sent : int;  (** local re-fan recipients reached *)
-  proxied_up : int;  (** member requests forwarded to the root *)
-  proxied_down : int;  (** root replies forwarded to members *)
-}
-
 val create :
   Net.Fabric.t ->
   Net.Host.t ->
@@ -41,23 +34,3 @@ val create :
 val shutdown : t -> unit
 (** Close the listener, every member and proxied connection, and the
     control connection. *)
-
-val host : t -> Net.Host.t
-
-val id : t -> Proto.Types.member_id
-
-val index : t -> int
-(** Registration index assigned by the root; [-1] until
-    [Relay_registered] arrives. *)
-
-val slices : t -> (int * int) list
-(** Canonical relay-index ranges this relay fronts, in adoption order: its
-    own at registration plus any dead sibling's handed off by the root. *)
-
-val member_count : t -> int
-(** Members currently connected through this relay. *)
-
-val group_member_count : t -> Proto.Types.group_id -> int
-(** Snooped local membership of a group (0 if unknown). *)
-
-val stats : t -> stats

@@ -26,7 +26,6 @@ type t = {
   by_id : (Proto.Types.member_id, relay) Hashtbl.t;
   mutable order : relay list; (* ascending registration order *)
   mutable next_index : int;
-  mutable frames_sent : int;
   seen : (int, unit) Hashtbl.t; (* scratch: per-fan-out relay dedup *)
   hb_direct : Net.Tcp.batch; (* split scratch, refilled per fan-out *)
   hb_control : Net.Tcp.batch;
@@ -39,7 +38,6 @@ let create () =
     by_id = Hashtbl.create 8;
     order = [];
     next_index = 0;
-    frames_sent = 0;
     seen = Hashtbl.create 8;
     hb_direct = Net.Tcp.batch_create ();
     hb_control = Net.Tcp.batch_create ();
@@ -69,20 +67,12 @@ let register_proxy t ~relay ~conn =
   | Some r -> Hashtbl.replace t.proxied (Net.Tcp.id conn) r
   | None -> ()
 
-let find t relay = Hashtbl.find_opt t.by_id relay
-
 let heartbeat t ~relay ~members ~at =
   match Hashtbl.find_opt t.by_id relay with
   | Some r ->
       r.r_last_heartbeat <- at;
       r.r_members <- members
   | None -> ()
-
-let relay_count t = Hashtbl.length t.by_conn
-
-let frames_sent t = t.frames_sent
-
-let relays t = t.order
 
 let alive t = List.filter (fun r -> Net.Tcp.is_open r.r_conn) t.order
 
@@ -163,13 +153,12 @@ let deliver t ~group ?exclude ~inner batch =
     let e = M.pre_encode (M.Response inner) in
     let wire = M.encoded_wire_size e in
     let d_direct = Net.Tcp.batch_length direct in
-    M.send_batch_encoded_buf direct e;
+    M.send_batch_encoded direct e;
     if n_controls = 0 then
       { d_direct; d_frames = 0; d_direct_bytes = d_direct * wire; d_frame_bytes = 0 }
     else begin
       let ef = M.pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc:e () in
-      t.frames_sent <- t.frames_sent + n_controls;
-      M.send_batch_encoded_buf t.hb_control ef;
+      M.send_batch_encoded t.hb_control ef;
       {
         d_direct;
         d_frames = n_controls;

@@ -26,20 +26,7 @@ val register_proxy : t -> relay:Proto.Types.member_id -> conn:Net.Tcp.conn -> un
 (** Mark [conn] as one member's traffic proxied by [relay]. Unknown relay
     ids leave the connection direct (degraded but correct). *)
 
-val find : t -> Proto.Types.member_id -> relay option
-
 val heartbeat : t -> relay:Proto.Types.member_id -> members:int -> at:float -> unit
-
-val relay_count : t -> int
-(** Relays with a live control connection registered (dead ones excluded). *)
-
-val frames_sent : t -> int
-(** Total [Relay_fanout] frames transmitted — the root-side per-broadcast
-    transmit counter the bench asserts against the relay count. *)
-
-val relays : t -> relay list
-(** Registration order, dead relays included (their index is their
-    identity for slice handoff). *)
 
 val alive : t -> relay list
 

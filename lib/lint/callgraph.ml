@@ -188,14 +188,15 @@ let expand_alias u = function
 
 let sink_of_path path =
   match path with
-  | [ "Bytes"; "create" ] | [ "Bytes"; "make" ] -> Some (Alloc, String.concat "." path)
+  | [ "Bytes"; ("create" | "make") ] | [ "Array"; ("of_list" | "map") ] ->
+      Some (Alloc, String.concat "." path)
   | [ "Bytes"; ("sub" | "sub_string" | "blit") ] ->
       (* decode-side copy-out: slicing or blitting frame bytes into a fresh
          buffer where a header peek would do — peek in place instead *)
       Some (Decode_copy, String.concat "." path)
   | [ "Buffer"; "create" ] -> Some (Alloc, "Buffer.create")
   | [ "@" ] -> Some (List_build, "@")
-  | [ "List"; ("map" | "mapi" | "append" | "concat_map") ] ->
+  | [ "List"; ("map" | "mapi" | "append" | "concat_map" | "filter" | "partition") ] ->
       Some (List_build, String.concat "." path)
   | [ "Printf"; "sprintf" ] | [ "Format"; ("sprintf" | "asprintf") ] ->
       Some (Printf_alloc, String.concat "." path)

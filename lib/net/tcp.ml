@@ -46,7 +46,7 @@ type listener = {
   l_on_accept : conn -> unit;
 }
 
-(* Recycled per-fan-out state for {!send_batch_buf}: scratch arrays plus the
+(* Recycled per-fan-out state for {!send_batch}: scratch arrays plus the
    three persistent fabric callbacks, leased per broadcast and re-shelved
    when the fabric reports the fan-out complete. *)
 type inflight = {
@@ -174,47 +174,15 @@ let send c ~size payload =
     transmit_seq c seq size payload
   end
 
-(* Fan one payload out over many connections with a single batched fabric
-   transmit per sending host. Sequence numbers are assigned up front in list
-   order (identical to a [send] loop); retransmits after a drop fall back to
-   the chained single-connection path, which is fine — they are rare and not
-   on the fan-out hot path. *)
-let rec send_batch conns ~size payload =
-  match List.filter (fun c -> c.open_) conns with
-  | [] -> ()
-  | c0 :: _ as live ->
-      let mine, rest =
-        List.partition (fun c -> c.host == c0.host) live
-      in
-      let arr = Array.of_list mine in
-      let seqs =
-        Array.map
-          (fun c ->
-            let s = c.send_seq in
-            c.send_seq <- s + 1;
-            s)
-          arr
-      in
-      let dsts = Array.map (fun c -> (peer_exn c).host) arr in
-      Fabric.transmit_many c0.fabric ~src:c0.host ~size ~dsts
-        ~on_dropped:(fun i ->
-          let c = arr.(i) in
-          if c.open_ then
-            ignore
-              (Sim.Engine.schedule (engine_of c) ~delay:retransmit_timeout
-                 (fun () -> if c.open_ then transmit_seq c seqs.(i) size payload)))
-        (fun i -> deliver_to (peer_exn arr.(i)) seqs.(i) ~size payload);
-      if rest <> [] then send_batch rest ~size payload
-
-(* --- reusable fan-out batches ------------------------------------------ *)
+(* --- batched fan-out ---------------------------------------------------- *)
 
 (* [batch] is a caller-owned fill buffer: clear, add the recipient
-   connections of this broadcast, hand it to {!send_batch_buf}. The
+   connections of this broadcast, hand it to {!send_batch}. The
    in-flight per-recipient state (sequence numbers, destination hosts, the
    three fabric callbacks) lives in a recycled [inflight] record leased from
    the fabric's transport state and re-shelved when the fabric reports the
    fan-out complete — a steady-state broadcast allocates nothing on this
-   layer. The two arrays ping-pong: [send_batch_buf] swaps the batch's fill
+   layer. The two arrays ping-pong: [send_batch] swaps the batch's fill
    array into the inflight record and gives the record's previous array
    back, so neither side ever copies a connection list. *)
 
@@ -242,6 +210,15 @@ let batch_length b = b.ba_n
 let batch_get b i =
   if i < 0 || i >= b.ba_n then invalid_arg "Tcp.batch_get: index out of bounds";
   b.ba_conns.(i)
+
+let batch_rev b =
+  let a = b.ba_conns in
+  for i = 0 to (b.ba_n / 2) - 1 do
+    let j = b.ba_n - 1 - i in
+    let c = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- c
+  done
 
 let ignore_i (_ : int) = ()
 
@@ -286,34 +263,27 @@ let new_inflight st =
       st.free_inflight <- inf :: st.free_inflight);
   inf
 
-let send_batch_buf b ~size payload =
-  (* Compact the live connections in place, preserving order, and detect
-     the (rare) mixed-sender case on the way. *)
+(* One payload to every open connection of [b], through one batched fabric
+   transmit: sequence numbers are assigned in add order, exactly as a [send]
+   loop would, and a drop falls back to the chained single-connection
+   retransmit path. *)
+let send_batch b ~size payload =
+  (* Compact the live connections in place, preserving order. *)
   let live = ref 0 in
-  let mixed = ref false in
   for i = 0 to b.ba_n - 1 do
     let c = b.ba_conns.(i) in
+    if c.host != b.ba_conns.(0).host then begin
+      b.ba_n <- 0;
+      invalid_arg "Tcp.send_batch: endpoints on several local hosts"
+    end;
     if c.open_ then begin
-      if !live > 0 && c.host != b.ba_conns.(0).host then
-        mixed := true;
       if !live <> i then b.ba_conns.(!live) <- c;
       incr live
     end
   done;
-  b.ba_n <- !live;
   let n = !live in
-  if n = 0 then ()
-  else if !mixed then begin
-    (* Endpoints on several sending hosts: fall back to the list path, one
-       batched transmit per host. *)
-    let conns = ref [] in
-    for i = n - 1 downto 0 do
-      conns := b.ba_conns.(i) :: !conns
-    done;
-    b.ba_n <- 0;
-    send_batch !conns ~size payload
-  end
-  else begin
+  b.ba_n <- 0;
+  if n > 0 then begin
     let st = state b.ba_conns.(0).fabric in
     let inf =
       match st.free_inflight with
@@ -326,7 +296,6 @@ let send_batch_buf b ~size payload =
     let tmp = inf.if_conns in
     inf.if_conns <- b.ba_conns;
     b.ba_conns <- tmp;
-    b.ba_n <- 0;
     let conns = inf.if_conns in
     let c0 = conns.(0) in
     if Array.length inf.if_seqs < Array.length conns then begin

@@ -50,17 +50,9 @@ val send : conn -> size:int -> Payload.t -> unit
     closed connection is a silent no-op (like writing to a broken socket
     whose error you ignore). *)
 
-val send_batch : conn list -> size:int -> Payload.t -> unit
-(** [send_batch conns ~size payload] sends one message on every open
-    connection in [conns], equivalent to a [send] loop (sequence numbers are
-    assigned in list order) but issued through {!Fabric.transmit_many}: one
-    batched fabric transmit per distinct sending host, so a fan-out costs one
-    scheduled delivery event per recipient instead of three. Closed
-    connections are skipped; retransmits after drops use the chained path. *)
-
 type batch
 (** A reusable fan-out fill buffer: clear it, add this broadcast's recipient
-    connections, hand it to {!send_batch_buf}. One batch per sending
+    connections, hand it to {!send_batch}. One batch per sending
     component; reuse across broadcasts is what makes the fan-out loop
     allocation-free. *)
 
@@ -78,13 +70,21 @@ val batch_get : batch -> int -> conn
 (** [batch_get b i] is the [i]-th connection added since the last clear.
     @raise Invalid_argument when [i] is out of bounds. *)
 
-val send_batch_buf : batch -> size:int -> Payload.t -> unit
-(** {!send_batch} over a reusable {!batch}: same semantics (sequence numbers
-    in add order, closed connections skipped, retransmits on the chained
-    path), but the per-broadcast recipient state is recycled through the
-    transport's freelist, so the steady-state hot loop allocates nothing.
-    The batch is cleared by the call — its fill array is swapped into the
-    in-flight record, not copied. *)
+val batch_rev : batch -> unit
+(** Reverse the order of the connections added since the last clear. *)
+
+val send_batch : batch -> size:int -> Payload.t -> unit
+(** [send_batch b ~size payload] sends one message on every open connection
+    in [b]. It is equivalent to a [send] loop (sequence numbers are assigned
+    in add order), but it is issued through one {!Fabric.transmit_many}, so
+    a fan-out costs one scheduled delivery event per recipient instead of
+    three. Closed connections are skipped; retransmits after drops use the
+    chained single-connection path. The per-broadcast recipient state is
+    recycled through the transport's freelist, so the steady-state hot loop
+    allocates nothing. The batch is empty after the call: its fill array is
+    swapped into the in-flight record, not copied.
+    @raise Invalid_argument when the batch holds endpoints on two local
+    hosts (the batch is emptied first). *)
 
 val close : conn -> unit
 (** Graceful close; the peer's [on_close Graceful] fires after one latency. *)

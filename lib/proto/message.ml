@@ -685,11 +685,8 @@ let send conn t = Net.Tcp.send conn ~size:(wire_size t) (Corona t)
 
 let send_encoded conn e = Net.Tcp.send conn ~size:(encoded_wire_size e) (Corona e.e_msg)
 
-let send_batch_encoded conns e =
-  Net.Tcp.send_batch conns ~size:(encoded_wire_size e) (Corona e.e_msg)
-
-let send_batch_encoded_buf b e =
-  Net.Tcp.send_batch_buf b ~size:(encoded_wire_size e) (Corona e.e_msg)
+let send_batch_encoded b e =
+  Net.Tcp.send_batch b ~size:(encoded_wire_size e) (Corona e.e_msg)
 
 (* --- fixed-offset header peeks ------------------------------------------ *)
 

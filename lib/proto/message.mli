@@ -221,14 +221,11 @@ val encoded_wire_size : encoded -> int
 val send_encoded : Net.Tcp.conn -> encoded -> unit
 (** Send a pre-encoded message, charging its cached wire size. *)
 
-val send_batch_encoded : Net.Tcp.conn list -> encoded -> unit
-(** Fan a pre-encoded message out over many connections via
+val send_batch_encoded : Net.Tcp.batch -> encoded -> unit
+(** Fan a pre-encoded message out to every open connection of the batch via
     {!Net.Tcp.send_batch}: one batched fabric transmit, one delivery event
-    per recipient. *)
-
-val send_batch_encoded_buf : Net.Tcp.batch -> encoded -> unit
-(** {!send_batch_encoded} over a reusable {!Net.Tcp.batch} — the
-    allocation-free fan-out path. *)
+    per recipient, charging the cached wire size. The batch is empty after
+    the call. *)
 
 val wire_size : t -> int
 (** Framed size in bytes: 8-byte frame header + encoded body, measured by

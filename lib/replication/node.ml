@@ -115,6 +115,7 @@ type t = {
   peers : (Smsg.server_id, Net.Tcp.conn) Hashtbl.t;
   outbox : (Smsg.server_id, Smsg.t list) Hashtbl.t;
       (* messages for peers whose mesh connection is still handshaking *)
+  peer_batch : Net.Tcp.batch; (* [send_peers] fill buffer, refilled per send *)
   mutable conn_ids : (int * Smsg.server_id) list; (* conn id -> peer *)
   eng : Corona.Group_engine.t; (* clients *)
   (* request correlation *)
@@ -476,37 +477,28 @@ and shard_owner t shard =
 and shard_positions rg =
   Array.to_list (Array.mapi (fun s n -> (s, n)) (SH.positions rg.rg_hb))
 
-(* Size the message once and issue one batched transmit to [servers], minus
+(* One batched transmit of [msg] to [servers] in list order, minus
    [except]. Self-delivery (synchronous [handle_smsg]) happens after the peer
    sends are issued — a deterministic, uniform order regardless of where
    [t.self] sits in the list. *)
 and send_peers t ?except servers msg =
-  let s = Smsg.pre ~sharded:(sharded t) msg in
   let deliver_self = ref false in
-  let conns =
-    List.rev
-      (List.fold_left
-         (fun acc srv ->
-           let skipped =
-             match except with Some skip -> skip = srv | None -> false
-           in
-           if skipped then acc
-           else if srv = t.self then begin
-             deliver_self := true;
-             acc
-           end
-           else
-             match Hashtbl.find_opt t.peers srv with
-             | Some conn when Net.Tcp.is_open conn -> conn :: acc
-             | Some _ -> acc (* peer died; higher-level retries cover it *)
-             | None ->
-                 (* Mesh handshake not complete: park the message. *)
-                 let q = Option.value (Hashtbl.find_opt t.outbox srv) ~default:[] in
-                 Hashtbl.replace t.outbox srv (msg :: q);
-                 acc)
-         [] servers)
-  in
-  if conns <> [] then Smsg.send_sized_batch conns s;
+  Net.Tcp.batch_clear t.peer_batch;
+  List.iter
+    (fun srv ->
+      let skipped = match except with Some skip -> skip = srv | None -> false in
+      if skipped then ()
+      else if srv = t.self then deliver_self := true
+      else
+        match Hashtbl.find_opt t.peers srv with
+        | Some conn when Net.Tcp.is_open conn -> Net.Tcp.batch_add t.peer_batch conn
+        | Some _ -> () (* peer died; higher-level retries cover it *)
+        | None ->
+            (* Mesh handshake not complete: park the message. *)
+            let q = Option.value (Hashtbl.find_opt t.outbox srv) ~default:[] in
+            Hashtbl.replace t.outbox srv (msg :: q))
+    servers;
+  Smsg.send_batch ~sharded:(sharded t) t.peer_batch msg;
   if !deliver_self then handle_smsg t ~from:t.self msg
 [@@corona.hot]
 
@@ -1736,6 +1728,7 @@ let create fabric node_host ?(config = default_config) ~storage ~server_list
       rgroups = Hashtbl.create 16;
       peers = Hashtbl.create 16;
       outbox = Hashtbl.create 8;
+      peer_batch = Net.Tcp.batch_create ();
       conn_ids = [];
       eng = E.create (Net.Fabric.engine fabric);
       pending_create = Hashtbl.create 8;

@@ -262,11 +262,7 @@ let wire_size ~sharded t =
 
 let send ~sharded conn t = Net.Tcp.send conn ~size:(wire_size ~sharded t) (Srv t)
 
-(* A message whose wire size was computed once; fan-out paths (the
-   sequencers' multicast of [Sequenced] updates in particular) share it
-   across all recipients instead of re-walking the message per peer. *)
-type sized = { s_msg : t; s_size : int }
-
-let pre ~sharded msg = { s_msg = msg; s_size = wire_size ~sharded msg }
-
-let send_sized_batch conns s = Net.Tcp.send_batch conns ~size:s.s_size (Srv s.s_msg)
+(* Size the message once and share that size across every recipient of the
+   batch (the sequencers' multicast of [Sequenced] updates in particular). *)
+let send_batch ~sharded batch t =
+  Net.Tcp.send_batch batch ~size:(wire_size ~sharded t) (Srv t)

@@ -220,12 +220,7 @@ val wire_size : sharded:bool -> t -> int
 
 val send : sharded:bool -> Net.Tcp.conn -> t -> unit
 
-type sized
-(** A message paired with its wire size, computed once — fan-out paths
-    share one [sized] value across all recipient servers. *)
-
-val pre : sharded:bool -> t -> sized
-
-val send_sized_batch : Net.Tcp.conn list -> sized -> unit
-(** Fan a pre-sized message out over many connections via
-    {!Net.Tcp.send_batch} (one batched fabric transmit). *)
+val send_batch : sharded:bool -> Net.Tcp.batch -> t -> unit
+(** Fan a message out to every open connection of the batch via
+    {!Net.Tcp.send_batch} (one batched fabric transmit). The wire size is
+    computed once for all recipients. The batch is empty after the call. *)

@@ -412,8 +412,7 @@ let test_membership_join_order_and_rejoin () =
     (List.map (fun (x : T.member) -> x.member) (Corona.Membership.members m));
   Alcotest.(check (option bool)) "role updated" (Some true)
     (Option.map (fun r -> r = T.Principal) (Corona.Membership.role_of m "b"));
-  Alcotest.(check (list string)) "notify targets" [ "a"; "b"; "c" ]
-    (Corona.Membership.notify_targets m);
+  Alcotest.(check int) "notify count" 3 (Corona.Membership.notify_count m);
   Alcotest.(check bool) "remove" true (Corona.Membership.remove m "b");
   Alcotest.(check bool) "remove absent" false (Corona.Membership.remove m "b");
   Alcotest.(check int) "count" 2 (Corona.Membership.count m)
@@ -470,8 +469,7 @@ let prop_membership_matches_model =
         M.entries m = !model
         && M.members m
            = List.map (fun (x : M.entry) -> { T.member = x.member; role = x.role }) !model
-        && M.notify_targets m
-           = List.filter_map (fun (x : M.entry) -> if x.notify then Some x.member else None) !model
+        && M.notify_count m = List.length (List.filter (fun (x : M.entry) -> x.notify) !model)
         && M.count m = List.length !model
         && M.is_empty m = (!model = [])
         && List.for_all

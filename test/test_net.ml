@@ -474,6 +474,113 @@ let test_tcp_close_drops_held_frames () =
   Sim.Engine.run engine;
   Alcotest.(check (list string)) "held and retransmitted frames dropped" [] !got
 
+(* --- tcp batched send ----------------------------------------------------- *)
+
+(* One sending host with a connection to each of [n] receiver hosts: the
+   sender-side endpoints, and per receiver the frames it got, newest first.
+   A handshake lost to [loss_rate] is retried until it completes. *)
+let fan_world ?config n =
+  let engine, fabric = make_world ?config () in
+  let s = Net.Fabric.add_host fabric ~name:"s" () in
+  let got = Array.make n [] in
+  let conns = Array.make n None in
+  for i = 0 to n - 1 do
+    let r = Net.Fabric.add_host fabric ~name:(Printf.sprintf "r%d" i) () in
+    ignore
+      (Net.Tcp.listen fabric r ~port:80 ~on_accept:(fun conn ->
+           Net.Tcp.set_receiver conn (fun ~size:_ payload ->
+               match payload with Net.Payload.Raw m -> got.(i) <- m :: got.(i) | _ -> ())));
+    let rec connect () =
+      Net.Tcp.connect fabric ~src:s ~dst:r ~port:80
+        ~on_connected:(fun conn -> conns.(i) <- Some conn)
+        ~on_failed:connect ()
+    in
+    connect ()
+  done;
+  Sim.Engine.run engine;
+  (engine, fabric, Array.map Option.get conns, got)
+
+let send_all conns tag =
+  Array.iter (fun c -> Net.Tcp.send c ~size:10 (Net.Payload.Raw tag)) conns
+
+let batch_all b conns tag =
+  Array.iter (Net.Tcp.batch_add b) conns;
+  Net.Tcp.send_batch b ~size:10 (Net.Payload.Raw tag)
+
+let check_each_got got expected =
+  Array.iteri
+    (fun i l ->
+      Alcotest.(check (list string)) (Printf.sprintf "r%d in send order" i) expected (List.rev l))
+    got
+
+(* A batched send takes the next sequence number on every connection, so
+   point sends before and after it on the same connections stay in
+   per-connection FIFO order even when jitter reorders the wire. *)
+let test_tcp_batch_between_sends_fifo () =
+  let config = { Net.Fabric.lan with Net.Fabric.jitter = 5e-3 } in
+  let engine, _, conns, got = fan_world ~config 4 in
+  let b = Net.Tcp.batch_create () in
+  for k = 0 to 9 do
+    send_all conns (Printf.sprintf "p%d" k);
+    batch_all b conns (Printf.sprintf "b%d" k);
+    send_all conns (Printf.sprintf "q%d" k)
+  done;
+  Sim.Engine.run engine;
+  check_each_got got
+    (List.concat_map
+       (fun k -> [ Printf.sprintf "p%d" k; Printf.sprintf "b%d" k; Printf.sprintf "q%d" k ])
+       (List.init 10 Fun.id))
+
+(* Closed connections in a batch are skipped, the open ones keep their
+   sequence, and the batch is empty after every call. *)
+let test_tcp_batch_skips_closed () =
+  let engine, fabric, conns, got = fan_world 4 in
+  Net.Tcp.close conns.(1);
+  Net.Tcp.close conns.(3);
+  let b = Net.Tcp.batch_create () in
+  batch_all b conns "x";
+  Alcotest.(check int) "batch empty after the call" 0 (Net.Tcp.batch_length b);
+  let batches = Net.Fabric.batches_sent fabric in
+  batch_all b [| conns.(1); conns.(3) |] "dead";
+  Alcotest.(check int) "all-closed batch empty after the call" 0 (Net.Tcp.batch_length b);
+  Alcotest.(check int) "all-closed batch transmits nothing" batches
+    (Net.Fabric.batches_sent fabric);
+  send_all conns "y";
+  Sim.Engine.run engine;
+  Alcotest.(check (list (list string))) "open connections only"
+    [ [ "x"; "y" ]; []; [ "x"; "y" ]; [] ]
+    (Array.to_list (Array.map List.rev got))
+
+(* Under 30% loss a dropped batch frame goes back through the chained
+   retransmit path: every connection gets each batch frame exactly once,
+   and before the point send that followed it. *)
+let test_tcp_batch_retransmits_under_loss () =
+  let config = { Net.Fabric.lan with Net.Fabric.loss_rate = 0.3 } in
+  let engine, fabric, conns, got = fan_world ~config 6 in
+  let b = Net.Tcp.batch_create () in
+  let packets = Net.Fabric.packets_sent fabric in
+  for k = 0 to 9 do
+    batch_all b conns (Printf.sprintf "b%d" k);
+    send_all conns (Printf.sprintf "s%d" k)
+  done;
+  Sim.Engine.run engine;
+  check_each_got got
+    (List.concat_map (fun k -> [ Printf.sprintf "b%d" k; Printf.sprintf "s%d" k ]) (List.init 10 Fun.id));
+  Alcotest.(check bool) "some frames were retransmitted" true
+    (Net.Fabric.packets_sent fabric - packets > 2 * 10 * 6)
+
+(* Every batch is one component's own endpoints: endpoints on two local
+   hosts are refused, and the batch is left empty. *)
+let test_tcp_batch_two_hosts_rejected () =
+  let _, _, _, _, client, server = connect_pair () in
+  let b = Net.Tcp.batch_create () in
+  Net.Tcp.batch_add b client;
+  Net.Tcp.batch_add b server;
+  Alcotest.check_raises "endpoints on a and b"
+    (Invalid_argument "Tcp.send_batch: endpoints on several local hosts") (fun () ->
+      Net.Tcp.send_batch b ~size:10 (Net.Payload.Raw "x"));
+  Alcotest.(check int) "batch emptied" 0 (Net.Tcp.batch_length b)
+
 let prop_tcp_fifo_random_traffic =
   (* Any mix of sizes under jitter arrives complete and in order. *)
   QCheck.Test.make ~name:"tcp: random sizes under jitter stay FIFO" ~count:100
@@ -688,6 +795,10 @@ let () =
           tc "holdback drains, then the fast path" `Quick test_tcp_holdback_then_fast_path;
           tc "early frames replayed in order" `Quick test_tcp_early_frames_replayed_in_order;
           tc "close drops held frames" `Quick test_tcp_close_drops_held_frames;
+          tc "batch between sends stays fifo" `Quick test_tcp_batch_between_sends_fifo;
+          tc "batch skips closed connections" `Quick test_tcp_batch_skips_closed;
+          tc "batch retransmits under loss" `Quick test_tcp_batch_retransmits_under_loss;
+          tc "batch on two hosts rejected" `Quick test_tcp_batch_two_hosts_rejected;
         ] );
       ( "multicast",
         [

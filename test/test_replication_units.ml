@@ -303,6 +303,60 @@ let test_smsg_sizes_scale () =
       ("repair", S.Updates_blob { group = "g"; shard = 1; updates = [ update ] }, 54, 58, 4);
     ]
 
+(* The peer mesh's fan-out: a sequenced update to 6 open peer connections
+   through one recycled batch. At steady state the transport recycles every
+   per-send record, so only a per-send constant is left (the payload box,
+   the boxed issue time and the optional-argument boxes of the fabric call),
+   spread over the recipients: 2.50 words per recipient measured, against
+   19.2 for the list-taking send this replaced. *)
+let test_smsg_send_batch_allocation () =
+  let module S = Replication.Smsg in
+  let engine = Sim.Engine.create ~seed:7L () in
+  let fabric = Net.Fabric.create engine in
+  let src = Net.Fabric.add_host fabric ~name:"s0" () in
+  let n = 6 in
+  let conns = Array.make n None in
+  for i = 0 to n - 1 do
+    let peer = Net.Fabric.add_host fabric ~name:(Printf.sprintf "s%d" (i + 1)) () in
+    ignore
+      (Net.Tcp.listen fabric peer ~port:7100 ~on_accept:(fun c ->
+           Net.Tcp.set_receiver c (fun ~size:_ _ -> ())));
+    Net.Tcp.connect fabric ~src ~dst:peer ~port:7100
+      ~on_connected:(fun c -> conns.(i) <- Some c)
+      ~on_failed:(fun () -> Alcotest.fail "peer connect failed")
+      ()
+  done;
+  Sim.Engine.run engine;
+  let conns = Array.map Option.get conns in
+  let batch = Net.Tcp.batch_create () in
+  let msg =
+    S.Sequenced
+      { epoch = 3; shard = 0; origin = smsg_origin; update = smsg_update "x"; mode = T.Sender_inclusive }
+  in
+  let send () =
+    for i = 0 to n - 1 do
+      Net.Tcp.batch_add batch conns.(i)
+    done;
+    S.send_batch ~sharded:false batch msg
+  in
+  for _ = 1 to 20 do
+    send ();
+    Sim.Engine.run engine
+  done;
+  let rounds = 100 in
+  let words = ref 0.0 in
+  for _ = 1 to rounds do
+    let w0 = Gc.minor_words () in
+    send ();
+    words := !words +. (Gc.minor_words () -. w0);
+    Sim.Engine.run engine
+  done;
+  let per_recipient = !words /. float_of_int (rounds * n) in
+  Alcotest.(check int) "batch empty after the send" 0 (Net.Tcp.batch_length batch);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per recipient <= 3.0" per_recipient)
+    true (per_recipient <= 3.0)
+
 let () =
   let tc = Alcotest.test_case in
   let q = QCheck_alcotest.to_alcotest in
@@ -331,5 +385,9 @@ let () =
           tc "all four resolutions" `Quick test_resolutions;
           q prop_rollback_prefix_of_both;
         ] );
-      ("smsg", [ tc "wire sizes scale with payload" `Quick test_smsg_sizes_scale ]);
+      ( "smsg",
+        [
+          tc "wire sizes scale with payload" `Quick test_smsg_sizes_scale;
+          tc "peer-mesh batch send allocation" `Quick test_smsg_send_batch_allocation;
+        ] );
     ]
