@@ -140,8 +140,6 @@ let server_host t idx =
   | B_single s -> s.s_host
   | B_repl c -> Replication.Node.host (node_at c idx)
 
-let relay_count t = Array.length t.relays
-
 let relay_alive t i =
   i >= 0 && i < Array.length t.relays
   && t.relays.(i).rd_alive

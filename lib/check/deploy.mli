@@ -41,8 +41,6 @@ val restart_server : t -> unit
 val restart_times : t -> float list
 (** Era boundaries, oldest first; [] for replicated deployments. *)
 
-val relay_count : t -> int
-
 val crash_relay : t -> int -> unit
 (** Relay deployments: kill a relay's host permanently. Its members fail
     over client-side. *)

@@ -435,9 +435,9 @@ let handle_response t (resp : M.response) =
             vector
       | None -> ());
       emit t (Shard_joined { group; vector })
-  | M.Relay_registered _ | M.Relay_fanout _ | M.Relay_slice _ ->
-      (* Relay-tier control traffic terminates at relays, never at member
-         clients; a stray frame is ignored. *)
+  | M.Relay_fanout _ ->
+      (* Fan-out frames terminate at relays, never at member clients; a
+         stray one is ignored. *)
       ()
 
 let connect_internal fabric ~host ~server ~port ~member ~on_event ~replicas

@@ -80,8 +80,6 @@ let add_deliveries t ~count ~bytes =
   t.deliveries_sent <- t.deliveries_sent + count;
   t.bytes_delivered <- t.bytes_delivered + bytes
 
-let relay_hub t = t.relay_hub
-
 let transfer_cache t = t.transfer_cache
 
 (* --- connections ------------------------------------------------------- *)
@@ -266,37 +264,21 @@ let reduce_log t conn ~group log =
     State_log.reduce log ~on_done:(fun ~upto ->
         if Net.Tcp.is_open conn then send t conn (M.Log_reduced { group; upto }))
 
-(* The canonical slice of relay [r], announced to [relay]. *)
-let slice ~relay (r : Relay_hub.relay) =
-  M.Relay_slice { relay; lo = r.r_index; hi = r.r_index + 1 }
-
 let serve t conn (req : M.request) =
   match req with
   | M.Ping { nonce } -> send t conn (M.Pong { nonce })
-  | M.Relay_register { relay } ->
-      let r = Relay_hub.register t.relay_hub ~relay ~conn ~at:(Sim.Engine.now t.engine) in
-      send t conn (M.Relay_registered { relay; index = r.Relay_hub.r_index });
-      send t conn (slice ~relay r)
+  | M.Relay_register { relay } -> Relay_hub.register t.relay_hub ~relay ~conn
   | M.Relay_proxy { relay } -> Relay_hub.register_proxy t.relay_hub ~relay ~conn
-  | M.Relay_heartbeat { relay; members } ->
-      Relay_hub.heartbeat t.relay_hub ~relay ~members ~at:(Sim.Engine.now t.engine)
   | M.Create_group _ | M.Delete_group _ | M.Join _ | M.Leave _ | M.Get_membership _
   | M.Bcast _ | M.Acquire_lock _ | M.Release_lock _ | M.Reduce_log _ | M.Resend _ ->
       ()
 
 (* A client connection died. A relay's proxied connections die with it, so
-   the per-member cleanup handles its members; the next alive sibling is
-   told it now fronts the dead relay's slice — the members themselves fail
-   over client-side and rejoin through it. [k member groups] then runs for
-   each member the connection served, with the groups it belonged to. *)
+   the per-member cleanup handles its members, who fail over client-side
+   and rejoin through a sibling relay. [k member groups] then runs for each
+   member the connection served, with the groups it belonged to. *)
 let disconnect t conn k =
-  (match Relay_hub.conn_closed t.relay_hub conn with
-  | Relay_hub.Control r -> (
-      match Relay_hub.sibling t.relay_hub r with
-      | Some s when Net.Tcp.is_open s.Relay_hub.r_conn ->
-          send t s.Relay_hub.r_conn (slice ~relay:s.r_id r)
-      | Some _ | None -> ())
-  | Relay_hub.Proxied _ | Relay_hub.Not_relay -> ());
+  Relay_hub.conn_closed t.relay_hub conn;
   Hashtbl.remove t.client_conns (Net.Tcp.id conn);
   let members_on_conn =
     match Hashtbl.find_opt t.members_of_conn (Net.Tcp.id conn) with

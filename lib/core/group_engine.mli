@@ -12,9 +12,8 @@
     - replies, fan-out through the {!Relay_hub} with one shared encode per
       message, and membership-change notifications to subscribed members;
     - [Join_accepted] frames served from the {!Transfer} snapshot cache;
-    - the requests every server answers alike ([Ping], the relay-tier
-      registrations, [Reduce_log]) and the handoff of a dead relay's slice
-      to its sibling.
+    - the requests every server answers alike: [Ping], [Reduce_log], and
+      the relay-tier registrations, which get no reply.
 
     Membership tables stay with the caller (a server's table is global, a
     node's holds its own clients); the engine keeps its member → group
@@ -39,8 +38,6 @@ val counters : t -> counters
 
 val add_deliveries : t -> count:int -> bytes:int -> unit
 (** Count deliveries made outside {!deliver} (IP-multicast fan-out). *)
-
-val relay_hub : t -> Relay_hub.t
 
 val transfer_cache : t -> Transfer.cache
 
@@ -88,9 +85,9 @@ val forget_group : t -> Membership.t -> group:Proto.Types.group_id -> unit
 
 val disconnect :
   t -> Net.Tcp.conn -> (Proto.Types.member_id -> Proto.Types.group_id list -> unit) -> unit
-(** A client connection closed: hand a dead relay's slice to its sibling,
-    unbind the connection's members, then call [k member groups] for each
-    with the groups it belonged to. The caller removes it from them. *)
+(** A client connection closed: unhook it from the relay hub, unbind the
+    connection's members, then call [k member groups] for each with the
+    groups it belonged to. The caller removes it from them. *)
 
 (** {2 Fan-out} *)
 
@@ -149,4 +146,5 @@ val reduce_log : t -> Net.Tcp.conn -> group:Proto.Types.group_id -> State_log.t 
 (** Trim the log; reply [Log_reduced] once the checkpoint is durable. *)
 
 val serve : t -> Net.Tcp.conn -> Proto.Message.request -> unit
-(** [Ping] and the relay-tier requests; every other request is ignored. *)
+(** [Ping] gets a [Pong]; [Relay_register] and [Relay_proxy] are recorded in
+    the relay hub; every other request is ignored. *)

@@ -192,8 +192,6 @@ let handle_control t msg =
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
-let heartbeat_period = 2.0
-
 let create fabric host ~relay ~root ?(root_port = 7000) ?(port = 7000)
     ~on_ready ~on_failed () =
   let t =
@@ -221,15 +219,6 @@ let create fabric host ~relay ~root ?(root_port = 7000) ?(port = 7000)
         Some
           (Net.Tcp.listen fabric host ~port ~on_accept:(fun c ->
                accept_member t c));
-      let engine = Net.Fabric.engine fabric in
-      Sim.Engine.periodic engine ~every:heartbeat_period (fun () ->
-          if t.alive && Net.Tcp.is_open conn then begin
-            M.send conn
-              (M.Request
-                 (M.Relay_heartbeat { relay; members = Hashtbl.length t.downs }));
-            true
-          end
-          else false);
       on_ready t)
     ~on_failed ();
   t

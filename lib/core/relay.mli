@@ -28,8 +28,8 @@ val create :
   t
 (** Connect the control connection to the root (default port 7000), send
     [Relay_register], then start accepting member connections on [port]
-    (default 7000) and heartbeating. [on_ready] fires once the control
-    connection is up; [on_failed] if the root is unreachable. *)
+    (default 7000). [on_ready] fires once the control connection is up;
+    [on_failed] if the root is unreachable. *)
 
 val shutdown : t -> unit
 (** Close the listener, every member and proxied connection, and the

@@ -12,20 +12,10 @@
 
 module M = Proto.Message
 
-type relay = {
-  r_id : Proto.Types.member_id;
-  r_conn : Net.Tcp.conn; (* control connection *)
-  r_index : int; (* registration order: the relay's canonical slice *)
-  mutable r_last_heartbeat : float;
-  mutable r_members : int; (* self-reported via Relay_heartbeat *)
-}
-
 type t = {
-  by_conn : (int, relay) Hashtbl.t; (* control conn id -> relay *)
-  proxied : (int, relay) Hashtbl.t; (* proxied conn id -> owning relay *)
-  by_id : (Proto.Types.member_id, relay) Hashtbl.t;
-  mutable order : relay list; (* ascending registration order *)
-  mutable next_index : int;
+  by_conn : (int, Proto.Types.member_id) Hashtbl.t; (* control conn id -> relay *)
+  by_id : (Proto.Types.member_id, Net.Tcp.conn) Hashtbl.t; (* relay -> control conn *)
+  proxied : (int, Net.Tcp.conn) Hashtbl.t; (* proxied conn id -> its relay's control conn *)
   seen : (int, unit) Hashtbl.t; (* scratch: per-fan-out relay dedup *)
   hb_direct : Net.Tcp.batch; (* split scratch, refilled per fan-out *)
   hb_control : Net.Tcp.batch;
@@ -34,75 +24,37 @@ type t = {
 let create () =
   {
     by_conn = Hashtbl.create 8;
-    proxied = Hashtbl.create 64;
     by_id = Hashtbl.create 8;
-    order = [];
-    next_index = 0;
+    proxied = Hashtbl.create 64;
     seen = Hashtbl.create 8;
     hb_direct = Net.Tcp.batch_create ();
     hb_control = Net.Tcp.batch_create ();
   }
 
-let register t ~relay ~conn ~at =
-  let r =
-    {
-      r_id = relay;
-      r_conn = conn;
-      r_index = t.next_index;
-      r_last_heartbeat = at;
-      r_members = 0;
-    }
-  in
-  t.next_index <- t.next_index + 1;
-  Hashtbl.replace t.by_conn (Net.Tcp.id conn) r;
-  Hashtbl.replace t.by_id relay r;
-  t.order <- t.order @ [ r ];
-  r
+let register t ~relay ~conn =
+  Hashtbl.replace t.by_conn (Net.Tcp.id conn) relay;
+  Hashtbl.replace t.by_id relay conn
 
 (* Mark [conn] as one member's traffic proxied by [relay]. An unknown relay
-   id (its control registration lost) leaves the connection direct — flat
-   fan-out over the proxied connection still reaches the member. *)
+   id (its control registration lost, or its control connection closed)
+   leaves the connection direct — flat fan-out over the proxied connection
+   still reaches the member. *)
 let register_proxy t ~relay ~conn =
   match Hashtbl.find_opt t.by_id relay with
-  | Some r -> Hashtbl.replace t.proxied (Net.Tcp.id conn) r
+  | Some control -> Hashtbl.replace t.proxied (Net.Tcp.id conn) control
   | None -> ()
 
-let heartbeat t ~relay ~members ~at =
-  match Hashtbl.find_opt t.by_id relay with
-  | Some r ->
-      r.r_last_heartbeat <- at;
-      r.r_members <- members
-  | None -> ()
-
-let alive t = List.filter (fun r -> Net.Tcp.is_open r.r_conn) t.order
-
-(* The relay that adopts a dead sibling's members: next alive relay in
-   registration order, wrapping around. *)
-let sibling t r =
-  match alive t with
-  | [] -> None
-  | live -> (
-      match List.find_opt (fun x -> x.r_index > r.r_index) live with
-      | Some x -> Some x
-      | None -> ( match live with x :: _ -> Some x | [] -> None))
-
-type closed = Control of relay | Proxied of relay | Not_relay
-
-(* Classify and unhook a closing connection. Control connections stay in
-   [by_id]/[order] as dead entries (their index is their identity for
-   handoff); proxied entries are dropped. *)
+(* Unhook a closing connection. A relay whose control connection closed is
+   forgotten; proxied connections it still owns fall back to direct sends
+   until they close themselves. *)
 let conn_closed t conn =
   let id = Net.Tcp.id conn in
-  match Hashtbl.find_opt t.by_conn id with
-  | Some r ->
+  (match Hashtbl.find_opt t.by_conn id with
+  | Some relay ->
       Hashtbl.remove t.by_conn id;
-      Control r
-  | None -> (
-      match Hashtbl.find_opt t.proxied id with
-      | Some r ->
-          Hashtbl.remove t.proxied id;
-          Proxied r
-      | None -> Not_relay)
+      Hashtbl.remove t.by_id relay
+  | None -> ());
+  Hashtbl.remove t.proxied id
 
 (* Partition the caller's recipient batch into the hub's two scratch
    batches: proxied connections collapse to their relay's control connection
@@ -117,10 +69,11 @@ let split_batch t batch =
   for i = 0 to n - 1 do
     let conn = Net.Tcp.batch_get batch i in
     match Hashtbl.find_opt t.proxied (Net.Tcp.id conn) with
-    | Some r when Net.Tcp.is_open r.r_conn ->
-        if not (Hashtbl.mem t.seen r.r_index) then begin
-          Hashtbl.replace t.seen r.r_index ();
-          Net.Tcp.batch_add t.hb_control r.r_conn
+    | Some control when Net.Tcp.is_open control ->
+        let cid = Net.Tcp.id control in
+        if not (Hashtbl.mem t.seen cid) then begin
+          Hashtbl.replace t.seen cid ();
+          Net.Tcp.batch_add t.hb_control control
         end
     | Some _ | None -> Net.Tcp.batch_add t.hb_direct conn
   done

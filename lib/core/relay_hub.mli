@@ -7,37 +7,21 @@
     broadcast into one [Relay_fanout] frame per relay — O(relays) root
     transmits instead of O(members). *)
 
-type relay = {
-  r_id : Proto.Types.member_id;
-  r_conn : Net.Tcp.conn;  (** control connection *)
-  r_index : int;  (** registration order: the relay's canonical slice *)
-  mutable r_last_heartbeat : float;
-  mutable r_members : int;  (** self-reported via [Relay_heartbeat] *)
-}
-
 type t
 
 val create : unit -> t
 
-val register : t -> relay:Proto.Types.member_id -> conn:Net.Tcp.conn -> at:float -> relay
-(** Register a relay's control connection; assigns the next index. *)
+val register : t -> relay:Proto.Types.member_id -> conn:Net.Tcp.conn -> unit
+(** Register [relay]'s control connection, on which its fan-out frames are
+    sent. *)
 
 val register_proxy : t -> relay:Proto.Types.member_id -> conn:Net.Tcp.conn -> unit
 (** Mark [conn] as one member's traffic proxied by [relay]. Unknown relay
     ids leave the connection direct (degraded but correct). *)
 
-val heartbeat : t -> relay:Proto.Types.member_id -> members:int -> at:float -> unit
-
-val alive : t -> relay list
-
-val sibling : t -> relay -> relay option
-(** The relay that adopts a dead sibling's members: next alive relay in
-    registration order, wrapping around; [None] if none are left. *)
-
-type closed = Control of relay | Proxied of relay | Not_relay
-
-val conn_closed : t -> Net.Tcp.conn -> closed
-(** Classify and unhook a closing connection. *)
+val conn_closed : t -> Net.Tcp.conn -> unit
+(** Unhook a closing connection; a relay whose control connection closed is
+    forgotten. *)
 
 type delivered = {
   d_direct : int;  (** point-to-point recipients *)

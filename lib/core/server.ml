@@ -102,8 +102,6 @@ let stats t =
 
 let pool_stats (_ : t) = { Proto.Pool.leases = 0; hits = 0; high_water = 0 }
 
-let relay_hub t = Group_engine.relay_hub t.eng
-
 let connected_clients t = Group_engine.connected_clients t.eng
 
 (* --- queries --------------------------------------------------------- *)
@@ -477,7 +475,7 @@ let handle_request t conn (req : M.request) =
                   (Group_engine.join_state t.eng (`Log log) transfer)
           | None -> ())
       | Some { g_keeper = Stateless _; _ } | None -> ())
-  | M.Ping _ | M.Relay_register _ | M.Relay_proxy _ | M.Relay_heartbeat _ ->
+  | M.Ping _ | M.Relay_register _ | M.Relay_proxy _ ->
       Group_engine.serve t.eng conn req
 
 (* A client connection died: clean up every group its member(s) joined.

@@ -130,9 +130,6 @@ val pool_stats : t -> Proto.Pool.stats
     encodings are sized, not serialized into leased buffers. Kept only
     until the end-to-end benchmark drops its [proto.pool_*] metrics. *)
 
-val relay_hub : t -> Relay_hub.t
-(** The relay registry (empty when no relay tier is deployed). *)
-
 val transfer_cache_stats : t -> int * int
 (** [(hits, misses)] of the join-state snapshot cache: a miss pays one full
     materialize+encode of a group's state, a hit shares it — the join-storm

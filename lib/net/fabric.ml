@@ -296,9 +296,7 @@ let schedule_stretches engine ~times ~n h =
   done;
   if n > 0 then Sim.Engine.schedule_run engine ~times ~first:!first ~last:(n - 1) h
 
-let transmit_many t ~src ~size ?(on_dropped = ignore_i) ?(on_complete = ignore_u)
-    ~dsts ?len k =
-  let n = match len with Some n -> n | None -> Array.length dsts in
+let transmit_many t ~src ~size ~on_dropped ~on_complete ~dsts ~len:n k =
   if n > 0 && Host.is_alive src then begin
     t.batches <- t.batches + 1;
     let b = acquire_batch t src n in

@@ -111,38 +111,39 @@ val transmit_many :
   t ->
   src:Host.t ->
   size:int ->
-  ?on_dropped:(int -> unit) ->
-  ?on_complete:(unit -> unit) ->
+  on_dropped:(int -> unit) ->
+  on_complete:(unit -> unit) ->
   dsts:Host.t array ->
-  ?len:int ->
+  len:int ->
   (int -> unit) ->
   unit
-(** [transmit_many t ~src ~size ~dsts k] fans one [size]-byte message out to
-    every host in [dsts], running [k i] on [dsts.(i)] when it is fully
-    received (or [on_dropped i] at the point of loss). Delivery timestamps
-    are identical to issuing [Array.length dsts] chained {!transmit} calls at
-    the same instant: the sender's CPU-worker and NIC FIFO finish times are
-    computed in closed form at issue time, collapsing the three chained heap
-    events per recipient into a single arrival event each, and the arrivals
-    go through {!schedule_stretches}: the event queue holds one entry per
-    non-decreasing stretch of them, not one per recipient. Divergences
-    from the chained path (all invisible to protocol logic in the common
-    case): packet counters are charged and loss/jitter randomness is drawn at
-    issue time rather than NIC-finish time, and the partition check happens
-    at issue time. A sender crash between issue and NIC-finish silences the
-    affected deliveries, exactly like the chained epoch guard.
+(** [transmit_many t ~src ~size ~on_dropped ~on_complete ~dsts ~len k] fans
+    one [size]-byte message out to the first [len] hosts in [dsts], running
+    [k i] on [dsts.(i)] when it is fully received (or [on_dropped i] at the
+    point of loss). Delivery timestamps are identical to issuing [len] chained
+    {!transmit} calls at the same instant: the sender's CPU-worker and NIC
+    FIFO finish times are computed in closed form at issue time, collapsing
+    the three chained heap events per recipient into a single arrival event
+    each, and the arrivals go through {!schedule_stretches}: the event queue
+    holds one entry per non-decreasing stretch of them, not one per recipient.
+    Divergences from the chained path (all invisible to protocol logic in the
+    common case): packet counters are charged and loss/jitter randomness is
+    drawn at issue time rather than NIC-finish time, and the partition check
+    happens at issue time. A sender crash between issue and NIC-finish
+    silences the affected deliveries, exactly like the chained epoch guard.
 
     [on_complete] fires exactly once, after every recipient has reached its
     terminal outcome (delivered, dropped, or silenced by a sender-epoch
-    change) — the hook transports use to recycle their per-fan-out
-    records. When nothing is issued (empty [dsts] or a
-    dead sender) it fires synchronously before the call returns. The fan-out
-    state itself is recycled: steady-state broadcasts allocate no
-    per-recipient closures or event records.
+    change) — the hook transports use to recycle their per-fan-out records.
+    When nothing is issued ([len = 0] or a dead sender) it fires synchronously
+    before the call returns. The fan-out state itself is recycled:
+    steady-state broadcasts allocate no per-recipient closures or event
+    records.
 
-    [len] bounds the fan-out to the first [len] entries of [dsts] (default:
-    the whole array) — callers that reuse a capacity-padded scratch array
-    pass the live prefix length instead of re-slicing per send.
+    [len] bounds the fan-out to the first [len] entries of [dsts], so callers
+    that reuse a capacity-padded scratch array pass the live prefix length
+    instead of re-slicing per send. Every argument is required: an optional
+    one would box a [Some] per call on this per-fan-out path.
 
     The fan-out holds [dsts] itself, not a copy, and reads [dsts.(i)] again
     when recipient [i]'s message arrives: the caller must leave the first

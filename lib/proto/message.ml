@@ -46,7 +46,6 @@ type request =
   | Relay_proxy of { relay : Types.member_id }
       (* first message on a proxied upstream connection: everything after it
          is one member's traffic passed through verbatim by [relay] *)
-  | Relay_heartbeat of { relay : Types.member_id; members : int }
 
 type join_state =
   | Snapshot of {
@@ -101,7 +100,6 @@ type response =
     }
   | Shard_joined of { group : Types.group_id; vector : int list }
       (* per-shard baseline of the snapshot a sharded join was served from *)
-  | Relay_registered of { relay : Types.member_id; index : int }
   | Relay_fanout of {
       group : Types.group_id;
       exclude : Types.member_id option;
@@ -110,10 +108,6 @@ type response =
       (* one frame per relay carrying the response every member of [group]
          behind that relay must receive; the relay re-fans [inner] locally,
          skipping [exclude] (a sender-exclusive broadcast's sender) *)
-  | Relay_slice of { relay : Types.member_id; lo : int; hi : int }
-      (* slice assignment/handoff notice: [relay] now fronts the canonical
-         slices [lo, hi) of the relay-index partition (at registration its
-         own index; after a sibling crash, the dead relay's too) *)
 
 type t = Request of request | Response of response
 
@@ -312,10 +306,6 @@ let enc_request w = function
   | Relay_proxy { relay } ->
       W.u8 w 12;
       W.string w relay
-  | Relay_heartbeat { relay; members } ->
-      W.u8 w 13;
-      W.string w relay;
-      W.u32 w members
 
 let dec_request r =
   match R.u8 r with
@@ -371,10 +361,6 @@ let dec_request r =
       Resend { group; member; updates }
   | 11 -> Relay_register { relay = R.string r }
   | 12 -> Relay_proxy { relay = R.string r }
-  | 13 ->
-      let relay = R.string r in
-      let members = R.u32 r in
-      Relay_heartbeat { relay; members }
   | n -> raise (R.Malformed (Printf.sprintf "request tag %d" n))
 
 (* A [Relay_fanout] response up to its embedded inner response; shared
@@ -466,18 +452,9 @@ let rec enc_response w = function
       W.u8 w 17;
       W.string w group;
       W.list w W.int_as_i64 vector
-  | Relay_registered { relay; index } ->
-      W.u8 w 18;
-      W.string w relay;
-      W.u32 w index
   | Relay_fanout { group; exclude; inner } ->
       enc_relay_head w group exclude;
       enc_response w inner
-  | Relay_slice { relay; lo; hi } ->
-      W.u8 w 20;
-      W.string w relay;
-      W.u32 w lo;
-      W.u32 w hi
 
 let rec dec_response r =
   match R.u8 r with
@@ -547,20 +524,11 @@ let rec dec_response r =
       let group = R.string r in
       let vector = R.list r R.int_as_i64 in
       Shard_joined { group; vector }
-  | 18 ->
-      let relay = R.string r in
-      let index = R.u32 r in
-      Relay_registered { relay; index }
   | 19 ->
       let group = R.string r in
       let exclude = if R.bool r then Some (R.string r) else None in
       let inner = dec_response r in
       Relay_fanout { group; exclude; inner }
-  | 20 ->
-      let relay = R.string r in
-      let lo = R.u32 r in
-      let hi = R.u32 r in
-      Relay_slice { relay; lo; hi }
   | n -> raise (R.Malformed (Printf.sprintf "response tag %d" n))
 
 (* Serializations of whole messages, for the bench's encodes-per-bcast
@@ -810,13 +778,7 @@ let rec pp ppf t =
   | Request (Relay_register { relay }) ->
       Format.fprintf ppf "relay_register %s" relay
   | Request (Relay_proxy { relay }) -> Format.fprintf ppf "relay_proxy %s" relay
-  | Request (Relay_heartbeat { relay; members }) ->
-      Format.fprintf ppf "relay_heartbeat %s members=%d" relay members
-  | Response (Relay_registered { relay; index }) ->
-      Format.fprintf ppf "relay_registered %s #%d" relay index
   | Response (Relay_fanout { group; exclude; inner }) ->
       Format.fprintf ppf "relay_fanout %s%s [%a]" group
         (match exclude with None -> "" | Some m -> " -" ^ m)
         pp (Response inner)
-  | Response (Relay_slice { relay; lo; hi }) ->
-      Format.fprintf ppf "relay_slice %s [%d,%d)" relay lo hi

@@ -54,14 +54,12 @@ type request =
           lost with its un-flushed log tail *)
   | Ping of { nonce : int }
   | Relay_register of { relay : Types.member_id }
-      (** opens a relay's control connection: the root answers with
-          [Relay_registered] + [Relay_slice], and subsequent group fan-outs
-          for members behind this relay arrive here as [Relay_fanout]
-          frames *)
+      (** opens a relay's control connection: the root sends no reply,
+          and group fan-outs for members behind this relay arrive here as
+          [Relay_fanout] frames *)
   | Relay_proxy of { relay : Types.member_id }
       (** first message on a proxied upstream connection: everything after
           it is one member's traffic, passed through verbatim by [relay] *)
-  | Relay_heartbeat of { relay : Types.member_id; members : int }
 
 (** State handed to a joining client, shaped by its {!Types.transfer_spec}. *)
 type join_state =
@@ -133,9 +131,6 @@ type response =
       (** closes a sharded join: per-shard baseline positions the join-state
           snapshot reflects — the first [Shard_deliver] on shard [s] carries
           seqno [vector.(s)] *)
-  | Relay_registered of { relay : Types.member_id; index : int }
-      (** acknowledges {!request.Relay_register}; [index] is the relay's
-          position in registration order *)
   | Relay_fanout of {
       group : Types.group_id;
       exclude : Types.member_id option;
@@ -145,11 +140,6 @@ type response =
           member of [group] behind that relay must receive; the relay
           re-fans [inner] locally, skipping [exclude] (the sender of a
           sender-exclusive broadcast) *)
-  | Relay_slice of { relay : Types.member_id; lo : int; hi : int }
-      (** slice assignment (at registration) or handoff notice (when a
-          sibling crashes): [relay] now fronts the canonical slices
-          [lo, hi) of the relay-index partition — member indexes map to
-          slices via [Corona.Membership.slice_owner] *)
 
 type t = Request of request | Response of response
 

@@ -12,7 +12,6 @@ type config = {
   access : Corona.Access_control.t;
   relaxed_membership : bool;
   record_lock_journal : bool;
-  wal_batching : Storage.Wal.batch_config option;
   shards : int;
   sharded_direct_views : bool;
 }
@@ -27,7 +26,6 @@ let default_config =
     access = Corona.Access_control.allow_all;
     relaxed_membership = false;
     record_lock_journal = false;
-    wal_batching = None;
     shards = 1;
     sharded_direct_views = false;
   }
@@ -322,7 +320,7 @@ and shard_log_name t group shard =
 and make_logs t rg ~vector ~by_shard =
   Array.init t.cfg.shards (fun s ->
       let name = shard_log_name t rg.rg_id s in
-      let wal = Corona.Server_storage.wal_for t.storage ?batching:t.cfg.wal_batching name in
+      let wal = Corona.Server_storage.wal_for t.storage name in
       SL.create ~group:name ~persistent:rg.rg_persistent ~wal
         ~checkpoints:(Corona.Server_storage.checkpoints t.storage)
         ~policy:t.cfg.reduction ~at_seqno:vector.(s) ~initial:by_shard.(s) ())
@@ -1604,7 +1602,7 @@ let handle_client_request t conn (req : M.request) =
       (* §6 sender-assisted recovery is a single-server feature; replicated
          groups restore lost suffixes from other holders instead. *)
       ()
-  | M.Ping _ | M.Relay_register _ | M.Relay_proxy _ | M.Relay_heartbeat _ ->
+  | M.Ping _ | M.Relay_register _ | M.Relay_proxy _ ->
       E.serve t.eng conn req
 
 let handle_client_disconnect t conn reason =

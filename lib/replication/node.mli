@@ -34,10 +34,6 @@ type config = {
   record_lock_journal : bool;
       (** keep the directory's per-group lock grant journals in memory for
           invariant checking ({!Check}); off by default *)
-  wal_batching : Storage.Wal.batch_config option;
-      (** WAL group commit for the per-group logs (see {!Corona.Server}):
-          appends arriving while the disk is busy coalesce into one physical
-          write. [None] (default) issues one write per record. *)
   shards : int;
       (** Deployment-time sequencing shards. [1] (default) keeps the classic
           single-sequencer path. [> 1] partitions each group's keyspace over

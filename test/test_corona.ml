@@ -1190,6 +1190,54 @@ let sender_assisted_recovery ~total =
 let test_sender_assisted_recovery () =
   List.iter (fun total -> sender_assisted_recovery ~total) [ 60; 300 ]
 
+(* Relays speak only for their members and the root only when it fans out,
+   so an idle relay tier is silent. Two relays front four members of one
+   group; once every join is answered, ten seconds pass without a packet. *)
+let test_idle_relay_tier_sends_nothing () =
+  let w, _server = make_world () in
+  let joined = ref 0 and ready = ref 0 in
+  let relay_hosts =
+    Array.init 2 (fun i -> Net.Fabric.add_host w.fabric ~name:(Printf.sprintf "relay-%d" i) ())
+  in
+  let via_relay i k =
+    let member = Printf.sprintf "m%d" i in
+    Corona.Client.connect w.fabric ~host:w.client_hosts.(i) ~server:relay_hosts.(i mod 2)
+      ~member ~on_connected:k
+      ~on_failed:(fun () -> Alcotest.failf "%s failed to connect" member)
+      ()
+  in
+  let join c =
+    Corona.Client.join c ~group:"g"
+      ~k:(fun r ->
+        ignore (expect_join "join" r);
+        incr joined)
+      ()
+  in
+  let start () =
+    via_relay 0 (fun c ->
+        Corona.Client.create_group c ~group:"g" ~k:(expect_ok "create") ();
+        join c;
+        for i = 1 to 3 do
+          via_relay i join
+        done)
+  in
+  Array.iteri
+    (fun i host ->
+      ignore
+        (Corona.Relay.create w.fabric host ~relay:(Printf.sprintf "relay-%d" i)
+           ~root:w.server_host
+           ~on_ready:(fun _ ->
+             incr ready;
+             if !ready = 2 then start ())
+           ~on_failed:(fun () -> Alcotest.fail "relay could not reach the root")
+           ()))
+    relay_hosts;
+  Sim.Engine.run ~until:5.0 w.engine;
+  Alcotest.(check int) "every member joined" 4 !joined;
+  let before = Net.Fabric.packets_sent w.fabric in
+  Sim.Engine.run ~until:15.0 w.engine;
+  Alcotest.(check int) "no packet in 10 s" before (Net.Fabric.packets_sent w.fabric)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "corona"
@@ -1236,4 +1284,5 @@ let () =
           tc "chunked transfer interleaves" `Quick test_chunked_transfer_interleaving;
           tc "sender-assisted crash recovery" `Quick test_sender_assisted_recovery;
         ] );
+      ("relay", [ tc "an idle relay tier sends nothing" `Quick test_idle_relay_tier_sends_nothing ]);
     ]

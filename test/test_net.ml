@@ -159,7 +159,8 @@ let run_fanout ~config ~seed ~size ?crash_src_at ?crash_dsts_at ?(busy = []) ~ba
     (Sim.Engine.schedule engine ~delay:0.002 (fun () ->
          List.iter (fun cost -> Net.Host.exec src ~cost ignore) busy;
          if batched then
-           Net.Fabric.transmit_many fabric ~src ~size ~dsts ~on_dropped:drop deliver
+           Net.Fabric.transmit_many fabric ~src ~size ~on_dropped:drop ~on_complete:ignore
+             ~dsts ~len:(Array.length dsts) deliver
          else
            Array.iteri
              (fun i dst ->
@@ -252,11 +253,15 @@ let test_transmit_many_jitter_allocation () =
   in
   let got = ref 0 in
   let k (_ : int) = incr got in
+  let send () =
+    Net.Fabric.transmit_many fabric ~src ~size:1000 ~on_dropped:ignore ~on_complete:ignore
+      ~dsts ~len:n k
+  in
   (* the first fan-out sizes the recycled batch arrays *)
-  Net.Fabric.transmit_many fabric ~src ~size:1000 ~dsts k;
+  send ();
   Sim.Engine.run engine;
   let w0 = Gc.minor_words () in
-  Net.Fabric.transmit_many fabric ~src ~size:1000 ~dsts k;
+  send ();
   let w1 = Gc.minor_words () in
   Sim.Engine.run engine;
   let w2 = Gc.minor_words () in

@@ -91,7 +91,6 @@ let all_request_samples =
     M.Ping { nonce = 424242 };
     M.Relay_register { relay = "r1" };
     M.Relay_proxy { relay = "r1" };
-    M.Relay_heartbeat { relay = "r1"; members = 5 };
   ]
 
 let all_response_samples =
@@ -123,7 +122,6 @@ let all_response_samples =
     M.Shard_view { group = "g"; bar = 0; vector = []; op = "" };
     M.Shard_joined { group = "g"; vector = [ 2; 5 ] };
     M.Shard_joined { group = "g"; vector = [] };
-    M.Relay_registered { relay = "r1"; index = 3 };
     M.Relay_fanout { group = "g"; exclude = None; inner = M.Deliver sample_update };
     M.Relay_fanout
       { group = "g"; exclude = Some "s";
@@ -131,7 +129,6 @@ let all_response_samples =
           M.Membership_changed
             { group = "g"; change = T.Member_crashed "b";
               members = [ { T.member = "a"; role = T.Principal } ] } };
-    M.Relay_slice { relay = "r1"; lo = 2; hi = 4 };
   ]
 
 let test_all_constructors_roundtrip () =
@@ -303,22 +300,15 @@ let golden_frames : (string * M.t * string) list =
     ( "shard_joined",
       M.Response (M.Shard_joined { group = "g"; vector = [ 2; 5 ] }),
       "011100000001670000000200000000000000020000000000000005" );
-    (* relay-tier frames: the three control-plane requests, the registration
-       ack, a fan-out carrying a nested Deliver (exclude absent) and a nested
-       Membership_changed (sender-exclusive exclude present), and a slice
-       handoff notice *)
+    (* relay-tier frames: the two control-plane requests, a fan-out carrying
+       a nested Deliver (exclude absent) and a nested Membership_changed
+       (sender-exclusive exclude present) *)
     ( "relay_register",
       M.Request (M.Relay_register { relay = "r1" }),
       "000b000000027231" );
     ( "relay_proxy",
       M.Request (M.Relay_proxy { relay = "r1" }),
       "000c000000027231" );
-    ( "relay_heartbeat",
-      M.Request (M.Relay_heartbeat { relay = "r1"; members = 5 }),
-      "000d00000002723100000005" );
-    ( "relay_registered",
-      M.Response (M.Relay_registered { relay = "r1"; index = 3 }),
-      "011200000002723100000003" );
     ( "relay_fanout_deliver",
       M.Response (M.Relay_fanout { group = "g"; exclude = None; inner = M.Deliver sample_update }),
       "0113000000016700060000000000000009000000016700000000016f000000077061796c\
@@ -332,9 +322,6 @@ let golden_frames : (string * M.t * string) list =
                  { group = "g"; change = T.Member_crashed "b";
                    members = [ { T.member = "a"; role = T.Principal } ] } }),
       "0113000000016701000000017305000000016702000000016200000001000000016100" );
-    ( "relay_slice",
-      M.Response (M.Relay_slice { relay = "r1"; lo = 2; hi = 4 }),
-      "01140000000272310000000200000004" );
   ]
 
 let test_golden_bytes () =
@@ -353,6 +340,21 @@ let test_golden_bytes () =
         ((String.length expect / 2) + 8)
         (M.encoded_wire_size e))
     golden_frames
+
+(* The relay tier once had a heartbeat request (tag 13), a registration ack
+   (response tag 18) and a slice notice (response tag 20). Nothing reads
+   them any more, so a frame carrying one of those tags is malformed. *)
+let test_retired_relay_tags () =
+  List.iter
+    (fun (name, frame) ->
+      match M.decode (R.of_string frame) with
+      | exception R.Malformed _ -> ()
+      | _ -> Alcotest.fail (name ^ ": expected Malformed"))
+    [
+      ("request tag 13", "\x00\x0d\x00\x00\x00\x02r1\x00\x00\x00\x05");
+      ("response tag 18", "\x01\x12\x00\x00\x00\x02r1\x00\x00\x00\x03");
+      ("response tag 20", "\x01\x14\x00\x00\x00\x02r1\x00\x00\x00\x02\x00\x00\x00\x04");
+    ]
 
 (* Barrier journal frames are not client messages but are persisted and
    decoded back by the corona-check oracles, so their byte format is pinned
@@ -634,8 +636,8 @@ let decoded_group = function
       | M.Shard_joined { group; _ }
       | M.Relay_fanout { group; _ } ) ->
       Some group
-  | M.Request (M.Ping _ | M.Relay_register _ | M.Relay_proxy _ | M.Relay_heartbeat _)
-  | M.Response (M.Pong _ | M.Relay_registered _ | M.Relay_slice _) ->
+  | M.Request (M.Ping _ | M.Relay_register _ | M.Relay_proxy _)
+  | M.Response (M.Pong _) ->
       None
 
 let decoded_seqno = function
@@ -881,6 +883,7 @@ let () =
           tc "all constructors roundtrip" `Quick test_all_constructors_roundtrip;
           tc "golden bytes (wire format pinned)" `Quick test_golden_bytes;
           tc "barrier frame golden bytes" `Quick test_barrier_frame_golden;
+          tc "retired relay tags are rejected" `Quick test_retired_relay_tags;
           tc "pre-encode consistency" `Quick test_pre_encode_consistency;
           tc "join-accepted splice is byte-identical" `Quick test_join_accepted_splice;
           tc "sizing a join reply allocates no payload" `Quick test_pre_encode_join_allocation;

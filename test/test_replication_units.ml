@@ -305,10 +305,9 @@ let test_smsg_sizes_scale () =
 
 (* The peer mesh's fan-out: a sequenced update to 6 open peer connections
    through one recycled batch. At steady state the transport recycles every
-   per-send record, so only a per-send constant is left (the payload box,
-   the boxed issue time and the optional-argument boxes of the fabric call),
-   spread over the recipients: 2.50 words per recipient measured, against
-   19.2 for the list-taking send this replaced. *)
+   per-send record, so only a per-send constant is left (the payload box and
+   the boxed issue time), spread over the recipients: 1.50 words per
+   recipient measured. *)
 let test_smsg_send_batch_allocation () =
   let module S = Replication.Smsg in
   let engine = Sim.Engine.create ~seed:7L () in
@@ -354,8 +353,8 @@ let test_smsg_send_batch_allocation () =
   let per_recipient = !words /. float_of_int (rounds * n) in
   Alcotest.(check int) "batch empty after the send" 0 (Net.Tcp.batch_length batch);
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per recipient <= 3.0" per_recipient)
-    true (per_recipient <= 3.0)
+    (Printf.sprintf "%.2f minor words per recipient <= 2.0" per_recipient)
+    true (per_recipient <= 2.0)
 
 let () =
   let tc = Alcotest.test_case in
