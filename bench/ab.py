@@ -21,13 +21,18 @@ The report gives each side's median and interquartile range of
 host_ops_per_s (higher is better), the pairs head won, the median delta, and whether that delta is larger
 than the base's IQR ("beats noise"). It also says whether every virt_*
 metric was identical between the two sides, which holds when a change
-leaves the modeled system's virtual time alone.
+leaves the modeled system's virtual time alone. Last, for every
+end-to-end metric that BENCHMARK.json declares (name, `better`, `bound`;
+the file is only read), it prints both medians, the relative change and
+the no-regression verdict: `WORSE beyond bound` when the head median is
+worse than the base median by more than `bound` (a fraction of the base)
+in the metric's `better` direction, `within bound` otherwise.
 
 `--workload micro` compares the event loop instead: each run is
 `bench/main.exe --quick --smoke micro` (which writes no BENCH_*.json), and
 the report covers its `engine pooled step @2000 pending` row, host
-ns/event (lower is better) and minor words/event. --seed and --seconds do
-not apply to it. Needs git, dune and python3 only; no network.
+ns/event (lower is better) and minor words/event, with no bound verdicts.
+--seed and --seconds do not apply to it. Needs git, dune and python3 only; no network.
 """
 
 import argparse
@@ -109,6 +114,27 @@ def run_once(side_dir, args):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def end_to_end():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)["end_to_end"]
+
+
+def bound_verdicts(runs):
+    """One line per declared end-to-end metric both sides reported."""
+    for m in end_to_end():
+        name = m["name"]
+        if any(r.get(name) is None for r in runs["base"] + runs["head"]):
+            continue
+        b = statistics.median(r[name] for r in runs["base"])
+        h = statistics.median(r[name] for r in runs["head"])
+        # positive when head is worse, as a fraction of base
+        worse = (h - b) if m["better"] == "lower" else (b - h)
+        rel = worse / abs(b) if b else (0.0 if worse == 0 else float("inf"))
+        print("  %-18s base %12.4f  head %12.4f  %+7.2f%%  bound %g (%s better): %s"
+              % (name, b, h, 100.0 * (h - b) / b if b else 0.0, m["bound"], m["better"],
+                 "WORSE beyond bound" if rel > m["bound"] else "within bound"))
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -182,6 +208,9 @@ def main():
                 quartiles([r[k] for r in runs[name]]) for name in ("base", "head"))
             print("  %-22s base median %12.4f (IQR %.4f-%.4f)  head median %12.4f"
                   " (IQR %.4f-%.4f)" % (k, b2, b1, b3, h2, h1, h3))
+    if not micro:
+        print("no-regression verdicts (BENCHMARK.json end_to_end):")
+        bound_verdicts(runs)
     return 0
 
 

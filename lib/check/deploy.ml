@@ -355,9 +355,9 @@ let lock_journals t =
             (Replication.Node.lock_journal node))
         (Replication.Cluster.live_nodes c)
 
-(* Decoded cross-shard barrier journals of every live node that ever
-   coordinated barriers (owner label, frames oldest first). *)
-let barrier_frames t =
+(* Cross-shard barrier journals of every live node that ever coordinated
+   barriers (owner label, steps oldest first). *)
+let barrier_journals t =
   match t.backend with
   | B_single _ -> []
   | B_repl c ->
@@ -365,10 +365,7 @@ let barrier_frames t =
         (fun node ->
           match Replication.Node.barrier_journal node with
           | [] -> None
-          | frames ->
-              Some
-                ( Replication.Node.id node,
-                  List.map Proto.Message.decode_barrier_frame frames ))
+          | steps -> Some (Replication.Node.id node, steps))
         (Replication.Cluster.live_nodes c)
 
 (* After a heal: compare every group's live copies; when two disagree, run

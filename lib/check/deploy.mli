@@ -71,6 +71,6 @@ val lock_journals : t -> (string * string * Corona.Locks.event list) list
 (** (owner, group, events), including journals snapshotted from crashed
     single-server incarnations. *)
 
-val barrier_frames : t -> (string * Proto.Message.barrier_frame list) list
-(** Decoded cross-shard barrier journals of every live node that ever
-    coordinated barriers (owner label, frames oldest first). *)
+val barrier_journals : t -> (string * Replication.Node.barrier_step list) list
+(** Cross-shard barrier journals of every live node that ever coordinated
+    barriers (owner label, steps oldest first). *)

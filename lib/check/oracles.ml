@@ -17,7 +17,7 @@ type input = {
   i_expected_members : (string * string list) list;
       (* per group, agents that believe they are joined at the end *)
   i_eras : float list; (* single-server restart times, oldest first *)
-  i_barriers : (string * Proto.Message.barrier_frame list) list;
+  i_barriers : (string * Replication.Node.barrier_step list) list;
       (* per coordinating node, its cross-shard barrier journal (oldest
          first); [] unsharded *)
   i_shards : int; (* deployment shard count; 1 = classic sequencing *)
@@ -317,21 +317,19 @@ let cross_shard input =
           views)
       input.i_clients;
     List.iter
-      (fun (owner, frames) ->
+      (fun (owner, steps) ->
         let prepared : (int, unit) Hashtbl.t = Hashtbl.create 16 in
         List.iter
-          (fun (f : Proto.Message.barrier_frame) ->
-            match f.Proto.Message.bf_phase with
-            | Proto.Message.Prepare -> Hashtbl.replace prepared f.Proto.Message.bf_bar ()
-            | Proto.Message.Commit ->
-                let bar = f.Proto.Message.bf_bar in
+          (fun ({ bar; phase; vector; _ } : Replication.Node.barrier_step) ->
+            match phase with
+            | Prepare -> Hashtbl.replace prepared bar ()
+            | Commit ->
                 if not (Hashtbl.mem prepared bar) then
                   add "%s: journaled commit b%d without a prepare" owner bar;
-                if List.length f.Proto.Message.bf_vector <> input.i_shards then
+                if List.length vector <> input.i_shards then
                   add "%s: commit b%d stamps %d positions for %d shards" owner bar
-                    (List.length f.Proto.Message.bf_vector)
-                    input.i_shards)
-          frames)
+                    (List.length vector) input.i_shards)
+          steps)
       input.i_barriers;
     List.iter
       (fun (group, copies) ->

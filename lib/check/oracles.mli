@@ -18,8 +18,9 @@ type input = {
   i_expected_members : (string * string list) list;
       (** per group, agents that believe they are joined at the end *)
   i_eras : float list;  (** single-server restart times, oldest first *)
-  i_barriers : (string * Proto.Message.barrier_frame list) list;
-      (** per coordinating node, its cross-shard barrier journal (oldest
+  i_barriers : (string * Replication.Node.barrier_step list) list;
+      (** per coordinating node, its cross-shard barrier journal as the
+          node recorded it ({!Replication.Node.barrier_journal}, oldest
           first); [] unsharded *)
   i_shards : int;  (** deployment shard count; 1 = classic sequencing *)
   i_relay : bool;

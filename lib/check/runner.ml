@@ -438,7 +438,7 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
       i_members = List.map (fun g -> (g, Deploy.members deploy g)) group_ids;
       i_expected_members = expected_members;
       i_eras = Deploy.restart_times deploy;
-      i_barriers = Deploy.barrier_frames deploy;
+      i_barriers = Deploy.barrier_journals deploy;
       i_shards = Deploy.shards deploy;
       i_relay = relay;
     }

@@ -16,14 +16,6 @@ let allow_all =
     can_update = (fun _ _ -> Allow);
   }
 
-let deny_all ~reason =
-  {
-    can_create = (fun _ _ -> Deny reason);
-    can_delete = (fun _ _ -> Deny reason);
-    can_join = (fun _ _ _ -> Deny reason);
-    can_update = (fun _ _ -> Deny reason);
-  }
-
 let with_join_allowlist base allowlist =
   {
     base with

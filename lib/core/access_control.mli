@@ -19,8 +19,6 @@ type t = {
 val allow_all : t
 (** The default policy. *)
 
-val deny_all : reason:string -> t
-
 val with_join_allowlist :
   t -> (Proto.Types.group_id * Proto.Types.member_id list) list -> t
 (** Restrict joins: for listed groups only the listed members may join;

@@ -6,7 +6,7 @@
    Encode-once invariant: every path that sends one logical message to
    several recipients serializes it exactly once and shares the encoding.
    Control replies ([responses_sent]) are tallied apart from sequenced-update
-   deliveries ([deliveries_sent] / [bytes_delivered]). *)
+   deliveries ([deliveries_sent]). *)
 
 module T = Proto.Types
 module M = Proto.Message
@@ -14,9 +14,7 @@ module M = Proto.Message
 type counters = {
   responses_sent : int;
   deliveries_sent : int;
-  bytes_delivered : int;
   relay_frames_sent : int;
-  joins_served : int;
   state_transfer_bytes : int;
 }
 
@@ -42,9 +40,7 @@ type t = {
      store instead of re-allocating a record per event. *)
   mutable responses_sent : int;
   mutable deliveries_sent : int;
-  mutable bytes_delivered : int;
   mutable relay_frames_sent : int;
-  mutable joins_served : int;
   mutable state_transfer_bytes : int;
 }
 
@@ -60,9 +56,7 @@ let create engine =
     fan_batch = Net.Tcp.batch_create ();
     responses_sent = 0;
     deliveries_sent = 0;
-    bytes_delivered = 0;
     relay_frames_sent = 0;
-    joins_served = 0;
     state_transfer_bytes = 0;
   }
 
@@ -70,24 +64,17 @@ let counters t =
   {
     responses_sent = t.responses_sent;
     deliveries_sent = t.deliveries_sent;
-    bytes_delivered = t.bytes_delivered;
     relay_frames_sent = t.relay_frames_sent;
-    joins_served = t.joins_served;
     state_transfer_bytes = t.state_transfer_bytes;
   }
 
-let add_deliveries t ~count ~bytes =
-  t.deliveries_sent <- t.deliveries_sent + count;
-  t.bytes_delivered <- t.bytes_delivered + bytes
+let add_deliveries t ~count = t.deliveries_sent <- t.deliveries_sent + count
 
 let transfer_cache t = t.transfer_cache
 
 (* --- connections ------------------------------------------------------- *)
 
 let accept t conn = Hashtbl.replace t.client_conns (Net.Tcp.id conn) conn
-
-let connected_clients t =
-  Hashtbl.fold (fun _ c n -> if Net.Tcp.is_open c then n + 1 else n) t.client_conns 0
 
 (* Newest first, as the connections were accepted in id order. *)
 let close_clients t =
@@ -218,7 +205,6 @@ let fan_out t ms ~group ?exclude inner =
 let deliver t ms ~group ?exclude ?skip inner =
   let d = fan t ms ~group ?exclude ?skip inner in
   add_deliveries t ~count:d.Relay_hub.d_direct
-    ~bytes:(d.Relay_hub.d_direct_bytes + d.Relay_hub.d_frame_bytes)
 [@@corona.hot]
 
 (* Subscribers minus the changed member. Without subscribers the group is
@@ -244,7 +230,6 @@ let join_state t source transfer =
     | `Log log -> Transfer.prepare ~cache:t.transfer_cache log transfer
     | `At at -> Transfer.no_state ~at
   in
-  t.joins_served <- t.joins_served + 1;
   t.state_transfer_bytes <- t.state_transfer_bytes + p.Transfer.p_bytes;
   p
 

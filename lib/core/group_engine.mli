@@ -28,15 +28,13 @@ type counters = {
   responses_sent : int;
       (** replies, notifications and control fan-outs, per recipient *)
   deliveries_sent : int;  (** sequenced-update deliveries, per recipient *)
-  bytes_delivered : int;  (** wire bytes of those deliveries *)
   relay_frames_sent : int;  (** [Relay_fanout] frames, one per relay per fan-out *)
-  joins_served : int;
   state_transfer_bytes : int;
 }
 
 val counters : t -> counters
 
-val add_deliveries : t -> count:int -> bytes:int -> unit
+val add_deliveries : t -> count:int -> unit
 (** Count deliveries made outside {!deliver} (IP-multicast fan-out). *)
 
 val transfer_cache : t -> Transfer.cache
@@ -45,8 +43,6 @@ val transfer_cache : t -> Transfer.cache
 
 val accept : t -> Net.Tcp.conn -> unit
 (** Track a newly accepted client connection. *)
-
-val connected_clients : t -> int
 
 val close_clients : t -> unit
 

@@ -82,12 +82,9 @@ let split_batch t batch =
 type delivered = {
   d_direct : int; (* point-to-point recipients *)
   d_frames : int; (* relay control frames (≤ relay count) *)
-  d_direct_bytes : int;
-  d_frame_bytes : int;
 }
 
-let no_delivery =
-  { d_direct = 0; d_frames = 0; d_direct_bytes = 0; d_frame_bytes = 0 }
+let no_delivery = { d_direct = 0; d_frames = 0 }
 
 (* Fan [inner] out to the recipient [batch] (consumed by the call): direct
    recipients share one pre-encoded frame exactly as the flat path did;
@@ -104,20 +101,13 @@ let deliver t ~group ?exclude ~inner batch =
     let direct = if split then t.hb_direct else batch in
     let n_controls = if split then Net.Tcp.batch_length t.hb_control else 0 in
     let e = M.pre_encode (M.Response inner) in
-    let wire = M.encoded_wire_size e in
     let d_direct = Net.Tcp.batch_length direct in
     M.send_batch_encoded direct e;
-    if n_controls = 0 then
-      { d_direct; d_frames = 0; d_direct_bytes = d_direct * wire; d_frame_bytes = 0 }
+    if n_controls = 0 then { d_direct; d_frames = 0 }
     else begin
       let ef = M.pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc:e () in
       M.send_batch_encoded t.hb_control ef;
-      {
-        d_direct;
-        d_frames = n_controls;
-        d_direct_bytes = d_direct * wire;
-        d_frame_bytes = n_controls * M.encoded_wire_size ef;
-      }
+      { d_direct; d_frames = n_controls }
     end
   end
 [@@corona.hot]

@@ -26,8 +26,6 @@ val conn_closed : t -> Net.Tcp.conn -> unit
 type delivered = {
   d_direct : int;  (** point-to-point recipients *)
   d_frames : int;  (** relay control frames (≤ relay count) *)
-  d_direct_bytes : int;
-  d_frame_bytes : int;
 }
 
 val deliver :

@@ -40,12 +40,9 @@ let default_config =
   }
 
 type stats = {
-  requests_handled : int;
   bcasts_sequenced : int;
   deliveries_sent : int;
-  bytes_delivered : int;
   responses_sent : int;
-  joins_served : int;
   state_transfer_bytes : int;
   relay_frames_sent : int;
 }
@@ -75,7 +72,6 @@ type t = {
      member's Resend arrives *)
   pending_recovery : (T.group_id * T.member_id, Net.Tcp.conn * T.transfer_spec) Hashtbl.t;
   listener : Net.Tcp.listener option ref;
-  mutable s_requests_handled : int;
   mutable s_bcasts_sequenced : int;
 }
 
@@ -90,19 +86,14 @@ let config t = t.cfg
 let stats t =
   let c = Group_engine.counters t.eng in
   {
-    requests_handled = t.s_requests_handled;
     bcasts_sequenced = t.s_bcasts_sequenced;
     deliveries_sent = c.deliveries_sent;
-    bytes_delivered = c.bytes_delivered;
     responses_sent = c.responses_sent;
-    joins_served = c.joins_served;
     state_transfer_bytes = c.state_transfer_bytes;
     relay_frames_sent = c.relay_frames_sent;
   }
 
 let pool_stats (_ : t) = { Proto.Pool.leases = 0; hits = 0; high_water = 0 }
-
-let connected_clients t = Group_engine.connected_clients t.eng
 
 (* --- queries --------------------------------------------------------- *)
 
@@ -357,8 +348,7 @@ let handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode =
                   let chan =
                     Net.Multicast.channel t.fabric ~name:(mcast_channel_name g.g_id)
                   in
-                  Group_engine.add_deliveries t.eng ~count:mcast_reached
-                    ~bytes:(mcast_reached * wire);
+                  Group_engine.add_deliveries t.eng ~count:mcast_reached;
                   Net.Multicast.send chan ~src:t.server_host ~size:wire
                     (M.Corona (M.encoded_message e))
                 end;
@@ -429,7 +419,6 @@ let handle_lock_release t conn ~group ~lock ~member =
           | None -> ()))
 
 let handle_request t conn (req : M.request) =
-  t.s_requests_handled <- t.s_requests_handled + 1;
   match req with
   | M.Create_group { group; creator; persistent; initial } ->
       handle_create t conn ~group ~persistent ~initial ~requester:creator
@@ -528,7 +517,6 @@ let create fabric server_host ?(config = default_config) ~storage () =
       eng = Group_engine.create (Net.Fabric.engine fabric);
       pending_recovery = Hashtbl.create 4;
       listener = ref None;
-      s_requests_handled = 0;
       s_bcasts_sequenced = 0;
     }
   in

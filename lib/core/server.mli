@@ -57,16 +57,13 @@ val default_config : config
     multicast off, unchunked transfers, no WAL batching. *)
 
 type stats = {
-  requests_handled : int;
   bcasts_sequenced : int;
   deliveries_sent : int;
       (** sequenced-update deliveries ([Deliver]) fanned out, counted per
           recipient reached — multicast counts each subscriber *)
-  bytes_delivered : int;  (** wire bytes of those deliveries *)
   responses_sent : int;
       (** every other response: control replies, membership notifications,
           join/state-transfer traffic *)
-  joins_served : int;
   state_transfer_bytes : int;
   relay_frames_sent : int;
       (** [Relay_fanout] control frames transmitted — the root-side relay
@@ -134,5 +131,3 @@ val transfer_cache_stats : t -> int * int
 (** [(hits, misses)] of the join-state snapshot cache: a miss pays one full
     materialize+encode of a group's state, a hit shares it — the join-storm
     amortization counter the transfer bench asserts on. *)
-
-val connected_clients : t -> int

@@ -78,8 +78,6 @@ let sorted_entries t =
   Objects.fold (fun id e acc -> (id, e) :: acc) t.objects []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let object_ids t = List.map fst (sorted_entries t)
-
 let objects t = List.map (fun (id, e) -> (id, materialize e)) (sorted_entries t)
 
 let restrict t ids =

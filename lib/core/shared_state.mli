@@ -32,9 +32,6 @@ val get : t -> Proto.Types.object_id -> string option
 
 val mem : t -> Proto.Types.object_id -> bool
 
-val object_ids : t -> Proto.Types.object_id list
-(** Sorted identifiers. *)
-
 val objects : t -> (Proto.Types.object_id * string) list
 (** Materialized [(id, stream)] pairs, sorted by id. *)
 

@@ -16,9 +16,6 @@ type checkpoint = {
   ck_objects : (Proto.Types.object_id * string) list;
 }
 
-val checkpoint_size : checkpoint -> int
-(** Approximate on-disk size in bytes. *)
-
 (** When the service itself triggers reduction (§3.2 lists policies "based
     on factors such as the state log size and the type of the data"). *)
 type reduction_policy =

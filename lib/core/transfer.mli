@@ -59,13 +59,6 @@ val snapshot_objects :
     input). *)
 type chunk_frame = { cf_frame : Proto.Message.encoded; cf_bytes : int }
 
-val slice_objects :
-  (Proto.Types.object_id * string) list ->
-  chunk:int ->
-  (Proto.Types.object_id * string) list list
-(** Slice materialized objects into ≤[chunk]-byte fragment groups; a large
-    object spans several fragments (clients reassemble by appending). *)
-
 val chunk_frames_of :
   group:Proto.Types.group_id ->
   objects:(Proto.Types.object_id * string) list ->

@@ -37,11 +37,6 @@ let parse_file file =
   | ast -> Ok (file, ast)
   | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) -> Error (parse_error ~file exn)
 
-let lint_file file =
-  match parse_file file with
-  | Ok (file, ast) -> Rules.check ~file ast
-  | Error f -> [ f ]
-
 type format = Text | Json
 
 let print_findings format findings =

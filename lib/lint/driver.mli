@@ -4,15 +4,6 @@
     trees. Findings are deduped, allowlist-filtered, and printed sorted by
     location in text or JSON. *)
 
-val source_files : string list -> string list
-(** Every [.ml] under the given roots (depth-first, lexicographic), skipping
-    [_build] and dot-directories. A root may also be a single [.ml] file. *)
-
-val lint_file : string -> Finding.t list
-(** Parse and run the per-file rules over one file (no interprocedural
-    passes). A file that does not parse yields a single [PARSE] error
-    finding. *)
-
 type format = Text | Json
 
 val run :

@@ -11,7 +11,6 @@ val contains : string -> string -> bool
     O(n + occurrences·m) rather than the naive O(n·m). *)
 
 val has_suffix : string -> string -> bool
-val under_lib : string -> string list -> bool
 val flatten : Longident.t -> string list
 val last2 : 'a list -> ('a * 'a) option
 val pat_name : Parsetree.pattern -> string option

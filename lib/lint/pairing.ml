@@ -1,8 +1,8 @@
 (* R9: resource pairing. An intraprocedural, CFG-ish walk over each function
-   body that tracks acquire/release pairs (Locks acquire/release, WAL batch
-   begin/flush, raw channel open/close) and reports when an exception edge can
-   escape while a resource is held: an explicit raise site, or a call from a
-   small curated may-raise set (I/O and partial stdlib functions).
+   body that tracks acquire/release pairs (Locks acquire/release, raw channel
+   open/close) and reports when an exception edge can escape while a resource
+   is held: an explicit raise site, or a call from a small curated may-raise
+   set (I/O and partial stdlib functions).
 
    Deliberate scope decisions, documented in DESIGN.md:
    - Exception edges only. A function that acquires and returns without
@@ -34,12 +34,6 @@ let pairs =
       p_acquire = [ [ "Locks"; "acquire" ] ];
       p_release = [ [ "Locks"; "release" ]; [ "Locks"; "release_all" ] ];
       p_grant = [ "Granted"; "Ok" ];
-    };
-    {
-      p_id = "wal-batch";
-      p_acquire = [ [ "Wal"; "begin_batch" ] ];
-      p_release = [ [ "Wal"; "flush_batch" ]; [ "Wal"; "abort_batch" ] ];
-      p_grant = [];
     };
     {
       p_id = "in-channel";

@@ -231,11 +231,3 @@ let run (ctx : C.t) (str : structure) =
   if defines_compare str then Hashtbl.replace ctx.aliases "compare" [ "Self"; "compare" ];
   let it = iterator ctx in
   it.I.structure it str
-
-(* Back-compat single-file entry point (used by unit-style callers): create a
-   context, run the per-file rules, and return suppression-filtered
-   findings. *)
-let check ~file (str : structure) =
-  let ctx = C.create ~file in
-  run ctx str;
-  C.harvest ctx

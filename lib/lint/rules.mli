@@ -24,8 +24,3 @@ val run : Lint_ctx.t -> Parsetree.structure -> unit
     context's module aliases and [@corona.allow] spans, which the phase-2
     passes reuse. Findings are harvested (suppression-filtered) by the
     caller via {!Lint_ctx.harvest}. *)
-
-val check : file:string -> Parsetree.structure -> Finding.t list
-(** Single-file convenience wrapper: run the per-file rules over one parsed
-    implementation and return suppression-filtered findings in source order;
-    allowlist filtering is the caller's job. *)

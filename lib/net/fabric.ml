@@ -4,8 +4,6 @@ let lan = { base_latency = 0.3e-3; jitter = 0.0; loss_rate = 0.0 }
 
 let campus = { base_latency = 1.5e-3; jitter = 0.2e-3; loss_rate = 0.0 }
 
-let wan = { base_latency = 40e-3; jitter = 5e-3; loss_rate = 0.0 }
-
 (* Transport-private state (TCP listener tables, multicast channel
    registries, ...) hangs off the fabric instance instead of living in
    process-global tables: two simulations in one process must never share

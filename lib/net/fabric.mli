@@ -18,9 +18,6 @@ val lan : config
 val campus : config
 (** A few routers away (paper §5.2.3): 1.5 ms with mild jitter. *)
 
-val wan : config
-(** Wide-area profile for the collaboratory scenarios: 40 ms, jittery. *)
-
 type t
 
 type ext = ..

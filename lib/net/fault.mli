@@ -6,8 +6,6 @@
 val crash_at : Fabric.t -> Host.t -> at:float -> unit
 (** Fail-stop the host at absolute virtual time [at]. *)
 
-val restart_at : Fabric.t -> Host.t -> at:float -> unit
-
 val crash_for : Fabric.t -> Host.t -> at:float -> duration:float -> unit
 (** Crash at [at], restart at [at +. duration]. *)
 

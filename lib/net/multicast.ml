@@ -117,9 +117,6 @@ let live_subs t =
 
 let subscriber_count t = List.length (live_subs t)
 
-let is_member t host =
-  List.exists (fun s -> s.m_host == host) (live_subs t)
-
 (* Stage 1 fires at the per-target propagation timestamp: sender-epoch
    guard (a sender crash before its NIC finished the transmission kills the
    whole send, as the chained [exec]/[nic_send] guards used to), then the

@@ -32,9 +32,6 @@ val leave : t -> Host.t -> ?key:string -> unit -> unit
 val subscriber_count : t -> int
 (** Live subscriptions. *)
 
-val is_member : t -> Host.t -> bool
-(** Whether the host has any live subscription. *)
-
 val send : t -> src:Host.t -> size:int -> Payload.t -> unit
 (** One serialization + one NIC transmission at the source, then per-
     subscription propagation and receive cost. The sender host does not

@@ -93,8 +93,6 @@ let peer_exn c =
   if c.peer == c then invalid_arg "Tcp: endpoint used before handshake completed"
   else c.peer
 
-let local_host c = c.host
-
 let peer_host c = (peer_exn c).host
 
 let is_open c = c.open_

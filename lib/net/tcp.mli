@@ -91,8 +91,6 @@ val close : conn -> unit
 
 val is_open : conn -> bool
 
-val local_host : conn -> Host.t
-
 val peer_host : conn -> Host.t
 
 val id : conn -> int

@@ -40,8 +40,6 @@ let create ~shards () =
     last_bar = -1;
   }
 
-let shard_count t = Array.length t.shards
-
 let next_expected t ~shard = t.shards.(shard).next
 
 let positions t = Array.map (fun s -> s.next) t.shards

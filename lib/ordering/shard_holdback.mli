@@ -20,8 +20,6 @@ type ('u, 'b) action =
 val create : shards:int -> unit -> ('u, 'b) t
 (** @raise Invalid_argument when [shards < 1]. *)
 
-val shard_count : ('u, 'b) t -> int
-
 val next_expected : ('u, 'b) t -> shard:int -> int
 (** Next in-stream seqno the shard will deliver. *)
 

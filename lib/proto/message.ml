@@ -538,8 +538,6 @@ let encodes = ref 0
 
 let encode_count () = !encodes
 
-let reset_encode_count () = encodes := 0
-
 let encode_body w = function
   | Request req ->
       W.u8 w 0;
@@ -595,47 +593,6 @@ let pre_encode_relay_fanout ~group ?exclude ~inner ~inner_enc () =
     e_len = Codec.Writer.size w + inner_enc.e_len - 1;
   }
 
-(* --- cross-shard barrier frames ----------------------------------------- *)
-
-(* Durable representation of a shard-barrier record: the coordinator
-   journals one [Prepare] frame when it opens a barrier and one [Commit]
-   frame when the vector is complete. The check harness decodes the journal
-   back to verify barrier consistency (same bar -> same vector, vectors
-   monotone per group), so the byte format is pinned by golden tests like
-   the client frames above. *)
-type barrier_phase = Prepare | Commit
-
-type barrier_frame = {
-  bf_bar : int;
-  bf_group : Types.group_id;
-  bf_phase : barrier_phase;
-  bf_vector : int list; (* empty at [Prepare]: slots are not yet known *)
-  bf_op : string;
-}
-
-let encode_barrier_frame f =
-  let w = Codec.Writer.create () in
-  W.int_as_i64 w f.bf_bar;
-  W.string w f.bf_group;
-  W.u8 w (match f.bf_phase with Prepare -> 0 | Commit -> 1);
-  W.list w W.int_as_i64 f.bf_vector;
-  W.string w f.bf_op;
-  Codec.Writer.contents w
-
-let decode_barrier_frame s =
-  let r = R.of_string s in
-  let bf_bar = R.int_as_i64 r in
-  let bf_group = R.string r in
-  let bf_phase =
-    match R.u8 r with
-    | 0 -> Prepare
-    | 1 -> Commit
-    | n -> raise (R.Malformed (Printf.sprintf "barrier phase tag %d" n))
-  in
-  let bf_vector = R.list r R.int_as_i64 in
-  let bf_op = R.string r in
-  { bf_bar; bf_group; bf_phase; bf_vector; bf_op }
-
 let encoded_message e = e.e_msg
 
 (* Rebuild the bytes of an encoding. Not counted in [encode_count]: the
@@ -656,17 +613,11 @@ let send_encoded conn e = Net.Tcp.send conn ~size:(encoded_wire_size e) (Corona 
 let send_batch_encoded b e =
   Net.Tcp.send_batch b ~size:(encoded_wire_size e) (Corona e.e_msg)
 
-(* --- fixed-offset header peeks ------------------------------------------ *)
+(* --- header peek -------------------------------------------------------- *)
 
-(* The decode-side twin of the encode splices: routing layers that need
-   only the message family, the group, or the stream position read them at
-   pinned offsets instead of materializing the whole record. The offsets
-   are fixed by the codec — byte 0 is the Request/Response discriminant,
-   byte 1 the constructor tag, and every group-bearing message opens its
-   body with the group string, except [Deliver] (seqno first, group at
-   offset 10) and [Shard_deliver] (shard then seqno, group at offset 14).
-   Agreement with full decodes is property-tested over the golden corpus
-   in test_proto. *)
+(* The message family without a decode: byte 0 of every body is the
+   Request/Response discriminant and byte 1 the constructor tag, both fixed
+   by the codec. Checked against full decodes in test_proto. *)
 
 type peeked = Peek_request of int | Peek_response of int
 
@@ -676,40 +627,6 @@ let peek_kind s =
   | 0 -> Peek_request (Char.code s.[1])
   | 1 -> Peek_response (Char.code s.[1])
   | n -> raise (R.Malformed (Printf.sprintf "message tag %d" n))
-
-(* Offset of the group string's u32 length prefix, per constructor. *)
-let group_offset = function
-  | Peek_request (0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 10) -> 2
-  | Peek_request _ -> -1
-  | Peek_response (0 | 1 | 2 | 3 | 4 | 5 | 7 | 8 | 9 | 10 | 11 | 13 | 14 | 16 | 17 | 19) -> 2
-  | Peek_response 6 -> 10 (* Deliver: i64 seqno first *)
-  | Peek_response 15 -> 14 (* Shard_deliver: u32 shard, i64 seqno first *)
-  | Peek_response _ -> -1
-
-let u32_at s off =
-  if off + 4 > String.length s then raise Codec.Reader.Truncated;
-  let hi = String.get_uint16_be s off in
-  let lo = String.get_uint16_be s (off + 2) in
-  (hi lsl 16) lor lo
-
-let peek_group s =
-  let off = group_offset (peek_kind s) in
-  if off < 0 then None
-  else begin
-    let n = u32_at s off in
-    if off + 4 + n > String.length s then raise Codec.Reader.Truncated;
-    Some (String.sub s (off + 4) n)
-  end
-
-let i64_at s off =
-  if off + 8 > String.length s then raise Codec.Reader.Truncated;
-  Int64.to_int (String.get_int64_be s off)
-
-let peek_seqno s =
-  match peek_kind s with
-  | Peek_response 6 -> Some (i64_at s 2)
-  | Peek_response 15 -> Some (i64_at s 6)
-  | _ -> None
 
 let rec pp ppf t =
   match t with

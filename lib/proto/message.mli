@@ -151,27 +151,6 @@ val encode : Codec.Writer.t -> t -> unit
 val decode : Codec.Reader.t -> t
 (** @raise Codec.Reader.Malformed on unknown tags. *)
 
-(** {2 Barrier journal frames}
-
-    Cross-shard barriers are journaled by the coordinator as real encoded
-    frames (like the lock journal), so crash analysis and the corona-check
-    cross-shard oracle read the same bytes the protocol produced. *)
-
-type barrier_phase = Prepare | Commit
-
-type barrier_frame = {
-  bf_bar : int;
-  bf_group : Types.group_id;
-  bf_phase : barrier_phase;
-  bf_vector : int list;  (** per-shard positions; [[]] until the commit *)
-  bf_op : string;  (** short op label, e.g. ["view +cl-3/m"] or ["lock l0"] *)
-}
-
-val encode_barrier_frame : barrier_frame -> string
-
-val decode_barrier_frame : string -> barrier_frame
-(** @raise Codec.Reader.Malformed on a corrupt frame. *)
-
 type encoded
 (** A message serialized exactly once: its wire length plus the original
     message. The encode-once invariant: fan-out paths build one [encoded]
@@ -227,14 +206,12 @@ val send : Net.Tcp.conn -> t -> unit
     serialization). For one-shot messages only; fan-outs use
     {!send_encoded}. *)
 
-(** {2 Fixed-offset header peeks}
+(** {2 Header peek}
 
-    Routing layers that need only the message family, group, or stream
-    position read them at codec-pinned offsets instead of materializing
-    the whole record: byte 0 is the Request/Response discriminant, byte 1
-    the constructor tag, and the group string opens every group-bearing
-    body (except [Deliver]/[Shard_deliver], whose seqno-first offsets are
-    pinned too). Property-tested against full decodes in test_proto. *)
+    Byte 0 of every encoded body is the Request/Response discriminant and
+    byte 1 the constructor tag, both fixed by the codec, so a reader that
+    needs only the message family gets it without a decode. Checked against
+    full decodes in test_proto. *)
 
 type peeked = Peek_request of int | Peek_response of int
 (** Raw constructor tag, as written on the wire. *)
@@ -242,17 +219,9 @@ type peeked = Peek_request of int | Peek_response of int
 val peek_kind : string -> peeked
 (** @raise Codec.Reader.Truncated or [Malformed] on a short/alien buffer. *)
 
-val peek_group : string -> Types.group_id option
-(** The group, for every group-bearing constructor; [None] otherwise. *)
-
-val peek_seqno : string -> int option
-(** Stream position of a [Deliver]/[Shard_deliver] frame. *)
-
 val encode_count : unit -> int
-(** Number of whole-message serializations performed since start (or the
-    last {!reset_encode_count}) — the bench's encodes-per-bcast counter. *)
-
-val reset_encode_count : unit -> unit
+(** Number of whole-message serializations performed since start — the
+    bench's encodes-per-bcast counter. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line human-readable rendering (for traces and tests). *)

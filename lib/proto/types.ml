@@ -36,11 +36,6 @@ type membership_change =
   | Member_left of member_id
   | Member_crashed of member_id
 
-let role_equal a b =
-  match (a, b) with
-  | Principal, Principal | Observer, Observer -> true
-  | Principal, Observer | Observer, Principal -> false
-
 let pp_role ppf = function
   | Principal -> Format.pp_print_string ppf "principal"
   | Observer -> Format.pp_print_string ppf "observer"

@@ -57,8 +57,6 @@ type membership_change =
   | Member_crashed of member_id
       (** detected via connection breakage rather than an explicit leave *)
 
-val role_equal : role -> role -> bool
-
 val pp_role : Format.formatter -> role -> unit
 
 val pp_update_kind : Format.formatter -> update_kind -> unit

@@ -7,12 +7,6 @@ let fabric t = t.fabric
 
 let nodes t = t.all
 
-let of_nodes ~coordinator rest =
-  let all =
-    coordinator :: List.filter (fun n -> Node.id n <> Node.id coordinator) rest
-  in
-  { fabric = Node.fabric coordinator; all }
-
 let create fabric ?(config = Node.default_config) ?(server_cpu = Net.Host.ultrasparc)
     ~replicas () =
   let names = List.init (replicas + 1) (Printf.sprintf "srv-%d") in

@@ -18,9 +18,6 @@ val create :
 (** Create hosts ["srv-0"] (coordinator) through ["srv-N"], start the nodes
     and mesh them. *)
 
-val of_nodes : coordinator:Node.t -> Node.t list -> t
-(** Wrap externally created nodes (they must already be meshed). *)
-
 val fabric : t -> Net.Fabric.t
 
 val nodes : t -> Node.t list

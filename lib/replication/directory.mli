@@ -80,8 +80,6 @@ val replicas_of : entry -> Smsg.server_id list
     is maintained eagerly at join/leave/holder mutations, so the
     per-broadcast fan-out read allocates nothing. *)
 
-val servers_with_members : entry -> Smsg.server_id list
-
 val add_holder : entry -> Smsg.server_id -> unit
 
 val remove_server :

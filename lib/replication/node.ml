@@ -36,6 +36,16 @@ let election_timeout = 0.4
 
 type role = Coordinator | Replica
 
+type barrier_phase = Prepare | Commit
+
+type barrier_step = {
+  bar : int;
+  group : T.group_id;
+  phase : barrier_phase;
+  vector : int list; (* [] at [Prepare]: slots are not yet known *)
+  op : string;
+}
+
 type stats = {
   fwd_bcasts : int;
   sequenced : int;
@@ -153,8 +163,7 @@ type t = {
   mutable bar_next : int;
   bar_queue : (T.group_id, Smsg.shard_op list) Hashtbl.t; (* newest first *)
   mutable bar_inflight : inflight_barrier list;
-  mutable barrier_journal : string list;
-      (* encoded M.barrier_frame records, newest first *)
+  mutable barrier_journal : barrier_step list; (* newest first *)
 }
 
 let now t = Sim.Engine.now (Net.Fabric.engine t.fabric)
@@ -170,10 +179,6 @@ let host t = t.node_host
 let fabric t = t.fabric
 
 let role t = t.node_role
-
-let coordinator_id t = t.coord
-
-let believes_alive t = t.alive
 
 let stats t =
   let c = Corona.Group_engine.counters t.eng in
@@ -219,8 +224,6 @@ let group_local_members t g =
   match Hashtbl.find_opt t.rgroups g with
   | Some rg -> Corona.Membership.members rg.rg_local
   | None -> []
-
-let directory_groups t = if t.node_role = Coordinator then Directory.group_ids t.dir else []
 
 let lock_journal t =
   List.filter_map
@@ -618,15 +621,7 @@ and complete_shard_join t rg member =
 
 and journal_barrier t ~bar ~group ~phase ~vector ~op =
   t.barrier_journal <-
-    M.encode_barrier_frame
-      {
-        M.bf_bar = bar;
-        bf_group = group;
-        bf_phase = phase;
-        bf_vector = vector;
-        bf_op = Smsg.shard_op_label op;
-      }
-    :: t.barrier_journal
+    { bar; group; phase; vector; op = Smsg.shard_op_label op } :: t.barrier_journal
 
 and barrier_submit t group op =
   let q = Option.value (Hashtbl.find_opt t.bar_queue group) ~default:[] in
@@ -647,7 +642,7 @@ and barrier_start t group =
         { ib_bar = bar; ib_group = group; ib_op = op; ib_pos = []; ib_started = now t }
       in
       t.bar_inflight <- ib :: t.bar_inflight;
-      journal_barrier t ~bar ~group ~phase:M.Prepare ~vector:[] ~op;
+      journal_barrier t ~bar ~group ~phase:Prepare ~vector:[] ~op;
       barrier_prepare_round t ib
 
 and barrier_prepare_round t ib =
@@ -677,7 +672,7 @@ and barrier_absorb_pos t ~bar ~group ~positions =
       if List.length ib.ib_pos = t.cfg.shards then begin
         let vector = Array.init t.cfg.shards (fun s -> List.assoc s ib.ib_pos) in
         t.bar_inflight <- List.filter (fun x -> x != ib) t.bar_inflight;
-        journal_barrier t ~bar ~group ~phase:M.Commit
+        journal_barrier t ~bar ~group ~phase:Commit
           ~vector:(Array.to_list vector) ~op:ib.ib_op;
         send_peers t t.alive
           (Smsg.Barrier_commit

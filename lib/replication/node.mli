@@ -86,11 +86,6 @@ val fabric : t -> Net.Fabric.t
 
 val role : t -> role
 
-val coordinator_id : t -> Smsg.server_id
-
-val believes_alive : t -> Smsg.server_id list
-(** Servers this node currently considers up (including itself). *)
-
 val groups_held : t -> Proto.Types.group_id list
 (** Groups this node keeps a state copy of. *)
 
@@ -107,9 +102,6 @@ val group_base : t -> Proto.Types.group_id -> ((Proto.Types.object_id * string) 
     objects or last reduction checkpoint); the retained log starts there. *)
 
 val group_local_members : t -> Proto.Types.group_id -> Proto.Types.member list
-
-val directory_groups : t -> Proto.Types.group_id list
-(** Coordinator only: groups in the directory ([] on replicas). *)
 
 val lock_journal : t -> (Proto.Types.group_id * Corona.Locks.event list) list
 (** Non-empty lock grant journals of this node's directory (a node that was
@@ -137,10 +129,21 @@ val group_shard_objects :
 (** Merged object view of the local copy: every shard's objects, sorted by
     id (shards cover disjoint slices). *)
 
-val barrier_journal : t -> string list
-(** Encoded {!Proto.Message.barrier_frame} records journaled while this node
-    coordinated cross-shard barriers, oldest first: a [Prepare] per barrier
-    start, a [Commit] (with the stamped vector) per fan. *)
+type barrier_phase = Prepare | Commit
+
+type barrier_step = {
+  bar : int;
+  group : Proto.Types.group_id;
+  phase : barrier_phase;
+  vector : int list;  (** per-shard positions; [[]] at [Prepare] *)
+  op : string;  (** short op label, e.g. ["view +cl-3/m"] or ["lock l0"] *)
+}
+
+val barrier_journal : t -> barrier_step list
+(** The steps of the cross-shard barriers this node coordinated, oldest
+    first: a [Prepare] per barrier start, a [Commit] (with the stamped
+    vector) per fan. In memory only; corona-check's cross-shard oracle
+    reads it. *)
 
 val adopt_group_state :
   t ->

@@ -54,7 +54,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

@@ -39,6 +39,3 @@ val exponential : t -> mean:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -19,14 +19,7 @@ let save t ~key ~size value ~on_durable =
 
 let load t ~key = Option.map (fun e -> e.value) (Hashtbl.find_opt t.durable key)
 
-let load_size t ~key = Option.map (fun e -> e.size) (Hashtbl.find_opt t.durable key)
-
 let delete t ~key = Hashtbl.remove t.durable key
 
 let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.durable [] |> List.sort compare
-
-let read_cost t ~key =
-  match Hashtbl.find_opt t.durable key with
-  | Some e -> float_of_int e.size /. Disk.transfer_rate t.disk
-  | None -> 0.0

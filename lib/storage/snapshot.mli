@@ -18,13 +18,8 @@ val save : 'a t -> key:string -> size:int -> 'a -> on_durable:(unit -> unit) -> 
 val load : 'a t -> key:string -> 'a option
 (** Latest durable snapshot for [key]. *)
 
-val load_size : 'a t -> key:string -> int option
-
 val delete : 'a t -> key:string -> unit
 (** Remove both durable and pending versions (group deletion, §3.2). *)
 
 val keys : 'a t -> string list
 (** Keys with a durable snapshot, sorted. *)
-
-val read_cost : 'a t -> key:string -> float
-(** Disk seconds to read the durable snapshot back (0 when absent). *)

@@ -846,8 +846,8 @@ let oracle_input ?(shards = 2) ?(journals = []) ?(barriers = []) () =
 
 let violation_lines vs = List.map Check.Oracles.violation_line vs
 
-let barrier_frame phase bar vector op =
-  { Proto.Message.bf_bar = bar; bf_group = "g"; bf_phase = phase; bf_vector = vector; bf_op = op }
+let barrier_step phase bar vector op =
+  { Replication.Node.bar; group = "g"; phase; vector; op }
 
 let test_sharded_lock_spanning_two_shards () =
   (* One member holds two locks whose grants advance different shards; its
@@ -863,32 +863,32 @@ let test_sharded_lock_spanning_two_shards () =
     [ ("lx", Some "bob"); ("ly", Some "bob") ]
     (Corona.Locks.release_all l ~member:"alice");
   let journals = [ ("n0", "g", Corona.Locks.journal l) ] in
-  let frames =
+  let steps =
     [
-      barrier_frame Proto.Message.Prepare 1_000_000 [] "lock lx -> bob";
-      barrier_frame Proto.Message.Commit 1_000_000 [ 3; 1 ] "lock lx -> bob";
-      barrier_frame Proto.Message.Prepare 1_000_001 [] "lock ly -> bob";
-      barrier_frame Proto.Message.Commit 1_000_001 [ 3; 2 ] "lock ly -> bob";
+      barrier_step Prepare 1_000_000 [] "lock lx -> bob";
+      barrier_step Commit 1_000_000 [ 3; 1 ] "lock lx -> bob";
+      barrier_step Prepare 1_000_001 [] "lock ly -> bob";
+      barrier_step Commit 1_000_001 [ 3; 2 ] "lock ly -> bob";
     ]
   in
   Alcotest.(check (list string)) "journal replay accepts the handoff" []
     (violation_lines (Check.Oracles.locks (oracle_input ~journals ())));
   Alcotest.(check (list string)) "stamped commits accepted" []
     (violation_lines
-       (Check.Oracles.cross_shard (oracle_input ~barriers:[ ("n0", frames) ] ())));
+       (Check.Oracles.cross_shard (oracle_input ~barriers:[ ("n0", steps) ] ())));
   (* A grant stamped on a single shard is exactly the bug partition ordering
      must not have: a cross-shard op serialized against only one stream. *)
   let short =
     [
-      barrier_frame Proto.Message.Prepare 1_000_002 [] "lock lx -> bob";
-      barrier_frame Proto.Message.Commit 1_000_002 [ 4 ] "lock lx -> bob";
+      barrier_step Prepare 1_000_002 [] "lock lx -> bob";
+      barrier_step Commit 1_000_002 [ 4 ] "lock lx -> bob";
     ]
   in
   Alcotest.(check (list string)) "short vector flagged"
     [ "[cross-shard] n0: commit b1000002 stamps 1 positions for 2 shards" ]
     (violation_lines
        (Check.Oracles.cross_shard (oracle_input ~barriers:[ ("n0", short) ] ())));
-  let orphan = [ barrier_frame Proto.Message.Commit 1_000_003 [ 5; 5 ] "lock ly -> bob" ] in
+  let orphan = [ barrier_step Commit 1_000_003 [ 5; 5 ] "lock ly -> bob" ] in
   Alcotest.(check (list string)) "commit without prepare flagged"
     [ "[cross-shard] n0: journaled commit b1000003 without a prepare" ]
     (violation_lines

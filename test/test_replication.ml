@@ -940,6 +940,30 @@ let test_reduce_log_sharded () =
         (String.starts_with ~prefix:"sharded" reason)
   | _ -> Alcotest.fail "expected a refusal"
 
+(* A sharded join is one view barrier: the coordinator journals its
+   [Prepare] when the barrier opens and its [Commit], stamped with one
+   position per shard, when it fans. *)
+let test_sharded_barrier_journal () =
+  let config = { Replication.Node.default_config with shards = 2 } in
+  let w = make_world ~config () in
+  connect w ~idx:0 ~member:"a" (fun a ->
+      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g" ~k:(fun r -> ignore (expect_join "join a" r)) ());
+  run ~until:5.0 w;
+  match Replication.Node.barrier_journal (Replication.Cluster.coordinator w.cluster) with
+  | [ p; c ] ->
+      let phase (s : Replication.Node.barrier_step) =
+        match s.phase with Prepare -> "prepare" | Commit -> "commit"
+      in
+      Alcotest.(check (list string)) "prepare then commit" [ "prepare"; "commit" ]
+        [ phase p; phase c ];
+      Alcotest.(check int) "one barrier" p.bar c.bar;
+      Alcotest.(check (list string)) "group" [ "g"; "g" ] [ p.group; c.group ];
+      Alcotest.(check int) "commit stamps both shards" 2 (List.length c.vector);
+      Alcotest.(check (list string)) "op names the join" [ "view +a"; "view +a" ]
+        [ p.op; c.op ]
+  | steps -> Alcotest.failf "expected 2 journal steps, got %d" (List.length steps)
+
 let test_sharded_coordinator_crash () = sharded_owner_loss ~victim:"srv-0" ()
 
 let test_sharded_owner_crash () = sharded_owner_loss ~victim:"srv-1" ()
@@ -1024,6 +1048,8 @@ let () =
             test_disconnect_leaves_only_own_groups;
           tc "delete answered and forgotten" `Quick
             test_delete_answered_and_forgotten;
+          tc "sharded coordinator journals each barrier as prepare then commit" `Quick
+            test_sharded_barrier_journal;
           tc "sharded coordinator crash" `Quick test_sharded_coordinator_crash;
           tc "sharded non-coordinator owner crash" `Quick
             test_sharded_owner_crash;
