@@ -107,11 +107,15 @@ let bench_log_append () =
   done;
   Corona.State_log.next_seqno log
 
-(* The classic sequencer's hold-back: one stream of [Shard_holdback]. *)
-let bench_holdback () =
+(* The classic sequencer's hold-back: one stream of [Shard_holdback],
+   offered seqnos in reverse (every arrival but the last is buffered) or in
+   order (every arrival is delivered on arrival, as every offer is on the
+   replicated_failover benchmark). *)
+let bench_holdback ~in_order () =
   let hb = Ordering.Shard_holdback.create ~shards:1 () in
-  for i = 99 downto 0 do
-    ignore (Ordering.Shard_holdback.offer hb ~shard:0 ~seqno:i i)
+  for i = 0 to 99 do
+    let seqno = if in_order then i else 99 - i in
+    ignore (Ordering.Shard_holdback.offer hb ~shard:0 ~seqno seqno)
   done;
   Ordering.Shard_holdback.next_expected hb ~shard:0
 
@@ -158,6 +162,59 @@ let run_codec_alloc () =
       cases
   in
   Workload.Report.table ~header:[ "codec path"; "minor w/op" ] rows
+
+(* Allocation rows of the update log: minor-heap words per
+   [State_log.append] on an in-memory log, and per [State_log.apply_sequenced]
+   (the replicated apply path) on a disk-backed WAL whose writes complete
+   before the next apply. Both logs are long-lived and warmed up, so their
+   in-memory windows grow in the major heap and a row counts what one update
+   allocates. Gated: an int-keyed [Hashtbl] back on either path (a bucket
+   cell per update and per prefix sum) exceeds its bound. *)
+let log_append_words_bound = 22.0
+
+let log_apply_words_bound = 44.0
+
+let log_words_row ~name ~bound op =
+  for i = 0 to 999 do op i done;
+  let iters = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1_000 to 999 + iters do op i done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int iters in
+  if words > bound then
+    failwith (Printf.sprintf "%s: %.1f minor words/update > bound %.1f" name words bound);
+  json_add "micro" [ ("name", Printf.sprintf "%S" name); ("minor_words_per_update", json_num words) ];
+  [ name; Printf.sprintf "%.1f" words ]
+
+let run_log_alloc () =
+  let log = make_bench_log () in
+  let append _ =
+    ignore
+      (Corona.State_log.append log ~kind:T.Append_update ~obj:"o" ~data:"0123456789"
+         ~sender:"s" ~timestamp:0.0 ~on_durable:(fun _ -> ()))
+  in
+  let engine = Sim.Engine.create () in
+  let host = Net.Fabric.add_host (Net.Fabric.create engine) ~name:"bench-disk" () in
+  let disk = Storage.Disk.create host () in
+  let replica =
+    Corona.State_log.create ~group:"g" ~persistent:true
+      ~wal:(Storage.Wal.create disk ~name:"g")
+      ~checkpoints:(Storage.Snapshot.create disk ~name:"cks")
+      ~policy:Corona.State_log.No_reduction ~initial:[] ()
+  in
+  let apply seqno =
+    Corona.State_log.apply_sequenced replica
+      { T.seqno; group = "g"; kind = T.Append_update; obj = "o"; data = "0123456789";
+        sender = "s"; timestamp = 0.0 };
+    Sim.Engine.run engine
+  in
+  Workload.Report.table
+    ~header:[ "update log"; "minor w/update" ]
+    [
+      log_words_row ~name:"state-log append (long-lived log)" ~bound:log_append_words_bound
+        append;
+      log_words_row ~name:"state-log apply_sequenced (disk WAL)"
+        ~bound:log_apply_words_bound apply;
+    ]
 
 (* Event-loop row: the host cost of one pooled schedule + step pair with
    2000 events pending, the fan-out loop's steady state. Each event is a
@@ -216,7 +273,8 @@ let run_micro () =
       test "codec decode 1kB bcast" (fun () -> ignore (bench_decode ()));
       test "shared-state apply x100" (fun () -> ignore (bench_state_apply ()));
       test "state-log append x100" (fun () -> ignore (bench_log_append ()));
-      test "holdback reorder x100" (fun () -> ignore (bench_holdback ()));
+      test "holdback reorder x100" (fun () -> ignore (bench_holdback ~in_order:false ()));
+      test "holdback in order x100" (fun () -> ignore (bench_holdback ~in_order:true ()));
       test "vclock tick+compare (16 sites)" (fun () -> ignore (bench_vclock ()));
     ]
   in
@@ -249,6 +307,7 @@ let run_micro () =
   in
   Workload.Report.table ~header:[ "benchmark"; "ns/run" ] rows;
   run_codec_alloc ();
+  run_log_alloc ();
   run_engine_micro ()
 
 (* --- fan-out macro-benchmark -------------------------------------------- *)

@@ -452,7 +452,7 @@ let handle_request t conn (req : M.request) =
           List.iter
             (fun (u : T.update) ->
               if u.seqno = State_log.next_seqno log then
-                State_log.apply_sequenced log u ~on_durable:(fun _ -> ()))
+                State_log.apply_sequenced log u)
             updates;
           (match Hashtbl.find_opt t.pending_recovery (group, member) with
           | Some (conn', transfer) ->

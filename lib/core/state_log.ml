@@ -28,14 +28,14 @@ type t = {
   mutable base_objects : (Proto.Types.object_id * string) list;
   mutable base_seqno : int; (* the retained log starts here; base = state then *)
   (* O(1) byte accounting for Update_history transfers: cumulative data
-     bytes keyed by seqno, mirroring the retained log. Valid only while the
+     bytes indexed by seqno, mirroring the retained log. Valid only while the
      retained seqnos stay contiguous ([cum_exact]); a log re-seeded over a
-     stale WAL falls back to folding. *)
-  cum : (int, int) Hashtbl.t; (* seqno -> cum_total through that seqno *)
+     stale WAL falls back to folding. The window's first index is the base
+     seqno (everything below it is summarized in [cum_base]); its next index
+     is the only seqno that keeps the sums exact. *)
+  cum : int Storage.Window.t; (* seqno -> cum_total through that seqno *)
   mutable cum_total : int; (* data bytes of every update ever summed *)
-  mutable cum_base_seqno : int; (* seqnos < this are summarized in cum_base *)
   mutable cum_base : int;
-  mutable cum_next : int; (* the only seqno that keeps prefix sums exact *)
   mutable cum_exact : bool;
 }
 
@@ -60,7 +60,6 @@ let write_checkpoint t ~on_durable =
    records are in append (= seqno) order; any gap or duplicate marks the
    sums inexact and byte queries fall back to folding. *)
 let seed_cum_from_wal t =
-  Hashtbl.reset t.cum;
   t.cum_total <- 0;
   t.cum_base <- 0;
   t.cum_exact <- true;
@@ -69,13 +68,13 @@ let seed_cum_from_wal t =
     (fun _ (u : Proto.Types.update) ->
       if not !started then begin
         started := true;
-        t.cum_base_seqno <- u.seqno;
-        t.cum_next <- u.seqno
+        Storage.Window.reset t.cum ~first:u.seqno
       end;
-      if u.seqno <> t.cum_next then t.cum_exact <- false;
-      t.cum_total <- t.cum_total + String.length u.data;
-      Hashtbl.replace t.cum u.seqno t.cum_total;
-      t.cum_next <- u.seqno + 1)
+      if u.seqno <> Storage.Window.next t.cum then t.cum_exact <- false;
+      if t.cum_exact then begin
+        t.cum_total <- t.cum_total + String.length u.data;
+        Storage.Window.push t.cum t.cum_total
+      end)
 
 let make ~group ~persistent ~state ~wal ~checkpoints ~policy ~at_seqno ~base_objects =
   let t =
@@ -90,11 +89,9 @@ let make ~group ~persistent ~state ~wal ~checkpoints ~policy ~at_seqno ~base_obj
       last_seqno = at_seqno - 1;
       base_objects;
       base_seqno = at_seqno;
-      cum = Hashtbl.create 64;
+      cum = Storage.Window.create ~empty:0 ~first:at_seqno;
       cum_total = 0;
-      cum_base_seqno = at_seqno;
       cum_base = 0;
-      cum_next = at_seqno;
       cum_exact = true;
     }
   in
@@ -143,34 +140,29 @@ let log_bytes t = Storage.Wal.bytes_retained t.wal
 
 (* Prefix sums through seqno [s]. *)
 let cum_through t s =
-  if s < t.cum_base_seqno then t.cum_base
-  else if s >= t.cum_next then t.cum_total
-  else match Hashtbl.find_opt t.cum s with Some v -> v | None -> t.cum_base
+  if s < Storage.Window.first t.cum then t.cum_base
+  else if s >= Storage.Window.next t.cum then t.cum_total
+  else Storage.Window.get t.cum s
 
 (* Drop prefix-sum entries for truncated seqnos, folding their total into
    the base. *)
 let prune_cum t ~upto =
-  if upto > t.cum_base_seqno then begin
-    let base = cum_through t (upto - 1) in
-    for s = t.cum_base_seqno to upto - 1 do
-      Hashtbl.remove t.cum s
-    done;
-    t.cum_base <- base;
-    t.cum_base_seqno <- upto;
-    if t.cum_next < upto then t.cum_next <- upto
+  if upto > Storage.Window.first t.cum then begin
+    t.cum_base <- cum_through t (upto - 1);
+    Storage.Window.drop_front t.cum ~upto
   end
 
 let update_bytes_from t from =
   if not t.cum_exact then None
   else
-    let from = max from t.cum_base_seqno in
+    let from = max from (Storage.Window.first t.cum) in
     Some (t.cum_total - cum_through t (from - 1))
 
 let latest_updates_bytes t n =
   if not t.cum_exact then None
   else if n <= 0 then Some 0
   else
-    let from = max t.cum_base_seqno (t.cum_next - n) in
+    let from = max (Storage.Window.first t.cum) (Storage.Window.next t.cum - n) in
     Some (t.cum_total - cum_through t (from - 1))
 
 let do_reduce t ~on_done =
@@ -197,18 +189,16 @@ let maybe_auto_reduce t =
   in
   if trigger then do_reduce t ~on_done:(fun ~upto -> ignore upto)
 
-let log_update t (u : Proto.Types.update) ~on_durable =
+(* Apply [u] and extend the prefix sums; the caller logs it, then runs the
+   reduction policy. *)
+let record_update t (u : Proto.Types.update) =
   Shared_state.apply t.state u;
   t.last_seqno <- max t.last_seqno u.seqno;
-  if t.cum_exact && u.seqno = t.cum_next then begin
+  if t.cum_exact && u.seqno = Storage.Window.next t.cum then begin
     t.cum_total <- t.cum_total + String.length u.data;
-    Hashtbl.replace t.cum u.seqno t.cum_total;
-    t.cum_next <- u.seqno + 1
+    Storage.Window.push t.cum t.cum_total
   end
-  else t.cum_exact <- false;
-  Storage.Wal.append_sync t.wal ~size:(update_wire_bytes u) u
-    ~on_durable:(fun _ -> on_durable u);
-  maybe_auto_reduce t
+  else t.cum_exact <- false
 
 let append t ~kind ~obj ~data ~sender ~timestamp ~on_durable =
   let u =
@@ -222,10 +212,16 @@ let append t ~kind ~obj ~data ~sender ~timestamp ~on_durable =
       timestamp;
     }
   in
-  log_update t u ~on_durable;
+  record_update t u;
+  Storage.Wal.append_sync t.wal ~size:(update_wire_bytes u) u
+    ~on_durable:(fun _ -> on_durable u);
+  maybe_auto_reduce t;
   u
 
-let apply_sequenced t u ~on_durable = log_update t u ~on_durable
+let apply_sequenced t u =
+  record_update t u;
+  ignore (Storage.Wal.append t.wal ~size:(update_wire_bytes u) u);
+  maybe_auto_reduce t
 
 let updates_from t from =
   let acc = ref [] in

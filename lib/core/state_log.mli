@@ -78,11 +78,11 @@ val append :
     disk) and run the reduction policy. Returns the stamped update for
     fan-out. *)
 
-val apply_sequenced :
-  t -> Proto.Types.update -> on_durable:(Proto.Types.update -> unit) -> unit
-(** Replicated mode: apply and log an update whose sequence number was
-    assigned by the coordinator. The caller is responsible for offering
-    updates in sequence order (via a hold-back queue). *)
+val apply_sequenced : t -> Proto.Types.update -> unit
+(** Replicated mode: apply and log (asynchronously) an update whose
+    sequence number was assigned by the coordinator. The caller is
+    responsible for offering updates in sequence order (via a hold-back
+    queue). *)
 
 val updates_from : t -> int -> Proto.Types.update list
 (** Retained updates with seqno ≥ the argument, in order. *)

@@ -456,7 +456,7 @@ and apply t rg ~shard (u : T.update) mode (origin : Smsg.origin_tag) =
   if origin.og_server = t.self then Hashtbl.remove t.pending_bcast origin.og_seq;
   if not duplicate then begin
     (match rg.rg_logs with
-    | Some logs -> SL.apply_sequenced logs.(shard) u ~on_durable:(fun _ -> ())
+    | Some logs -> SL.apply_sequenced logs.(shard) u
     | None -> ());
     let resp = if sharded t then M.Shard_deliver { shard; update = u } else M.Deliver u in
     t.s_applied <- t.s_applied + 1;
@@ -539,12 +539,14 @@ and first_sequencing t ~group ~shard (origin : Smsg.origin_tag) =
       Hashtbl.replace t.seq_dedup key origin.og_seq;
       true
 
-and run_actions t rg actions =
-  List.iter
-    (function
-      | SH.Deliver (shard, (u, mode, origin)) -> apply t rg ~shard u mode origin
-      | SH.Barrier (bar, vector, op) -> apply_shard_op t rg ~bar ~vector op)
-    actions
+and run_actions t rg = function
+  | [] -> ()
+  | SH.Deliver (shard, (u, mode, origin)) :: rest ->
+      apply t rg ~shard u mode origin;
+      run_actions t rg rest
+  | SH.Barrier (bar, vector, op) :: rest ->
+      apply_shard_op t rg ~bar ~vector op;
+      run_actions t rg rest
 
 (* A cross-shard op fires at its stamped vector: every replica runs this at
    the same point of all N streams. *)

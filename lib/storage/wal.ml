@@ -1,4 +1,5 @@
-type 'a record = { size : int; value : 'a }
+(* A retained record, or [Empty] in a slot outside the retained range. *)
+type 'a slot = Empty | Record of { size : int; value : 'a }
 
 (* Group commit (§6 amortization): appends that arrive while the disk is
    busy — most often because an earlier append of this same log is still on
@@ -21,9 +22,7 @@ type 'a t = {
   disk : Disk.t option; (* None = ephemeral, memory-only *)
   batching : batch_config option;
   name : string;
-  records : (int, 'a record) Hashtbl.t; (* index -> record, in-memory view *)
-  mutable first : int;
-  mutable next : int;
+  records : 'a slot Window.t; (* the in-memory view, [first_index, next_index) *)
   mutable durable_upto : int;
   mutable bytes : int;
   (* group-commit state *)
@@ -41,9 +40,7 @@ let make disk batching name =
     disk;
     batching;
     name;
-    records = Hashtbl.create 256;
-    first = 0;
-    next = 0;
+    records = Window.create ~empty:Empty ~first:0;
     durable_upto = 0;
     bytes = 0;
     pending = Queue.create ();
@@ -149,9 +146,8 @@ let enqueue_batched t disk cfg ~index ~disk_bytes ~on_durable =
   end
 
 let do_append t ~size value ~on_durable =
-  let index = t.next in
-  t.next <- index + 1;
-  Hashtbl.replace t.records index { size; value };
+  let index = Window.next t.records in
+  Window.push t.records (Record { size; value });
   t.bytes <- t.bytes + size;
   (match (t.disk, t.batching) with
   | Some disk, Some cfg ->
@@ -173,33 +169,35 @@ let append t ~size value = do_append t ~size value ~on_durable:(fun _ -> ())
 let append_sync t ~size value ~on_durable =
   ignore (do_append t ~size value ~on_durable)
 
-let first_index t = t.first
+let first_index t = Window.first t.records
 
-let next_index t = t.next
+let next_index t = Window.next t.records
 
-let length t = t.next - t.first
+let length t = Window.length t.records
 
-let get t i = Option.map (fun r -> r.value) (Hashtbl.find_opt t.records i)
+let get t i =
+  match Window.get t.records i with Record r -> Some r.value | Empty -> None
 
 let iter_from t from f =
-  let start = if from > t.first then from else t.first in
-  for i = start to t.next - 1 do
-    match Hashtbl.find_opt t.records i with
-    | Some r -> f i r.value
-    | None -> ()
+  for i = max from (first_index t) to next_index t - 1 do
+    match Window.get t.records i with Record r -> f i r.value | Empty -> ()
   done
 
-let truncate_prefix t ~upto =
-  let upto = min upto t.next in
-  for i = t.first to upto - 1 do
-    match Hashtbl.find_opt t.records i with
-    | Some r ->
-        t.bytes <- t.bytes - r.size;
-        Hashtbl.remove t.records i
-    | None -> ()
+(* Bytes of the retained records in [lo, hi), disk framing excluded. *)
+let bytes_between t lo hi =
+  let sum = ref 0 in
+  for i = lo to hi - 1 do
+    match Window.get t.records i with Record r -> sum := !sum + r.size | Empty -> ()
   done;
-  if upto > t.first then t.first <- upto;
-  if t.durable_upto < t.first then t.durable_upto <- t.first
+  !sum
+
+let truncate_prefix t ~upto =
+  let upto = min upto (next_index t) in
+  if upto > first_index t then begin
+    t.bytes <- t.bytes - bytes_between t (first_index t) upto;
+    Window.drop_front t.records ~upto
+  end;
+  if t.durable_upto < first_index t then t.durable_upto <- first_index t
 
 let durable_upto t = t.durable_upto
 
@@ -208,14 +206,8 @@ let bytes_retained t = t.bytes
 let crash_recover t =
   (* The un-durable suffix is gone — including every record still pending
      in an unissued or in-flight batch: the whole batch dies together. *)
-  for i = t.durable_upto to t.next - 1 do
-    match Hashtbl.find_opt t.records i with
-    | Some r ->
-        t.bytes <- t.bytes - r.size;
-        Hashtbl.remove t.records i
-    | None -> ()
-  done;
-  t.next <- t.durable_upto;
+  t.bytes <- t.bytes - bytes_between t t.durable_upto (next_index t);
+  Window.drop_back t.records ~from:t.durable_upto;
   Queue.clear t.pending;
   t.pending_bytes <- 0;
   t.inflight <- false;
@@ -225,10 +217,7 @@ let replay_cost t =
   match t.disk with
   | None -> 0.0
   | Some disk ->
-      let durable_bytes = ref 0 in
-      for i = t.first to t.durable_upto - 1 do
-        match Hashtbl.find_opt t.records i with
-        | Some r -> durable_bytes := !durable_bytes + r.size + record_header_size
-        | None -> ()
-      done;
-      float_of_int !durable_bytes /. Disk.transfer_rate disk
+      let first = first_index t in
+      let records = t.durable_upto - first in
+      let durable_bytes = bytes_between t first t.durable_upto + (records * record_header_size) in
+      float_of_int durable_bytes /. Disk.transfer_rate disk

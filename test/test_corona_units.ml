@@ -739,6 +739,72 @@ let test_log_byte_accounting () =
     (Some (fold_bytes (Corona.State_log.latest_updates log 5)))
     (Corona.State_log.latest_updates_bytes log 5)
 
+(* The same agreement across 1,200 updates under [Every_n_updates]
+   reduction: the prefix sums' window is truncated at every reduction and
+   slides and grows as the log does. Reductions land after a varying number
+   of further appends, so a truncation often keeps a suffix. Checked after
+   every append, hence after every reduction. *)
+let test_log_byte_accounting_under_reduction () =
+  let fold_bytes updates =
+    List.fold_left (fun acc u -> acc + String.length u.T.data) 0 updates
+  in
+  let engine, wal, _, log = make_log ~policy:(Corona.State_log.Every_n_updates 37) () in
+  let reductions = ref 0 and first = ref 0 in
+  for i = 0 to 1199 do
+    ignore (append log (String.make (1 + (i * 7919 mod 23)) 'x'));
+    if i mod 5 = 0 then Sim.Engine.run engine;
+    if Storage.Wal.first_index wal <> !first then begin
+      first := Storage.Wal.first_index wal;
+      incr reductions
+    end;
+    let next = Corona.State_log.next_seqno log in
+    List.iter
+      (fun from ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "update %d: bytes from %d" i from)
+          (Some (fold_bytes (Corona.State_log.updates_from log from)))
+          (Corona.State_log.update_bytes_from log from))
+      [ 0; !first - 1; !first; (!first + next) / 2; next - 1; next; next + 3 ];
+    List.iter
+      (fun n ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "update %d: latest %d bytes" i n)
+          (Some (fold_bytes (Corona.State_log.latest_updates log n)))
+          (Corona.State_log.latest_updates_bytes log n))
+      [ 0; 1; 5; 36; next - !first; next - !first + 4 ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "reduced many times (%d)" !reductions)
+    true (!reductions >= 25)
+
+(* A log recovered over a WAL whose seqnos skip one cannot keep exact
+   prefix sums: byte queries answer [None] and callers fold instead. A
+   contiguous WAL recovers exact sums. *)
+let test_log_byte_accounting_recover_gap () =
+  let recovered seqnos =
+    let engine, wal, checkpoints, _ = make_log () in
+    List.iter
+      (fun seqno -> ignore (Storage.Wal.append wal ~size:40 (upd ~seqno "o" "abc")))
+      seqnos;
+    Sim.Engine.run engine;
+    let ck = Option.get (Storage.Snapshot.load checkpoints ~key:"g") in
+    Corona.State_log.recover ck ~wal ~checkpoints ~policy:Corona.State_log.No_reduction
+  in
+  let gap = recovered [ 0; 1; 2; 4; 5 ] in
+  Alcotest.(check int) "replayed past the gap" 6 (Corona.State_log.next_seqno gap);
+  Alcotest.(check (option int)) "bytes from: inexact" None
+    (Corona.State_log.update_bytes_from gap 0);
+  Alcotest.(check (option int)) "latest: inexact" None
+    (Corona.State_log.latest_updates_bytes gap 3);
+  ignore (append gap "more");
+  Alcotest.(check (option int)) "stays inexact" None
+    (Corona.State_log.update_bytes_from gap 4);
+  let whole = recovered [ 0; 1; 2; 3; 4 ] in
+  Alcotest.(check (option int)) "contiguous: exact" (Some 9)
+    (Corona.State_log.update_bytes_from whole 2);
+  Alcotest.(check (option int)) "contiguous latest: exact" (Some 6)
+    (Corona.State_log.latest_updates_bytes whole 2)
+
 (* --- sharded WAL streams -------------------------------------------------- *)
 
 (* Each shard of a group logs to its own WAL stream ([g#0], [g#1], ... — the
@@ -982,6 +1048,10 @@ let () =
             test_cached_and_uncached_joiners_agree;
           tc "O(1) byte accounting = reference fold" `Quick
             test_log_byte_accounting;
+          tc "byte accounting = fold under Every_n_updates reduction" `Quick
+            test_log_byte_accounting_under_reduction;
+          tc "byte accounting after recovering a gapped WAL" `Quick
+            test_log_byte_accounting_recover_gap;
         ] );
       ( "sharded-wal",
         [

@@ -371,6 +371,81 @@ let prop_sharded_permutation_delivers_all =
       Array.for_all (fun l -> List.rev l = List.init n Fun.id) out
       && Array.for_all (fun s -> s = n) (SH.positions hb))
 
+(* Updates of every stream arrive in a random interleaving, some twice, and
+   barriers whose vectors lie inside the streams arrive among them (in bar
+   order, some re-sent), as a coordinator's commits do over one connection.
+   Vectors are componentwise non-decreasing in bar order, as the
+   coordinator stamps them. Checked over the emitted actions, in order:
+   every stream is released 0..n-1 in order; every barrier fires once, in
+   bar order, with every stream at or past its slot; and while a barrier is
+   parked no update at or past its slot is released. *)
+type arrival = Update of int * int | Barrier_commit
+
+let prop_holdback_barriers_gate_interleavings =
+  QCheck.Test.make ~name:"barriers gate random interleavings with duplicates" ~count:300
+    QCheck.(tup4 (int_range 1 4) (int_range 1 15) (int_range 0 4) (int_range 0 100_000))
+    (fun (shards, n, nbars, seed) ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      let vectors =
+        let raw = Array.init nbars (fun _ -> Array.init shards (fun _ -> Sim.Rng.int rng (n + 1))) in
+        for s = 0 to shards - 1 do
+          let col = Array.map (fun v -> v.(s)) raw in
+          Array.sort Int.compare col;
+          Array.iteri (fun b x -> raw.(b).(s) <- x) col
+        done;
+        raw
+      in
+      let updates =
+        List.concat_map (fun s -> List.init n (fun i -> Update (s, i))) (List.init shards Fun.id)
+      in
+      let dup_updates = List.filter (fun _ -> Sim.Rng.int rng 4 = 0) updates in
+      let commits =
+        List.concat_map
+          (fun b -> if Sim.Rng.int rng 3 = 0 then [ b; b ] else [ b ])
+          (List.init nbars Fun.id)
+      in
+      let arrival =
+        Array.of_list (updates @ dup_updates @ List.map (fun _ -> Barrier_commit) commits)
+      in
+      Sim.Rng.shuffle rng arrival;
+      let hb = SH.create ~shards () in
+      let released = Array.make shards [] and fired = ref [] in
+      let offered = Array.make nbars false and parked = ref [] in
+      let ok = ref true in
+      let observe actions =
+        List.iter
+          (function
+            | SH.Deliver (s, i) ->
+                if List.exists (fun b -> i >= vectors.(b).(s)) !parked then ok := false;
+                released.(s) <- i :: released.(s)
+            | SH.Barrier b ->
+                Array.iteri
+                  (fun s slot -> if List.length released.(s) < slot then ok := false)
+                  vectors.(b);
+                parked := List.filter (fun b' -> b' <> b) !parked;
+                fired := b :: !fired)
+          actions
+      in
+      let commits = ref commits in
+      Array.iter
+        (function
+          | Update (s, i) -> observe (SH.offer hb ~shard:s ~seqno:i i)
+          | Barrier_commit -> (
+              match !commits with
+              | b :: rest ->
+                  commits := rest;
+                  if not offered.(b) then begin
+                    offered.(b) <- true;
+                    parked := b :: !parked
+                  end;
+                  observe (SH.offer_barrier hb ~bar:b ~vector:vectors.(b) b)
+              | [] -> ok := false))
+        arrival;
+      !ok
+      && Array.for_all (fun l -> List.rev l = List.init n Fun.id) released
+      && List.rev !fired = List.init nbars Fun.id
+      && SH.pending_barriers hb = 0)
+
 let () =
   let tc = Alcotest.test_case in
   let q = QCheck_alcotest.to_alcotest in
@@ -419,5 +494,6 @@ let () =
           tc "barriers fire in bar order" `Quick test_barriers_fire_in_bar_order;
           tc "reset keeps parked barriers" `Quick test_reset_keeps_parked_barriers;
           q prop_sharded_permutation_delivers_all;
+          q prop_holdback_barriers_gate_interleavings;
         ] );
     ]

@@ -119,6 +119,194 @@ let prop_wal_retains_suffix =
       let expected = max 0 (n - max 0 (min upto n)) in
       Storage.Wal.length wal = expected)
 
+(* --- wal against a list model ---------------------------------------------- *)
+
+(* Random append / append_sync / truncate / step / crash sequences checked,
+   after every operation, against a plain list model. Durability is read
+   off the disk odometer, not the log: the disk serves this log alone and
+   completes writes in order, so its byte count says exactly which records
+   reached the platter. *)
+type wal_op =
+  | Append of int (* size *)
+  | Append_sync of int
+  | Truncate of int (* keep at most this many of the newest records *)
+  | Step of int (* engine events to fire *)
+  | Crash
+
+let print_wal_op = function
+  | Append n -> Printf.sprintf "append %d" n
+  | Append_sync n -> Printf.sprintf "append_sync %d" n
+  | Truncate k -> Printf.sprintf "truncate keep %d" k
+  | Step n -> Printf.sprintf "step %d" n
+  | Crash -> "crash"
+
+(* Three phases, so that every sequence exercises the window's growth
+   logic: 70 appends with no drop double the array three times (16 -> 128);
+   then 450 appends, each followed by a truncation that keeps at most 30
+   records, reach the array's end with at most a quarter of it live at
+   least three times, so the window slides; then a free mix with crashes
+   and truncations past the end. Steps are sprinkled throughout. *)
+let gen_wal_ops =
+  let open QCheck.Gen in
+  let size = int_range 1 300 in
+  let append = oneof [ map (fun n -> Append n) size; map (fun n -> Append_sync n) size ] in
+  let maybe_step = frequency [ (2, return []); (1, map (fun n -> [ Step n ]) (int_range 1 4)) ] in
+  let grow = list_repeat 70 (map2 (fun a s -> a :: s) append maybe_step) in
+  let slide =
+    list_repeat 450
+      (map3 (fun a k s -> a :: Truncate k :: s) append (int_range 1 30) maybe_step)
+  in
+  let mix =
+    list_repeat 120
+      (frequency
+         [
+           (6, append);
+           (3, map (fun n -> Step n) (int_range 1 6));
+           (2, map (fun k -> Truncate k) (int_range (-3) 40));
+           (1, return Crash);
+         ])
+  in
+  map3 (fun g s m -> List.concat g @ List.concat s @ m) grow slide mix
+
+let check_wal_against_model ~batching ops =
+  let engine, host = make_host () in
+  let disk = Storage.Disk.create host ~transfer_rate:1e6 ~seek_time:0.001 () in
+  let wal =
+    match batching with
+    | None -> Storage.Wal.create disk ~name:"log"
+    | Some (max_batch_bytes, max_delay) ->
+        Storage.Wal.create ~batching:{ Storage.Wal.max_batch_bytes; max_delay } disk
+          ~name:"log"
+  in
+  (* Model: retained records (index, size, value) oldest first, the next
+     index, the durable prefix, writes not yet on the platter (index, disk
+     bytes, synchronous?) and the synchronous callbacks due so far. *)
+  let retained = ref [] and next = ref 0 and durable = ref 0 in
+  let inflight = Queue.create () and odometer = ref 0 in
+  let serial = ref 0 in
+  let fired = ref [] and due = ref [] in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let first () = match !retained with (i, _, _) :: _ -> i | [] -> !next in
+  let absorb_completions () =
+    let delta = ref (Storage.Disk.bytes_written disk - !odometer) in
+    odometer := Storage.Disk.bytes_written disk;
+    while !delta > 0 do
+      if Queue.is_empty inflight then fail "disk wrote bytes no record accounts for";
+      let i, bytes, sync = Queue.pop inflight in
+      delta := !delta - bytes;
+      if i + 1 > !durable then durable := i + 1;
+      if sync then due := i :: !due
+    done;
+    if !delta <> 0 then fail "a completed write split a record"
+  in
+  let append ~sync size =
+    let v = !serial in
+    incr serial;
+    let i = !next in
+    (if sync then Storage.Wal.append_sync wal ~size v ~on_durable:(fun i -> fired := i :: !fired)
+     else
+       let got = Storage.Wal.append wal ~size v in
+       if got <> i then fail "append returned %d, model %d" got i);
+    retained := !retained @ [ (i, size, v) ];
+    Queue.add (i, size + 16, sync) inflight;
+    incr next
+  in
+  let apply = function
+    | Append n -> append ~sync:false n
+    | Append_sync n -> append ~sync:true n
+    | Truncate keep ->
+        let upto = !next - keep in
+        Storage.Wal.truncate_prefix wal ~upto;
+        retained := List.filter (fun (i, _, _) -> i >= upto) !retained;
+        if !durable < first () then durable := first ()
+    | Step n ->
+        for _ = 1 to n do
+          ignore (Sim.Engine.step engine)
+        done
+    | Crash ->
+        Net.Host.crash host;
+        Net.Host.restart host;
+        Storage.Wal.crash_recover wal;
+        Queue.clear inflight;
+        retained := List.filter (fun (i, _, _) -> i < !durable) !retained;
+        next := !durable
+  in
+  let check () =
+    absorb_completions ();
+    let first = first () in
+    let expect name got want = if got <> want then fail "%s: wal %d, model %d" name got want in
+    expect "first_index" (Storage.Wal.first_index wal) first;
+    expect "next_index" (Storage.Wal.next_index wal) !next;
+    expect "length" (Storage.Wal.length wal) (List.length !retained);
+    expect "bytes_retained" (Storage.Wal.bytes_retained wal)
+      (List.fold_left (fun acc (_, s, _) -> acc + s) 0 !retained);
+    expect "durable_upto" (Storage.Wal.durable_upto wal) !durable;
+    for i = first - 2 to !next + 1 do
+      let want = List.find_map (fun (j, _, v) -> if i = j then Some v else None) !retained in
+      if Storage.Wal.get wal i <> want then fail "get %d disagrees" i
+    done;
+    List.iter
+      (fun from ->
+        let got = ref [] in
+        Storage.Wal.iter_from wal from (fun i v -> got := (i, v) :: !got);
+        let want =
+          List.filter_map (fun (i, _, v) -> if i >= from then Some (i, v) else None) !retained
+        in
+        if List.rev !got <> want then fail "iter_from %d disagrees" from)
+      [ first - 1; first; (first + !next) / 2; !next - 1; !next; !next + 1 ];
+    let durable_bytes =
+      List.fold_left (fun acc (i, s, _) -> if i < !durable then acc + s + 16 else acc) 0 !retained
+    in
+    if Storage.Wal.replay_cost wal <> float_of_int durable_bytes /. 1e6 then
+      fail "replay_cost disagrees";
+    if !fired <> !due then fail "durability callbacks disagree"
+  in
+  List.iter
+    (fun op ->
+      apply op;
+      check ())
+    ops;
+  true
+
+let prop_wal_matches_model ~batching name =
+  QCheck.Test.make ~name ~count:25
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print_wal_op ops)) gen_wal_ops)
+    (check_wal_against_model ~batching)
+
+(* A record dropped by truncation or by a crash must not stay reachable
+   from the log's in-memory view, nor from a slot the window left behind
+   when it grew or slid. *)
+let test_wal_drops_are_collectable () =
+  let engine, host, wal = make_wal () in
+  let weak = Weak.create 142 in
+  let tracked = ref 0 in
+  let append () =
+    let v = Bytes.make 8 'x' in
+    Weak.set weak !tracked (Some v);
+    incr tracked;
+    ignore (Storage.Wal.append wal ~size:8 v)
+  in
+  for _ = 1 to 40 do
+    append ()
+  done;
+  (* Keep the log short while it runs past the array's end: it slides. *)
+  for _ = 1 to 100 do
+    Storage.Wal.truncate_prefix wal ~upto:(Storage.Wal.next_index wal - 2);
+    append ()
+  done;
+  Sim.Engine.run engine;
+  let kept = Storage.Wal.next_index wal - 1 in
+  Storage.Wal.truncate_prefix wal ~upto:kept;
+  append ();
+  Net.Host.crash host;
+  Net.Host.restart host;
+  Storage.Wal.crash_recover wal;
+  Gc.full_major ();
+  Alcotest.(check int) "one record retained" 1 (Storage.Wal.length wal);
+  Alcotest.(check bool) "retained record kept" true (Weak.check weak kept);
+  Alcotest.(check (list int)) "every truncated or crash-dropped record collected" []
+    (List.filter (fun i -> i <> kept && Weak.check weak i) (List.init !tracked Fun.id))
+
 (* --- wal group commit ------------------------------------------------------ *)
 
 (* 100-byte records carry [record_header_size] = 16 framing bytes, so one
@@ -268,6 +456,11 @@ let () =
           tc "crash recovery drops tail" `Quick test_wal_crash_recover_drops_tail;
           tc "ephemeral log" `Quick test_wal_ephemeral;
           q prop_wal_retains_suffix;
+          q (prop_wal_matches_model ~batching:None "Wal matches a list model (unbatched)");
+          q
+            (prop_wal_matches_model ~batching:(Some (600, 0.002))
+               "Wal matches a list model (group commit)");
+          tc "dropped records are collectable" `Quick test_wal_drops_are_collectable;
         ] );
       ( "wal-group-commit",
         [
