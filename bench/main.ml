@@ -784,13 +784,22 @@ let run_sharded () =
    root one pre-encoded [Relay_fanout] frame per relay instead of one
    [Deliver] per member. [relays = 0] runs the flat baseline — the same
    size connected straight to the root — so the root-transmit reduction is
-   measured in-run, not assumed. Returns (ns/bcast, root transmits/bcast,
-   minor words/bcast). *)
-let relay_world ~members ~relays ~bcasts =
+   measured in-run, not assumed. *)
+type relay_result = {
+  ns_per_bcast : float;
+  root_tx_per_bcast : float;
+  minor_words_per_bcast : float;
+  setup_virt_s : float; (* virtual time until the last member has joined *)
+  join_bytes : float;
+      (* fabric bytes per join over the join phase: the Join request plus
+         the Join_accepted reply (no member asks for notifications) *)
+}
+
+let relay_world ?(lean_joins = true) ~members ~relays ~bcasts () =
   (* lean joins: at 10^5 members an O(members) membership list per
      Join_accepted would make setup quadratic; the relay tier targets
      exactly the deployments that opt out of it *)
-  let config = { Corona.Server.default_config with lean_joins = true } in
+  let config = { Corona.Server.default_config with lean_joins } in
   let tb =
     Workload.Testbed.single_server ~net:Net.Fabric.lan ~config ~client_machines:12 ()
   in
@@ -815,11 +824,15 @@ let relay_world ~members ~relays ~bcasts =
   in
   let group = "huge" in
   let probe = ref None in
+  let setup_virt_s = ref 0.0 and join_bytes = ref 0 in
   spawn_clients_staggered engine tb.s_fabric ~hosts:tb.s_client_hosts ~server_for
     ~n:members (fun clients ->
       Corona.Client.create_group clients.(0) ~group ~persistent:false
         ~k:(fun _ ->
+          let bytes0 = Net.Fabric.bytes_sent tb.s_fabric in
           Workload.Testbed.join_all clients ~group ~transfer:T.No_state (fun () ->
+              setup_virt_s := Sim.Engine.now engine;
+              join_bytes := Net.Fabric.bytes_sent tb.s_fabric - bytes0;
               probe := Some clients.(members - 1)))
         ());
   run_until engine (fun () -> !probe <> None);
@@ -860,7 +873,46 @@ let relay_world ~members ~relays ~bcasts =
     failwith
       (Printf.sprintf "relay %d/%d: %.2f root transmits/bcast > relay count" members
          relays root_tx_per_bcast);
-  (wall /. float_of_int bcasts *. 1e9, root_tx_per_bcast, minor_words_per_bcast)
+  {
+    ns_per_bcast = wall /. float_of_int bcasts *. 1e9;
+    root_tx_per_bcast;
+    minor_words_per_bcast;
+    setup_virt_s = !setup_virt_s;
+    join_bytes = float_of_int !join_bytes /. float_of_int members;
+  }
+
+(* [lean_joins] on and off in the flat world, at a size where the full
+   member list per Join_accepted still finishes: the list is the only
+   difference, so the bytes per join and the set-up time show what eliding
+   it saves. *)
+let run_lean_joins_row () =
+  let members = if !smoke then 200 else 2_000 in
+  Workload.Report.note "measuring lean joins on/off, %d members flat..." members;
+  let rows =
+    List.map
+      (fun lean_joins ->
+        let r = relay_world ~lean_joins ~members ~relays:0 ~bcasts:3 () in
+        scale_add "relay_lean_joins"
+          [
+            ("members", string_of_int members);
+            ("lean_joins", string_of_bool lean_joins);
+            ("virt_setup_s", json_num r.setup_virt_s);
+            ("join_bytes", json_num r.join_bytes);
+          ];
+        [
+          string_of_int members;
+          (if lean_joins then "on" else "off");
+          Printf.sprintf "%.3f" r.setup_virt_s;
+          Printf.sprintf "%.0f" r.join_bytes;
+        ])
+      [ true; false ]
+  in
+  Workload.Report.table
+    ~header:[ "members"; "lean_joins"; "virtual set-up s"; "bytes/join" ]
+    rows;
+  Workload.Report.note
+    "bytes/join counts the Join request and its Join_accepted reply; only the reply's \
+     member list differs."
 
 let run_relay () =
   Workload.Report.section
@@ -879,14 +931,18 @@ let run_relay () =
       (fun members ->
         let bcasts = if members >= 100_000 then 3 else if !quick then 5 else 10 in
         Workload.Report.note "measuring %d members behind %d relays..." members relays;
-        let r_ns, r_tx, r_minor = relay_world ~members ~relays ~bcasts in
+        let r = relay_world ~members ~relays ~bcasts () in
+        let r_ns, r_tx, r_minor =
+          (r.ns_per_bcast, r.root_tx_per_bcast, r.minor_words_per_bcast)
+        in
         (* Flat baseline at the 10k point (at 100k+ a per-member flat
            fan-out is exactly the cost the tier exists to avoid paying):
            the acceptance bar is a >= 5x root-transmit reduction. *)
         let flat =
           if members <= 10_000 then begin
             Workload.Report.note "measuring %d members flat (no relays)..." members;
-            let f_ns, f_tx, _ = relay_world ~members ~relays:0 ~bcasts in
+            let f = relay_world ~members ~relays:0 ~bcasts () in
+            let f_ns, f_tx = (f.ns_per_bcast, f.root_tx_per_bcast) in
             let ratio = f_tx /. r_tx in
             if ratio < 5.0 then
               failwith
@@ -932,7 +988,8 @@ let run_relay () =
         "minor w/bcast" ]
     rows;
   Workload.Report.note
-    "root tx/bcast is bounded by the relay count: one shared pre-encoded frame per relay."
+    "root tx/bcast is bounded by the relay count: one shared pre-encoded frame per relay.";
+  run_lean_joins_row ()
 
 (* --- join-storm + durable-multicast sweep (BENCH_transfer.json) --------- *)
 

@@ -1,8 +1,9 @@
 (* Deployment builder: turns a [Schedule.kind] into a running service and
    gives the runner one vocabulary of operations (crash / restart /
    partition / heal / reconcile) plus the state extraction the oracles need
-   (per-group copies with digests and retained logs, lock journals across
-   server incarnations, restart-era boundaries). *)
+   (per-group copies with digests and retained logs, restart-era
+   boundaries). The servers keep no checker state: the hooks installed here
+   journal every lock table and every barrier step into this module. *)
 
 module Sched = Schedule
 
@@ -22,8 +23,6 @@ type single = {
   s_config : Corona.Server.config;
   mutable s_server : Corona.Server.t;
   mutable s_incarnation : int;
-  mutable s_retired : (string * (Proto.Types.group_id * Corona.Locks.event list) list) list;
-      (* lock journals snapshotted from crashed incarnations, oldest first *)
   mutable s_restarts : float list; (* era boundaries, oldest first *)
 }
 
@@ -38,8 +37,22 @@ type relay_dep = {
   mutable rd_alive : bool;
 }
 
+(* One per lock table, labelled with the server (incarnation) that made it. *)
+type lock_journal = {
+  lj_owner : string;
+  lj_group : Proto.Types.group_id;
+  mutable lj_events : Corona.Locks.event list; (* newest first *)
+}
+
+type journals = {
+  mutable locks : lock_journal list; (* newest table first *)
+  barriers : (string, Replication.Node.barrier_step list ref) Hashtbl.t;
+      (* node id -> steps, newest first *)
+}
+
 type t = {
   fabric : Net.Fabric.t;
+  journals : journals;
   backend : backend;
   shards : int;
   relays : relay_dep array; (* [||] unless the kind is Relay *)
@@ -52,36 +65,60 @@ let single_config ~sync_log =
   {
     Corona.Server.default_config with
     logging = (if sync_log then Corona.Server.Sync_logging else Corona.Server.Async_logging);
-    record_lock_journal = true;
     (* Exercise WAL group commit under randomized fault schedules: a crash
        mid-batch must still satisfy the durability and replay oracles. *)
     wal_batching = Some Storage.Wal.default_batch;
   }
 
-let repl_config = { Replication.Node.default_config with record_lock_journal = true }
+(* The sink of a new lock table: a fresh journal, never its predecessor's. *)
+let lock_table journals owner group =
+  let j = { lj_owner = owner; lj_group = group; lj_events = [] } in
+  journals.locks <- j :: journals.locks;
+  fun ev -> j.lj_events <- ev :: j.lj_events
+
+let single_label incarnation = Printf.sprintf "srv-0#%d" incarnation
+
+let start_single fabric journals ~incarnation host ~config ~storage =
+  Corona.Server.create fabric host ~config
+    ~lock_table:(lock_table journals (single_label incarnation))
+    ~storage ()
+
+let node_hooks journals ~skip_barrier id =
+  let steps = ref [] in
+  Hashtbl.replace journals.barriers id steps;
+  {
+    Replication.Node.lock_table = lock_table journals id;
+    barrier_step = Some (fun step -> steps := step :: !steps);
+    skip_barrier;
+  }
 
 (* [clients] sizes the relay slice partition (Relay kind only): agent [i]
    connects through relay [Membership.slice_owner ~relays ~members:clients i]. *)
-let create fabric ?(sharded_direct_views = false) ?(clients = 0) (kind : Sched.kind) =
+let create fabric ?(bug = Inject.none) ?(clients = 0) (kind : Sched.kind) =
+  let journals = { locks = []; barriers = Hashtbl.create 8 } in
   let mk_single ~sync_log =
     let host = Net.Fabric.add_host fabric ~name:"srv-0" () in
     let storage = Corona.Server_storage.create host () in
     let config = single_config ~sync_log in
-    let server = Corona.Server.create fabric host ~config ~storage () in
     {
       s_host = host;
       s_storage = storage;
       s_config = config;
-      s_server = server;
+      s_server = start_single fabric journals ~incarnation:0 host ~config ~storage;
       s_incarnation = 0;
-      s_retired = [];
       s_restarts = [];
     }
+  in
+  let mk_cluster config ~replicas =
+    Replication.Cluster.create fabric ~config
+      ~hooks:(node_hooks journals ~skip_barrier:bug.Inject.skip_barrier)
+      ~replicas ()
   in
   match kind with
   | Sched.Single { sync_log } ->
       {
         fabric;
+        journals;
         backend = B_single (mk_single ~sync_log);
         shards = 1;
         relays = [||];
@@ -102,30 +139,27 @@ let create fabric ?(sharded_direct_views = false) ?(clients = 0) (kind : Sched.k
       in
       {
         fabric;
+        journals;
         backend = B_single s;
         shards = 1;
         relays = rds;
         slice_clients = clients;
       }
   | Sched.Replicated { replicas } ->
-      let cluster =
-        Replication.Cluster.create fabric ~config:repl_config ~replicas ()
-      in
       {
         fabric;
-        backend = B_repl cluster;
+        journals;
+        backend = B_repl (mk_cluster Replication.Node.default_config ~replicas);
         shards = 1;
         relays = [||];
         slice_clients = clients;
       }
   | Sched.Sharded { replicas; shards } ->
-      let config =
-        { repl_config with Replication.Node.shards; sharded_direct_views }
-      in
-      let cluster = Replication.Cluster.create fabric ~config ~replicas () in
+      let config = { Replication.Node.default_config with shards } in
       {
         fabric;
-        backend = B_repl cluster;
+        journals;
+        backend = B_repl (mk_cluster config ~replicas);
         shards;
         relays = [||];
         slice_clients = clients;
@@ -187,21 +221,9 @@ let crash_relay t idx =
         Net.Host.crash rd.rd_host
       end
 
-let snapshot_journals server label =
-  List.filter_map
-    (fun g ->
-      match Corona.Server.lock_journal server g with
-      | [] -> None
-      | events -> Some (g, events))
-    (Corona.Server.group_ids server)
-  |> fun js -> (label, js)
-
 let crash_server t idx =
   match t.backend with
-  | B_single s ->
-      let label = Printf.sprintf "srv-0#%d" s.s_incarnation in
-      s.s_retired <- s.s_retired @ [ snapshot_journals s.s_server label ];
-      Net.Host.crash s.s_host
+  | B_single s -> Net.Host.crash s.s_host
   | B_repl c -> Net.Host.crash (Replication.Node.host (node_at c idx))
 
 (* Single deployment only: bring the host back and start a fresh server
@@ -214,7 +236,8 @@ let restart_server t =
       s.s_incarnation <- s.s_incarnation + 1;
       s.s_restarts <- s.s_restarts @ [ Sim.Engine.now (Net.Fabric.engine t.fabric) ];
       s.s_server <-
-        Corona.Server.create t.fabric s.s_host ~config:s.s_config ~storage:s.s_storage ()
+        start_single t.fabric t.journals ~incarnation:s.s_incarnation s.s_host
+          ~config:s.s_config ~storage:s.s_storage
 
 let restart_times t =
   match t.backend with B_single s -> s.s_restarts | B_repl _ -> []
@@ -257,7 +280,7 @@ let copies t group =
         | Some state, Some next ->
             [
               {
-                c_owner = Printf.sprintf "srv-0#%d" s.s_incarnation;
+                c_owner = single_label s.s_incarnation;
                 c_digest = Corona.Shared_state.digest state;
                 c_next = next;
                 c_base = Corona.Server.group_base s.s_server group;
@@ -337,36 +360,17 @@ let members t group =
       |> List.sort_uniq String.compare
 
 let lock_journals t =
-  match t.backend with
-  | B_single s ->
-      let live =
-        if Net.Host.is_alive s.s_host then
-          [ snapshot_journals s.s_server (Printf.sprintf "srv-0#%d" s.s_incarnation) ]
-        else []
-      in
-      List.concat_map
-        (fun (owner, js) -> List.map (fun (g, evs) -> (owner, g, evs)) js)
-        (s.s_retired @ live)
-  | B_repl c ->
-      List.concat_map
-        (fun node ->
-          List.map
-            (fun (g, evs) -> (Replication.Node.id node, g, evs))
-            (Replication.Node.lock_journal node))
-        (Replication.Cluster.live_nodes c)
+  List.rev_map (fun j -> (j.lj_owner, j.lj_group, List.rev j.lj_events)) t.journals.locks
 
 (* Cross-shard barrier journals of every live node that ever coordinated
    barriers (owner label, steps oldest first). *)
 let barrier_journals t =
-  match t.backend with
-  | B_single _ -> []
-  | B_repl c ->
-      List.filter_map
-        (fun node ->
-          match Replication.Node.barrier_journal node with
-          | [] -> None
-          | steps -> Some (Replication.Node.id node, steps))
-        (Replication.Cluster.live_nodes c)
+  List.filter_map
+    (fun node ->
+      match !(Hashtbl.find t.journals.barriers (Replication.Node.id node)) with
+      | [] -> None
+      | steps -> Some (Replication.Node.id node, List.rev steps))
+    (live_nodes t)
 
 (* After a heal: compare every group's live copies; when two disagree, run
    the §4.2 reconciliation adopting the freshest side, otherwise just

@@ -1,8 +1,9 @@
 (** Deployment builder: turns a {!Schedule.kind} into a running service
     and gives the runner one vocabulary of operations (crash / restart /
     partition / heal / reconcile) plus the state extraction the oracles
-    need (per-group copies with digests and retained logs, lock journals
-    across server incarnations, restart-era boundaries). *)
+    need (per-group copies with digests and retained logs, restart-era
+    boundaries). The lock and barrier journals live here, not in the
+    servers: every server and node is created with hooks that feed them. *)
 
 type copy = {
   c_owner : string;  (** which server/incarnation holds this copy *)
@@ -19,10 +20,10 @@ type t
 
 val fabric : t -> Net.Fabric.t
 
-val create :
-  Net.Fabric.t -> ?sharded_direct_views:bool -> ?clients:int -> Schedule.kind -> t
-(** [sharded_direct_views] is the skip-barrier bug injection; [clients]
-    sizes the relay slice partition (Relay kind only). *)
+val create : Net.Fabric.t -> ?bug:Inject.t -> ?clients:int -> Schedule.kind -> t
+(** [bug]'s skip-barrier injection goes into every node's
+    {!Replication.Node.hooks}; the runner applies the other injections.
+    [clients] sizes the relay slice partition (Relay kind only). *)
 
 val shards : t -> int
 
@@ -31,8 +32,7 @@ val client_target : t -> int -> Net.Host.t
     its slice's owning (or, after a crash, adopting) relay. *)
 
 val crash_server : t -> int -> unit
-(** Crash server [idx] (single deployments snapshot its lock journal
-    first, so the oracle evidence survives the incarnation). *)
+(** Crash server [idx]. Its lock journals stay in the oracle input. *)
 
 val restart_server : t -> unit
 (** Single deployment only: bring the host back and start a fresh server
@@ -68,8 +68,10 @@ val members : t -> string -> string list
     members each live node serves). *)
 
 val lock_journals : t -> (string * string * Corona.Locks.event list) list
-(** (owner, group, events), including journals snapshotted from crashed
-    single-server incarnations. *)
+(** (owner, group, events oldest first), one per lock table ever created,
+    in creation order: crashed incarnations and crashed nodes included, and
+    a deleted then recreated group has two. The owner is ["srv-0#N"] for
+    single-server incarnation [N], the node id in a cluster. *)
 
 val barrier_journals : t -> (string * Replication.Node.barrier_step list) list
 (** Cross-shard barrier journals of every live node that ever coordinated

@@ -9,7 +9,7 @@ let violation_line v = Printf.sprintf "[%s] %s" v.v_oracle v.v_detail
 type input = {
   i_copies : (string * Deploy.copy list) list; (* per group, live copies *)
   i_journals : (string * string * Corona.Locks.event list) list;
-      (* (owner, group, events) — one journal per server incarnation *)
+      (* (owner, group, events) — one journal per lock table *)
   i_clients : Observe.t list;
   i_client_states : (string * string * string) list;
       (* (agent, group, digest) for agents joined & connected at the end *)

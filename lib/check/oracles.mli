@@ -10,7 +10,7 @@ val violation_line : violation -> string
 type input = {
   i_copies : (string * Deploy.copy list) list;  (** per group, live copies *)
   i_journals : (string * string * Corona.Locks.event list) list;
-      (** (owner, group, events) — one journal per server incarnation *)
+      (** (owner, group, events) — one journal per lock table *)
   i_clients : Observe.t list;
   i_client_states : (string * string * string) list;
       (** (agent, group, digest) for agents joined & connected at the end *)
@@ -20,8 +20,8 @@ type input = {
   i_eras : float list;  (** single-server restart times, oldest first *)
   i_barriers : (string * Replication.Node.barrier_step list) list;
       (** per coordinating node, its cross-shard barrier journal as the
-          node recorded it ({!Replication.Node.barrier_journal}, oldest
-          first); [] unsharded *)
+          node's {!Replication.Node.hooks} saw it (oldest first); []
+          unsharded *)
   i_shards : int;  (** deployment shard count; 1 = classic sequencing *)
   i_relay : bool;
       (** relay-fronted deployment: delivery completeness applies *)

@@ -49,8 +49,7 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
   let engine = Sim.Engine.create ~seed () in
   let fabric = Net.Fabric.create engine in
   let deploy =
-    Deploy.create fabric ~sharded_direct_views:bug.skip_barrier
-      ~clients:sched.Schedule.clients sched.Schedule.kind
+    Deploy.create fabric ~bug ~clients:sched.Schedule.clients sched.Schedule.kind
   in
   (* Relay deployments keep a single root, so they share the single-mode
      reconnect path (surviving replicas + Updates_since resync) — just

@@ -21,21 +21,10 @@ type lock_state = {
 
 type t = {
   locks : (Proto.Types.lock_id, lock_state) Hashtbl.t;
-  journal : event Queue.t option; (* oldest first, when recording *)
+  on_event : event -> unit;
 }
 
-let create ?(record_journal = false) () =
-  {
-    locks = Hashtbl.create 8;
-    journal = (if record_journal then Some (Queue.create ()) else None);
-  }
-
-let record t ev = match t.journal with Some q -> Queue.add ev q | None -> ()
-
-let journal t =
-  match t.journal with
-  | Some q -> List.rev (Queue.fold (fun acc ev -> ev :: acc) [] q)
-  | None -> []
+let create ~on_event = { locks = Hashtbl.create 8; on_event }
 
 let enqueue t s lock member =
   if not (Hashtbl.mem s.queued member) then begin
@@ -43,7 +32,7 @@ let enqueue t s lock member =
     s.next_ticket <- ticket + 1;
     Hashtbl.replace s.queued member ticket;
     Queue.add (member, ticket) s.waiting;
-    record t (Queued (lock, member))
+    t.on_event (Queued (lock, member))
   end
 
 let acquire t ~lock ~member =
@@ -51,7 +40,7 @@ let acquire t ~lock ~member =
   | None ->
       Hashtbl.replace t.locks lock
         { holder = member; waiting = Queue.create (); queued = Hashtbl.create 4; next_ticket = 0 };
-      record t (Granted (lock, member));
+      t.on_event (Granted (lock, member));
       `Granted
   | Some s when s.holder = member -> `Granted
   | Some s ->
@@ -68,14 +57,14 @@ let rec grant_next t lock s =
       | Some live when live = ticket ->
           Hashtbl.remove s.queued next;
           s.holder <- next;
-          record t (Granted (lock, next));
+          t.on_event (Granted (lock, next));
           Some next
       | Some _ | None -> grant_next t lock s (* stale entry: waiter left or re-queued *))
 
 let release t ~lock ~member =
   match Hashtbl.find_opt t.locks lock with
   | Some s when s.holder = member ->
-      record t (Released (lock, member));
+      t.on_event (Released (lock, member));
       `Released (grant_next t lock s)
   | Some _ | None -> `Not_holder
 
@@ -86,10 +75,10 @@ let release_all t ~member =
     (fun (lock, s) ->
       if Hashtbl.mem s.queued member then begin
         Hashtbl.remove s.queued member;
-        record t (Unqueued (lock, member))
+        t.on_event (Unqueued (lock, member))
       end;
       if s.holder = member then begin
-        record t (Released (lock, member));
+        t.on_event (Released (lock, member));
         released := (lock, grant_next t lock s) :: !released
       end)
     locks;

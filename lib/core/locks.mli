@@ -7,11 +7,11 @@
 
 type t
 
-(** One entry of the optional grant journal, in execution order. [Granted]
+(** One step of a table's event stream, in execution order. [Granted]
     is emitted both for immediate grants and for grants inherited from the
     wait queue on release; [Released] covers voluntary release and the
     force-release on leave/crash; [Unqueued] marks a waiter dropped from a
-    queue before ever holding the lock. Replaying the journal against a
+    queue before ever holding the lock. Replaying a table's stream against a
     model checks holder exclusivity and FIFO grant order — the lock-safety
     oracle of [Check.Oracles]. *)
 type event =
@@ -20,12 +20,10 @@ type event =
   | Unqueued of Proto.Types.lock_id * Proto.Types.member_id
   | Released of Proto.Types.lock_id * Proto.Types.member_id
 
-val create : ?record_journal:bool -> unit -> t
-(** [record_journal] (default [false]) keeps the full event journal in
-    memory; leave it off outside checking harnesses. *)
-
-val journal : t -> event list
-(** Recorded events, oldest first ([] when recording is off). *)
+val create : on_event:(event -> unit) -> t
+(** [on_event] is the table's sink, called with each event as it happens.
+    The table keeps no history: production servers pass [ignore], and a
+    checking harness passes a sink that journals. *)
 
 val acquire :
   t ->

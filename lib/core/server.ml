@@ -14,8 +14,6 @@ type config = {
          channel for capable clients, point-to-point TCP for the rest *)
   transfer_chunk_bytes : int option;
       (* QoS-adaptive transfer pacing ([11], §5.3) *)
-  record_lock_journal : bool;
-      (* keep per-group lock grant journals for invariant checking *)
   wal_batching : Storage.Wal.batch_config option;
       (* group commit: coalesce log appends into one physical write per
          seek; None = one write per record *)
@@ -34,7 +32,6 @@ let default_config =
     access = Access_control.allow_all;
     use_ip_multicast = false;
     transfer_chunk_bytes = None;
-    record_lock_journal = false;
     wal_batching = None;
     lean_joins = false;
   }
@@ -66,6 +63,7 @@ type t = {
   server_host : Net.Host.t;
   cfg : config;
   storage : Server_storage.t;
+  lock_table : T.group_id -> Locks.event -> unit;
   groups : (T.group_id, group) Hashtbl.t;
   eng : Group_engine.t;
   (* joins paused on §6 sender-assisted recovery: completed when that
@@ -127,11 +125,6 @@ let lock_holder t group lock =
   | Some g -> Locks.holder g.g_locks lock
   | None -> None
 
-let lock_journal t id =
-  match Hashtbl.find_opt t.groups id with
-  | Some g -> Locks.journal g.g_locks
-  | None -> []
-
 let group_updates_from t id from =
   match log_of t id with Some log -> State_log.updates_from log from | None -> []
 
@@ -163,7 +156,7 @@ let add_group t ~group ~persistent keeper =
       g_persistent = persistent;
       g_keeper = keeper;
       g_members = Membership.create ();
-      g_locks = Locks.create ~record_journal:t.cfg.record_lock_journal ();
+      g_locks = Locks.create ~on_event:(t.lock_table group);
       g_mcast_members = Hashtbl.create 8;
     }
 
@@ -506,13 +499,15 @@ let recover_groups t =
       add_group t ~group:ck.ck_group ~persistent:ck.ck_persistent (Stateful log))
     (Server_storage.recoverable_groups t.storage)
 
-let create fabric server_host ?(config = default_config) ~storage () =
+let create fabric server_host ?(config = default_config) ?(lock_table = fun _ -> ignore)
+    ~storage () =
   let t =
     {
       fabric;
       server_host;
       cfg = config;
       storage;
+      lock_table;
       groups = Hashtbl.create 16;
       eng = Group_engine.create (Net.Fabric.engine fabric);
       pending_recovery = Hashtbl.create 4;

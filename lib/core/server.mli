@@ -38,9 +38,6 @@ type config = {
           (at roughly half the NIC rate) so concurrent interactive
           multicasts are not head-of-line blocked behind a bulk transfer;
           [None] sends the whole state in one message *)
-  record_lock_journal : bool;
-      (** keep per-group {!Locks} grant journals in memory so invariant
-          checkers ({!Check}) can replay them; off by default *)
   wal_batching : Storage.Wal.batch_config option;
       (** WAL group commit: log appends arriving while the disk is busy
           coalesce into one physical write paying a single seek, making
@@ -76,11 +73,16 @@ val create :
   Net.Fabric.t ->
   Net.Host.t ->
   ?config:config ->
+  ?lock_table:(Proto.Types.group_id -> Locks.event -> unit) ->
   storage:Server_storage.t ->
   unit ->
   t
 (** Start the server: bind the listener and recover persistent groups from
-    [storage]. @raise Invalid_argument if the port is already bound. *)
+    [storage]. [lock_table] is a checker hook: it is called once per lock
+    table the server creates (a new group, a recreated one, or a persistent
+    group recovered here) and returns that table's {!Locks} event sink.
+    Only [Check] and the tests pass it; the default sink discards.
+    @raise Invalid_argument if the port is already bound. *)
 
 val shutdown : t -> unit
 (** Graceful stop: checkpoint persistent groups, close the listener and all
@@ -106,10 +108,6 @@ val group_log_length : t -> Proto.Types.group_id -> int option
 
 val lock_holder :
   t -> Proto.Types.group_id -> Proto.Types.lock_id -> Proto.Types.member_id option
-
-val lock_journal : t -> Proto.Types.group_id -> Locks.event list
-(** The group's lock grant journal (empty unless
-    [config.record_lock_journal] is on, or the group is unknown). *)
 
 val group_updates_from : t -> Proto.Types.group_id -> int -> Proto.Types.update list
 (** Retained updates of the group's log with seqno ≥ the argument (stateful

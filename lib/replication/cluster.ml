@@ -7,8 +7,8 @@ let fabric t = t.fabric
 
 let nodes t = t.all
 
-let create fabric ?(config = Node.default_config) ?(server_cpu = Net.Host.ultrasparc)
-    ~replicas () =
+let create fabric ?(config = Node.default_config) ?(hooks = fun _ -> Node.no_hooks)
+    ?(server_cpu = Net.Host.ultrasparc) ~replicas () =
   let names = List.init (replicas + 1) (Printf.sprintf "srv-%d") in
   let hosts =
     List.map (fun name -> Net.Fabric.add_host fabric ~name ~cpu:server_cpu ()) names
@@ -18,7 +18,8 @@ let create fabric ?(config = Node.default_config) ?(server_cpu = Net.Host.ultras
     List.map
       (fun host ->
         let storage = Corona.Server_storage.create host () in
-        Node.create fabric host ~config ~storage ~server_list:names ~coordinator ())
+        Node.create fabric host ~config ~hooks:(hooks (Net.Host.name host)) ~storage
+          ~server_list:names ~coordinator ())
       hosts
   in
   List.iter (fun n -> Node.connect_peers n all) all;

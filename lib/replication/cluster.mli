@@ -11,12 +11,14 @@ type t
 val create :
   Net.Fabric.t ->
   ?config:Node.config ->
+  ?hooks:(Smsg.server_id -> Node.hooks) ->
   ?server_cpu:Net.Host.cpu_profile ->
   replicas:int ->
   unit ->
   t
 (** Create hosts ["srv-0"] (coordinator) through ["srv-N"], start the nodes
-    and mesh them. *)
+    and mesh them. [hooks id] gives node [id] its checker hooks (default
+    {!Node.no_hooks}); only [Check] and the tests pass it. *)
 
 val fabric : t -> Net.Fabric.t
 

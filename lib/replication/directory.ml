@@ -20,11 +20,10 @@ type entry = {
 
 type t = {
   entries : (Proto.Types.group_id, entry) Hashtbl.t;
-  record_lock_journal : bool;
+  lock_table : Proto.Types.group_id -> Corona.Locks.event -> unit;
 }
 
-let create ?(record_lock_journal = false) () =
-  { entries = Hashtbl.create 16; record_lock_journal }
+let create ~lock_table = { entries = Hashtbl.create 16; lock_table }
 
 let group_ids t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.entries [] |> List.sort String.compare
@@ -76,7 +75,7 @@ let add_group t ~group ~persistent ~first_holder =
         e_order = [];
         e_holders = [ first_holder ];
         e_replicas = [ first_holder ];
-        e_locks = Corona.Locks.create ~record_journal:t.record_lock_journal ();
+        e_locks = Corona.Locks.create ~on_event:(t.lock_table group);
       }
     in
     Hashtbl.replace t.entries group e;

@@ -17,10 +17,10 @@ type entry
 
 type t
 
-val create : ?record_lock_journal:bool -> unit -> t
-(** [record_lock_journal] (default [false]) makes every group's lock table
-    keep its grant journal ({!Corona.Locks.journal}) for invariant
-    checking. *)
+val create : lock_table:(Proto.Types.group_id -> Corona.Locks.event -> unit) -> t
+(** [lock_table group] is called each time an entry, and with it a lock
+    table, is created, and returns that table's {!Corona.Locks} event sink
+    ({!Node.hooks}). *)
 
 val group_ids : t -> Proto.Types.group_id list
 

@@ -11,9 +11,7 @@ type config = {
   reduction : SL.reduction_policy;
   access : Corona.Access_control.t;
   relaxed_membership : bool;
-  record_lock_journal : bool;
   shards : int;
-  sharded_direct_views : bool;
 }
 
 let default_config =
@@ -25,9 +23,7 @@ let default_config =
     reduction = SL.No_reduction;
     access = Corona.Access_control.allow_all;
     relaxed_membership = false;
-    record_lock_journal = false;
     shards = 1;
-    sharded_direct_views = false;
   }
 
 (* Escalation unit of the election; also paces the recovery round's settle
@@ -45,6 +41,14 @@ type barrier_step = {
   vector : int list; (* [] at [Prepare]: slots are not yet known *)
   op : string;
 }
+
+type hooks = {
+  lock_table : T.group_id -> Corona.Locks.event -> unit;
+  barrier_step : (barrier_step -> unit) option;
+  skip_barrier : bool;
+}
+
+let no_hooks = { lock_table = (fun _ -> ignore); barrier_step = None; skip_barrier = false }
 
 type stats = {
   fwd_bcasts : int;
@@ -163,7 +167,7 @@ type t = {
   mutable bar_next : int;
   bar_queue : (T.group_id, Smsg.shard_op list) Hashtbl.t; (* newest first *)
   mutable bar_inflight : inflight_barrier list;
-  mutable barrier_journal : barrier_step list; (* newest first *)
+  hooks : hooks;
 }
 
 let now t = Sim.Engine.now (Net.Fabric.engine t.fabric)
@@ -225,17 +229,6 @@ let group_local_members t g =
   | Some rg -> Corona.Membership.members rg.rg_local
   | None -> []
 
-let lock_journal t =
-  List.filter_map
-    (fun g ->
-      match Directory.find t.dir g with
-      | Some entry -> (
-          match Corona.Locks.journal (Directory.locks entry) with
-          | [] -> None
-          | events -> Some (g, events))
-      | None -> None)
-    (Directory.group_ids t.dir)
-
 (* --- sharded inspection ------------------------------------------------- *)
 
 (* A seeded copy, or None. *)
@@ -258,8 +251,6 @@ let shard_snapshot_objects logs =
 
 let group_shard_objects t g =
   Option.map (fun (_, logs) -> shard_snapshot_objects logs) (held t g)
-
-let barrier_journal t = List.rev t.barrier_journal
 
 let shard_epoch t = t.shard_epoch
 
@@ -621,9 +612,12 @@ and complete_shard_join t rg member =
 
 (* --- coordinator: barrier engine ------------------------------------------ *)
 
-and journal_barrier t ~bar ~group ~phase ~vector ~op =
-  t.barrier_journal <-
-    { bar; group; phase; vector; op = Smsg.shard_op_label op } :: t.barrier_journal
+and report_barrier t ~bar ~group ~phase ~vector ~op =
+  match t.hooks.barrier_step with
+  | None -> ()
+  | Some observe ->
+      observe
+        { bar; group; phase; vector = Array.to_list vector; op = Smsg.shard_op_label op }
 
 and barrier_submit t group op =
   let q = Option.value (Hashtbl.find_opt t.bar_queue group) ~default:[] in
@@ -644,7 +638,7 @@ and barrier_start t group =
         { ib_bar = bar; ib_group = group; ib_op = op; ib_pos = []; ib_started = now t }
       in
       t.bar_inflight <- ib :: t.bar_inflight;
-      journal_barrier t ~bar ~group ~phase:Prepare ~vector:[] ~op;
+      report_barrier t ~bar ~group ~phase:Prepare ~vector:[||] ~op;
       barrier_prepare_round t ib
 
 and barrier_prepare_round t ib =
@@ -674,8 +668,7 @@ and barrier_absorb_pos t ~bar ~group ~positions =
       if List.length ib.ib_pos = t.cfg.shards then begin
         let vector = Array.init t.cfg.shards (fun s -> List.assoc s ib.ib_pos) in
         t.bar_inflight <- List.filter (fun x -> x != ib) t.bar_inflight;
-        journal_barrier t ~bar ~group ~phase:Commit
-          ~vector:(Array.to_list vector) ~op:ib.ib_op;
+        report_barrier t ~bar ~group ~phase:Commit ~vector ~op:ib.ib_op;
         send_peers t t.alive
           (Smsg.Barrier_commit
              { bar; epoch = t.shard_epoch; group; vector; op = ib.ib_op });
@@ -944,7 +937,7 @@ and coord_handle t ~from msg =
                      at the same per-shard positions on every replica, or two
                      replicas could disagree on which updates ran under the
                      lock. Locks stay barriered even under the
-                     [sharded_direct_views] bug injection. *)
+                     skip-barrier bug injection. *)
                   if t.cfg.shards > 1 then
                     barrier_submit t group (Smsg.Op_lock { lock; member })
                   else
@@ -1002,14 +995,14 @@ and ensure_two_holders t entry =
    already told its own clients). *)
 and coord_view t entry ~origin change members =
   let group = Directory.group entry in
-  if t.cfg.shards > 1 && not t.cfg.sharded_direct_views then
+  if t.cfg.shards > 1 && not t.hooks.skip_barrier then
     barrier_submit t group (Smsg.Op_view { change; members; origin })
   else
     let except = if t.cfg.relaxed_membership then Some origin else None in
     coord_fan_group t entry ?except (Smsg.Membership_update { group; change; members })
 
 (* A lock handed to the next waiter. Sharded, the grant is a cross-shard op
-   (even under the [sharded_direct_views] injection); classic, it is pushed
+   (even under the skip-barrier injection); classic, it is pushed
    to the member's server. *)
 and coord_grant t entry ~lock ~member =
   if t.cfg.shards > 1 then
@@ -1098,7 +1091,7 @@ and replica_handle t ~from msg =
           | T.Member_left m | T.Member_crashed m ->
               ignore (E.remove_member t.eng rg.rg_local ~group m)
           | T.Member_joined _ -> ());
-          (* sharded_direct_views injection: views bypass the barrier, but a
+          (* skip-barrier injection: views bypass the barrier, but a
              sharded join must still finish here, or the seeded bug would
              manifest as lost liveness instead of a missing barrier stamp *)
           (if t.cfg.shards > 1 then
@@ -1700,8 +1693,8 @@ let accept_client t conn =
       | M.Corona (M.Request req) -> if is_current t then handle_client_request t conn req
       | M.Corona (M.Response _) | _ -> ())
 
-let create fabric node_host ?(config = default_config) ~storage ~server_list
-    ~coordinator () =
+let create fabric node_host ?(config = default_config) ?(hooks = no_hooks) ~storage
+    ~server_list ~coordinator () =
   let self = Net.Host.name node_host in
   let rec t =
     {
@@ -1714,7 +1707,7 @@ let create fabric node_host ?(config = default_config) ~storage ~server_list
       alive = server_list;
       coord = coordinator;
       node_role = (if self = coordinator then Coordinator else Replica);
-      dir = Directory.create ~record_lock_journal:config.record_lock_journal ();
+      dir = Directory.create ~lock_table:hooks.lock_table;
       dir_ready = true;
       dir_waiting_on = [];
       dir_round = 0;
@@ -1750,7 +1743,7 @@ let create fabric node_host ?(config = default_config) ~storage ~server_list
       bar_next = 0;
       bar_queue = Hashtbl.create 4;
       bar_inflight = [];
-      barrier_journal = [];
+      hooks;
       s_fwd_bcasts = 0;
       s_sequenced = 0;
       s_applied = 0;

@@ -31,9 +31,6 @@ type config = {
       (** §4.1 relaxation: the origin replica notifies its local clients of
           joins/leaves immediately, without waiting for the coordinator
           round-trip *)
-  record_lock_journal : bool;
-      (** keep the directory's per-group lock grant journals in memory for
-          invariant checking ({!Check}); off by default *)
   shards : int;
       (** Deployment-time sequencing shards. [1] (default) keeps the classic
           single-sequencer path. [> 1] partitions each group's keyspace over
@@ -42,12 +39,6 @@ type config = {
           owner in the epoch's owner table, not by the coordinator. Ops that
           span shards (views, lock grants) ride a two-phase cross-shard
           barrier stamped with a vector of per-shard positions. *)
-  sharded_direct_views : bool;
-      (** Bug injection for corona-check (default off): sharded membership
-          views skip the cross-shard barrier and fan as classic direct
-          [Membership_update]s — replicas then interleave the view at
-          different per-shard points, which the cross-shard total-order
-          oracle must catch. Lock grants stay barriered even when on. *)
 }
 
 val default_config : config
@@ -58,12 +49,45 @@ val default_config : config
 
 type role = Coordinator | Replica
 
+type barrier_phase = Prepare | Commit
+
+type barrier_step = {
+  bar : int;
+  group : Proto.Types.group_id;
+  phase : barrier_phase;
+  vector : int list;  (** per-shard positions; [[]] at [Prepare] *)
+  op : string;  (** short op label, e.g. ["view +cl-3/m"] or ["lock l0"] *)
+}
+
+(** Observers and the one bug injection a checker installs. Only [Check]
+    and the tests build one; production nodes run {!no_hooks}. The node
+    keeps none of what it reports. *)
+type hooks = {
+  lock_table : Proto.Types.group_id -> Corona.Locks.event -> unit;
+      (** called once per lock table the node's directory creates; returns
+          that table's {!Corona.Locks} event sink *)
+  barrier_step : (barrier_step -> unit) option;
+      (** sees each step of the cross-shard barriers this node coordinates:
+          a [Prepare] per barrier start, a [Commit] (with the stamped
+          vector) per fan. [None] builds no step record at all. *)
+  skip_barrier : bool;
+      (** the skip-barrier bug injection, set only by [Check]: sharded
+          membership views skip the cross-shard barrier and fan as classic
+          direct [Membership_update]s, so replicas interleave the view at
+          different per-shard points, which the cross-shard oracle must
+          catch. Lock grants stay barriered. *)
+}
+
+val no_hooks : hooks
+(** Discarding lock sinks, no barrier observer, no injection. *)
+
 type t
 
 val create :
   Net.Fabric.t ->
   Net.Host.t ->
   ?config:config ->
+  ?hooks:hooks ->
   storage:Corona.Server_storage.t ->
   server_list:Smsg.server_id list ->
   coordinator:Smsg.server_id ->
@@ -103,11 +127,6 @@ val group_base : t -> Proto.Types.group_id -> ((Proto.Types.object_id * string) 
 
 val group_local_members : t -> Proto.Types.group_id -> Proto.Types.member list
 
-val lock_journal : t -> (Proto.Types.group_id * Corona.Locks.event list) list
-(** Non-empty lock grant journals of this node's directory (a node that was
-    ever coordinator carries the journals accumulated during its tenure;
-    requires [config.record_lock_journal]). *)
-
 (** {2 Sharded sequencing} *)
 
 val sharded : t -> bool
@@ -128,22 +147,6 @@ val group_shard_objects :
   t -> Proto.Types.group_id -> (Proto.Types.object_id * string) list option
 (** Merged object view of the local copy: every shard's objects, sorted by
     id (shards cover disjoint slices). *)
-
-type barrier_phase = Prepare | Commit
-
-type barrier_step = {
-  bar : int;
-  group : Proto.Types.group_id;
-  phase : barrier_phase;
-  vector : int list;  (** per-shard positions; [[]] at [Prepare] *)
-  op : string;  (** short op label, e.g. ["view +cl-3/m"] or ["lock l0"] *)
-}
-
-val barrier_journal : t -> barrier_step list
-(** The steps of the cross-shard barriers this node coordinated, oldest
-    first: a [Prepare] per barrier start, a [Commit] (with the stamped
-    vector) per fan. In memory only; corona-check's cross-shard oracle
-    reads it. *)
 
 val adopt_group_state :
   t ->

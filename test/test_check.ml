@@ -549,6 +549,43 @@ let test_lock_oracle_model () =
       Corona.Locks.Granted ("l", "c");
     ]
 
+(* Deploy labels each lock table's journal with the incarnation that made
+   it: a lock cycle before a single-server crash stays under srv-0#0, and
+   the persistent group that the restarted server recovers gets a fresh
+   table under srv-0#1. *)
+let test_lock_journals_across_restart () =
+  let engine = Sim.Engine.create ~seed:5L () in
+  let fabric = Net.Fabric.create engine in
+  let d = Check.Deploy.create fabric (S.Single { sync_log = false }) in
+  let lock_cycle ~host ~member ~first k =
+    Corona.Client.connect fabric ~host ~server:(Check.Deploy.client_target d 0) ~member
+      ~on_connected:(fun c ->
+        if first then Corona.Client.create_group c ~group:"p" ~persistent:true ~k:ignore ();
+        Corona.Client.join c ~group:"p"
+          ~k:(fun _ ->
+            Corona.Client.acquire_lock c ~group:"p" ~lock:"l" ~k:(fun _ ->
+                Corona.Client.release_lock c ~group:"p" ~lock:"l" ~k))
+          ())
+      ~on_failed:(fun () -> Alcotest.failf "%s could not connect" member)
+      ()
+  in
+  let host name = Net.Fabric.add_host fabric ~name () in
+  let cycles = ref 0 in
+  lock_cycle ~host:(host "c0") ~member:"a" ~first:true (fun _ -> incr cycles);
+  Sim.Engine.run engine;
+  Check.Deploy.crash_server d 0;
+  Sim.Engine.run engine;
+  Check.Deploy.restart_server d;
+  lock_cycle ~host:(host "c1") ~member:"b" ~first:false (fun _ -> incr cycles);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "both lock cycles completed" 2 !cycles;
+  let journals = Check.Deploy.lock_journals d in
+  let cycle m = Corona.Locks.[ Granted ("l", m); Released ("l", m) ] in
+  Alcotest.(check bool) "one journal per incarnation, each with its own cycle" true
+    (journals = [ ("srv-0#0", "p", cycle "a"); ("srv-0#1", "p", cycle "b") ]);
+  Alcotest.(check int) "the journals replay clean" 0
+    (List.length (O.locks { empty_input with O.i_journals = journals }))
+
 let test_total_order_oracle () =
   let obs = Check.Observe.create "c0" in
   Check.Observe.record obs ~now:1.0 (Check.Observe.Joined { group = "g"; next = 0 });
@@ -672,5 +709,6 @@ let () =
           tc "total order" `Quick test_total_order_oracle;
           tc "era scoping (§6 seqno reuse)" `Quick test_era_scoping;
           tc "log-reduction fidelity" `Quick test_fidelity_oracle;
+          tc "lock journals across a restart" `Quick test_lock_journals_across_restart;
         ] );
     ]

@@ -15,7 +15,7 @@ type world = {
   storage : Corona.Server_storage.t;
 }
 
-let make_world ?(seed = 42L) ?(clients = 4) ?config () =
+let make_world ?(seed = 42L) ?(clients = 4) ?config ?lock_table () =
   let engine = Sim.Engine.create ~seed () in
   let fabric = Net.Fabric.create engine in
   let server_host = Net.Fabric.add_host fabric ~name:"server" () in
@@ -25,7 +25,7 @@ let make_world ?(seed = 42L) ?(clients = 4) ?config () =
           ~cpu:Net.Host.sparc20 ())
   in
   let storage = Corona.Server_storage.create server_host () in
-  let server = Corona.Server.create fabric server_host ?config ~storage () in
+  let server = Corona.Server.create fabric server_host ?config ?lock_table ~storage () in
   ignore server;
   ({ engine; fabric; server_host; client_hosts; storage }, server)
 
@@ -475,6 +475,67 @@ let test_locks () =
   Alcotest.(check (option string))
     "server holder view" (Some "b")
     (Corona.Server.lock_holder server "g" "pen")
+
+(* The [lock_table] hook sees one table per group incarnation: a lock held
+   when its group is deleted does not carry over into the recreated group.
+   Each table's journal replays clean under the lock oracle; spliced into
+   one journal, the same events grant the lock twice. *)
+let test_lock_table_per_group_incarnation () =
+  let tables = ref [] in
+  let lock_table group =
+    let events = ref [] in
+    tables := (group, events) :: !tables;
+    fun ev -> events := ev :: !events
+  in
+  let w, _server = make_world ~lock_table () in
+  let b_reply = ref None in
+  let acquire c k =
+    Corona.Client.acquire_lock c ~group:"g" ~lock:"pen" ~k
+  in
+  connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
+      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g"
+        ~k:(fun _ ->
+          acquire a (function
+            | Corona.Client.R_lock `Granted ->
+                Corona.Client.delete_group a ~group:"g" ~k:(fun _ ->
+                    Corona.Client.create_group a ~group:"g" ~k:(expect_ok "recreate") ();
+                    connect_client w ~host:w.client_hosts.(1) ~member:"b" (fun b ->
+                        Corona.Client.join b ~group:"g"
+                          ~k:(fun _ -> acquire b (fun r -> b_reply := Some r))
+                          ()))
+            | _ -> Alcotest.fail "expected granted"))
+        ());
+  run w.engine;
+  (match !b_reply with
+  | Some (Corona.Client.R_lock `Granted) -> ()
+  | _ -> Alcotest.fail "b should be granted the recreated group's lock");
+  let journals =
+    List.rev_map (fun (g, events) -> ("server", g, List.rev !events)) !tables
+  in
+  Alcotest.(check (list string)) "two tables for g" [ "g"; "g" ]
+    (List.map (fun (_, g, _) -> g) journals);
+  let input journals =
+    {
+      Check.Oracles.i_copies = [];
+      i_journals = journals;
+      i_clients = [];
+      i_client_states = [];
+      i_members = [];
+      i_expected_members = [];
+      i_eras = [];
+      i_barriers = [];
+      i_shards = 1;
+      i_relay = false;
+    }
+  in
+  Alcotest.(check int) "each table replays clean" 0
+    (List.length (Check.Oracles.locks (input journals)));
+  let spliced = List.concat_map (fun (_, _, events) -> events) journals in
+  Alcotest.(check (list string)) "one spliced journal grants the lock twice"
+    [ "[locks] g/pen@server: granted to b while a holds it" ]
+    (List.map Check.Oracles.violation_line
+       (Check.Oracles.locks (input [ ("server", "g", spliced) ])))
 
 let test_log_reduction () =
   let w, server = make_world () in
@@ -1283,6 +1344,8 @@ let () =
           tc "chunked transfer reassembles" `Quick test_chunked_transfer_reassembly;
           tc "chunked transfer interleaves" `Quick test_chunked_transfer_interleaving;
           tc "sender-assisted crash recovery" `Quick test_sender_assisted_recovery;
+          tc "locks: one table per group incarnation" `Quick
+            test_lock_table_per_group_incarnation;
         ] );
       ("relay", [ tc "an idle relay tier sends nothing" `Quick test_idle_relay_tier_sends_nothing ]);
     ]

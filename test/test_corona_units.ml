@@ -263,8 +263,15 @@ let prop_state_equals_base_plus_retained_log =
 
 (* --- locks ------------------------------------------------------------------ *)
 
+(* A lock table whose sink collects every event; the second component reads
+   them back oldest first. *)
+let journaled_locks () =
+  let events = ref [] in
+  ( Corona.Locks.create ~on_event:(fun ev -> events := ev :: !events),
+    fun () -> List.rev !events )
+
 let test_lock_grant_queue_release () =
-  let l = Corona.Locks.create () in
+  let l = Corona.Locks.create ~on_event:ignore in
   Alcotest.(check bool) "grant" true (Corona.Locks.acquire l ~lock:"x" ~member:"a" = `Granted);
   Alcotest.(check bool) "re-grant to holder" true
     (Corona.Locks.acquire l ~lock:"x" ~member:"a" = `Granted);
@@ -283,13 +290,13 @@ let test_lock_grant_queue_release () =
   Alcotest.(check (option string)) "free" None (Corona.Locks.holder l "x")
 
 let test_lock_release_not_holder () =
-  let l = Corona.Locks.create () in
+  let l = Corona.Locks.create ~on_event:ignore in
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"a");
   Alcotest.(check bool) "not holder" true
     (Corona.Locks.release l ~lock:"x" ~member:"b" = `Not_holder)
 
 let test_lock_release_all () =
-  let l = Corona.Locks.create () in
+  let l = Corona.Locks.create ~on_event:ignore in
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"a");
   ignore (Corona.Locks.acquire l ~lock:"y" ~member:"a");
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"b");
@@ -306,7 +313,7 @@ let test_lock_waiter_crash_mid_queue () =
   (* a holds; b, c, d wait. b crashes while queued: the grant chain must
      skip it and the journal must record the drop as Unqueued, never
      Granted. *)
-  let l = Corona.Locks.create ~record_journal:true () in
+  let l, journal = journaled_locks () in
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"a");
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"b");
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"c");
@@ -322,14 +329,14 @@ let test_lock_waiter_crash_mid_queue () =
   | `Released (Some "d") -> ()
   | _ -> Alcotest.fail "expected handoff to d");
   Alcotest.(check bool) "b never granted" false
-    (List.mem (Corona.Locks.Granted ("x", "b")) (Corona.Locks.journal l));
+    (List.mem (Corona.Locks.Granted ("x", "b")) (journal ()));
   Alcotest.(check bool) "drop journaled" true
-    (List.mem (Corona.Locks.Unqueued ("x", "b")) (Corona.Locks.journal l))
+    (List.mem (Corona.Locks.Unqueued ("x", "b")) (journal ()))
 
 let test_lock_grant_order_interleaved () =
   (* Enqueues interleaved with releases: grants must follow enqueue order
      (b, c, d, e) no matter when each release happens. *)
-  let l = Corona.Locks.create () in
+  let l = Corona.Locks.create ~on_event:ignore in
   let next_holder m =
     match Corona.Locks.release l ~lock:"x" ~member:m with
     | `Released next -> next
@@ -349,7 +356,7 @@ let test_lock_grant_order_interleaved () =
   Alcotest.(check (option string)) "e -> free" None (next_holder "e")
 
 let test_lock_double_release () =
-  let l = Corona.Locks.create () in
+  let l = Corona.Locks.create ~on_event:ignore in
   ignore (Corona.Locks.acquire l ~lock:"x" ~member:"a");
   Alcotest.(check bool) "first release" true
     (Corona.Locks.release l ~lock:"x" ~member:"a" = `Released None);
@@ -374,7 +381,7 @@ let prop_lock_single_holder =
     (QCheck.make
        QCheck.Gen.(list_size (int_range 0 60) (pair (int_range 0 3) bool)))
     (fun ops ->
-      let l = Corona.Locks.create () in
+      let l = Corona.Locks.create ~on_event:ignore in
       let member i = Printf.sprintf "m%d" i in
       let ok = ref true in
       List.iter
@@ -912,6 +919,63 @@ let oracle_input ?(shards = 2) ?(journals = []) ?(barriers = []) () =
 
 let violation_lines vs = List.map Check.Oracles.violation_line vs
 
+(* Random acquire / release / release_all traffic over 3 locks and 5
+   members, observed only through the table's sink: the collected stream
+   replays clean under the lock oracle, and after every step the table's
+   holders and waiters match a list model (holder, FIFO queue per lock). *)
+let prop_lock_stream_matches_model =
+  let locks = [ "l0"; "l1"; "l2" ] in
+  let op_gen =
+    QCheck.Gen.(
+      map3
+        (fun kind l m -> (kind, List.nth locks l, Printf.sprintf "m%d" m))
+        (int_range 0 2) (int_range 0 2) (int_range 0 4))
+  in
+  let show (kind, l, m) =
+    Printf.sprintf "%s %s %s" (match kind with 0 -> "acquire" | 1 -> "release" | _ -> "release_all") l m
+  in
+  QCheck.Test.make ~name:"locks: sink matches a list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list show) QCheck.Gen.(list_size (int_range 0 80) op_gen))
+    (fun ops ->
+      let t, journal = journaled_locks () in
+      (* model: lock -> (holder, waiters oldest first) *)
+      let model = Hashtbl.create 3 in
+      let get l = Option.value (Hashtbl.find_opt model l) ~default:(None, []) in
+      let hand_on l = function
+        | [] -> Hashtbl.replace model l (None, [])
+        | next :: rest -> Hashtbl.replace model l (Some next, rest)
+      in
+      let step (kind, l, m) =
+        match kind with
+        | 0 -> (
+            ignore (Corona.Locks.acquire t ~lock:l ~member:m);
+            match get l with
+            | None, _ -> Hashtbl.replace model l (Some m, [])
+            | Some h, q ->
+                if h <> m && not (List.mem m q) then Hashtbl.replace model l (Some h, q @ [ m ]))
+        | 1 -> (
+            ignore (Corona.Locks.release t ~lock:l ~member:m);
+            match get l with Some h, q when h = m -> hand_on l q | _ -> ())
+        | _ ->
+            ignore (Corona.Locks.release_all t ~member:m);
+            List.iter
+              (fun l ->
+                match get l with
+                | Some h, q when h = m -> hand_on l q
+                | h, q -> Hashtbl.replace model l (h, List.filter (( <> ) m) q))
+              locks
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all
+            (fun l ->
+              let h, q = get l in
+              Corona.Locks.holder t l = h && Corona.Locks.waiters t l = q)
+            locks)
+        ops
+      && Check.Oracles.locks (oracle_input ~journals:[ ("n0", "g", journal ()) ] ()) = [])
+
 let barrier_step phase bar vector op =
   { Replication.Node.bar; group = "g"; phase; vector; op }
 
@@ -919,7 +983,7 @@ let test_sharded_lock_spanning_two_shards () =
   (* One member holds two locks whose grants advance different shards; its
      leave hands both to the queued waiter via two barrier commits, each
      stamped with the full two-shard vector. *)
-  let l = Corona.Locks.create ~record_journal:true () in
+  let l, journal = journaled_locks () in
   ignore (Corona.Locks.acquire l ~lock:"lx" ~member:"alice");
   ignore (Corona.Locks.acquire l ~lock:"ly" ~member:"alice");
   ignore (Corona.Locks.acquire l ~lock:"lx" ~member:"bob");
@@ -928,7 +992,7 @@ let test_sharded_lock_spanning_two_shards () =
     "both locks inherited by bob"
     [ ("lx", Some "bob"); ("ly", Some "bob") ]
     (Corona.Locks.release_all l ~member:"alice");
-  let journals = [ ("n0", "g", Corona.Locks.journal l) ] in
+  let journals = [ ("n0", "g", journal ()) ] in
   let steps =
     [
       barrier_step Prepare 1_000_000 [] "lock lx -> bob";
@@ -965,7 +1029,7 @@ let test_sharded_lock_waiter_crash_mid_barrier () =
      the force-release hands the lock on to carol. Replay must accept that
      chain — and reject the stale grant a buggy replica could still apply
      from the dead waiter's barrier afterwards. *)
-  let l = Corona.Locks.create ~record_journal:true () in
+  let l, journal = journaled_locks () in
   ignore (Corona.Locks.acquire l ~lock:"lk" ~member:"alice");
   ignore (Corona.Locks.acquire l ~lock:"lk" ~member:"bob");
   ignore (Corona.Locks.acquire l ~lock:"lk" ~member:"carol");
@@ -976,7 +1040,7 @@ let test_sharded_lock_waiter_crash_mid_barrier () =
     "carol inherits from the crashed waiter"
     [ ("lk", Some "carol") ]
     (Corona.Locks.release_all l ~member:"bob");
-  let journal = Corona.Locks.journal l in
+  let journal = journal () in
   Alcotest.(check (list string)) "crash handoff replay is clean" []
     (violation_lines
        (Check.Oracles.locks (oracle_input ~journals:[ ("n0", "g", journal) ] ())));
@@ -1027,6 +1091,7 @@ let () =
           tc "grant order, interleaved enqueue" `Quick test_lock_grant_order_interleaved;
           tc "double release rejected" `Quick test_lock_double_release;
           q prop_lock_single_holder;
+          q prop_lock_stream_matches_model;
         ] );
       ( "membership",
         [

@@ -11,10 +11,10 @@ type world = {
   client_hosts : Net.Host.t array;
 }
 
-let make_world ?(seed = 7L) ?(replicas = 3) ?(clients = 6) ?config () =
+let make_world ?(seed = 7L) ?(replicas = 3) ?(clients = 6) ?config ?hooks () =
   let engine = Sim.Engine.create ~seed () in
   let fabric = Net.Fabric.create engine in
-  let cluster = Replication.Cluster.create fabric ?config ~replicas () in
+  let cluster = Replication.Cluster.create fabric ?config ?hooks ~replicas () in
   let client_hosts =
     Array.init clients (fun i ->
         Net.Fabric.add_host fabric ~name:(Printf.sprintf "cl-%d" i)
@@ -940,17 +940,25 @@ let test_reduce_log_sharded () =
         (String.starts_with ~prefix:"sharded" reason)
   | _ -> Alcotest.fail "expected a refusal"
 
-(* A sharded join is one view barrier: the coordinator journals its
-   [Prepare] when the barrier opens and its [Commit], stamped with one
-   position per shard, when it fans. *)
+(* A sharded join is one view barrier: the coordinator's [barrier_step]
+   hook sees its [Prepare] when the barrier opens and its [Commit], stamped
+   with one position per shard, when it fans. *)
 let test_sharded_barrier_journal () =
   let config = { Replication.Node.default_config with shards = 2 } in
-  let w = make_world ~config () in
+  let steps = Hashtbl.create 4 in
+  let hooks id =
+    {
+      Replication.Node.no_hooks with
+      barrier_step = Some (fun step -> Hashtbl.add steps id step);
+    }
+  in
+  let w = make_world ~config ~hooks () in
   connect w ~idx:0 ~member:"a" (fun a ->
       Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
       Corona.Client.join a ~group:"g" ~k:(fun r -> ignore (expect_join "join a" r)) ());
   run ~until:5.0 w;
-  match Replication.Node.barrier_journal (Replication.Cluster.coordinator w.cluster) with
+  let coordinator = Replication.Node.id (Replication.Cluster.coordinator w.cluster) in
+  match List.rev (Hashtbl.find_all steps coordinator) with
   | [ p; c ] ->
       let phase (s : Replication.Node.barrier_step) =
         match s.phase with Prepare -> "prepare" | Commit -> "commit"

@@ -10,7 +10,7 @@ module R = Replication.Reconcile
 (* --- directory ---------------------------------------------------------- *)
 
 let test_directory_lifecycle () =
-  let d = D.create () in
+  let d = D.create ~lock_table:(fun _ -> ignore) in
   let e =
     match D.add_group d ~group:"g" ~persistent:true ~first_holder:"s1" with
     | `Ok e -> e
@@ -40,7 +40,7 @@ let test_directory_lifecycle () =
   Alcotest.(check bool) "not member" true (D.leave d ~group:"g" ~member:"a" = `Not_member)
 
 let test_directory_remove_server () =
-  let d = D.create () in
+  let d = D.create ~lock_table:(fun _ -> ignore) in
   let e =
     match D.add_group d ~group:"g" ~persistent:false ~first_holder:"s1" with
     | `Ok e -> e
@@ -61,7 +61,7 @@ let test_directory_remove_server () =
     [ ("g", None) ] need2
 
 let test_directory_rebuild_union () =
-  let d = D.create () in
+  let d = D.create ~lock_table:(fun _ -> ignore) in
   let report server group next members =
     ( server,
       {

@@ -343,6 +343,93 @@ let test_sweep_write_keeps_other_sections () =
         && String.starts_with ~prefix:"{\n  \"a\": [" contents
         && String.ends_with ~suffix:"  \"c\": [\n    {\"x\": 1}\n  ]\n}\n" contents))
 
+(* --- config ledger ----------------------------------------------------------- *)
+
+(* Every field of the two production configs, with the experiment that sets
+   it both ways ([Row]: a [corona_cli] subcommand or a [bench/main.exe]
+   section) or the reason it is fixed per deployment. Each ledger is a
+   complete record literal, not a [with] update: a new config field does
+   not compile until it is entered here. *)
+type mark = Row of string | Deployment_constant of string
+
+(* [mark] records a field's entry and returns its value unchanged. *)
+type marker = { mark : 'a. string -> mark -> 'a -> 'a }
+
+let ledger build =
+  let marks = ref [] in
+  ignore
+    (build
+       {
+         mark =
+           (fun name m v ->
+             marks := (name, m) :: !marks;
+             v);
+       });
+  List.sort compare !marks
+
+let timing =
+  Deployment_constant
+    "protocol timing: only bench/main.ml raises it, to keep the failure detector out of \
+     fault-free sweeps"
+
+let server_ledger =
+  ledger (fun { mark } ->
+      let d = Corona.Server.default_config in
+      {
+        Corona.Server.port = mark "port" (Deployment_constant "listening port") d.port;
+        maintain_state = mark "maintain_state" (Row "corona_cli fig3") d.maintain_state;
+        logging = mark "logging" (Row "corona_cli disk") d.logging;
+        reduction = mark "reduction" (Row "corona_cli logreduction") d.reduction;
+        access = mark "access" (Deployment_constant "application access policy") d.access;
+        use_ip_multicast = mark "use_ip_multicast" (Row "corona_cli fig3-mcast") d.use_ip_multicast;
+        transfer_chunk_bytes =
+          mark "transfer_chunk_bytes" (Row "corona_cli qos") d.transfer_chunk_bytes;
+        wal_batching = mark "wal_batching" (Row "corona_cli transfer") d.wal_batching;
+        lean_joins = mark "lean_joins" (Row "bench/main.exe relay") d.lean_joins;
+      })
+
+let node_ledger =
+  ledger (fun { mark } ->
+      let d = Replication.Node.default_config in
+      {
+        Replication.Node.client_port =
+          mark "client_port" (Deployment_constant "client listening port") d.client_port;
+        server_port = mark "server_port" (Deployment_constant "peer-mesh port") d.server_port;
+        heartbeat_interval = mark "heartbeat_interval" timing d.heartbeat_interval;
+        failure_timeout = mark "failure_timeout" timing d.failure_timeout;
+        reduction =
+          mark "reduction"
+            (Deployment_constant
+               "no experiment varies it on a Node; corona_cli logreduction measures the \
+                same State_log policy on Corona.Server")
+            d.reduction;
+        access = mark "access" (Deployment_constant "application access policy") d.access;
+        relaxed_membership =
+          mark "relaxed_membership" (Row "corona_cli failover") d.relaxed_membership;
+        shards = mark "shards" (Row "bench/main.exe sharded") d.shards;
+      })
+
+let check_ledger ~fields marks =
+  Alcotest.(check int) "one mark per field" fields (List.length marks);
+  Alcotest.(check int) "field names distinct" fields
+    (List.length (List.sort_uniq compare (List.map fst marks)));
+  List.iter
+    (fun (name, m) ->
+      match m with
+      | Row experiment ->
+          Alcotest.(check bool)
+            (name ^ ": a row names a corona_cli subcommand or a bench/main.exe section")
+            true
+            (String.starts_with ~prefix:"corona_cli " experiment
+            || String.starts_with ~prefix:"bench/main.exe " experiment)
+      | Deployment_constant reason ->
+          Alcotest.(check bool) (name ^ ": a constant gives its reason") true (reason <> ""))
+    marks
+
+let test_server_config_ledger () = check_ledger ~fields:9 server_ledger
+
+let test_node_config_ledger () = check_ledger ~fields:8 node_ledger
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "workload"
@@ -371,5 +458,10 @@ let () =
           tc "disk regimes" `Quick test_disk_regimes;
           tc "fan-out virtual-time golden" `Quick test_fanout_virtual_time_golden;
           tc "replicated virtual-time golden" `Quick test_replicated_virtual_time_golden;
+        ] );
+      ( "config",
+        [
+          tc "server ledger: every field marked" `Quick test_server_config_ledger;
+          tc "node ledger: every field marked" `Quick test_node_config_ledger;
         ] );
     ]
