@@ -5,6 +5,7 @@ Usage, from the root of the repository:
 
     python3 bench/ab.py --workload fanout --pairs 10 --seed 4242 --seconds 20
     python3 bench/ab.py --workload join_churn --base HEAD~1 --head HEAD
+    python3 bench/ab.py --workload replicated_failover --metric setup_s
     python3 bench/ab.py --workload micro --pairs 10
 
 Each side is exported into its own directory under --dir (`git archive`
@@ -17,9 +18,11 @@ sides alike. Every run is `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` inside that side's directory; a run that exits
 non-zero or reports failed operations stops the comparison.
 
-The report gives each side's median and interquartile range of
-host_ops_per_s (higher is better), the pairs head won, the median delta, and whether that delta is larger
-than the base's IQR ("beats noise"). It also says whether every virt_*
+The report gives each side's median and interquartile range of one
+end-to-end metric of BENCHMARK.json, chosen with --metric (default
+host_ops_per_s), the pairs head won, the median delta, and whether that
+delta is larger than the base's IQR ("beats noise"); "won" and "beats"
+follow the metric's declared `better` direction. It also says whether every virt_*
 metric was identical between the two sides, which holds when a change
 leaves the modeled system's virtual time alone. Last, for every
 end-to-end metric that BENCHMARK.json declares (name, `better`, `bound`;
@@ -32,7 +35,7 @@ in the metric's `better` direction, `within bound` otherwise.
 `bench/main.exe --quick --smoke micro` (which writes no BENCH_*.json), and
 the report covers its `engine pooled step @2000 pending` row, host
 ns/event (lower is better) and minor words/event, with no bound verdicts.
---seed and --seconds do not apply to it. Needs git, dune and python3 only; no network.
+--seed, --seconds and --metric do not apply to it. Needs git, dune and python3 only; no network.
 """
 
 import argparse
@@ -154,15 +157,26 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--metric", default=METRIC,
+                    help="end-to-end metric of BENCHMARK.json to compare "
+                         "(default %s)" % METRIC)
     ap.add_argument("--dir", default=os.path.join(tempfile.gettempdir(), "corona-ab"),
                     help="directory for the two exports; emptied "
                          "first (default: corona-ab in the system temp dir)")
     args = ap.parse_args()
     micro = args.workload == "micro"
-    metric = MICRO_METRIC if micro else METRIC
+    declared = {m["name"]: m for m in end_to_end()}
+    if micro:
+        if args.metric != METRIC:
+            sys.exit("ab: --metric does not apply to --workload micro")
+        metric = MICRO_METRIC
+    elif args.metric in declared:
+        metric = args.metric
+    else:
+        sys.exit("ab: --metric must be one of: " + ", ".join(declared))
     run = run_micro if micro else run_once
     # +1 when higher is better, -1 when lower is.
-    sign = -1 if micro else 1
+    sign = -1 if micro or declared[metric]["better"] == "lower" else 1
 
     shutil.rmtree(args.dir, ignore_errors=True)
     sides = {}
@@ -182,7 +196,7 @@ def main():
             runs[name].append(run(sides[name][0], args))
         b = runs["base"][-1][metric]
         h = runs["head"][-1][metric]
-        print("pair %2d  base %12.3f  head %12.3f  %+6.1f%%" % (
+        print("pair %2d  base %12.6g  head %12.6g  %+6.1f%%" % (
             i + 1, b, h, 100.0 * (h - b) / b), flush=True)
 
     base = [r[metric] for r in runs["base"]]
@@ -196,8 +210,8 @@ def main():
     same_virt = all(
         r[k] == runs["base"][0][k] for k in virt for r in runs["base"] + runs["head"]
     )
-    print("base median %.3f  IQR %.3f-%.3f" % (bmed, bq1, bq3))
-    print("head median %.3f  IQR %.3f-%.3f" % (hmed, hq1, hq3))
+    print("base median %.6g  IQR %.6g-%.6g" % (bmed, bq1, bq3))
+    print("head median %.6g  IQR %.6g-%.6g" % (hmed, hq1, hq3))
     print("median delta %+.1f%%  pairs won %d/%d  beats noise (delta > base IQR): %s"
           % (100.0 * delta / bmed, won, len(base), "yes" if beats else "no"))
     if not micro:

@@ -216,6 +216,66 @@ let run_log_alloc () =
         ~bound:log_apply_words_bound apply;
     ]
 
+(* Coordinator-directory rows: host ns and minor words per
+   [Replication.Directory.join] while one group fills to [members], spread
+   over three serving replicas (every join after the first three lands on a
+   server that already has members). Each batch fills [groups] fresh groups
+   of one directory; the time is the median of five batches, the words
+   their mean. Gated: when a join does work that grows with the group (an
+   appended join-order list, a replica set re-derived from every member),
+   the words per join at 500 members exceed [directory_join_growth_bound]
+   times those at 50. *)
+let directory_join_growth_bound = 1.5
+
+let directory_join_row ~members =
+  let groups = max 1 (20_000 / members) in
+  let names = Array.init members (Printf.sprintf "member-%d") in
+  let servers = [| "s1"; "s2"; "s3" |] in
+  let batch () =
+    let d = Replication.Directory.create ~lock_table:(fun _ -> ignore) in
+    let ids = Array.init groups (Printf.sprintf "g%d") in
+    Array.iter
+      (fun group ->
+        ignore (Replication.Directory.add_group d ~group ~persistent:false ~first_holder:"s1"))
+      ids;
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    Array.iter
+      (fun group ->
+        for i = 0 to members - 1 do
+          ignore
+            (Replication.Directory.join d ~group ~member:names.(i) ~role:T.Principal
+               ~notify:false ~server:servers.(i mod 3))
+        done)
+      ids;
+    let dt = Unix.gettimeofday () -. t0 in
+    (dt, Gc.minor_words () -. w0)
+  in
+  ignore (batch ());
+  let runs = List.init 5 (fun _ -> batch ()) in
+  let joins = float_of_int (groups * members) in
+  let ns = List.nth (List.sort Float.compare (List.map fst runs)) 2 *. 1e9 /. joins in
+  let words = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 runs /. (5.0 *. joins) in
+  let name = Printf.sprintf "directory join @%d members" members in
+  json_add "micro"
+    [
+      ("name", Printf.sprintf "%S" name);
+      ("host_ns_per_join", json_num ns);
+      ("minor_words_per_join", json_num words);
+    ];
+  (words, [ name; Printf.sprintf "%.1f" ns; Printf.sprintf "%.1f" words ])
+
+let run_directory_micro () =
+  let small, small_row = directory_join_row ~members:50 in
+  let large, large_row = directory_join_row ~members:500 in
+  Workload.Report.table
+    ~header:[ "coordinator directory"; "ns/join"; "minor w/join" ]
+    [ small_row; large_row ];
+  if large > directory_join_growth_bound *. small then
+    failwith
+      (Printf.sprintf "directory join: %.1f minor words/join at 500 members > %.1fx %.1f at 50"
+         large directory_join_growth_bound small)
+
 (* Event-loop row: the host cost of one pooled schedule + step pair with
    2000 events pending, the fan-out loop's steady state. Each event is a
    run of one over a one-slot times array, which the engine reads at the
@@ -308,6 +368,7 @@ let run_micro () =
   Workload.Report.table ~header:[ "benchmark"; "ns/run" ] rows;
   run_codec_alloc ();
   run_log_alloc ();
+  run_directory_micro ();
   run_engine_micro ()
 
 (* --- fan-out macro-benchmark -------------------------------------------- *)

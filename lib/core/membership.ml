@@ -8,21 +8,15 @@ type entry = {
   cell : cell;
 }
 
-(* Members sit in [order], a join-ordered array with tombstones: a join
-   appends, a leave overwrites its slot with [dead], and a rejoin of a
-   present member replaces its entry in place, so it keeps its slot and its
-   place in join order. [index] maps each member to its slot, which keeps
-   mem/find/role_of/remove O(1). When dead slots outnumber live ones the
-   array is compacted in one pass, which renumbers the surviving slots;
-   each compaction follows at least as many leaves as it moves members, so
-   it costs O(1) per leave amortized. The ordered views ([entries] /
-   [members]) are caches dropped on every change and rebuilt by one linear
-   walk over [order], with no sort, so steady-state fan-out (many
-   broadcasts between joins/leaves) pays no list construction at all. *)
+(* Members sit in a join-ordered [Slot_table]: a join appends, a leave
+   tombstones its slot, and a rejoin of a present member replaces its entry
+   in place, so it keeps its slot and its place in join order. The ordered
+   views ([entries] / [members]) are caches dropped on every change and
+   rebuilt by one linear walk of the table, with no sort, so steady-state
+   fan-out (many broadcasts between joins/leaves) pays no list construction
+   at all. *)
 type t = {
-  index : (Proto.Types.member_id, int) Hashtbl.t; (* slot in [order] *)
-  mutable order : entry array;
-  mutable len : int; (* slots in use, tombstones included *)
+  table : entry Slot_table.t;
   mutable notify_count : int; (* members with [notify = true] *)
   mutable entries_cache : entry list option; (* join order *)
   mutable members_cache : Proto.Types.member list option;
@@ -40,9 +34,7 @@ let dead =
 
 let create () =
   {
-    index = Hashtbl.create 16;
-    order = Array.make 16 dead;
-    len = 0;
+    table = Slot_table.create ~size:16 ~dead ~key:(fun e -> e.member);
     notify_count = 0;
     entries_cache = None;
     members_cache = None;
@@ -52,87 +44,44 @@ let invalidate t =
   t.entries_cache <- None;
   t.members_cache <- None
 
-let mem t member = Hashtbl.mem t.index member
+let mem t member = Slot_table.mem t.table member
 
-let count t = Hashtbl.length t.index
+let count t = Slot_table.length t.table
 
-let is_empty t = Hashtbl.length t.index = 0
+let is_empty t = count t = 0
+
+let forget_notify t = function
+  | Some e when e.notify -> t.notify_count <- t.notify_count - 1
+  | Some _ | None -> ()
 
 let add t ~member ~role ~notify ~joined_at ~cell =
-  let entry = { member; role; notify; joined_at; cell } in
-  (match Hashtbl.find_opt t.index member with
-  | Some i ->
-      if t.order.(i).notify then t.notify_count <- t.notify_count - 1;
-      t.order.(i) <- entry
-  | None ->
-      let cap = Array.length t.order in
-      if t.len = cap then begin
-        let bigger = Array.make (2 * cap) dead in
-        Array.blit t.order 0 bigger 0 cap;
-        t.order <- bigger
-      end;
-      t.order.(t.len) <- entry;
-      Hashtbl.replace t.index member t.len;
-      t.len <- t.len + 1);
+  forget_notify t (Slot_table.set t.table { member; role; notify; joined_at; cell });
   if notify then t.notify_count <- t.notify_count + 1;
   invalidate t
 
-(* Slide the live entries to the front, keeping their order. *)
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let e = t.order.(i) in
-    if e != dead then begin
-      if i <> !j then begin
-        t.order.(!j) <- e;
-        Hashtbl.replace t.index e.member !j
-      end;
-      incr j
-    end
-  done;
-  Array.fill t.order !j (t.len - !j) dead;
-  t.len <- !j
-
 let remove t member =
-  match Hashtbl.find_opt t.index member with
-  | Some i ->
-      if t.order.(i).notify then t.notify_count <- t.notify_count - 1;
-      t.order.(i) <- dead;
-      Hashtbl.remove t.index member;
+  match Slot_table.remove t.table member with
+  | Some _ as old ->
+      forget_notify t old;
       invalidate t;
-      if t.len - count t > count t then compact t;
       true
   | None -> false
 
 let find t member =
-  match Hashtbl.find_opt t.index member with Some i -> Some t.order.(i) | None -> None
+  let e = Slot_table.get t.table member in
+  if e == dead then None else Some e
 
 let role_of t member =
-  match Hashtbl.find_opt t.index member with
-  | Some i -> Some t.order.(i).role
-  | None -> None
+  let e = Slot_table.get t.table member in
+  if e == dead then None else Some e.role
 
-(* Folds [f] over the live entries, last joined first, so consing onto
-   [acc] builds a join-ordered list. *)
-let fold_live t f acc =
-  let acc = ref acc in
-  for i = t.len - 1 downto 0 do
-    let e = t.order.(i) in
-    if e != dead then acc := f e !acc
-  done;
-  !acc
-
-let iter_live t f =
-  for i = 0 to t.len - 1 do
-    let e = t.order.(i) in
-    if e != dead then f e
-  done
+let iter_live t f = Slot_table.iter_live t.table f
 
 let entries t =
   match t.entries_cache with
   | Some l -> l
   | None ->
-      let l = fold_live t (fun e l -> e :: l) [] in
+      let l = Slot_table.fold_live t.table (fun e l -> e :: l) [] in
       t.entries_cache <- Some l;
       l
 
@@ -140,7 +89,11 @@ let members t =
   match t.members_cache with
   | Some l -> l
   | None ->
-      let l = fold_live t (fun e l -> { Proto.Types.member = e.member; role = e.role } :: l) [] in
+      let l =
+        Slot_table.fold_live t.table
+          (fun e l -> { Proto.Types.member = e.member; role = e.role } :: l)
+          []
+      in
       t.members_cache <- Some l;
       l
 

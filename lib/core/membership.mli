@@ -7,12 +7,12 @@
     client is joining, unless they request explicitly membership change
     notifications").
 
-    Members sit in a join-ordered array with tombstones, indexed by a
-    hashtable: [mem] / [find] / [role_of] / [remove] are O(1), and [add]
-    and [remove] are amortized O(1) (the array is compacted when dead slots
-    outnumber live ones). The join-ordered views ([entries], [members]) are
-    cached and rebuilt after a membership change by one linear walk of the
-    array, with no sort. *)
+    Members sit in a {!Slot_table}, a join-ordered array with tombstones
+    indexed by a hashtable: [mem] / [find] / [role_of] / [remove] are
+    O(1), and [add] and [remove] are amortized O(1) (the array is compacted
+    when dead slots outnumber live ones). The join-ordered views
+    ([entries], [members]) are cached and rebuilt after a membership change
+    by one linear walk of the array, with no sort. *)
 
 type cell = { mutable conn : Net.Tcp.conn option }
 (** The connection a member is served over, [None] while it has none. The

@@ -4,17 +4,31 @@ type member_info = {
   mi_server : Smsg.server_id;
 }
 
+(* A member's slot in [e_table]. [s_member] is the record [members] lists,
+   built once per join rather than once per list. *)
+type slot = { s_member : Proto.Types.member; s_info : member_info }
+
+(* The dead slot, compared physically by the table. *)
+let dead =
+  {
+    s_member = { member = ""; role = Proto.Types.Observer };
+    s_info = { mi_role = Proto.Types.Observer; mi_notify = false; mi_server = "" };
+  }
+
 type entry = {
   e_group : Proto.Types.group_id;
   e_persistent : bool;
   mutable e_next_seqno : int;
-  e_members : (Proto.Types.member_id, member_info) Hashtbl.t;
-  mutable e_order : Proto.Types.member_id list; (* join order *)
+  e_table : slot Corona.Slot_table.t; (* members, join order *)
+  mutable e_members : Proto.Types.member list option;
+      (* [members], cached until the next membership change *)
+  e_at : (Smsg.server_id, int ref) Hashtbl.t;
+      (* members served by each server, only servers with at least one *)
   mutable e_holders : Smsg.server_id list; (* first = oldest *)
   mutable e_replicas : Smsg.server_id list;
-      (* holders + servers with members, sorted; maintained eagerly at every
-         membership/holder mutation so [replicas_of] — read once per
-         sequenced fan-out — is a field read, not a sort/append (R8). *)
+      (* holders + servers with members, sorted; recomputed only when one of
+         those two sets changes, so [replicas_of] — read once per sequenced
+         fan-out — is a field read, not a sort/append (R8). *)
   e_locks : Corona.Locks.t;
 }
 
@@ -24,9 +38,6 @@ type t = {
 }
 
 let create ~lock_table = { entries = Hashtbl.create 16; lock_table }
-
-let group_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.entries [] |> List.sort String.compare
 
 let find t group = Hashtbl.find_opt t.entries group
 
@@ -39,29 +50,58 @@ let next_seqno e = e.e_next_seqno
 let holders e = e.e_holders
 
 let members e =
-  List.filter_map
-    (fun m ->
-      Option.map
-        (fun info -> { Proto.Types.member = m; role = info.mi_role })
-        (Hashtbl.find_opt e.e_members m))
-    e.e_order
+  match e.e_members with
+  | Some l -> l
+  | None ->
+      let l = Corona.Slot_table.fold_live e.e_table (fun s l -> s.s_member :: l) [] in
+      e.e_members <- Some l;
+      l
 
-let member_info e m = Hashtbl.find_opt e.e_members m
+let member_info e m =
+  let s = Corona.Slot_table.get e.e_table m in
+  if s == dead then None else Some s.s_info
 
 let locks e = e.e_locks
 
-let servers_with_members e =
-  Hashtbl.fold
-    (fun _ info acc -> if List.mem info.mi_server acc then acc else info.mi_server :: acc)
-    e.e_members []
-  |> List.sort String.compare
-
-(* Mutation-time only: every caller runs on a membership/holder change
-   (join, leave, failover), never on the per-broadcast fan-out path. *)
+(* Mutation-time only, and only when the holder set or the set of servers
+   with members changed: never on the per-broadcast fan-out path. *)
 let recompute_replicas e =
-  e.e_replicas <- List.sort_uniq String.compare (e.e_holders @ servers_with_members e)
+  e.e_replicas <-
+    List.sort_uniq String.compare (Hashtbl.fold (fun s _ acc -> s :: acc) e.e_at e.e_holders)
 
 let replicas_of e = e.e_replicas
+
+(* [count_in] / [count_out] keep [e_at]; each returns [true] when the
+   server gained its first member or lost its last. *)
+let count_in e server =
+  match Hashtbl.find_opt e.e_at server with
+  | Some n ->
+      incr n;
+      false
+  | None ->
+      Hashtbl.replace e.e_at server (ref 1);
+      true
+
+let count_out e server =
+  match Hashtbl.find_opt e.e_at server with
+  | Some n when !n > 1 ->
+      decr n;
+      false
+  | Some _ | None ->
+      Hashtbl.remove e.e_at server;
+      true
+
+(* Record (or re-record) a member at [server]; [true] when the set of
+   servers with members changed. A rejoin keeps the member's slot. *)
+let record e (m : Proto.Types.member) ~notify ~server =
+  e.e_members <- None;
+  let info = { mi_role = m.role; mi_notify = notify; mi_server = server } in
+  match Corona.Slot_table.set e.e_table { s_member = m; s_info = info } with
+  | None -> count_in e server
+  | Some old when String.equal old.s_info.mi_server server -> false
+  | Some old ->
+      let emptied = count_out e old.s_info.mi_server in
+      count_in e server || emptied
 
 let add_group t ~group ~persistent ~first_holder =
   if Hashtbl.mem t.entries group then `Exists
@@ -71,8 +111,9 @@ let add_group t ~group ~persistent ~first_holder =
         e_group = group;
         e_persistent = persistent;
         e_next_seqno = 0;
-        e_members = Hashtbl.create 8;
-        e_order = [];
+        e_table = Corona.Slot_table.create ~size:8 ~dead ~key:(fun s -> s.s_member.member);
+        e_members = Some [];
+        e_at = Hashtbl.create 8;
         e_holders = [ first_holder ];
         e_replicas = [ first_holder ];
         e_locks = Corona.Locks.create ~on_event:(t.lock_table group);
@@ -88,11 +129,9 @@ let join t ~group ~member ~role ~notify ~server =
   match find t group with
   | None -> `No_group
   | Some e ->
-      if not (Hashtbl.mem e.e_members member) then e.e_order <- e.e_order @ [ member ];
-      Hashtbl.replace e.e_members member
-        { mi_role = role; mi_notify = notify; mi_server = server };
+      let moved = record e { member; role } ~notify ~server in
       if List.mem server e.e_holders then begin
-        recompute_replicas e;
+        if moved then recompute_replicas e;
         `Ok (e, None)
       end
       else begin
@@ -105,14 +144,13 @@ let join t ~group ~member ~role ~notify ~server =
 let leave t ~group ~member =
   match find t group with
   | None -> `No_group
-  | Some e ->
-      if not (Hashtbl.mem e.e_members member) then `Not_member
-      else begin
-        Hashtbl.remove e.e_members member;
-        e.e_order <- List.filter (fun m -> m <> member) e.e_order;
-        recompute_replicas e;
-        `Ok e
-      end
+  | Some e -> (
+      match Corona.Slot_table.remove e.e_table member with
+      | None -> `Not_member
+      | Some old ->
+          e.e_members <- None;
+          if count_out e old.s_info.mi_server then recompute_replicas e;
+          `Ok e)
 
 let sequence e =
   let n = e.e_next_seqno in
@@ -132,32 +170,30 @@ let remove_server t server =
   let need_copy = ref [] in
   Hashtbl.iter
     (fun group e ->
-      let members_here =
-        Hashtbl.fold
-          (fun m info acc -> if info.mi_server = server then m :: acc else acc)
-          e.e_members []
-      in
-      List.iter (fun m -> Hashtbl.remove e.e_members m) members_here;
-      e.e_order <- List.filter (fun m -> not (List.mem m members_here)) e.e_order;
-      if members_here <> [] then lost_members := (group, List.rev members_here) :: !lost_members;
-      if List.mem server e.e_holders then begin
-        e.e_holders <- List.filter (fun s -> s <> server) e.e_holders;
+      let served_here = Hashtbl.mem e.e_at server in
+      if served_here then begin
+        let members_here =
+          Corona.Slot_table.fold_unordered e.e_table
+            (fun s acc ->
+              if String.equal s.s_info.mi_server server then s.s_member.member :: acc else acc)
+            []
+        in
+        List.iter (fun m -> ignore (Corona.Slot_table.remove e.e_table m)) members_here;
+        Hashtbl.remove e.e_at server;
+        e.e_members <- None;
+        lost_members := (group, List.rev members_here) :: !lost_members
+      end;
+      let held_here = List.mem server e.e_holders in
+      if held_here then begin
+        e.e_holders <- List.filter (fun s -> not (String.equal s server)) e.e_holders;
         if List.length e.e_holders < 2 then
           need_copy :=
             (group, (match e.e_holders with h :: _ -> Some h | [] -> None))
             :: !need_copy
       end;
-      recompute_replicas e)
+      if served_here || held_here then recompute_replicas e)
     t.entries;
   (List.rev !lost_members, List.rev !need_copy)
-
-let notify_targets e =
-  List.filter_map
-    (fun m ->
-      match Hashtbl.find_opt e.e_members m with
-      | Some info when info.mi_notify -> Some (m, info.mi_server)
-      | Some _ | None -> None)
-    e.e_order
 
 let rebuild t reports =
   List.iter
@@ -175,12 +211,10 @@ let rebuild t reports =
       in
       bump_seqno e r.dr_next_seqno;
       add_holder e server;
-      List.iter
-        (fun ((m : Proto.Types.member), notify) ->
-          if not (Hashtbl.mem e.e_members m.member) then
-            e.e_order <- e.e_order @ [ m.member ];
-          Hashtbl.replace e.e_members m.member
-            { mi_role = m.role; mi_notify = notify; mi_server = server })
-        r.dr_members;
-      recompute_replicas e)
+      let moved =
+        List.fold_left
+          (fun moved (m, notify) -> record e m ~notify ~server || moved)
+          false r.dr_members
+      in
+      if moved then recompute_replicas e)
     reports

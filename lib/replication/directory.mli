@@ -5,7 +5,18 @@
     notify flag and serving replica), the {e holders} (replicas that keep a
     copy of the group's shared state — the paper's invariant is at least two
     whenever possible, §4.1), the per-group sequence counter, and the
-    group-wide lock table. *)
+    group-wide lock table.
+
+    Costs, for a group of n members served by k servers with h holders
+    (k and h are bounded by the number of servers, not by n): [join],
+    [leave] and [member_info] are O(1) in n — a join or leave only
+    recomputes [replicas_of], in O(k + h), when a server gains its first
+    member or loses its last one, or the holder set changes. [leave]'s
+    compaction of the join-ordered table is amortized O(1). [members]
+    builds its list once per membership change, in O(n), and returns the
+    cached list until the next one. [remove_server] walks the members only
+    of the groups in which the crashed server served some, O(n) each.
+    [rebuild] costs O(1) per reported member. *)
 
 type member_info = {
   mi_role : Proto.Types.role;
@@ -22,8 +33,6 @@ val create : lock_table:(Proto.Types.group_id -> Corona.Locks.event -> unit) -> 
     table, is created, and returns that table's {!Corona.Locks} event sink
     ({!Node.hooks}). *)
 
-val group_ids : t -> Proto.Types.group_id list
-
 val find : t -> Proto.Types.group_id -> entry option
 
 val group : entry -> Proto.Types.group_id
@@ -35,7 +44,8 @@ val next_seqno : entry -> int
 val holders : entry -> Smsg.server_id list
 
 val members : entry -> Proto.Types.member list
-(** Join order. *)
+(** Join order: a member that rejoins, from any server, keeps its place; one
+    that left and joins again goes last. *)
 
 val member_info : entry -> Proto.Types.member_id -> member_info option
 
@@ -89,10 +99,13 @@ val remove_server :
   * (Proto.Types.group_id * Smsg.server_id option) list)
 (** Purge a crashed server. Returns (per-group members lost) and (groups
     whose holder count fell below two, with a surviving holder to copy from
-    — [None] when the last copy died). *)
-
-val notify_targets : entry -> (Proto.Types.member_id * Smsg.server_id) list
-(** Members subscribed to membership notifications, with their replicas. *)
+    — [None] when the last copy died). Both lists follow the [Hashtbl.iter]
+    order of the directory's groups. Each group's lost members follow the
+    [Hashtbl.fold] order of its member index: a hashtable made by
+    [Hashtbl.create 8], into which a member is inserted when [join] or
+    [rebuild] first records it and from which it is removed by [leave] or
+    [remove_server], in the order those calls happen. That order is not
+    join order; the checker's traces depend on it. *)
 
 val rebuild : t -> (Smsg.server_id * Smsg.dir_report) list -> unit
 (** Directory recovery after coordinator failover: union the replicas'

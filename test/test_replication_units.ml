@@ -32,8 +32,6 @@ let test_directory_lifecycle () =
   Alcotest.(check int) "bumped" 10 (D.next_seqno e);
   D.bump_seqno e 3;
   Alcotest.(check int) "bump never lowers" 10 (D.next_seqno e);
-  Alcotest.(check (list (pair string string))) "notify targets"
-    [ ("a", "s2") ] (D.notify_targets e);
   (match D.leave d ~group:"g" ~member:"a" with
   | `Ok _ -> ()
   | _ -> Alcotest.fail "leave");
@@ -80,6 +78,276 @@ let test_directory_rebuild_union () =
   Alcotest.(check (list string)) "holders unioned" [ "s1"; "s2" ] (D.holders e);
   Alcotest.(check (list string)) "members unioned" [ "a"; "b" ]
     (List.map (fun (m : T.member) -> m.member) (D.members e))
+
+(* The directory before its slot table: members in a hashtable plus a
+   join-order list, the replica set re-sorted on every change. Kept here as
+   the reference the differential test below holds [Directory] to. *)
+module Ref_directory = struct
+  type info = { role : T.role; notify : bool; server : string }
+
+  type entry = {
+    persistent : bool;
+    mutable next_seqno : int;
+    members : (string, info) Hashtbl.t;
+    mutable order : string list;
+    mutable holders : string list;
+    mutable replicas : string list;
+  }
+
+  let create () : (string, entry) Hashtbl.t = Hashtbl.create 16
+
+  let recompute e =
+    let servers =
+      Hashtbl.fold
+        (fun _ i acc -> if List.mem i.server acc then acc else i.server :: acc)
+        e.members []
+    in
+    e.replicas <- List.sort_uniq String.compare (e.holders @ servers)
+
+  let add_group t ~group ~persistent ~first_holder =
+    if not (Hashtbl.mem t group) then
+      Hashtbl.replace t group
+        {
+          persistent;
+          next_seqno = 0;
+          members = Hashtbl.create 8;
+          order = [];
+          holders = [ first_holder ];
+          replicas = [ first_holder ];
+        }
+
+  let put e ~member ~role ~notify ~server =
+    if not (Hashtbl.mem e.members member) then e.order <- e.order @ [ member ];
+    Hashtbl.replace e.members member { role; notify; server }
+
+  let join t ~group ~member ~role ~notify ~server =
+    match Hashtbl.find_opt t group with
+    | None -> `No_group
+    | Some e ->
+        put e ~member ~role ~notify ~server;
+        let source =
+          if List.mem server e.holders then None
+          else begin
+            let source = match e.holders with h :: _ -> Some h | [] -> None in
+            e.holders <- e.holders @ [ server ];
+            source
+          end
+        in
+        recompute e;
+        `Ok source
+
+  let leave t ~group ~member =
+    match Hashtbl.find_opt t group with
+    | None -> `No_group
+    | Some e when not (Hashtbl.mem e.members member) -> `Not_member
+    | Some e ->
+        Hashtbl.remove e.members member;
+        e.order <- List.filter (fun m -> m <> member) e.order;
+        recompute e;
+        `Ok
+
+  let add_holder e server =
+    if not (List.mem server e.holders) then begin
+      e.holders <- e.holders @ [ server ];
+      recompute e
+    end
+
+  let remove_server t server =
+    let lost = ref [] and need_copy = ref [] in
+    Hashtbl.iter
+      (fun group e ->
+        let here =
+          Hashtbl.fold (fun m i acc -> if i.server = server then m :: acc else acc) e.members []
+        in
+        List.iter (Hashtbl.remove e.members) here;
+        e.order <- List.filter (fun m -> not (List.mem m here)) e.order;
+        if here <> [] then lost := (group, List.rev here) :: !lost;
+        if List.mem server e.holders then begin
+          e.holders <- List.filter (fun s -> s <> server) e.holders;
+          if List.length e.holders < 2 then
+            need_copy := (group, match e.holders with h :: _ -> Some h | [] -> None) :: !need_copy
+        end;
+        recompute e)
+      t;
+    (List.rev !lost, List.rev !need_copy)
+
+  let rebuild t reports =
+    List.iter
+      (fun (server, (r : Replication.Smsg.dir_report)) ->
+        add_group t ~group:r.dr_group ~persistent:r.dr_persistent ~first_holder:server;
+        let e = Hashtbl.find t r.dr_group in
+        if r.dr_next_seqno > e.next_seqno then e.next_seqno <- r.dr_next_seqno;
+        add_holder e server;
+        List.iter
+          (fun ((m : T.member), notify) -> put e ~member:m.member ~role:m.role ~notify ~server)
+          r.dr_members;
+        recompute e)
+      reports
+end
+
+(* Groups, servers and members come from small pools, so rejoins (also
+   from another server), leaves of absent members and crashes of servers
+   with and without members are all common. A churn op joins a batch of
+   fresh members and has all but one leave again, so the join-ordered table
+   compacts mid-sequence. *)
+type dir_op =
+  | D_add_group of int * bool * int (* group, persistent, first holder *)
+  | D_join of int * int * bool * bool * int (* group, member, principal, notify, server *)
+  | D_leave of int * int
+  | D_churn of int * int * int (* group, server, batch size *)
+  | D_add_holder of int * int
+  | D_remove_server of int
+  | D_rebuild of (int * int * int * (int * bool) list) list
+      (* (server, group, next seqno, (member, notify)) reports *)
+
+let prop_directory_matches_reference =
+  let group i = Printf.sprintf "g%d" i and server i = Printf.sprintf "s%d" i in
+  let member i = Printf.sprintf "m%d" i in
+  let pool = 16 in
+  let gen =
+    let open QCheck.Gen in
+    let g = int_range 0 2 and s = int_range 0 3 and m = int_range 0 (pool - 1) in
+    let report = map4 (fun s g n ms -> (s, g, n, ms)) s g (int_range 0 20)
+        (list_size (int_range 0 4) (pair m bool)) in
+    let op =
+      frequency
+        [
+          (2, map3 (fun g p s -> D_add_group (g, p, s)) g bool s);
+          (12, map3 (fun (g, mb) (p, n) s -> D_join (g, mb, p, n, s)) (pair g m) (pair bool bool) s);
+          (7, map2 (fun g mb -> D_leave (g, mb)) g m);
+          (2, map3 (fun g s k -> D_churn (g, s, k)) g s (int_range 1 40));
+          (1, map2 (fun g s -> D_add_holder (g, s)) g s);
+          (1, map (fun s -> D_remove_server s) s);
+          (1, map (fun rs -> D_rebuild rs) (list_size (int_range 1 3) report));
+        ]
+    in
+    list_size (int_range 50 250) op
+  in
+  let print = function
+    | D_add_group (g, p, s) -> Printf.sprintf "add_group %s%s %s" (group g) (if p then " persistent" else "") (server s)
+    | D_join (g, mb, p, n, s) ->
+        Printf.sprintf "join %s %s%s%s @%s" (group g) (member mb) (if p then "" else " obs")
+          (if n then " notify" else "") (server s)
+    | D_leave (g, mb) -> Printf.sprintf "leave %s %s" (group g) (member mb)
+    | D_churn (g, s, k) -> Printf.sprintf "churn %s @%s x%d" (group g) (server s) k
+    | D_add_holder (g, s) -> Printf.sprintf "add_holder %s %s" (group g) (server s)
+    | D_remove_server s -> "remove_server " ^ server s
+    | D_rebuild rs ->
+        "rebuild "
+        ^ String.concat ","
+            (List.map (fun (s, g, n, ms) ->
+                 Printf.sprintf "%s:%s:%d:[%s]" (server s) (group g) n
+                   (String.concat " " (List.map (fun (mb, _) -> member mb) ms)))
+               rs)
+  in
+  QCheck.Test.make ~count:200 ~name:"directory matches the list-and-hashtable reference"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print ops)) gen)
+    (fun ops ->
+      let d = D.create ~lock_table:(fun _ -> ignore) in
+      let r = Ref_directory.create () in
+      let fresh = ref 0 in
+      let role p = if p then T.Principal else T.Observer in
+      let join ~g ~member:mb ~role ~notify ~s =
+        let got =
+          match D.join d ~group:g ~member:mb ~role ~notify ~server:s with
+          | `Ok (_, src) -> `Ok src
+          | `No_group -> `No_group
+        in
+        if got <> Ref_directory.join r ~group:g ~member:mb ~role ~notify ~server:s then
+          QCheck.Test.fail_reportf "join %s %s: fetch sources differ" g mb
+      in
+      let leave ~g ~member:mb =
+        let got =
+          match D.leave d ~group:g ~member:mb with
+          | `Ok _ -> `Ok
+          | (`No_group | `Not_member) as x -> x
+        in
+        if got <> Ref_directory.leave r ~group:g ~member:mb then
+          QCheck.Test.fail_reportf "leave %s %s: results differ" g mb
+      in
+      let step = function
+        | D_add_group (g, persistent, s) ->
+            ignore (D.add_group d ~group:(group g) ~persistent ~first_holder:(server s));
+            Ref_directory.add_group r ~group:(group g) ~persistent ~first_holder:(server s)
+        | D_join (g, mb, p, notify, s) ->
+            join ~g:(group g) ~member:(member mb) ~role:(role p) ~notify ~s:(server s)
+        | D_leave (g, mb) -> leave ~g:(group g) ~member:(member mb)
+        | D_churn (g, s, k) ->
+            let batch = List.init k (fun _ -> incr fresh; Printf.sprintf "c%d" !fresh) in
+            List.iter
+              (fun mb -> join ~g:(group g) ~member:mb ~role:T.Principal ~notify:false ~s:(server s))
+              batch;
+            List.iter (fun mb -> leave ~g:(group g) ~member:mb) (List.tl batch)
+        | D_add_holder (g, s) -> (
+            match (D.find d (group g), Hashtbl.find_opt r (group g)) with
+            | Some e, Some re ->
+                D.add_holder e (server s);
+                Ref_directory.add_holder re (server s)
+            | _ -> ())
+        | D_remove_server s ->
+            let lost, need = D.remove_server d (server s) in
+            let rlost, rneed = Ref_directory.remove_server r (server s) in
+            if lost <> rlost || need <> rneed then
+              QCheck.Test.fail_reportf "remove_server %s: results differ" (server s)
+        | D_rebuild rs ->
+            let reports =
+              List.map
+                (fun (s, g, n, ms) ->
+                  ( server s,
+                    {
+                      Replication.Smsg.dr_group = group g;
+                      dr_persistent = false;
+                      dr_next_seqno = n;
+                      dr_members =
+                        List.map (fun (mb, p) -> ({ T.member = member mb; role = role p }, p)) ms;
+                      dr_origins = [];
+                      dr_shards = [];
+                    } ))
+                rs
+            in
+            D.rebuild d reports;
+            Ref_directory.rebuild r reports
+      in
+      let compare_group g =
+        match (D.find d g, Hashtbl.find_opt r g) with
+        | None, None -> ()
+        | Some e, Some re ->
+            let rmembers =
+              List.map
+                (fun m -> { T.member = m; role = (Hashtbl.find re.members m).role })
+                re.order
+            in
+            if D.members e <> rmembers then QCheck.Test.fail_reportf "%s: members differ" g;
+            if D.holders e <> re.holders then QCheck.Test.fail_reportf "%s: holders differ" g;
+            if D.replicas_of e <> re.replicas then
+              QCheck.Test.fail_reportf "%s: replicas differ" g;
+            if D.next_seqno e <> re.next_seqno then
+              QCheck.Test.fail_reportf "%s: next seqnos differ" g;
+            if D.persistent e <> re.persistent then
+              QCheck.Test.fail_reportf "%s: persistence differs" g;
+            let info m =
+              Option.map
+                (fun (i : D.member_info) -> (i.mi_role, i.mi_notify, i.mi_server))
+                (D.member_info e m)
+            in
+            let rinfo m =
+              Option.map
+                (fun (i : Ref_directory.info) -> (i.role, i.notify, i.server))
+                (Hashtbl.find_opt re.members m)
+            in
+            List.iter
+              (fun m ->
+                if info m <> rinfo m then QCheck.Test.fail_reportf "%s: member_info %s differs" g m)
+              (List.init pool member @ re.order
+              @ List.map (fun (m : T.member) -> m.member) (D.members e))
+        | _ -> QCheck.Test.fail_reportf "%s: exists on one side only" g
+      in
+      List.iter
+        (fun op ->
+          step op;
+          List.iter (fun g -> compare_group (group g)) [ 0; 1; 2 ])
+        ops;
+      true)
 
 (* --- election algorithms -------------------------------------------------- *)
 
@@ -366,6 +634,7 @@ let () =
           tc "lifecycle" `Quick test_directory_lifecycle;
           tc "remove server" `Quick test_directory_remove_server;
           tc "rebuild unions reports" `Quick test_directory_rebuild_union;
+          q prop_directory_matches_reference;
         ] );
       ( "election",
         [
