@@ -169,7 +169,7 @@ let run_codec_alloc () =
    before the next apply. Both logs are long-lived and warmed up, so their
    in-memory windows grow in the major heap and a row counts what one update
    allocates. Gated: an int-keyed [Hashtbl] back on either path (a bucket
-   cell per update and per prefix sum) exceeds its bound. *)
+   cell per update) exceeds its bound. *)
 let log_append_words_bound = 22.0
 
 let log_apply_words_bound = 44.0

@@ -99,6 +99,3 @@ let waiters t lock =
         [] s.waiting
       |> List.rev
 
-let held t =
-  Hashtbl.fold (fun k s acc -> (k, s.holder) :: acc) t.locks []
-  |> List.sort (fun (la, _) (lb, _) -> String.compare la lb)

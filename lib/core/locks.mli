@@ -52,5 +52,3 @@ val holder : t -> Proto.Types.lock_id -> Proto.Types.member_id option
 
 val waiters : t -> Proto.Types.lock_id -> Proto.Types.member_id list
 
-val held : t -> (Proto.Types.lock_id * Proto.Types.member_id) list
-(** All currently held locks, sorted by lock id. *)

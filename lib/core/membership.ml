@@ -44,8 +44,6 @@ let invalidate t =
   t.entries_cache <- None;
   t.members_cache <- None
 
-let mem t member = Slot_table.mem t.table member
-
 let count t = Slot_table.length t.table
 
 let is_empty t = count t = 0
@@ -66,10 +64,6 @@ let remove t member =
       invalidate t;
       true
   | None -> false
-
-let find t member =
-  let e = Slot_table.get t.table member in
-  if e == dead then None else Some e
 
 let role_of t member =
   let e = Slot_table.get t.table member in

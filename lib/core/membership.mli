@@ -47,10 +47,6 @@ val add :
 val remove : t -> Proto.Types.member_id -> bool
 (** [true] if the member was present. *)
 
-val mem : t -> Proto.Types.member_id -> bool
-
-val find : t -> Proto.Types.member_id -> entry option
-
 val role_of : t -> Proto.Types.member_id -> Proto.Types.role option
 
 val count : t -> int

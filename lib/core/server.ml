@@ -294,15 +294,7 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
               (match (t.cfg.transfer_chunk_bytes, p.p_state) with
               | Some chunk, M.Snapshot { objects; log_tail }
                 when p.p_bytes > chunk ->
-                  let frames =
-                    match g.g_keeper with
-                    | Stateful log when p.p_full_snapshot ->
-                        Transfer.cached_chunk_frames
-                          (Group_engine.transfer_cache t.eng)
-                          log ~chunk
-                    | Stateful _ | Stateless _ ->
-                        Transfer.chunk_frames_of ~group ~objects ~chunk
-                  in
+                  let frames = Transfer.chunk_frames_of ~group ~objects ~chunk in
                   send_chunked t conn ~frames ~finish:(fun () ->
                       accept { p with p_state = M.Snapshot { objects = []; log_tail } })
               | (Some _ | None), _ -> accept p);

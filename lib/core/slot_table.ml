@@ -11,8 +11,6 @@ let create ~size ~dead ~key =
 
 let length t = Hashtbl.length t.index
 
-let mem t k = Hashtbl.mem t.index k
-
 let get t k = match Hashtbl.find t.index k with i -> t.order.(i) | exception Not_found -> t.dead
 
 let set t v =

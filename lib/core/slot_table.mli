@@ -25,8 +25,6 @@ val create : size:int -> dead:'a -> key:('a -> string) -> 'a t
 val length : 'a t -> int
 (** Live values. *)
 
-val mem : 'a t -> string -> bool
-
 val get : 'a t -> string -> 'a
 (** The value stored under a key, or the [dead] value when it is absent:
     a lookup that allocates nothing. *)

@@ -27,16 +27,6 @@ type t = {
   mutable last_seqno : int; (* highest applied sequence number; -1 initially *)
   mutable base_objects : (Proto.Types.object_id * string) list;
   mutable base_seqno : int; (* the retained log starts here; base = state then *)
-  (* O(1) byte accounting for Update_history transfers: cumulative data
-     bytes indexed by seqno, mirroring the retained log. Valid only while the
-     retained seqnos stay contiguous ([cum_exact]); a log re-seeded over a
-     stale WAL falls back to folding. The window's first index is the base
-     seqno (everything below it is summarized in [cum_base]); its next index
-     is the only seqno that keeps the sums exact. *)
-  cum : int Storage.Window.t; (* seqno -> cum_total through that seqno *)
-  mutable cum_total : int; (* data bytes of every update ever summed *)
-  mutable cum_base : int;
-  mutable cum_exact : bool;
 }
 
 let update_wire_bytes (u : Proto.Types.update) =
@@ -56,47 +46,19 @@ let write_checkpoint t ~on_durable =
   Storage.Snapshot.save t.checkpoints ~key:t.group ~size:(checkpoint_size ck) ck
     ~on_durable:(fun () -> on_durable ck)
 
-(* Rebuild the prefix sums from whatever the WAL retains. The retained
-   records are in append (= seqno) order; any gap or duplicate marks the
-   sums inexact and byte queries fall back to folding. *)
-let seed_cum_from_wal t =
-  t.cum_total <- 0;
-  t.cum_base <- 0;
-  t.cum_exact <- true;
-  let started = ref false in
-  Storage.Wal.iter_from t.wal (Storage.Wal.first_index t.wal)
-    (fun _ (u : Proto.Types.update) ->
-      if not !started then begin
-        started := true;
-        Storage.Window.reset t.cum ~first:u.seqno
-      end;
-      if u.seqno <> Storage.Window.next t.cum then t.cum_exact <- false;
-      if t.cum_exact then begin
-        t.cum_total <- t.cum_total + String.length u.data;
-        Storage.Window.push t.cum t.cum_total
-      end)
-
 let make ~group ~persistent ~state ~wal ~checkpoints ~policy ~at_seqno ~base_objects =
-  let t =
-    {
-      group;
-      persistent;
-      state;
-      wal;
-      checkpoints;
-      policy;
-      reduction_in_flight = false;
-      last_seqno = at_seqno - 1;
-      base_objects;
-      base_seqno = at_seqno;
-      cum = Storage.Window.create ~empty:0 ~first:at_seqno;
-      cum_total = 0;
-      cum_base = 0;
-      cum_exact = true;
-    }
-  in
-  if Storage.Wal.length wal > 0 then seed_cum_from_wal t;
-  t
+  {
+    group;
+    persistent;
+    state;
+    wal;
+    checkpoints;
+    policy;
+    reduction_in_flight = false;
+    last_seqno = at_seqno - 1;
+    base_objects;
+    base_seqno = at_seqno;
+  }
 
 let create ~group ~persistent ~wal ~checkpoints ~policy ?(at_seqno = 0) ~initial () =
   let t =
@@ -126,8 +88,6 @@ let recover ck ~wal ~checkpoints ~policy =
 
 let group t = t.group
 
-let persistent t = t.persistent
-
 let state t = t.state
 
 let next_seqno t = t.last_seqno + 1
@@ -135,35 +95,6 @@ let next_seqno t = t.last_seqno + 1
 let snapshot_seqno t = Storage.Wal.first_index t.wal
 
 let log_length t = Storage.Wal.length t.wal
-
-let log_bytes t = Storage.Wal.bytes_retained t.wal
-
-(* Prefix sums through seqno [s]. *)
-let cum_through t s =
-  if s < Storage.Window.first t.cum then t.cum_base
-  else if s >= Storage.Window.next t.cum then t.cum_total
-  else Storage.Window.get t.cum s
-
-(* Drop prefix-sum entries for truncated seqnos, folding their total into
-   the base. *)
-let prune_cum t ~upto =
-  if upto > Storage.Window.first t.cum then begin
-    t.cum_base <- cum_through t (upto - 1);
-    Storage.Window.drop_front t.cum ~upto
-  end
-
-let update_bytes_from t from =
-  if not t.cum_exact then None
-  else
-    let from = max from (Storage.Window.first t.cum) in
-    Some (t.cum_total - cum_through t (from - 1))
-
-let latest_updates_bytes t n =
-  if not t.cum_exact then None
-  else if n <= 0 then Some 0
-  else
-    let from = max (Storage.Window.first t.cum) (Storage.Window.next t.cum - n) in
-    Some (t.cum_total - cum_through t (from - 1))
 
 let do_reduce t ~on_done =
   if (not t.reduction_in_flight) && Storage.Wal.length t.wal > 0 then begin
@@ -173,7 +104,6 @@ let do_reduce t ~on_done =
     let wal_upto = Storage.Wal.next_index t.wal in
     write_checkpoint t ~on_durable:(fun ck ->
         Storage.Wal.truncate_prefix t.wal ~upto:wal_upto;
-        prune_cum t ~upto:ck.ck_at_seqno;
         t.reduction_in_flight <- false;
         t.base_objects <- ck.ck_objects;
         t.base_seqno <- ck.ck_at_seqno;
@@ -189,16 +119,10 @@ let maybe_auto_reduce t =
   in
   if trigger then do_reduce t ~on_done:(fun ~upto -> ignore upto)
 
-(* Apply [u] and extend the prefix sums; the caller logs it, then runs the
-   reduction policy. *)
+(* Apply [u]; the caller logs it, then runs the reduction policy. *)
 let record_update t (u : Proto.Types.update) =
   Shared_state.apply t.state u;
-  t.last_seqno <- max t.last_seqno u.seqno;
-  if t.cum_exact && u.seqno = Storage.Window.next t.cum then begin
-    t.cum_total <- t.cum_total + String.length u.data;
-    Storage.Window.push t.cum t.cum_total
-  end
-  else t.cum_exact <- false
+  t.last_seqno <- max t.last_seqno u.seqno
 
 let append t ~kind ~obj ~data ~sender ~timestamp ~on_durable =
   let u =

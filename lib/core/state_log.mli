@@ -51,8 +51,6 @@ val recover :
 
 val group : t -> Proto.Types.group_id
 
-val persistent : t -> bool
-
 val state : t -> Shared_state.t
 
 val next_seqno : t -> int
@@ -61,8 +59,6 @@ val snapshot_seqno : t -> int
 (** First sequence number still present in the log. *)
 
 val log_length : t -> int
-
-val log_bytes : t -> int
 
 val append :
   t ->
@@ -89,15 +85,6 @@ val updates_from : t -> int -> Proto.Types.update list
 
 val latest_updates : t -> int -> Proto.Types.update list
 (** The last [n] retained updates, in order. *)
-
-val update_bytes_from : t -> int -> int option
-(** O(1) total of [String.length u.data] over what {!updates_from} would
-    return, from seqno-keyed prefix sums maintained alongside the log.
-    [None] when the retained history is not contiguous (a log seeded over a
-    stale WAL after reconciliation) — callers fold the list instead. *)
-
-val latest_updates_bytes : t -> int -> int option
-(** Same accounting for {!latest_updates}. *)
 
 val reduce : t -> on_done:(upto:int -> unit) -> unit
 (** Client- or service-requested reduction: checkpoint now, truncate the

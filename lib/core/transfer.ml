@@ -17,8 +17,7 @@ let bytes = function
 (* --- QoS chunking ------------------------------------------------------- *)
 
 (* A pre-encoded [State_chunk] frame plus its payload bytes (the pacing
-   input). Frames carry no per-joiner data, so one list is shared by every
-   concurrent joiner of the same state version. *)
+   input). *)
 type chunk_frame = { cf_frame : M.encoded; cf_bytes : int }
 
 (* Slice a snapshot's objects into fragments of at most [chunk] bytes; a
@@ -79,7 +78,6 @@ type cached = {
   c_objects : (T.object_id * string) list;
   c_payload : M.join_state; (* Snapshot { objects = c_objects; log_tail = [] } *)
   c_bytes : int;
-  mutable c_chunks : (int * chunk_frame list) option; (* keyed by chunk size *)
 }
 
 type cache = {
@@ -113,7 +111,6 @@ let install cache log =
       c_objects = objects;
       c_payload = payload;
       c_bytes = objects_bytes objects;
-      c_chunks = None;
     }
   in
   Hashtbl.replace cache.snapshots (State_log.group log) c;
@@ -128,25 +125,9 @@ let lookup_full cache log =
       cache.misses <- cache.misses + 1;
       (install cache log, false)
 
-let cached_chunk_frames cache log ~chunk =
-  let c =
-    match find_valid cache log with Some c -> c | None -> install cache log
-  in
-  match c.c_chunks with
-  | Some (k, frames) when k = chunk -> frames
-  | _ ->
-      let frames =
-        chunk_frames_of ~group:(State_log.group log) ~objects:c.c_objects ~chunk
-      in
-      c.c_chunks <- Some (chunk, frames);
-      frames
-
-let snapshot_objects ?cache log =
-  match cache with
-  | None -> Shared_state.objects (State_log.state log)
-  | Some cache ->
-      let c, _ = lookup_full cache log in
-      c.c_objects
+let snapshot_objects cache log =
+  let c, _ = lookup_full cache log in
+  c.c_objects
 
 (* --- preparing a transfer ---------------------------------------------- *)
 
@@ -155,17 +136,10 @@ type prepared = {
   p_at : int;
   p_bytes : int;
   p_cache_hit : bool;
-  p_full_snapshot : bool; (* the payload is the group's whole state *)
 }
 
 let no_state ~at =
-  {
-    p_state = M.Update_history [];
-    p_at = at;
-    p_bytes = 0;
-    p_cache_hit = false;
-    p_full_snapshot = false;
-  }
+  { p_state = M.Update_history []; p_at = at; p_bytes = 0; p_cache_hit = false }
 
 let prepare ?cache log (transfer : T.transfer_spec) =
   let at = State_log.next_seqno log in
@@ -178,7 +152,6 @@ let prepare ?cache log (transfer : T.transfer_spec) =
           p_at = c.c_at;
           p_bytes = c.c_bytes;
           p_cache_hit = hit;
-          p_full_snapshot = true;
         }
     | None ->
         let objects = Shared_state.objects (State_log.state log) in
@@ -186,33 +159,27 @@ let prepare ?cache log (transfer : T.transfer_spec) =
           p_state = M.Snapshot { objects; log_tail = [] };
           p_at = at;
           p_bytes = objects_bytes objects;
-        p_cache_hit = false;
-          p_full_snapshot = true;
+          p_cache_hit = false;
         }
   in
-  let history ups bytes_hint =
-    let bytes =
-      match bytes_hint with Some b -> b | None -> update_list_bytes ups
-    in
+  let history ups =
     {
       p_state = M.Update_history ups;
       p_at = at;
-      p_bytes = bytes;
+      p_bytes = update_list_bytes ups;
       p_cache_hit = false;
-      p_full_snapshot = false;
     }
   in
   match transfer with
   | T.Full_state -> full ()
-  | T.Latest_updates n ->
-      history (State_log.latest_updates log n) (State_log.latest_updates_bytes log n)
+  | T.Latest_updates n -> history (State_log.latest_updates log n)
   | T.Updates_since n ->
       if n < State_log.snapshot_seqno log then
         (* The log was reduced past the client's position: the increments it
            needs are folded into the checkpoint, so transfer everything —
            the same payload class as Full_state, sharing its cache entry. *)
         full ()
-      else history (State_log.updates_from log n) (State_log.update_bytes_from log n)
+      else history (State_log.updates_from log n)
   | T.Objects ids ->
       let objects = Shared_state.restrict (State_log.state log) ids in
       {
@@ -220,7 +187,6 @@ let prepare ?cache log (transfer : T.transfer_spec) =
         p_at = at;
         p_bytes = objects_bytes objects;
         p_cache_hit = false;
-        p_full_snapshot = false;
       }
   | T.No_state -> no_state ~at
 

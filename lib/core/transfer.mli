@@ -32,15 +32,12 @@ type prepared = {
   p_at : int;  (** the sequence number the payload reflects *)
   p_bytes : int;  (** payload bytes, for transfer accounting *)
   p_cache_hit : bool;
-  p_full_snapshot : bool;
-      (** the payload is the group's whole state (chunkable via
-          {!cached_chunk_frames}) *)
 }
 
 val prepare : ?cache:cache -> State_log.t -> Proto.Types.transfer_spec -> prepared
 (** Compute a join-state payload, through the cache when given one.
-    [Update_history] byte accounting is O(1) via
-    {!State_log.update_bytes_from} when the log's prefix sums are exact. *)
+    [p_bytes] sums the data bytes of the objects or updates the payload
+    carries, the same number {!bytes} folds from [p_state]. *)
 
 val no_state : at:int -> prepared
 (** The empty transfer (stateless sequencer mode, [No_state]). *)
@@ -50,8 +47,7 @@ val join_state :
 (** [prepare] without a cache, returning payload and position — the
     uncached reference path (kept for tests and one-shot callers). *)
 
-val snapshot_objects :
-  ?cache:cache -> State_log.t -> (Proto.Types.object_id * string) list
+val snapshot_objects : cache -> State_log.t -> (Proto.Types.object_id * string) list
 (** The group's full materialized objects, shared through the cache (the
     replica state-copy path for reconciliation fetches). *)
 
@@ -64,14 +60,10 @@ val chunk_frames_of :
   objects:(Proto.Types.object_id * string) list ->
   chunk:int ->
   chunk_frame list
-(** Encode paced transfer frames for an arbitrary snapshot (the uncached
-    path, e.g. [Objects] transfers). *)
-
-val cached_chunk_frames : cache -> State_log.t -> chunk:int -> chunk_frame list
-(** Chunk frames for the group's current full snapshot, sliced and encoded
-    once per (state version, chunk size) and memoized in the cache — the
-    QoS path stops re-encoding per joiner and per chunk. *)
+(** Slice a snapshot's objects into fragments of at most [chunk] bytes and
+    encode one paced [State_chunk] frame per fragment group (the QoS
+    transfer path). *)
 
 val bytes : Proto.Message.join_state -> int
-(** Payload bytes transferred (reference fold; {!prepare} reports the same
-    number in [p_bytes] without re-folding). *)
+(** Payload bytes transferred (the reference fold; {!prepare} reports the
+    same number in [p_bytes]). *)

@@ -17,7 +17,6 @@ type t = {
   rng : Sim.Rng.t;
   hosts : (string, Host.t) Hashtbl.t;
   mutable host_order : Host.t list; (* newest first *)
-  latency_overrides : (string * string, float) Hashtbl.t;
   mutable component_of : (string, int) Hashtbl.t option; (* None = no partition *)
   mutable packets : int;
   mutable bytes : int;
@@ -63,7 +62,6 @@ let create ?(config = lan) engine =
     rng = Sim.Rng.split (Sim.Engine.rng engine);
     hosts = Hashtbl.create 64;
     host_order = [];
-    latency_overrides = Hashtbl.create 16;
     component_of = None;
     packets = 0;
     bytes = 0;
@@ -95,18 +93,7 @@ let host t name = Hashtbl.find t.hosts name
 
 let hosts t = List.rev t.host_order
 
-let set_latency t ~src ~dst l = Hashtbl.replace t.latency_overrides (src, dst) l
-
-let has_latency_overrides t = Hashtbl.length t.latency_overrides > 0
-
-let latency t src dst =
-  (* Fast path: no overrides configured — skip the tuple-key allocation that
-     would otherwise happen on every packet. *)
-  if Hashtbl.length t.latency_overrides = 0 then t.config.base_latency
-  else
-    match Hashtbl.find_opt t.latency_overrides (Host.name src, Host.name dst) with
-    | Some l -> l
-    | None -> t.config.base_latency
+let latency t = t.config.base_latency
 
 let partition t components =
   let table = Hashtbl.create 64 in
@@ -161,7 +148,7 @@ let transmit t ~src ~dst ~size ?(on_dropped = ignore) k =
             then on_dropped ()
             else begin
               let delay =
-                latency t src dst
+                t.config.base_latency
                 +.
                 if t.config.jitter > 0.0 then Sim.Rng.float t.rng t.config.jitter else 0.0
               in
@@ -316,11 +303,10 @@ let transmit_many t ~src ~size ~on_dropped ~on_complete ~dsts ~len:n k =
        the earliest-free worker finish in non-decreasing order, however
        many workers the sender has, so that order is recipient order.
        One loop serves every network shape: the rare features (partitions,
-       latency overrides, loss, jitter) each cost one test when absent, the
+       loss, jitter) each cost one test when absent, the
        NIC finish lands in [until] without a boxed return, and jitter and
        loss draws stay in recipient order. *)
     let cfg = t.config in
-    let uniform_latency = Hashtbl.length t.latency_overrides = 0 in
     let until = b.b_until and arrive = b.b_arrive in
     for i = 0 to n - 1 do
       let dst = dsts.(i) in
@@ -367,11 +353,8 @@ let transmit_many t ~src ~size ~on_dropped ~on_complete ~dsts ~len:n k =
             end
             else 0.0
           in
-          let delay =
-            (if uniform_latency then cfg.base_latency else latency t src dst) +. jitter
-          in
           b.b_kind.(i) <- 0;
-          arrive.(i) <- until.(i) +. delay
+          arrive.(i) <- until.(i) +. (cfg.base_latency +. jitter)
         end
       end
     done;

@@ -1,7 +1,7 @@
 (** Network fabric: the container tying hosts together.
 
-    The fabric owns the latency model, optional jitter and loss, and the
-    partition state. Transport protocols ({!Tcp}, {!Multicast}) are built on
+    The fabric owns the latency model (one base latency for every link),
+    optional jitter and loss, and the partition state. Transport protocols ({!Tcp}, {!Multicast}) are built on
     its {!transmit} primitive, which charges the full cost pipeline:
     sender CPU serialization → sender NIC transmission → propagation →
     receiver CPU deserialization → handler. *)
@@ -56,15 +56,8 @@ val host : t -> string -> Host.t
 val hosts : t -> Host.t list
 (** All hosts in creation order. *)
 
-val set_latency : t -> src:string -> dst:string -> float -> unit
-(** Override the one-way latency for a directed pair (both directions must be
-    set separately if desired). *)
-
-val has_latency_overrides : t -> bool
-(** Whether any {!set_latency} override exists. A [false] lets batch senders
-    price every target at [config.base_latency] without a per-target call. *)
-
-val latency : t -> Host.t -> Host.t -> float
+val latency : t -> float
+(** The one-way latency of every link: [config.base_latency]. *)
 
 val partition : t -> string list list -> unit
 (** [partition t components] splits the network: hosts in different listed

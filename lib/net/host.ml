@@ -219,6 +219,3 @@ let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
 
 let cpu_seconds_used t = t.cpu_seconds.(0)
 
-let pp ppf t =
-  Format.fprintf ppf "%s(%s,%s)" t.name t.cpu.profile_name
-    (if t.alive then "up" else "down")

@@ -123,4 +123,3 @@ val on_crash : t -> (unit -> unit) -> unit
 val cpu_seconds_used : t -> float
 (** Total CPU time charged so far (for utilization reports). *)
 
-val pp : Format.formatter -> t -> unit

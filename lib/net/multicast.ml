@@ -7,7 +7,6 @@ type subscription = {
 
 type t = {
   fabric : Fabric.t;
-  name : string;
   mutable subs : subscription list; (* newest first *)
   (* Join-order snapshot of [subs], rebuilt lazily after a join/leave: the
      send hot loop iterates an array instead of reversing and filtering the
@@ -63,7 +62,6 @@ let channel fabric ~name =
       let t =
         {
           fabric;
-          name;
           subs = [];
           cache = [||];
           cache_n = 0;
@@ -73,8 +71,6 @@ let channel fabric ~name =
       in
       Hashtbl.replace registry name t;
       t
-
-let name t = t.name
 
 let leave t host ?key () =
   let key = Option.value key ~default:(Host.name host) in
@@ -238,17 +234,9 @@ let send t ~src ~size payload =
     end
     else begin
       mb.mb_remaining <- !cnt;
-      (* With uniform latency every target propagates at the same instant
-         and the whole fan-out is one engine run; per-target overrides may
-         split it into several. *)
-      let arrive = mb.mb_arrive in
-      if Fabric.has_latency_overrides t.fabric then
-        for i = 0 to !cnt - 1 do
-          arrive.(i) <- nic_fin +. Fabric.latency t.fabric src mb.mb_subs.(i).m_host
-        done
-      else
-        Array.fill arrive 0 !cnt
-          (nic_fin +. (Fabric.config t.fabric).Fabric.base_latency);
-      Fabric.schedule_stretches engine ~times:arrive ~n:!cnt mb.mb_stage1
+      (* Every target propagates at the same instant, so the whole fan-out
+         is one engine run. *)
+      Array.fill mb.mb_arrive 0 !cnt (nic_fin +. Fabric.latency t.fabric);
+      Fabric.schedule_stretches engine ~times:mb.mb_arrive ~n:!cnt mb.mb_stage1
     end
   end

@@ -19,8 +19,6 @@ val channel : Fabric.t -> name:string -> t
 (** The channel with this name on this fabric, created on first use — both
     ends of a protocol can reach the same channel by name. *)
 
-val name : t -> string
-
 val join :
   t -> Host.t -> ?key:string -> handler:(size:int -> Payload.t -> unit) -> unit -> unit
 (** Subscribe; [key] defaults to the host name. Re-joining with the same

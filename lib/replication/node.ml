@@ -1114,7 +1114,7 @@ and replica_handle t ~from msg =
                with the join-state cache instead of paying a fresh
                materialize per fetch. *)
             ( SL.next_seqno log,
-              Corona.Transfer.snapshot_objects ~cache:(E.transfer_cache t.eng) log,
+              Corona.Transfer.snapshot_objects (E.transfer_cache t.eng) log,
               None,
               [] )
         | Some ({ rg_logs = Some logs; _ } as rg) ->

@@ -32,6 +32,3 @@ val drop_front : 'a t -> upto:int -> unit
 
 val drop_back : 'a t -> from:int -> unit
 (** Drop every index at or above [max from first]. *)
-
-val reset : 'a t -> first:int -> unit
-(** Drop everything and restart empty at [first]. *)

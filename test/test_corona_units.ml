@@ -481,8 +481,10 @@ let prop_membership_matches_model =
         && M.is_empty m = (!model = [])
         && List.for_all
              (fun i ->
-               M.find m (name i)
-               = List.find_opt (fun (x : M.entry) -> x.member = name i) !model)
+               M.role_of m (name i)
+               = Option.map
+                   (fun (x : M.entry) -> x.role)
+                   (List.find_opt (fun (x : M.entry) -> x.member = name i) !model))
              (List.init 10 Fun.id)
       in
       let step = ref 0 in
@@ -596,8 +598,80 @@ let test_transfer_policies () =
   in
   check_bytes T.Full_state 7 (* A + B + "01234" *);
   check_bytes (T.Latest_updates 2) 2;
+  check_bytes (T.Updates_since 2) 3;
   check_bytes (T.Objects [ "a" ]) 1;
-  check_bytes T.No_state 0
+  check_bytes T.No_state 0;
+  (* [prepare]'s [p_bytes] is the data bytes of what the payload carries,
+     for every spec, through the cache and without it: on a contiguous log,
+     across [Every_n_updates] reductions (checked after every append, so
+     after every reduction), and on a log recovered over a WAL whose seqnos
+     skip one. *)
+  let sent_bytes = function
+    | Proto.Message.Snapshot { objects; log_tail } ->
+        List.fold_left (fun acc (_, d) -> acc + String.length d) 0 objects
+        + List.fold_left (fun acc u -> acc + String.length u.T.data) 0 log_tail
+    | Proto.Message.Update_history ups ->
+        List.fold_left (fun acc u -> acc + String.length u.T.data) 0 ups
+  in
+  let spec_name = function
+    | T.Full_state -> "full"
+    | T.Latest_updates n -> Printf.sprintf "latest %d" n
+    | T.Updates_since n -> Printf.sprintf "since %d" n
+    | T.Objects ids -> "objects " ^ String.concat "," ids
+    | T.No_state -> "none"
+  in
+  let check_p_bytes what log =
+    let first = Corona.State_log.snapshot_seqno log
+    and next = Corona.State_log.next_seqno log in
+    let cache = Corona.Transfer.create_cache () in
+    List.iter
+      (fun spec ->
+        List.iter
+          (fun (p : Corona.Transfer.prepared) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: p_bytes of %s" what (spec_name spec))
+              (sent_bytes p.p_state) p.p_bytes)
+          [ Corona.Transfer.prepare log spec; Corona.Transfer.prepare ~cache log spec ])
+      ([ T.Full_state; T.No_state; T.Objects [ "a"; "o"; "missing" ] ]
+      @ List.map
+          (fun n -> T.Latest_updates n)
+          [ 0; 1; 5; 36; next - first; next - first + 4 ]
+      @ List.map
+          (fun n -> T.Updates_since n)
+          [ 0; first - 1; first; (first + next) / 2; next - 1; next; next + 3 ])
+  in
+  check_p_bytes "contiguous" log;
+  let engine, wal, _, reduced =
+    make_log ~policy:(Corona.State_log.Every_n_updates 37) ~initial:[ ("a", "A") ] ()
+  in
+  let reductions = ref 0 and first = ref 0 in
+  for i = 0 to 1199 do
+    ignore (append reduced (String.make (1 + (i * 7919 mod 23)) 'x'));
+    if i mod 5 = 0 then Sim.Engine.run engine;
+    if Storage.Wal.first_index wal <> !first then begin
+      first := Storage.Wal.first_index wal;
+      incr reductions
+    end;
+    check_p_bytes (Printf.sprintf "update %d" i) reduced
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "reduced many times (%d)" !reductions)
+    true (!reductions >= 25);
+  let engine, wal, checkpoints, _ = make_log () in
+  List.iter
+    (fun seqno -> ignore (Storage.Wal.append wal ~size:40 (upd ~seqno "o" "abc")))
+    [ 0; 1; 2; 4; 5 ];
+  Sim.Engine.run engine;
+  let ck = Option.get (Storage.Snapshot.load checkpoints ~key:"g") in
+  let gap =
+    Corona.State_log.recover ck ~wal ~checkpoints ~policy:Corona.State_log.No_reduction
+  in
+  Alcotest.(check int) "replayed past the gap" 6 (Corona.State_log.next_seqno gap);
+  check_p_bytes "gapped WAL" gap;
+  ignore (append gap "more");
+  check_p_bytes "gapped WAL, appended" gap;
+  Alcotest.(check int) "since 0 sends every retained update" 19
+    (Corona.Transfer.prepare gap (T.Updates_since 0)).p_bytes
 
 (* The version counter is what keys the snapshot cache: every mutation
    bumps it, reads never do. *)
@@ -630,8 +704,6 @@ let test_transfer_cache_reuse_and_invalidation () =
   let p2 = prepare ~cache log T.Full_state in
   Alcotest.(check bool) "first prepare misses" false p1.p_cache_hit;
   Alcotest.(check bool) "second prepare hits" true p2.p_cache_hit;
-  Alcotest.(check bool) "both are full snapshots" true
-    (p1.p_full_snapshot && p2.p_full_snapshot);
   Alcotest.(check (pair int int)) "stats count one of each" (1, 1)
     (cache_stats cache);
   (* the cached payload equals the uncached reference payload *)
@@ -664,7 +736,10 @@ let test_transfer_cache_reduction_fold () =
   let p1 = prepare ~cache log T.Full_state in
   let p2 = prepare ~cache log (T.Updates_since 3) in
   Alcotest.(check bool) "reduced-past resync is a full snapshot" true
-    p2.p_full_snapshot;
+    (match p2.p_state with
+    | Proto.Message.Snapshot { objects; log_tail = [] } ->
+        objects = Corona.Shared_state.objects (Corona.State_log.state log)
+    | _ -> false);
   Alcotest.(check bool) "and shares the cached entry" true p2.p_cache_hit;
   Alcotest.(check bool) "same payload" true (p1.p_state == p2.p_state);
   Alcotest.(check (pair int int)) "one materialize for both" (1, 1)
@@ -708,109 +783,6 @@ let test_cached_and_uncached_joiners_agree () =
       Alcotest.(check bool) "decodes to what was sent" true
         (decode ec = Proto.Message.encoded_message ec))
     [ T.Full_state; T.Updates_since 3 ]
-
-(* The O(1) prefix-sum byte accounting agrees with folding over the
-   retained updates, for every suffix and before/after reduction. *)
-let test_log_byte_accounting () =
-  let fold_bytes updates =
-    List.fold_left (fun acc u -> acc + String.length u.T.data) 0 updates
-  in
-  let engine, _, _, log = make_log () in
-  for i = 0 to 9 do
-    ignore (append log (String.make (i + 1) 'x'))
-  done;
-  for from = 0 to 11 do
-    match Corona.State_log.update_bytes_from log from with
-    | None -> Alcotest.fail "contiguous history must give an exact count"
-    | Some b ->
-        Alcotest.(check int)
-          (Printf.sprintf "bytes from %d" from)
-          (fold_bytes (Corona.State_log.updates_from log from))
-          b
-  done;
-  for n = 0 to 12 do
-    match Corona.State_log.latest_updates_bytes log n with
-    | None -> Alcotest.fail "latest-n must give an exact count"
-    | Some b ->
-        Alcotest.(check int)
-          (Printf.sprintf "latest %d bytes" n)
-          (fold_bytes (Corona.State_log.latest_updates log n))
-          b
-  done;
-  Corona.State_log.reduce log ~on_done:(fun ~upto:_ -> ());
-  Sim.Engine.run engine;
-  ignore (append log "post");
-  Alcotest.(check (option int)) "exact after reduction" (Some 4)
-    (Corona.State_log.update_bytes_from log 10);
-  Alcotest.(check (option int)) "latest-n clamps to the retained suffix"
-    (Some (fold_bytes (Corona.State_log.latest_updates log 5)))
-    (Corona.State_log.latest_updates_bytes log 5)
-
-(* The same agreement across 1,200 updates under [Every_n_updates]
-   reduction: the prefix sums' window is truncated at every reduction and
-   slides and grows as the log does. Reductions land after a varying number
-   of further appends, so a truncation often keeps a suffix. Checked after
-   every append, hence after every reduction. *)
-let test_log_byte_accounting_under_reduction () =
-  let fold_bytes updates =
-    List.fold_left (fun acc u -> acc + String.length u.T.data) 0 updates
-  in
-  let engine, wal, _, log = make_log ~policy:(Corona.State_log.Every_n_updates 37) () in
-  let reductions = ref 0 and first = ref 0 in
-  for i = 0 to 1199 do
-    ignore (append log (String.make (1 + (i * 7919 mod 23)) 'x'));
-    if i mod 5 = 0 then Sim.Engine.run engine;
-    if Storage.Wal.first_index wal <> !first then begin
-      first := Storage.Wal.first_index wal;
-      incr reductions
-    end;
-    let next = Corona.State_log.next_seqno log in
-    List.iter
-      (fun from ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "update %d: bytes from %d" i from)
-          (Some (fold_bytes (Corona.State_log.updates_from log from)))
-          (Corona.State_log.update_bytes_from log from))
-      [ 0; !first - 1; !first; (!first + next) / 2; next - 1; next; next + 3 ];
-    List.iter
-      (fun n ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "update %d: latest %d bytes" i n)
-          (Some (fold_bytes (Corona.State_log.latest_updates log n)))
-          (Corona.State_log.latest_updates_bytes log n))
-      [ 0; 1; 5; 36; next - !first; next - !first + 4 ]
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "reduced many times (%d)" !reductions)
-    true (!reductions >= 25)
-
-(* A log recovered over a WAL whose seqnos skip one cannot keep exact
-   prefix sums: byte queries answer [None] and callers fold instead. A
-   contiguous WAL recovers exact sums. *)
-let test_log_byte_accounting_recover_gap () =
-  let recovered seqnos =
-    let engine, wal, checkpoints, _ = make_log () in
-    List.iter
-      (fun seqno -> ignore (Storage.Wal.append wal ~size:40 (upd ~seqno "o" "abc")))
-      seqnos;
-    Sim.Engine.run engine;
-    let ck = Option.get (Storage.Snapshot.load checkpoints ~key:"g") in
-    Corona.State_log.recover ck ~wal ~checkpoints ~policy:Corona.State_log.No_reduction
-  in
-  let gap = recovered [ 0; 1; 2; 4; 5 ] in
-  Alcotest.(check int) "replayed past the gap" 6 (Corona.State_log.next_seqno gap);
-  Alcotest.(check (option int)) "bytes from: inexact" None
-    (Corona.State_log.update_bytes_from gap 0);
-  Alcotest.(check (option int)) "latest: inexact" None
-    (Corona.State_log.latest_updates_bytes gap 3);
-  ignore (append gap "more");
-  Alcotest.(check (option int)) "stays inexact" None
-    (Corona.State_log.update_bytes_from gap 4);
-  let whole = recovered [ 0; 1; 2; 3; 4 ] in
-  Alcotest.(check (option int)) "contiguous: exact" (Some 9)
-    (Corona.State_log.update_bytes_from whole 2);
-  Alcotest.(check (option int)) "contiguous latest: exact" (Some 6)
-    (Corona.State_log.latest_updates_bytes whole 2)
 
 (* --- sharded WAL streams -------------------------------------------------- *)
 
@@ -1111,12 +1083,6 @@ let () =
             test_transfer_cache_reduction_fold;
           tc "cached and uncached joiners get the same frame" `Quick
             test_cached_and_uncached_joiners_agree;
-          tc "O(1) byte accounting = reference fold" `Quick
-            test_log_byte_accounting;
-          tc "byte accounting = fold under Every_n_updates reduction" `Quick
-            test_log_byte_accounting_under_reduction;
-          tc "byte accounting after recovering a gapped WAL" `Quick
-            test_log_byte_accounting_recover_gap;
         ] );
       ( "sharded-wal",
         [
