@@ -62,10 +62,28 @@ type group_replica = {
   gr_own_exclusive : (T.object_id * string) Queue.t;
       (* our sender-exclusive sends already applied optimistically; their
          multicast echoes must not be re-applied *)
-  gr_shard_next : (int, int) Hashtbl.t;
+  mutable gr_shard_next : int array;
       (* sharded groups: next expected seqno per shard stream, seeded from
-         the join's baseline vector *)
+         the join's baseline vector; 0 past the end. Starts as the shared
+         [no_shards] and grows on the first write past its end, so a
+         classic replica allocates none. *)
 }
+
+let no_shards : int array = [||]
+
+(* Record shard [shard]'s next expected seqno, growing the array to cover
+   it. *)
+let set_shard_next r shard next =
+  let n = Array.length r.gr_shard_next in
+  if shard >= n then begin
+    let a = Array.make (shard + 1) 0 in
+    Array.blit r.gr_shard_next 0 a 0 n;
+    r.gr_shard_next <- a
+  end;
+  r.gr_shard_next.(shard) <- next
+
+let shard_next r shard =
+  if shard < Array.length r.gr_shard_next then r.gr_shard_next.(shard) else 0
 
 (* Stands in the hot-replica slot below while it holds nothing; never in a
    table, never delivered to. *)
@@ -79,7 +97,7 @@ let no_replica =
     gr_recent_head = 0;
     gr_pending = 0;
     gr_own_exclusive = Queue.create ();
-    gr_shard_next = Hashtbl.create 1;
+    gr_shard_next = no_shards;
   }
 
 (* The replicas by group, shared by a client and every record [reconnect]
@@ -235,7 +253,7 @@ let apply_join_state t group at_seqno (state : M.join_state) =
           gr_recent_head = 0;
           gr_pending = 0;
           gr_own_exclusive = Queue.create ();
-          gr_shard_next = Hashtbl.create 4;
+          gr_shard_next = no_shards;
         }
       in
       let st = state_of replica in
@@ -410,11 +428,8 @@ let handle_response t (resp : M.response) =
       | Some replica ->
           (* The per-shard guard replaces the group-wide one: [u.seqno]
              counts within shard [shard]'s stream only. *)
-          let next =
-            Option.value (Hashtbl.find_opt replica.gr_shard_next shard) ~default:0
-          in
-          if u.seqno >= next then begin
-            Hashtbl.replace replica.gr_shard_next shard (u.seqno + 1);
+          if u.seqno >= shard_next replica shard then begin
+            set_shard_next replica shard (u.seqno + 1);
             defer_update replica u;
             t.deliveries <- t.deliveries + 1;
             emit t (Shard_delivered { shard; update = u })
@@ -426,12 +441,7 @@ let handle_response t (resp : M.response) =
       | Some replica ->
           List.iteri
             (fun shard next ->
-              let cur =
-                Option.value
-                  (Hashtbl.find_opt replica.gr_shard_next shard)
-                  ~default:0
-              in
-              if next > cur then Hashtbl.replace replica.gr_shard_next shard next)
+              if next > shard_next replica shard then set_shard_next replica shard next)
             vector
       | None -> ());
       emit t (Shard_joined { group; vector })
@@ -589,10 +599,7 @@ let last_seqno t group =
 
 let shard_positions t group =
   Option.map
-    (fun r ->
-      let n = Hashtbl.fold (fun s _ acc -> max acc (s + 1)) r.gr_shard_next 0 in
-      List.init n (fun s ->
-          Option.value (Hashtbl.find_opt r.gr_shard_next s) ~default:0))
+    (fun r -> Array.to_list r.gr_shard_next)
     (Hashtbl.find_opt t.replicas.tbl group)
 
 let deliveries_received t = t.deliveries

@@ -35,8 +35,9 @@ val connect :
   unit
 (** Three-ish-way handshake: [on_connected] fires on the client side once the
     server accepted (the server side gets [on_accept]); [on_failed] fires if
-    there is no listener, the destination is unreachable, or the [timeout]
-    (default 5 s) expires. *)
+    there is no listener, the destination is dead, or the [timeout]
+    (default 5 s) expires. A SYN or SYN-ACK that loss or a partition drops
+    is resent after the retransmit timeout (0.5 s), like any segment. *)
 
 val set_receiver : conn -> (size:int -> Payload.t -> unit) -> unit
 (** Install the message handler. Messages arriving before a receiver is

@@ -393,6 +393,31 @@ let test_skip_barrier_bug_detected () =
        (fun v -> contains ~needle:"barrier stamps" (O.violation_line v))
        r.Check.Runner.r_violations)
 
+(* Sharded seed 4 under [--smoke]: srv-1 crashes, its client reconnects
+   and, with skip-rejoin, never rejoins g0. The client and the servers then
+   agree that it left, so only membership judged by intent (alive, wants
+   to be connected, joined once) catches the injection. *)
+let sharded_rejoin_schedule =
+  {
+    S.kind = S.Sharded { replicas = 3; shards = 4 };
+    clients = 3;
+    groups = 1;
+    horizon_ms = 12_000;
+    events = [ S.Crash_server { server = 1; at_ms = 2_162; down_ms = 0 } ];
+  }
+
+let test_skip_rejoin_caught_on_sharded () =
+  let bug = { Check.Runner.no_bug with Check.Runner.skip_rejoin = true } in
+  let r = Check.Runner.execute ~bug ~seed:4L sharded_rejoin_schedule in
+  Alcotest.(check (list string))
+    "membership oracle names the forgotten member"
+    [ "[membership] g0: servers list [c1,c2] but joined agents are [c0,c1,c2]" ]
+    (List.map O.violation_line r.Check.Runner.r_violations);
+  let clean = Check.Runner.execute ~seed:4L sharded_rejoin_schedule in
+  Alcotest.(check (list string))
+    "same schedule is clean without the bug" []
+    (List.map O.violation_line clean.Check.Runner.r_violations)
+
 let test_sharded_trunk_passes_smoke () =
   for seed = 1 to 12 do
     let seed = Int64.of_int seed in
@@ -690,6 +715,8 @@ let () =
             test_sharded_locks_span_shards;
           tc "skip-barrier caught by cross-shard oracle" `Quick
             test_skip_barrier_bug_detected;
+          tc "skip-rejoin caught by intent-based membership" `Quick
+            test_skip_rejoin_caught_on_sharded;
           tc "sharded trunk passes smoke seeds" `Quick test_sharded_trunk_passes_smoke;
           tc "sharded determinism regression" `Quick test_sharded_runner_deterministic;
         ] );
