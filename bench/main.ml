@@ -276,6 +276,63 @@ let run_directory_micro () =
       (Printf.sprintf "directory join: %.1f minor words/join at 500 members > %.1fx %.1f at 50"
          large directory_join_growth_bound small)
 
+(* Membership-notification rows: wire bytes per subscriber when one member
+   joins a group of [subscribers] members that all asked for change
+   notifications: the join's bytes on the fabric, minus those of the same
+   join into a group where nobody asked, over [subscribers]. Gated: a
+   notification that carries the member list grows with the group, so the
+   figure at 500 subscribers exceeds the one at 50 by more than the length
+   of a member name. *)
+let notify_joiner = "joiner"
+
+let join_bytes ~subscribers ~notify =
+  let tb = Workload.Testbed.single_server ~net:Net.Fabric.lan () in
+  let open Workload.Testbed in
+  let group = "watched" in
+  let joiner = ref None in
+  spawn_clients tb.s_fabric ~hosts:tb.s_client_hosts
+    ~server_for:(fun _ -> tb.s_server_host)
+    ~n:subscribers
+    (fun clients ->
+      Corona.Client.create_group clients.(0) ~group
+        ~k:(fun _ -> join_all clients ~group ~transfer:T.No_state ~notify ignore)
+        ());
+  Corona.Client.connect tb.s_fabric ~host:tb.s_client_hosts.(0) ~server:tb.s_server_host
+    ~member:notify_joiner
+    ~on_connected:(fun c -> joiner := Some c)
+    ~on_failed:(fun () -> failwith "notify row: joiner failed to connect")
+    ();
+  run_until tb.s_engine (fun () -> false);
+  let before = Net.Fabric.bytes_sent tb.s_fabric in
+  Corona.Client.join (Option.get !joiner) ~group ~transfer:T.No_state ~notify:false
+    ~k:ignore ();
+  run_until tb.s_engine (fun () -> false);
+  Net.Fabric.bytes_sent tb.s_fabric - before
+
+let notify_join_row ~subscribers =
+  let extra =
+    join_bytes ~subscribers ~notify:true - join_bytes ~subscribers ~notify:false
+  in
+  let per = float_of_int extra /. float_of_int subscribers in
+  let name = Printf.sprintf "join notification @%d subscribers" subscribers in
+  json_add "micro"
+    [ ("name", Printf.sprintf "%S" name); ("wire_bytes_per_subscriber", json_num per) ];
+  (per, [ name; Printf.sprintf "%.1f" per ])
+
+let run_notify_micro () =
+  let small, small_row = notify_join_row ~subscribers:50 in
+  let large, large_row = notify_join_row ~subscribers:500 in
+  Workload.Report.table
+    ~header:[ "membership notification"; "wire B/subscriber" ]
+    [ small_row; large_row ];
+  let bound = small +. float_of_int (String.length notify_joiner) in
+  if large > bound then
+    failwith
+      (Printf.sprintf
+         "join notification: %.1f wire bytes/subscriber at 500 subscribers > %.1f at 50 + \
+          a member name (%.1f)"
+         large small bound)
+
 (* Event-loop row: the host cost of one pooled schedule + step pair with
    2000 events pending, the fan-out loop's steady state. Each event is a
    run of one over a one-slot times array, which the engine reads at the
@@ -369,6 +426,7 @@ let run_micro () =
   run_codec_alloc ();
   run_log_alloc ();
   run_directory_micro ();
+  run_notify_micro ();
   run_engine_micro ()
 
 (* --- fan-out macro-benchmark -------------------------------------------- *)

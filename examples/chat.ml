@@ -31,7 +31,7 @@ let () =
     | C.Membership_changed { change; _ } ->
         say "%-7s sees: *** %s" name
           (match change with
-          | Proto.Types.Member_joined m -> m ^ " entered the room"
+          | Proto.Types.Member_joined m -> m.member ^ " entered the room"
           | Proto.Types.Member_left m -> m ^ " left"
           | Proto.Types.Member_crashed m -> m ^ " lost connection")
     | _ -> ()

@@ -13,6 +13,9 @@ type input = {
   i_clients : Observe.t list;
   i_client_states : (string * string * string) list;
       (* (agent, group, digest) for agents joined & connected at the end *)
+  i_client_views : (string * string * string list) list;
+      (* (agent, group, Client.members) for agents joined & connected at the
+         end *)
   i_members : (string * string list) list; (* per group, the servers' view *)
   i_expected_members : (string * string list) list;
       (* per group, agents that believe they are joined at the end *)
@@ -101,7 +104,9 @@ let convergence input =
 (* Oracle 3 — membership sanity: no member appears twice in a view, a join
    view contains the joiner, a leave/crash view does not contain the
    departed, and at quiescence the servers' member list of each group is
-   exactly the set of agents that believe they are joined. *)
+   exactly the set of agents that believe they are joined, and every
+   connected subscriber's view — its join-time list with each notified
+   change applied — holds that same set. *)
 let membership input =
   let violations = ref [] in
   let add fmt = Printf.ksprintf (fun d -> violations := { v_oracle = "membership"; v_detail = d } :: !violations) fmt in
@@ -148,6 +153,18 @@ let membership input =
         add "%s: servers list [%s] but joined agents are [%s]" group
           (String.concat "," actual) (String.concat "," expected))
     input.i_members;
+  List.iter
+    (fun (agent, group, view) ->
+      let servers =
+        match List.assoc_opt group input.i_members with
+        | Some l -> List.sort String.compare l
+        | None -> []
+      in
+      let view = List.sort String.compare view in
+      if view <> servers then
+        add "%s: %s's view is [%s] but servers list [%s]" group agent
+          (String.concat "," view) (String.concat "," servers))
+    input.i_client_views;
   List.rev !violations
 
 (* Oracle 4 — lock safety: replay each journal against the model "one

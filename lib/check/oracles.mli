@@ -14,6 +14,9 @@ type input = {
   i_clients : Observe.t list;
   i_client_states : (string * string * string) list;
       (** (agent, group, digest) for agents joined & connected at the end *)
+  i_client_views : (string * string * string list) list;
+      (** (agent, group, {!Corona.Client.members}) for agents joined &
+          connected at the end *)
   i_members : (string * string list) list;  (** per group, the servers' view *)
   i_expected_members : (string * string list) list;
       (** per group, agents that believe they are joined at the end *)
@@ -39,7 +42,9 @@ val convergence : input -> violation list
 val membership : input -> violation list
 (** No member appears twice in a view, a join view contains the joiner, a
     leave/crash view omits the departed, and at quiescence the servers'
-    member list matches the agents that believe they are joined. *)
+    member list matches the agents that believe they are joined and the
+    view every connected subscriber rebuilt from its join-time list and
+    the changes notified since. *)
 
 val locks : input -> violation list
 (** Mutual exclusion and release pairing over the lock journals. *)

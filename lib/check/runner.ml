@@ -133,7 +133,7 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
         else join_group a g ~attempts:30)
       a.a_groups
   in
-  let rec agent_event a _c ev =
+  let rec agent_event a c ev =
     match ev with
     | Corona.Client.Delivered (u : T.update) ->
         record a
@@ -146,10 +146,10 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
                obj = u.obj;
                data = u.data;
              })
-    | Corona.Client.Membership_changed { group; change; members } ->
+    | Corona.Client.Membership_changed { group; change } ->
         let change_s =
           match change with
-          | T.Member_joined m -> Printf.sprintf "joined %s" m
+          | T.Member_joined m -> Printf.sprintf "joined %s" m.member
           | T.Member_left m -> Printf.sprintf "left %s" m
           | T.Member_crashed m -> Printf.sprintf "crashed %s" m
         in
@@ -158,7 +158,10 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
              {
                group;
                change = change_s;
-               members = List.map (fun (m : T.member) -> m.member) members;
+               members =
+                 List.map
+                   (fun (m : T.member) -> m.member)
+                   (Corona.Client.members c ~group);
              })
     | Corona.Client.Lock_granted_later { group; lock } -> (
         record a (Observe.Lock_granted { group; lock });
@@ -404,6 +407,21 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
                      (Corona.Client.replica c g))
                  (List.sort String.compare (Corona.Client.joined_groups c)))
   in
+  let client_views =
+    Array.to_list agents
+    |> List.concat_map (fun a ->
+           match live_client a with
+           | None -> []
+           | Some c ->
+               List.map
+                 (fun g ->
+                   ( a.a_name,
+                     g,
+                     List.map
+                       (fun (m : T.member) -> m.member)
+                       (Corona.Client.members c ~group:g) ))
+                 (Corona.Client.joined_groups c))
+  in
   (* Intent, not the client's own belief: an agent that wants to be in the
      group but stalled or forgot it (the injected skip-failover and
      skip-rejoin) must still be judged — that is exactly the membership and
@@ -428,6 +446,7 @@ let execute ?(bug = no_bug) ~seed (sched : Schedule.t) =
       i_journals = Deploy.lock_journals deploy;
       i_clients = obs;
       i_client_states = client_states;
+      i_client_views = client_views;
       i_members = List.map (fun g -> (g, Deploy.members deploy g)) group_ids;
       i_expected_members = expected_members;
       i_eras = Deploy.restart_times deploy;

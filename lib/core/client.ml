@@ -3,11 +3,7 @@ module M = Proto.Message
 
 type event =
   | Delivered of T.update
-  | Membership_changed of {
-      group : T.group_id;
-      change : T.membership_change;
-      members : T.member list;
-    }
+  | Membership_changed of { group : T.group_id; change : T.membership_change }
   | Lock_granted_later of { group : T.group_id; lock : T.lock_id }
   | Group_was_deleted of T.group_id
   | Disconnected of Net.Tcp.close_reason
@@ -100,19 +96,45 @@ let no_replica =
     gr_shard_next = no_shards;
   }
 
-(* The replicas by group, shared by a client and every record [reconnect]
-   makes from it, with a one-entry cache of the replica the last delivery
-   landed in, so a delivery in the same group as the one before hashes
-   nothing. The slot holds [no_replica] when empty, so filling it on a miss
-   allocates nothing. Every [set_replica] / [remove_replica] empties it, so
-   it never outlives its table entry. *)
+(* A subscriber's member list of a group. While a join is in flight
+   ([v_joining]) changes wait in [v_early], newest first: one notified
+   after the server admitted us can arrive before our [Join_accepted] (a
+   relay forwards notifications on another connection), and it applies on
+   top of that list. *)
+type view = {
+  mutable v_members : Member_view.t;
+  mutable v_joining : bool;
+  mutable v_early : T.membership_change list;
+}
+
+let note_change v change =
+  if v.v_joining then v.v_early <- change :: v.v_early
+  else Member_view.note v.v_members change
+
+(* The join in flight is over: [members] is its list ([None]: refused),
+   and the changes that waited for it apply on top. *)
+let settle_join v members =
+  Option.iter (fun members -> v.v_members <- Member_view.of_list members) members;
+  v.v_joining <- false;
+  let early = v.v_early in
+  v.v_early <- [];
+  List.iter (Member_view.note v.v_members) (List.rev early)
+
+(* The replicas and member views by group, shared by a client and every
+   record [reconnect] makes from it, with a one-entry cache of the replica
+   the last delivery landed in, so a delivery in the same group as the one
+   before hashes nothing. The slot holds [no_replica] when empty, so
+   filling it on a miss allocates nothing. Every [set_replica] /
+   [remove_replica] empties it, so it never outlives its table entry. *)
 type replicas = {
   tbl : (T.group_id, group_replica) Hashtbl.t;
   mutable hot_group : T.group_id;
   mutable hot : group_replica;
+  views : (T.group_id, view) Hashtbl.t;
 }
 
-let create_replicas () = { tbl = Hashtbl.create 8; hot_group = ""; hot = no_replica }
+let create_replicas () =
+  { tbl = Hashtbl.create 8; hot_group = ""; hot = no_replica; views = Hashtbl.create 8 }
 
 let set_replica rs group r =
   rs.hot <- no_replica;
@@ -362,6 +384,15 @@ and handle_delivery t (u : T.update) =
 
 (* --- response dispatch ------------------------------------------------ *)
 
+(* A refused join: a view made for it goes, one kept from an earlier join
+   takes the changes that waited. *)
+let join_failed t group =
+  match Hashtbl.find_opt t.replicas.views group with
+  | Some v ->
+      if Hashtbl.mem t.replicas.tbl group then settle_join v None
+      else Hashtbl.remove t.replicas.views group
+  | None -> ()
+
 let is_lock_acquire lock = function E_lock_acquire l -> l = lock | _ -> false
 
 let is_lock_release lock = function E_lock_release l -> l = lock | _ -> false
@@ -376,10 +407,14 @@ let handle_response t (resp : M.response) =
       unsubscribe_mcast t group;
       if not (resolve t group (fun e -> e = E_delete) R_ok) then begin
         remove_replica t.replicas group;
+        Hashtbl.remove t.replicas.views group;
         emit t (Group_was_deleted group)
       end
   | M.Join_accepted { group; at_seqno; state; members; multicast } ->
       apply_join_state t group at_seqno state;
+      Option.iter
+        (fun v -> settle_join v (Some members))
+        (Hashtbl.find_opt t.replicas.views group);
       (match Hashtbl.find_opt t.replicas.tbl group with
       | Some r -> r.gr_via_mcast <- multicast
       | None -> ());
@@ -388,11 +423,17 @@ let handle_response t (resp : M.response) =
   | M.Left { group } ->
       unsubscribe_mcast t group;
       remove_replica t.replicas group;
+      (match Hashtbl.find_opt t.replicas.views group with
+      | Some v when not v.v_joining -> Hashtbl.remove t.replicas.views group
+      | Some _ | None -> ());
       ignore (resolve t group (fun e -> e = E_leave) R_ok)
   | M.Membership_info { group; members } ->
       ignore (resolve t group (fun e -> e = E_membership) (R_membership members))
-  | M.Membership_changed { group; change; members } ->
-      emit t (Membership_changed { group; change; members })
+  | M.Membership_changed { group; change } ->
+      (match Hashtbl.find_opt t.replicas.views group with
+      | Some v -> note_change v change
+      | None -> ());
+      emit t (Membership_changed { group; change })
   | M.Deliver u -> handle_delivery t u
   | M.Lock_granted { group; lock } ->
       if not (resolve t group (is_lock_acquire lock) (R_lock `Granted)) then
@@ -414,8 +455,12 @@ let handle_response t (resp : M.response) =
       in
       if is_connected t then
         M.send t.conn (M.Request (M.Resend { group; member = t.member; updates }))
-  | M.Request_failed { group; reason } ->
-      ignore (resolve t group (fun _ -> true) (R_failed reason))
+  | M.Request_failed { group; reason } -> (
+      match take_expectation t group (fun _ -> true) with
+      | Some e ->
+          if e.e_kind = E_join then join_failed t group;
+          e.e_k (R_failed reason)
+      | None -> ())
   | M.Pong { nonce } -> (
       match Hashtbl.find_opt t.pings nonce with
       | Some (sent, k) ->
@@ -515,6 +560,17 @@ let delete_group t ~group ~k =
 let join t ~group ?(role = T.Principal) ?(transfer = T.Full_state) ?(notify = true)
     ~k () =
   expect t group E_join k;
+  (* Only a subscriber keeps a view: nobody would tell anyone else of a
+     change. *)
+  (if notify then
+     match Hashtbl.find_opt t.replicas.views group with
+     | Some v ->
+         v.v_joining <- true;
+         v.v_early <- []
+     | None ->
+         Hashtbl.replace t.replicas.views group
+           { v_members = Member_view.of_list []; v_joining = true; v_early = [] }
+   else Hashtbl.remove t.replicas.views group);
   (* Subscribe before the request travels: every delivery multicast after
      the server processes the join is already audible. The subscription is
      dropped again if the server answers [multicast = false]. *)
@@ -590,6 +646,18 @@ let ping t ~k =
 
 let replica t group =
   Option.map state_of (Hashtbl.find_opt t.replicas.tbl group)
+
+let members t ~group =
+  match Hashtbl.find_opt t.replicas.views group with
+  | Some v when Hashtbl.mem t.replicas.tbl group ->
+      if v.v_early = [] then Member_view.to_list v.v_members
+      else begin
+        (* a rejoin in flight: the view we keep, and the changes since *)
+        let now = Member_view.of_list (Member_view.to_list v.v_members) in
+        List.iter (Member_view.note now) (List.rev v.v_early);
+        Member_view.to_list now
+      end
+  | Some _ | None -> []
 
 let joined_groups t =
   Hashtbl.fold (fun g _ acc -> g :: acc) t.replicas.tbl [] |> List.sort String.compare

@@ -21,8 +21,9 @@ type event =
   | Membership_changed of {
       group : Proto.Types.group_id;
       change : Proto.Types.membership_change;
-      members : Proto.Types.member list;
     }
+      (** one change to a group this client subscribed to; {!members} already
+          reflects it when the handler runs *)
   | Lock_granted_later of {
       group : Proto.Types.group_id;
       lock : Proto.Types.lock_id;
@@ -113,8 +114,9 @@ val join :
   unit ->
   unit
 (** Join and transfer state per [transfer] (default [Full_state]); [notify]
-    (default true) subscribes to membership-change notifications. On
-    [R_join] the local replica is already populated. *)
+    (default true) subscribes to membership-change notifications, from
+    which the client keeps the view {!members} reads. On [R_join] the local
+    replica is already populated. *)
 
 val rejoin :
   t ->
@@ -173,6 +175,14 @@ val replica : t -> Proto.Types.group_id -> Shared_state.t option
     later deliveries reach it only at the next [replica] call (or the next
     sender-exclusive send or resync in the group). Call [replica] again
     rather than keeping the handle. *)
+
+val members : t -> group:Proto.Types.group_id -> Proto.Types.member list
+(** The group's members in join order, as this client knows them: the
+    [R_join] list with every notified change since applied (a join of a
+    present member replaces its role in place, a leave or crash of an
+    absent one does nothing; see {!Member_view}). Only a subscriber keeps
+    a view: [[]] for a group joined without [notify], or of which the
+    client holds no replica. *)
 
 val joined_groups : t -> Proto.Types.group_id list
 

@@ -207,17 +207,15 @@ let deliver t ms ~group ?exclude ?skip inner =
   add_deliveries t ~count:d.Relay_hub.d_direct
 [@@corona.hot]
 
-(* Subscribers minus the changed member. Without subscribers the group is
-   not walked at all: a join storm with notifications off would otherwise
-   pay O(members) per join. *)
-let notify t ms ~group ?members change =
+(* Subscribers minus the changed member, told the change alone: each
+   rebuilds the view itself, so a frame costs O(1) bytes, not O(members).
+   Without subscribers the group is not walked at all: a join storm with
+   notifications off would otherwise pay O(members) per join. *)
+let notify t ms ~group change =
   if Membership.notify_count ms > 0 then begin
-    let members =
-      match members with Some l -> l | None -> Membership.members ms
-    in
     let exclude = T.changed_member change in
     fill_batch t ms ~notify_only:true ~exclude ();
-    let d = flush t ~group ~exclude (M.Membership_changed { group; change; members }) in
+    let d = flush t ~group ~exclude (M.Membership_changed { group; change }) in
     t.responses_sent <- t.responses_sent + d.Relay_hub.d_direct
   end
 [@@corona.hot]

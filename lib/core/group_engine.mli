@@ -112,12 +112,11 @@ val notify :
   t ->
   Membership.t ->
   group:Proto.Types.group_id ->
-  ?members:Proto.Types.member list ->
   Proto.Types.membership_change ->
   unit
 (** [Membership_changed] to the members that asked for notifications, minus
-    the changed member. [members] is the view announced (default: the
-    table's own). *)
+    the changed member. The frame carries the change only, never the member
+    list; a join's change carries the joiner's role. *)
 
 (** {2 Joins} *)
 

@@ -6,6 +6,7 @@ type entry = {
   notify : bool;
   joined_at : float;
   cell : cell;
+  wire : Proto.Types.member;
 }
 
 (* Members sit in a join-ordered [Slot_table]: a join appends, a leave
@@ -30,6 +31,7 @@ let dead =
     notify = false;
     joined_at = 0.0;
     cell = { conn = None };
+    wire = { Proto.Types.member = ""; role = Proto.Types.Observer };
   }
 
 let create () =
@@ -53,7 +55,9 @@ let forget_notify t = function
   | Some _ | None -> ()
 
 let add t ~member ~role ~notify ~joined_at ~cell =
-  forget_notify t (Slot_table.set t.table { member; role; notify; joined_at; cell });
+  forget_notify t
+    (Slot_table.set t.table
+       { member; role; notify; joined_at; cell; wire = { Proto.Types.member; role } });
   if notify then t.notify_count <- t.notify_count + 1;
   invalidate t
 
@@ -83,11 +87,7 @@ let members t =
   match t.members_cache with
   | Some l -> l
   | None ->
-      let l =
-        Slot_table.fold_live t.table
-          (fun e l -> { Proto.Types.member = e.member; role = e.role } :: l)
-          []
-      in
+      let l = Slot_table.fold_live t.table (fun e l -> e.wire :: l) [] in
       t.members_cache <- Some l;
       l
 

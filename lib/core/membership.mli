@@ -26,6 +26,10 @@ type entry = {
   notify : bool;
   joined_at : float;
   cell : cell;
+  wire : Proto.Types.member;
+      (** [member] and [role] as a wire record, made once per join: every
+          list {!members} builds shares it, and so do the views clients
+          keep of those lists *)
 }
 
 type t

@@ -263,7 +263,8 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
                   (conn, T.Full_state);
                 send_to_conn t conn
                   (M.Resend_request { group; from_seqno = State_log.next_seqno log });
-                Group_engine.notify t.eng g.g_members ~group (T.Member_joined member);
+                Group_engine.notify t.eng g.g_members ~group
+                  (T.Member_joined { T.member; role });
                 Join_deferred
             | (Stateful _ | Stateless _), _ -> Join_done
           in
@@ -298,7 +299,8 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
                   send_chunked t conn ~frames ~finish:(fun () ->
                       accept { p with p_state = M.Snapshot { objects = []; log_tail } })
               | (Some _ | None), _ -> accept p);
-              Group_engine.notify t.eng g.g_members ~group (T.Member_joined member)))
+              Group_engine.notify t.eng g.g_members ~group
+                (T.Member_joined { T.member; role })))
 
 let handle_leave t conn ~group ~member =
   match Hashtbl.find_opt t.groups group with

@@ -45,8 +45,9 @@ type config = {
           seek-bound. [None] (default) issues one write per record. *)
   lean_joins : bool;
       (** elide the O(members) membership list from [Join_accepted] replies
-          (clients still learn changes via notifications) — keeps 100k-member
-          join storms out of the quadratic regime; off by default *)
+          (a subscriber's {!Client.members} then holds only the changes
+          notified after its join) — keeps 100k-member join storms out of
+          the quadratic regime; off by default *)
 }
 
 val default_config : config

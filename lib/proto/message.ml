@@ -75,7 +75,6 @@ type response =
   | Membership_changed of {
       group : Types.group_id;
       change : Types.membership_change;
-      members : Types.member list;
     }
   | Deliver of Types.update
   | Lock_granted of { group : Types.group_id; lock : Types.lock_id }
@@ -210,7 +209,7 @@ let dec_update r : Types.update =
 let enc_change w = function
   | Types.Member_joined m ->
       W.u8 w 0;
-      W.string w m
+      enc_member w m
   | Types.Member_left m ->
       W.u8 w 1;
       W.string w m
@@ -219,12 +218,10 @@ let enc_change w = function
       W.string w m
 
 let dec_change r =
-  let tag = R.u8 r in
-  let m = R.string r in
-  match tag with
-  | 0 -> Types.Member_joined m
-  | 1 -> Types.Member_left m
-  | 2 -> Types.Member_crashed m
+  match R.u8 r with
+  | 0 -> Types.Member_joined (dec_member r)
+  | 1 -> Types.Member_left (R.string r)
+  | 2 -> Types.Member_crashed (R.string r)
   | n -> raise (R.Malformed (Printf.sprintf "membership change tag %d" n))
 
 let enc_join_state w = function
@@ -402,11 +399,10 @@ let rec enc_response w = function
       W.u8 w 4;
       W.string w group;
       W.list w enc_member members
-  | Membership_changed { group; change; members } ->
+  | Membership_changed { group; change } ->
       W.u8 w 5;
       W.string w group;
-      enc_change w change;
-      W.list w enc_member members
+      enc_change w change
   | Deliver u ->
       W.u8 w 6;
       enc_update w u
@@ -475,8 +471,7 @@ let rec dec_response r =
   | 5 ->
       let group = R.string r in
       let change = dec_change r in
-      let members = R.list r dec_member in
-      Membership_changed { group; change; members }
+      Membership_changed { group; change }
   | 6 -> Deliver (dec_update r)
   | 7 ->
       let group = R.string r in

@@ -96,8 +96,9 @@ type response =
   | Membership_changed of {
       group : Types.group_id;
       change : Types.membership_change;
-      members : Types.member list;
     }
+      (** one change, not the member list: a subscriber rebuilds the view
+          from its [Join_accepted] list and every change since *)
   | Deliver of Types.update
   | Lock_granted of { group : Types.group_id; lock : Types.lock_id }
   | Lock_busy of {

@@ -32,7 +32,7 @@ type update = {
 }
 
 type membership_change =
-  | Member_joined of member_id
+  | Member_joined of member
   | Member_left of member_id
   | Member_crashed of member_id
 
@@ -47,7 +47,7 @@ let pp_update_kind ppf = function
 let pp_member ppf m = Format.fprintf ppf "%s:%a" m.member pp_role m.role
 
 let pp_membership_change ppf = function
-  | Member_joined m -> Format.fprintf ppf "+%s" m
+  | Member_joined m -> Format.fprintf ppf "+%s" m.member
   | Member_left m -> Format.fprintf ppf "-%s" m
   | Member_crashed m -> Format.fprintf ppf "!%s" m
 
@@ -56,4 +56,5 @@ let pp_update ppf u =
     u.kind u.group u.obj u.sender (String.length u.data)
 
 let changed_member = function
-  | Member_joined m | Member_left m | Member_crashed m -> m
+  | Member_joined m -> m.member
+  | Member_left m | Member_crashed m -> m

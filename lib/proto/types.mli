@@ -52,7 +52,9 @@ type update = {
 }
 
 type membership_change =
-  | Member_joined of member_id
+  | Member_joined of member
+      (** the joiner with its role; a rejoin of a present member changes
+          its role in place *)
   | Member_left of member_id
   | Member_crashed of member_id
       (** detected via connection breakage rather than an explicit leave *)

@@ -101,7 +101,7 @@ type pending_join = {
   pj_conn : Net.Tcp.conn;
   pj_transfer : T.transfer_spec;
   pj_notify : bool;
-  mutable pj_result : (int * T.member list) option; (* from Join_result *)
+  mutable pj_result : int option; (* the group's next seqno, from Join_result *)
 }
 
 type t = {
@@ -258,6 +258,19 @@ let shard_owners t = Array.copy t.shard_owners
 
 let sharded t = t.cfg.shards > 1
 
+(* --- §4.1 relaxed membership -------------------------------------------- *)
+
+(* A join or leave "does not directly affect the other members", so the
+   origin replica tells its own clients before the coordinator round-trip.
+   The coordinator skips the origin when it fans the change, so no whole
+   list will carry it there: the origin applies it to its copy's list the
+   way a subscriber applies it to its view. *)
+let relaxed_change t rg change =
+  let view = Corona.Member_view.of_list rg.rg_global in
+  Corona.Member_view.note view change;
+  rg.rg_global <- Corona.Member_view.to_list view;
+  E.notify t.eng rg.rg_local ~group:rg.rg_id change
+
 (* --- server mesh ------------------------------------------------------- *)
 
 (* [@@corona.cold] cuts R8 reachability here: self-delivery re-enters the
@@ -387,13 +400,16 @@ and admit t rg member (pj : pending_join) =
   E.add_member t.eng rg.rg_local ~group:rg.rg_id ~member ~role ~notify:pj.pj_notify
 
 (* A classic join takes its state from the group-wide log; a sharded one
-   completes when its view barrier fires ([complete_shard_join]). *)
+   completes when its view barrier fires ([complete_shard_join]). The
+   joiner gets the copy's current view: every view change since the
+   [Join_result] is already in it, and every later one reaches the joiner
+   as a notification. *)
 and complete_join t rg member (pj : pending_join) =
   match (group_log rg, pj.pj_result) with
-  | Some log, Some (_, members) ->
-      rg.rg_global <- members;
+  | Some log, Some _ ->
       admit t rg member pj;
-      E.accept_join t.eng pj.pj_conn ~group:rg.rg_id ~members ~multicast:false
+      E.accept_join t.eng pj.pj_conn ~group:rg.rg_id ~members:rg.rg_global
+        ~multicast:false
         (E.join_state t.eng (`Log log) pj.pj_transfer)
   | _ -> ()
 
@@ -552,12 +568,12 @@ and apply_shard_op t rg ~bar ~vector op =
       | T.Member_joined _ -> ());
       (if origin = t.self then
          match change with
-         | T.Member_joined member ->
+         | T.Member_joined { member; _ } ->
              if rg.rg_expecting_blob then
                rg.rg_pending_sjoins <- member :: rg.rg_pending_sjoins
              else complete_shard_join t rg member
          | T.Member_left _ | T.Member_crashed _ -> ());
-      E.notify t.eng rg.rg_local ~group ~members change
+      E.notify t.eng rg.rg_local ~group change
   | Smsg.Op_lock { lock; member } -> lock_reply t ~group ~lock ~member `Granted);
   E.fan_out t.eng rg.rg_local ~group
     (M.Shard_view
@@ -881,7 +897,8 @@ and coord_handle t ~from msg =
                     send_srv t holder (Smsg.Fetch_state { from = origin; group })
                 | Some _ | None -> ());
                 ensure_two_holders t entry;
-                coord_view t entry ~origin (T.Member_joined member) members))
+                coord_view t entry ~origin (T.Member_joined { member; role = mrole })
+                  members))
     | Smsg.Fwd_leave { origin; group; member; crashed } -> (
         match Directory.leave t.dir ~group ~member with
         | `No_group | `Not_member -> ()
@@ -1065,9 +1082,16 @@ and replica_handle t ~from msg =
           match error with
           | Some reason ->
               Hashtbl.remove t.pending_join key;
+              (* Relaxed, co-located members already heard of the join:
+                 take it back unless the joiner was a member before. *)
+              (if t.cfg.relaxed_membership then
+                 match Hashtbl.find_opt t.rgroups group with
+                 | Some rg when Corona.Membership.role_of rg.rg_local member = None ->
+                     relaxed_change t rg (T.Member_left member)
+                 | Some _ | None -> ());
               if Net.Tcp.is_open pj.pj_conn then E.fail t.eng pj.pj_conn group reason
           | None ->
-              pj.pj_result <- Some (next_seqno, members);
+              pj.pj_result <- Some next_seqno;
               let rg = rgroup_of t group in
               rg.rg_global <- members;
               (* Sharded, the join completes when its view barrier fires
@@ -1082,7 +1106,10 @@ and replica_handle t ~from msg =
                      directory counts no group-wide seqno when sharded). *)
                   if not rg.rg_expecting_blob then
                     seed_rgroup t rg ~objects:[] ~positions:[ (0, next_seqno) ]))
-  | Smsg.Membership_update { group; change; members } -> (
+  | Smsg.Membership_update { group; change; members } when from = t.coord -> (
+      (* A deposed coordinator's view change, still in flight when a
+         partition heals, must not reach the current reign's subscribers:
+         nothing would take it back. *)
       match Hashtbl.find_opt t.rgroups group with
       | None -> ()
       | Some rg ->
@@ -1096,13 +1123,13 @@ and replica_handle t ~from msg =
              manifest as lost liveness instead of a missing barrier stamp *)
           (if t.cfg.shards > 1 then
              match change with
-             | T.Member_joined member
+             | T.Member_joined { member; _ }
                when Hashtbl.mem t.pending_join (group, member) ->
                  if rg.rg_expecting_blob then
                    rg.rg_pending_sjoins <- member :: rg.rg_pending_sjoins
                  else complete_shard_join t rg member
              | _ -> ());
-          E.notify t.eng rg.rg_local ~group ~members change)
+          E.notify t.eng rg.rg_local ~group change)
   | Smsg.Bcast_reject { origin; reason } ->
       ignore reason;
       if origin.og_server = t.self then Hashtbl.remove t.pending_bcast origin.og_seq
@@ -1144,7 +1171,7 @@ and replica_handle t ~from msg =
                 Hashtbl.fold
                   (fun (g, _) pj acc ->
                     if g = group then match pj.pj_result with
-                      | Some (ns, _) -> ns :: acc
+                      | Some ns -> ns :: acc
                       | None -> acc
                     else acc)
                   t.pending_join []
@@ -1168,7 +1195,7 @@ and replica_handle t ~from msg =
       answer_delete t group (fun conn -> E.send t.eng conn (M.Group_deleted { group }))
   | Smsg.Delete_refused { group; reason } ->
       answer_delete t group (fun conn -> E.fail t.eng conn group reason)
-  | Smsg.Delete_group _ -> ()
+  | Smsg.Delete_group _ | Smsg.Membership_update _ -> ()
   | Smsg.Lock_result { group; lock; member; result } ->
       lock_reply t ~group ~lock ~member result
   | Smsg.Dir_query { from } ->
@@ -1492,14 +1519,6 @@ let admin_heal t ~coordinator =
     resend_pending t
   end
 
-(* §4.1 relaxation: a leave does not directly affect the others, so the
-   origin replica tells its own clients before the coordinator round-trip. *)
-let relaxed_leave t rg change =
-  let gone = T.changed_member change in
-  E.notify t.eng rg.rg_local ~group:rg.rg_id
-    ~members:(List.filter (fun (m : T.member) -> m.member <> gone) rg.rg_global)
-    change
-
 (* A shard owner need not know the directory, so on a sharded deployment
    the origin replica makes [Server.handle_bcast]'s checks against its own
    member table before it forwards, and drops a refused write as a
@@ -1527,18 +1546,12 @@ let handle_client_request t conn (req : M.request) =
       E.bind t.eng member conn;
       Hashtbl.replace t.pending_join (group, member)
         { pj_conn = conn; pj_transfer = transfer; pj_notify = notify; pj_result = None };
-      (* §4.1 relaxation: a join "does not directly affect the other
-         members", so co-located members hear about it before the
+      (* §4.1 relaxation: co-located members hear about the join before the
          coordinator round-trip; the coordinator skips this replica in its
          Membership_update fan. *)
       (if t.cfg.relaxed_membership then
          match Hashtbl.find_opt t.rgroups group with
-         | Some rg ->
-             let members =
-               List.filter (fun (m : T.member) -> m.member <> member) rg.rg_global
-               @ [ { T.member; role = mrole } ]
-             in
-             E.notify t.eng rg.rg_local ~group ~members (T.Member_joined member)
+         | Some rg -> relaxed_change t rg (T.Member_joined { member; role = mrole })
          | None -> ());
       send_srv t t.coord
         (Smsg.Fwd_join { origin = t.self; group; member; role = mrole; notify })
@@ -1549,7 +1562,7 @@ let handle_client_request t conn (req : M.request) =
       | Some rg ->
           ignore (E.remove_member t.eng rg.rg_local ~group member);
           E.send t.eng conn (M.Left { group });
-          if t.cfg.relaxed_membership then relaxed_leave t rg (T.Member_left member)
+          if t.cfg.relaxed_membership then relaxed_change t rg (T.Member_left member)
       | None -> E.fail t.eng conn group "no such group");
       send_srv t t.coord
         (Smsg.Fwd_leave { origin = t.self; group; member; crashed = false })
@@ -1603,7 +1616,7 @@ let handle_client_disconnect t conn reason =
           match Hashtbl.find_opt t.rgroups group with
           | Some rg when E.remove_member t.eng rg.rg_local ~group member ->
               if t.cfg.relaxed_membership then
-                relaxed_leave t rg
+                relaxed_change t rg
                   (if crashed then T.Member_crashed member else T.Member_left member);
               send_srv t t.coord (Smsg.Fwd_leave { origin = t.self; group; member; crashed })
           | Some _ | None -> ())

@@ -187,14 +187,8 @@ let report_size r =
 
 let shard_op_size = function
   | Op_view { change; members; origin } ->
-      1
-      + str
-          (match change with
-          | Proto.Types.Member_joined m
-          | Proto.Types.Member_left m
-          | Proto.Types.Member_crashed m ->
-              m)
-      + members_size members + str origin
+      (* a joiner's role is sized once, with [members] *)
+      1 + str (Proto.Types.changed_member change) + members_size members + str origin
   | Op_lock { lock; member } -> str lock + str member
 
 (* The shard stamp: [shard] costs 4 bytes, and [epoch] 8 more on the

@@ -98,7 +98,7 @@ let measure_relaxation ~relaxed () =
     (fun cls ->
       Corona.Client.set_on_event cls.(0) (fun _ -> function
         | Corona.Client.Membership_changed
-            { change = Proto.Types.Member_joined "c1"; _ } ->
+            { change = Proto.Types.Member_joined { member = "c1"; _ }; _ } ->
             noticed_at := Sim.Engine.now tb.r_engine
         | _ -> ());
       Corona.Client.create_group cls.(0) ~group:"g" ~k:(fun _ -> ()) ();

@@ -528,6 +528,7 @@ let empty_input =
     i_journals = [];
     i_clients = [];
     i_client_states = [];
+    i_client_views = [];
     i_members = [];
     i_expected_members = [];
     i_eras = [];

@@ -416,7 +416,7 @@ let test_membership_notifications () =
   let got = List.rev !changes in
   Alcotest.(check int) "two notifications" 2 (List.length got);
   (match got with
-  | [ T.Member_joined "b"; T.Member_left "b" ] -> ()
+  | [ T.Member_joined { member = "b"; _ }; T.Member_left "b" ] -> ()
   | _ -> Alcotest.fail "unexpected change sequence")
 
 let test_client_crash_detected () =
@@ -521,6 +521,7 @@ let test_lock_table_per_group_incarnation () =
       i_journals = journals;
       i_clients = [];
       i_client_states = [];
+      i_client_views = [];
       i_members = [];
       i_expected_members = [];
       i_eras = [];
@@ -1160,6 +1161,37 @@ let test_chunked_transfer_interleaving () =
     true
     (!update_rtt < 0.05 && Float.is_finite !join_done)
 
+(* A chunked join sends [Join_accepted] only after the paced chunks, but
+   the joiner is a member, and hears notifications, from the start: a
+   change notified meanwhile applies on top of the join's list. *)
+let test_chunked_join_keeps_early_changes () =
+  let config =
+    { Corona.Server.default_config with transfer_chunk_bytes = Some 8_000 }
+  in
+  let w, server = make_world ~config () in
+  let big = List.init 50 (fun i -> (Printf.sprintf "o%02d" i, String.make 10_000 'd')) in
+  let b_ref = ref None in
+  connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
+      Corona.Client.create_group a ~group:"g" ~initial:big ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g" ~transfer:T.No_state
+        ~k:(fun _ ->
+          connect_client w ~host:w.client_hosts.(1) ~member:"b" (fun b ->
+              b_ref := Some b;
+              Corona.Client.join b ~group:"g" ~k:(fun _ -> ()) ();
+              ignore
+                (Sim.Engine.schedule w.engine ~delay:0.05 (fun () ->
+                     connect_client w ~host:w.client_hosts.(2) ~member:"c" (fun c ->
+                         Corona.Client.join c ~group:"g" ~transfer:T.No_state
+                           ~k:(fun _ -> ())
+                           ())))))
+        ());
+  run w.engine;
+  let names ms = List.map (fun (m : T.member) -> m.member) ms in
+  Alcotest.(check (list string)) "server order" [ "a"; "b"; "c" ]
+    (names (Corona.Server.group_members server "g"));
+  Alcotest.(check (list string)) "b's view" [ "a"; "b"; "c" ]
+    (names (Corona.Client.members (Option.get !b_ref) ~group:"g"))
+
 (* §6: "if none of the replicas has logged an update, the update message
    can be retrieved by the crash recovery algorithm from the original sender
    of the message, based on the sequence number". Crash the server with
@@ -1299,6 +1331,89 @@ let test_idle_relay_tier_sends_nothing () =
   Sim.Engine.run ~until:15.0 w.engine;
   Alcotest.(check int) "no packet in 10 s" before (Net.Fabric.packets_sent w.fabric)
 
+(* Notifications carry only the change: each subscriber rebuilds the view
+   from its join-time list. Three subscribers watch four actors join, leave,
+   rejoin with another role and crash in random order; after every step
+   each subscriber's view is the server's list, order and roles included. *)
+type view_op = V_join of int * T.role | V_leave of int | V_crash of int
+
+let qcheck_subscriber_views =
+  let actors = 4 in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 24)
+        (frequency
+           [
+             ( 3,
+               map2
+                 (fun i obs -> V_join (i, if obs then T.Observer else T.Principal))
+                 (int_bound (actors - 1)) bool );
+             (2, map (fun i -> V_leave i) (int_bound (actors - 1)));
+             (1, map (fun i -> V_crash i) (int_bound (actors - 1)));
+           ]))
+  in
+  let print =
+    let one = function
+      | V_join (i, r) -> Format.asprintf "join x%d %a" i T.pp_role r
+      | V_leave i -> Printf.sprintf "leave x%d" i
+      | V_crash i -> Printf.sprintf "crash x%d" i
+    in
+    fun ops -> String.concat "; " (List.map one ops)
+  in
+  QCheck.Test.make ~count:100 ~name:"subscriber views follow the server's list"
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let w, server = make_world ~clients:(3 + actors) () in
+      let subs = Array.make 3 None and acts = Array.make actors None in
+      for i = 0 to 2 do
+        connect_client w ~host:w.client_hosts.(i) ~member:(Printf.sprintf "s%d" i) (fun c ->
+            if i = 0 then
+              Corona.Client.create_group c ~group:"g" ~persistent:true
+                ~k:(expect_ok "create") ();
+            Corona.Client.join c ~group:"g" ~k:(fun _ -> subs.(i) <- Some c) ());
+        run w.engine
+      done;
+      let live i =
+        match acts.(i) with
+        | Some c when Corona.Client.is_connected c -> Some c
+        | Some _ | None -> None
+      in
+      let step = function
+        | V_join (i, role) -> (
+            let join c =
+              Corona.Client.join c ~group:"g" ~role ~notify:false ~k:(fun _ -> ()) ()
+            in
+            match live i with
+            | Some c -> join c
+            | None ->
+                let host = w.client_hosts.(3 + i) in
+                if not (Net.Host.is_alive host) then Net.Host.restart host;
+                connect_client w ~host ~member:(Printf.sprintf "x%d" i) (fun c ->
+                    acts.(i) <- Some c;
+                    join c))
+        | V_leave i ->
+            Option.iter (fun c -> Corona.Client.leave c ~group:"g" ~k:(fun _ -> ())) (live i)
+        | V_crash i ->
+            if live i <> None then begin
+              acts.(i) <- None;
+              Net.Host.crash w.client_hosts.(3 + i)
+            end
+      in
+      let views_agree () =
+        let expected = Corona.Server.group_members server "g" in
+        Array.for_all
+          (function
+            | Some c -> Corona.Client.members c ~group:"g" = expected | None -> false)
+          subs
+      in
+      views_agree ()
+      && List.for_all
+           (fun op ->
+             step op;
+             run w.engine;
+             views_agree ())
+           ops)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "corona"
@@ -1343,9 +1458,11 @@ let () =
             test_transient_group_dies_with_last_crash;
           tc "chunked transfer reassembles" `Quick test_chunked_transfer_reassembly;
           tc "chunked transfer interleaves" `Quick test_chunked_transfer_interleaving;
+          tc "chunked join keeps early changes" `Quick test_chunked_join_keeps_early_changes;
           tc "sender-assisted crash recovery" `Quick test_sender_assisted_recovery;
           tc "locks: one table per group incarnation" `Quick
             test_lock_table_per_group_incarnation;
+          QCheck_alcotest.to_alcotest qcheck_subscriber_views;
         ] );
       ("relay", [ tc "an idle relay tier sends nothing" `Quick test_idle_relay_tier_sends_nothing ]);
     ]

@@ -462,7 +462,7 @@ let prop_membership_matches_model =
       let add ~member ~role ~notify ~joined_at =
         let cell = { M.conn = None } in
         M.add m ~member ~role ~notify ~joined_at ~cell;
-        let e = { M.member; role; notify; joined_at; cell } in
+        let e = { M.member; role; notify; joined_at; cell; wire = { T.member; role } } in
         if List.exists (fun (x : M.entry) -> x.member = member) !model then
           model := List.map (fun (x : M.entry) -> if x.member = member then e else x) !model
         else model := !model @ [ e ]
@@ -508,6 +508,58 @@ let prop_membership_matches_model =
           in
           ok && agrees ())
         ops)
+
+(* A subscriber's view agrees with a join-order list model under any run
+   of joins (new, returning, or a role change in place), leaves and
+   crashes, whether it is read after every change (a fold over a short
+   log) or only at the end (folds the log forces when it outgrows the
+   members). *)
+let prop_member_view_matches_model =
+  let gen =
+    let open QCheck.Gen in
+    let change =
+      frequency
+        [
+          ( 3,
+            map2
+              (fun i obs ->
+                let role = if obs then T.Observer else T.Principal in
+                T.Member_joined { T.member = Printf.sprintf "m%d" i; role })
+              (int_range 0 11) bool );
+          (1, map (fun i -> T.Member_left (Printf.sprintf "m%d" i)) (int_range 0 11));
+          (1, map (fun i -> T.Member_crashed (Printf.sprintf "m%d" i)) (int_range 0 11));
+        ]
+    in
+    triple (int_range 0 6) (list_size (int_range 0 80) change) bool
+  in
+  let print (base, changes, _) =
+    Printf.sprintf "base %d; %s" base
+      (String.concat "; " (List.map (Format.asprintf "%a" T.pp_membership_change) changes))
+  in
+  QCheck.Test.make ~count:300 ~name:"member view matches a join-order list model"
+    (QCheck.make ~print gen)
+    (fun (base, changes, read_each) ->
+      let start =
+        List.init base (fun i -> { T.member = Printf.sprintf "m%d" i; role = T.Principal })
+      in
+      let v = Corona.Member_view.of_list start in
+      let apply model = function
+        | T.Member_joined m ->
+            if List.exists (fun (x : T.member) -> x.member = m.member) model then
+              List.map (fun (x : T.member) -> if x.member = m.member then m else x) model
+            else model @ [ m ]
+        | T.Member_left gone | T.Member_crashed gone ->
+            List.filter (fun (x : T.member) -> x.member <> gone) model
+      in
+      let model, ok =
+        List.fold_left
+          (fun (model, ok) change ->
+            Corona.Member_view.note v change;
+            let model = apply model change in
+            (model, ok && ((not read_each) || Corona.Member_view.to_list v = model)))
+          (start, true) changes
+      in
+      ok && Corona.Member_view.to_list v = model)
 
 (* The relay tier's slice partition is pure arithmetic computed independently
    by root, relays, harness and bench; if it ever disagreed with itself two
@@ -881,6 +933,7 @@ let oracle_input ?(shards = 2) ?(journals = []) ?(barriers = []) () =
     i_journals = journals;
     i_clients = [];
     i_client_states = [];
+    i_client_views = [];
     i_members = [];
     i_expected_members = [];
     i_eras = [];
@@ -1069,6 +1122,7 @@ let () =
         [
           tc "join order and rejoin" `Quick test_membership_join_order_and_rejoin;
           q prop_membership_matches_model;
+          q prop_member_view_matches_model;
           tc "slice assignment pinned" `Quick test_slice_assignment_pinned;
           q prop_slice_partition;
         ] );

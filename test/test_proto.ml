@@ -107,9 +107,9 @@ let all_response_samples =
         members = []; multicast = false };
     M.Left { group = "g" };
     M.Membership_info { group = "g"; members = [ { T.member = "a"; role = T.Observer } ] };
+    M.Membership_changed { group = "g"; change = T.Member_crashed "b" };
     M.Membership_changed
-      { group = "g"; change = T.Member_crashed "b";
-        members = [ { T.member = "a"; role = T.Principal } ] };
+      { group = "g"; change = T.Member_joined { T.member = "b"; role = T.Observer } };
     M.Deliver sample_update;
     M.Lock_granted { group = "g"; lock = "l" };
     M.Lock_busy { group = "g"; lock = "l"; holder = "h" };
@@ -126,9 +126,7 @@ let all_response_samples =
     M.Relay_fanout
       { group = "g"; exclude = Some "s";
         inner =
-          M.Membership_changed
-            { group = "g"; change = T.Member_crashed "b";
-              members = [ { T.member = "a"; role = T.Principal } ] } };
+          M.Membership_changed { group = "g"; change = T.Member_crashed "b" } };
   ]
 
 let test_all_constructors_roundtrip () =
@@ -242,25 +240,18 @@ let golden_frames : (string * M.t * string) list =
         (M.Membership_info { group = "g"; members = [ { T.member = "a"; role = T.Observer } ] }),
       "0104000000016700000001000000016101" );
     ( "membership_changed",
-      M.Response
-        (M.Membership_changed
-           { group = "g"; change = T.Member_crashed "b";
-             members = [ { T.member = "a"; role = T.Principal } ] }),
-      "0105000000016702000000016200000001000000016100" );
-    (* the other two membership-change notifications, with a mixed-role view
-       and an empty (last-member-left) view *)
+      M.Response (M.Membership_changed { group = "g"; change = T.Member_crashed "b" }),
+      "01050000000167020000000162" );
+    (* the other two membership-change notifications: a join carries the
+       joiner's role, a leave only the id; neither carries the member list *)
     ( "membership_changed_joined",
       M.Response
         (M.Membership_changed
-           { group = "g"; change = T.Member_joined "b";
-             members =
-               [ { T.member = "a"; role = T.Principal };
-                 { T.member = "b"; role = T.Observer } ] }),
-      "0105000000016700000000016200000002000000016100000000016201" );
+           { group = "g"; change = T.Member_joined { T.member = "b"; role = T.Observer } }),
+      "0105000000016700000000016201" );
     ( "membership_changed_left",
-      M.Response
-        (M.Membership_changed { group = "g"; change = T.Member_left "b"; members = [] }),
-      "0105000000016701000000016200000000" );
+      M.Response (M.Membership_changed { group = "g"; change = T.Member_left "b" }),
+      "01050000000167010000000162" );
     ( "deliver",
       M.Response (M.Deliver sample_update),
       "01060000000000000009000000016700000000016f000000077061796c6f61640000000561\
@@ -318,10 +309,8 @@ let golden_frames : (string * M.t * string) list =
         (M.Relay_fanout
            { group = "g"; exclude = Some "s";
              inner =
-               M.Membership_changed
-                 { group = "g"; change = T.Member_crashed "b";
-                   members = [ { T.member = "a"; role = T.Principal } ] } }),
-      "0113000000016701000000017305000000016702000000016200000001000000016100" );
+               M.Membership_changed { group = "g"; change = T.Member_crashed "b" } }),
+      "01130000000167010000000173050000000167020000000162" );
   ]
 
 let test_golden_bytes () =
@@ -487,10 +476,7 @@ let test_relay_fanout_splice () =
     [
       M.Deliver sample_update;
       M.Membership_changed
-        { group = "g"; change = T.Member_joined "b";
-          members =
-            [ { T.member = "a"; role = T.Principal };
-              { T.member = "b"; role = T.Observer } ] };
+        { group = "g"; change = T.Member_joined { T.member = "b"; role = T.Observer } };
       M.Group_deleted { group = "g" };
     ]
   in

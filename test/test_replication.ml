@@ -171,7 +171,8 @@ let test_relaxed_membership_notification () =
   let a_events = ref 0 and done_ = ref false in
   connect w ~idx:0 ~member:"a" (fun a ->
       Corona.Client.set_on_event a (fun _ -> function
-        | Corona.Client.Membership_changed { change = T.Member_joined "b"; _ } ->
+        | Corona.Client.Membership_changed
+            { change = T.Member_joined { member = "b"; _ }; _ } ->
             incr a_events
         | _ -> ());
       Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
@@ -185,6 +186,82 @@ let test_relaxed_membership_notification () =
   run ~until:20.0 w;
   Alcotest.(check bool) "join completed" true !done_;
   Alcotest.(check int) "a notified exactly once" 1 !a_events
+
+(* §4.1 relaxation: the coordinator skips the origin when it fans a relaxed
+   leave, so the origin applies the leave to its own copy of the list: a
+   later Get_membership there no longer lists the member who left, and a
+   co-located subscriber's view agrees. *)
+let test_relaxed_leave_updates_origin_view () =
+  let config =
+    { Replication.Node.default_config with relaxed_membership = true }
+  in
+  let w = make_world ~config () in
+  let listed = ref None and view = ref [] in
+  (* idx 0 and idx 3 share a replica *)
+  connect w ~idx:0 ~member:"a" (fun a ->
+      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g"
+        ~k:(fun _ ->
+          connect w ~idx:3 ~member:"b" (fun b ->
+              Corona.Client.join b ~group:"g"
+                ~k:(fun _ ->
+                  Corona.Client.leave b ~group:"g" ~k:(fun _ ->
+                      ignore
+                        (Sim.Engine.schedule w.engine ~delay:2.0 (fun () ->
+                             view := Corona.Client.members a ~group:"g";
+                             Corona.Client.get_membership a ~group:"g" ~k:(function
+                               | Corona.Client.R_membership ms ->
+                                   listed :=
+                                     Some (List.map (fun (m : T.member) -> m.member) ms)
+                               | _ -> Alcotest.fail "expected membership")))))
+                ()))
+        ());
+  run ~until:20.0 w;
+  Alcotest.(check (option (list string))) "origin lists a alone" (Some [ "a" ]) !listed;
+  Alcotest.(check (list string)) "a's view" [ "a" ]
+    (List.map (fun (m : T.member) -> m.member) !view)
+
+(* §4.1 relaxation: co-located subscribers hear of a join before the
+   coordinator decides on it, so a join the coordinator refuses is taken
+   back with a leave: the subscriber's view and the origin's list end
+   without the refused member. *)
+let test_relaxed_refused_join_taken_back () =
+  let config =
+    {
+      Replication.Node.default_config with
+      relaxed_membership = true;
+      access =
+        Corona.Access_control.(with_join_allowlist allow_all [ ("g", [ "a" ]) ]);
+    }
+  in
+  let w = make_world ~config () in
+  let changes = ref [] and refused = ref false and listed = ref None and view = ref [] in
+  connect w ~idx:0 ~member:"a" (fun a ->
+      Corona.Client.set_on_event a (fun _ -> function
+        | Corona.Client.Membership_changed { change; _ } -> changes := change :: !changes
+        | _ -> ());
+      Corona.Client.create_group a ~group:"g" ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g"
+        ~k:(fun _ ->
+          connect w ~idx:3 ~member:"b" (fun b ->
+              Corona.Client.join b ~group:"g"
+                ~k:(fun r ->
+                  refused := (match r with Corona.Client.R_failed _ -> true | _ -> false);
+                  view := Corona.Client.members a ~group:"g";
+                  Corona.Client.get_membership a ~group:"g" ~k:(function
+                    | Corona.Client.R_membership ms ->
+                        listed := Some (List.map (fun (m : T.member) -> m.member) ms)
+                    | _ -> Alcotest.fail "expected membership"))
+                ()))
+        ());
+  run ~until:20.0 w;
+  Alcotest.(check bool) "b refused" true !refused;
+  (match List.rev !changes with
+  | [ T.Member_joined { member = "b"; _ }; T.Member_left "b" ] -> ()
+  | _ -> Alcotest.fail "expected +b then -b");
+  Alcotest.(check (list string)) "a's view" [ "a" ]
+    (List.map (fun (m : T.member) -> m.member) !view);
+  Alcotest.(check (option (list string))) "origin lists a alone" (Some [ "a" ]) !listed
 
 (* Kill the coordinator mid-run: the first replica takes over, pending
    broadcasts are re-sent, and the service continues. *)
@@ -1038,6 +1115,10 @@ let () =
           tc "partition and reconcile" `Quick test_partition_and_reconcile;
           tc "relaxed membership notification" `Quick
             test_relaxed_membership_notification;
+          tc "relaxed leave leaves the origin's list" `Quick
+            test_relaxed_leave_updates_origin_view;
+          tc "relaxed refused join is taken back" `Quick
+            test_relaxed_refused_join_taken_back;
           tc "locks across replicas" `Quick test_locks_across_replicas;
           tc "delete group cluster-wide" `Quick test_delete_group_cluster_wide;
           tc "observer rejected at coordinator" `Quick
