@@ -333,6 +333,58 @@ let run_notify_micro () =
           a member name (%.1f)"
          large small bound)
 
+(* Join-reply rows: host ns to size one [Join_accepted] for a joiner of a
+   [Membership] of [members] members, the way [Group_engine.accept_join]
+   does, from the table's kept list length. The time is the median of five
+   batches. Gated: a reply sized by walking its member list costs eight to
+   ten times more at 500 members than at 50, so the figure at 500 may not exceed
+   [join_reply_growth_bound] times the one at 50. *)
+let join_reply_growth_bound = 3.0
+
+let join_reply_row ~members =
+  let ms = Corona.Membership.create () in
+  for i = 0 to members - 1 do
+    Corona.Membership.add ms ~member:(Printf.sprintf "member-%d" i) ~role:T.Principal
+      ~notify:false ~joined_at:0.0 ~cell:{ Corona.Membership.conn = None }
+  done;
+  let state = Proto.Message.Snapshot { objects = []; log_tail = [] } in
+  let per_batch = 200_000 in
+  let sized = ref 0 in
+  let batch () =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to per_batch do
+      let e =
+        Proto.Message.pre_encode_members
+          ~members_size:(Corona.Membership.members_size ms)
+          (Proto.Message.Join_accepted
+             {
+               group = "g";
+               at_seqno = 0;
+               state;
+               members = Corona.Membership.members ms;
+               multicast = false;
+             })
+      in
+      sized := Proto.Message.encoded_wire_size e
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_batch
+  in
+  ignore (batch ());
+  let ns = List.nth (List.sort Float.compare (List.init 5 (fun _ -> batch ()))) 2 in
+  assert (!sized > 0);
+  let name = Printf.sprintf "join reply sizing @%d members" members in
+  json_add "micro" [ ("name", Printf.sprintf "%S" name); ("host_ns_per_reply", json_num ns) ];
+  (ns, [ name; Printf.sprintf "%.1f" ns ])
+
+let run_join_reply_micro () =
+  let small, small_row = join_reply_row ~members:50 in
+  let large, large_row = join_reply_row ~members:500 in
+  Workload.Report.table ~header:[ "join reply"; "ns/reply" ] [ small_row; large_row ];
+  if large > join_reply_growth_bound *. small then
+    failwith
+      (Printf.sprintf "join reply sizing: %.1f ns/reply at 500 members > %.1fx %.1f at 50"
+         large join_reply_growth_bound small)
+
 (* Event-loop row: the host cost of one pooled schedule + step pair with
    2000 events pending, the fan-out loop's steady state. Each event is a
    run of one over a one-slot times array, which the engine reads at the
@@ -427,6 +479,7 @@ let run_micro () =
   run_log_alloc ();
   run_directory_micro ();
   run_notify_micro ();
+  run_join_reply_micro ();
   run_engine_micro ()
 
 (* --- fan-out macro-benchmark -------------------------------------------- *)

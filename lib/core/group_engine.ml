@@ -232,11 +232,13 @@ let join_state t source transfer =
   p
 
 (* Sizing the frame costs O(objects), not O(bytes), so a cache-served
-   payload needs no pre-serialized fragment: one [pre_encode] either way. *)
-let accept_join t conn ~group ~members ~multicast (p : Transfer.prepared) =
+   payload needs no pre-serialized fragment; the member list is sized from
+   the caller's kept length, so a join costs O(1) in group size. *)
+let accept_join t conn ~group ~members ~members_size ~multicast (p : Transfer.prepared) =
   if Net.Tcp.is_open conn then
-    send t conn
-      (M.Join_accepted { group; at_seqno = p.p_at; state = p.p_state; members; multicast })
+    send_encoded t conn
+      (M.pre_encode_members ~members_size
+         (M.Join_accepted { group; at_seqno = p.p_at; state = p.p_state; members; multicast }))
 
 (* --- requests every server answers the same way -------------------------- *)
 

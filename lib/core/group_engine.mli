@@ -11,7 +11,8 @@
       groups;
     - replies, fan-out through the {!Relay_hub} with one shared encode per
       message, and membership-change notifications to subscribed members;
-    - [Join_accepted] frames served from the {!Transfer} snapshot cache;
+    - [Join_accepted] frames served from the {!Transfer} snapshot cache
+      and sized from the caller's kept member-list length;
     - the requests every server answers alike: [Ping], [Reduce_log], and
       the relay-tier registrations, which get no reply.
 
@@ -130,10 +131,14 @@ val accept_join :
   Net.Tcp.conn ->
   group:Proto.Types.group_id ->
   members:Proto.Types.member list ->
+  members_size:int ->
   multicast:bool ->
   Transfer.prepared ->
   unit
-(** Send [Join_accepted] if the connection is still open. *)
+(** Send [Join_accepted] if the connection is still open, sized by
+    {!Proto.Message.pre_encode_members} from [members_size], the encoded
+    length of [members]. A server passes its table's kept
+    {!Membership.members_size}, so a join costs O(1) in group size. *)
 
 (** {2 Requests every server answers alike} *)
 

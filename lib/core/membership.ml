@@ -19,6 +19,7 @@ type entry = {
 type t = {
   table : entry Slot_table.t;
   mutable notify_count : int; (* members with [notify = true] *)
+  mutable members_size : int; (* encoded length of [members t] *)
   mutable entries_cache : entry list option; (* join order *)
   mutable members_cache : Proto.Types.member list option;
 }
@@ -38,6 +39,7 @@ let create () =
   {
     table = Slot_table.create ~size:16 ~dead ~key:(fun e -> e.member);
     notify_count = 0;
+    members_size = Proto.Message.members_size [];
     entries_cache = None;
     members_cache = None;
   }
@@ -50,21 +52,26 @@ let count t = Slot_table.length t.table
 
 let is_empty t = count t = 0
 
-let forget_notify t = function
-  | Some e when e.notify -> t.notify_count <- t.notify_count - 1
-  | Some _ | None -> ()
+(* Take a replaced or removed entry out of the kept counts. An entry's
+   share of [members_size] comes from the wire encoder itself, so the kept
+   length cannot drift from the bytes a reply carries. *)
+let forget t = function
+  | Some e ->
+      if e.notify then t.notify_count <- t.notify_count - 1;
+      t.members_size <- t.members_size - Proto.Message.member_size e.wire
+  | None -> ()
 
 let add t ~member ~role ~notify ~joined_at ~cell =
-  forget_notify t
-    (Slot_table.set t.table
-       { member; role; notify; joined_at; cell; wire = { Proto.Types.member; role } });
+  let wire = { Proto.Types.member; role } in
+  forget t (Slot_table.set t.table { member; role; notify; joined_at; cell; wire });
   if notify then t.notify_count <- t.notify_count + 1;
+  t.members_size <- t.members_size + Proto.Message.member_size wire;
   invalidate t
 
 let remove t member =
   match Slot_table.remove t.table member with
   | Some _ as old ->
-      forget_notify t old;
+      forget t old;
       invalidate t;
       true
   | None -> false
@@ -92,6 +99,8 @@ let members t =
       l
 
 let notify_count t = t.notify_count
+
+let members_size t = t.members_size
 
 (* --- relay slice partitioning ------------------------------------------- *)
 

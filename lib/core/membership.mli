@@ -10,7 +10,9 @@
     Members sit in a {!Slot_table}, a join-ordered array with tombstones
     indexed by a hashtable: [mem] / [find] / [role_of] / [remove] are
     O(1), and [add] and [remove] are amortized O(1) (the array is compacted
-    when dead slots outnumber live ones). The join-ordered views
+    when dead slots outnumber live ones). The encoded length of the member
+    list is kept alongside, so a join reply is sized in O(1). The
+    join-ordered views
     ([entries], [members]) are cached and rebuilt after a membership change
     by one linear walk of the array, with no sort. *)
 
@@ -70,6 +72,13 @@ val members : t -> Proto.Types.member list
 
 val notify_count : t -> int
 (** Members that subscribed to membership-change notifications. *)
+
+val members_size : t -> int
+(** The encoded length of {!members}, equal to
+    [Proto.Message.members_size (members t)] but kept, not walked: [add]
+    and [remove] adjust it by {!Proto.Message.member_size} of the entry
+    they add, replace or remove. Join replies are sized from it
+    ({!Proto.Message.pre_encode_members}). *)
 
 val slice_owner : relays:int -> members:int -> int -> int
 (** [slice_owner ~relays ~members idx] is the relay index owning member

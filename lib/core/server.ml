@@ -286,11 +286,13 @@ let handle_join t conn ~group ~member ~role ~transfer ~notify =
               in
               (* [lean_joins]: the per-joiner membership list is the one
                  O(members) cost left in a join at 100k scale — elide it. *)
-              let members =
-                if t.cfg.lean_joins then [] else Membership.members g.g_members
+              let members, members_size =
+                if t.cfg.lean_joins then ([], M.members_size [])
+                else (Membership.members g.g_members, Membership.members_size g.g_members)
               in
               let accept p =
-                Group_engine.accept_join t.eng conn ~group ~members ~multicast p
+                Group_engine.accept_join t.eng conn ~group ~members ~members_size
+                  ~multicast p
               in
               (match (t.cfg.transfer_chunk_bytes, p.p_state) with
               | Some chunk, M.Snapshot { objects; log_tail }
@@ -417,8 +419,10 @@ let handle_request t conn (req : M.request) =
       match Hashtbl.find_opt t.groups group with
       | None -> fail t conn group "no such group"
       | Some g ->
-          send_to_conn t conn
-            (M.Membership_info { group; members = Membership.members g.g_members }))
+          Group_engine.send_encoded t.eng conn
+            (M.pre_encode_members
+               ~members_size:(Membership.members_size g.g_members)
+               (M.Membership_info { group; members = Membership.members g.g_members })))
   | M.Bcast { group; sender; kind; obj; data; mode } ->
       handle_bcast t conn ~group ~sender ~kind ~obj ~data ~mode
   | M.Acquire_lock { group; lock; member } ->
@@ -447,6 +451,7 @@ let handle_request t conn (req : M.request) =
               if Net.Tcp.is_open conn' then
                 Group_engine.accept_join t.eng conn' ~group
                   ~members:(Membership.members g.g_members)
+                  ~members_size:(Membership.members_size g.g_members)
                   ~multicast:(Hashtbl.mem g.g_mcast_members member)
                   (Group_engine.join_state t.eng (`Log log) transfer)
           | None -> ())

@@ -19,8 +19,10 @@ let pp_close_reason ppf = function
 
 type conn = {
   id : int;
+  serial : int; (* creation order among the fabric's endpoints *)
   fabric : Fabric.t;
   host : Host.t;
+  host_open : (int, conn) Hashtbl.t; (* [host]'s open endpoints, by serial *)
   mutable peer : conn; (* the endpoint itself until the handshake completes *)
   mutable open_ : bool;
   mutable receiver : size:int -> Payload.t -> unit; (* [no_receiver] until set *)
@@ -61,12 +63,14 @@ type inflight = {
 }
 
 (* Per-fabric transport state: the listener table — (host name, port) ->
-   listener — and the connection-id counter live on the fabric instance, so
-   concurrent simulations in one process cannot observe each other's
-   endpoints. *)
+   listener —, each host's open endpoints and the connection-id and
+   endpoint counters live on the fabric instance, so concurrent simulations
+   in one process cannot observe each other's endpoints. *)
 type tcp_state = {
   listeners : (string * int, listener) Hashtbl.t;
+  open_endpoints : (string, (int, conn) Hashtbl.t) Hashtbl.t; (* by host name *)
   mutable next_conn_id : int;
+  mutable next_serial : int;
   mutable free_inflight : inflight list;
 }
 
@@ -77,7 +81,13 @@ let state fabric =
   | Some (Tcp_state s) -> s
   | Some _ | None ->
       let s =
-        { listeners = Hashtbl.create 16; next_conn_id = 0; free_inflight = [] }
+        {
+          listeners = Hashtbl.create 16;
+          open_endpoints = Hashtbl.create 16;
+          next_conn_id = 0;
+          next_serial = 0;
+          free_inflight = [];
+        }
       in
       Fabric.set_ext fabric "tcp" (Tcp_state s);
       s
@@ -104,6 +114,7 @@ let held c = c.held
 let close_endpoint c reason =
   if c.open_ then begin
     c.open_ <- false;
+    Hashtbl.remove c.host_open c.serial;
     Hashtbl.reset c.holdback;
     c.held <- 0;
     match c.on_close with Some f -> f reason | None -> ()
@@ -326,28 +337,48 @@ let close c =
 
 (* Crash handling: when a host dies, its endpoints close silently and each
    live peer learns about it after latency + crash_notify_delay (keepalive /
-   reset detection). *)
-let watch_crash c =
-  Host.on_crash c.host (fun () ->
-      if c.open_ then begin
-        let p = c.peer in
-        c.open_ <- false;
-        c.on_close <- None;
-        if p != c then begin
-          let notify_delay = Fabric.latency c.fabric +. crash_notify_delay in
-          ignore
-            (Sim.Engine.schedule (engine_of c) ~delay:notify_delay (fun () ->
-                 close_endpoint p Peer_crashed))
-        end
+   reset detection). A host has one crash hook, over a table of its open
+   endpoints that every close leaves, so a closed endpoint is not kept alive
+   by its host. The hook closes them in creation order, scheduling the
+   peers' notices in that order. *)
+let crash_endpoints host_open =
+  let eps = Hashtbl.fold (fun serial c acc -> (serial, c) :: acc) host_open [] in
+  Hashtbl.reset host_open;
+  List.iter
+    (fun (_, c) ->
+      let p = c.peer in
+      c.open_ <- false;
+      c.on_close <- None;
+      if p != c then begin
+        let notify_delay = Fabric.latency c.fabric +. crash_notify_delay in
+        ignore
+          (Sim.Engine.schedule (engine_of c) ~delay:notify_delay (fun () ->
+               close_endpoint p Peer_crashed))
       end)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) eps)
+
+let host_open st host =
+  match Hashtbl.find_opt st.open_endpoints (Host.name host) with
+  | Some t -> t
+  | None ->
+      let t = Hashtbl.create 16 in
+      Hashtbl.replace st.open_endpoints (Host.name host) t;
+      Host.on_crash host (fun () -> crash_endpoints t);
+      t
 
 let make_endpoint fabric host id =
+  let st = state fabric in
+  let serial = st.next_serial in
+  st.next_serial <- serial + 1;
+  let host_open = host_open st host in
   let holdback = Hashtbl.create 8 in
   let rec c =
     {
       id;
+      serial;
       fabric;
       host;
+      host_open;
       peer = c;
       open_ = true;
       receiver = no_receiver;
@@ -359,7 +390,7 @@ let make_endpoint fabric host id =
       early = [];
     }
   in
-  watch_crash c;
+  Hashtbl.replace host_open serial c;
   c
 
 let listen fabric host ~port ~on_accept =

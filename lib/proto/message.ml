@@ -178,6 +178,8 @@ let dec_member r : Types.member =
   let role = dec_role r in
   { member; role }
 
+let enc_members w members = W.list w enc_member members
+
 let enc_pair w (k, v) =
   W.string w k;
   W.string w v
@@ -371,6 +373,23 @@ let enc_relay_head w group exclude =
       W.bool w true;
       W.string w m
 
+(* The two responses that carry a group's member list, with the list written
+   by [members_enc]: [enc_response] passes [enc_members], and
+   [pre_encode_members] a writer of nothing, adding the list's kept length
+   instead. *)
+let enc_join_accepted w members_enc ~group ~at_seqno ~state ~members ~multicast =
+  W.u8 w 2;
+  W.string w group;
+  W.int_as_i64 w at_seqno;
+  enc_join_state w state;
+  members_enc w members;
+  W.bool w multicast
+
+let enc_membership_info w members_enc ~group ~members =
+  W.u8 w 4;
+  W.string w group;
+  members_enc w members
+
 (* [rec]: [Relay_fanout] embeds the relayed response verbatim. *)
 let rec enc_response w = function
   | Group_created { group } ->
@@ -386,19 +405,11 @@ let rec enc_response w = function
       W.u8 w 1;
       W.string w group
   | Join_accepted { group; at_seqno; state; members; multicast } ->
-      W.u8 w 2;
-      W.string w group;
-      W.int_as_i64 w at_seqno;
-      enc_join_state w state;
-      W.list w enc_member members;
-      W.bool w multicast
+      enc_join_accepted w enc_members ~group ~at_seqno ~state ~members ~multicast
   | Left { group } ->
       W.u8 w 3;
       W.string w group
-  | Membership_info { group; members } ->
-      W.u8 w 4;
-      W.string w group;
-      W.list w enc_member members
+  | Membership_info { group; members } -> enc_membership_info w enc_members ~group ~members
   | Membership_changed { group; change } ->
       W.u8 w 5;
       W.string w group;
@@ -567,6 +578,31 @@ let pre_encode msg =
   let w = Codec.Writer.create_sizing () in
   encode w msg;
   { e_msg = msg; e_len = Codec.Writer.size w }
+
+let member_size m = Codec.encoded_size enc_member m
+
+let members_size members = Codec.encoded_size enc_members members
+
+let skip_members (_ : W.t) (_ : Types.member list) = ()
+
+(* A member-list reply sized without walking the list: the encoding of
+   everything else, plus [members_size], which the caller keeps (a
+   server's [Membership] adjusts it per join and leave). *)
+let pre_encode_members resp ~members_size =
+  incr encodes;
+  let w = Codec.Writer.create_sizing () in
+  W.u8 w 1 (* Response *);
+  (match resp with
+  | Join_accepted { group; at_seqno; state; members; multicast } ->
+      enc_join_accepted w skip_members ~group ~at_seqno ~state ~members ~multicast
+  | Membership_info { group; members } ->
+      enc_membership_info w skip_members ~group ~members
+  | Group_created _ | State_chunk _ | Group_deleted _ | Left _ | Membership_changed _
+  | Deliver _ | Lock_granted _ | Lock_busy _ | Lock_released _ | Log_reduced _
+  | Request_failed _ | Resend_request _ | Pong _ | Shard_deliver _ | Shard_view _
+  | Shard_joined _ | Relay_fanout _ ->
+      invalid_arg "Message.pre_encode_members: the response carries no member list");
+  { e_msg = Response resp; e_len = Codec.Writer.size w + members_size }
 
 (* Relay fan-out splicing: the root serializes the inner response once
    (shared with any direct recipients via [pre_encode]) and wraps it in one

@@ -166,6 +166,23 @@ type encoded
 val pre_encode : t -> encoded
 (** Serialize now (one sizing encode). *)
 
+val member_size : Types.member -> int
+(** Encoded length of one member-list entry, measured by the entry encoder
+    {!encode} uses. *)
+
+val members_size : Types.member list -> int
+(** Encoded length of a member list: its count prefix plus {!member_size}
+    of every entry. Walks the list; {!pre_encode_members} callers that
+    keep a member table keep this length instead. *)
+
+val pre_encode_members : response -> members_size:int -> encoded
+(** [pre_encode (Response r)] for a [Join_accepted] or [Membership_info]
+    [r], without walking its member list: the frame is sized as the
+    encoding of every other field plus [members_size], which must be
+    {!members_size} of the list (test-pinned for every [join_state] shape).
+    O(1) in group size. Counts as one encode in {!encode_count}.
+    @raise Invalid_argument for a response that carries no member list. *)
+
 val pre_encode_relay_fanout :
   group:Types.group_id ->
   ?exclude:Types.member_id ->

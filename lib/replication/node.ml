@@ -97,6 +97,14 @@ type inflight_barrier = {
   mutable ib_started : float; (* for the re-prepare retry *)
 }
 
+(* A [State_blob]'s copy of a group. *)
+type blob = {
+  bl_at : int;
+  bl_objects : (T.object_id * string) list;
+  bl_error : string option;
+  bl_shards : (int * int) list;
+}
+
 type pending_join = {
   pj_conn : Net.Tcp.conn;
   pj_transfer : T.transfer_spec;
@@ -123,6 +131,9 @@ type t = {
   mutable coord_buffer : (Smsg.server_id * Smsg.t) list; (* newest first *)
   (* replica state *)
   rgroups : (T.group_id, rgroup) Hashtbl.t;
+  early_blobs : (T.group_id, blob) Hashtbl.t;
+      (* a blob that overtook its [Add_replica] or [Join_result] (a resent
+         packet): kept until one of them marks the copy as expecting it *)
   (* mesh *)
   peers : (Smsg.server_id, Net.Tcp.conn) Hashtbl.t;
   outbox : (Smsg.server_id, Smsg.t list) Hashtbl.t;
@@ -384,6 +395,7 @@ and drop_rgroup t group =
         rg.rg_logs
   | None -> ());
   Corona.Server_storage.drop_group t.storage group;
+  Hashtbl.remove t.early_blobs group;
   Hashtbl.remove t.rgroups group
 
 (* --- join completion ---------------------------------------------------- *)
@@ -409,7 +421,7 @@ and complete_join t rg member (pj : pending_join) =
   | Some log, Some _ ->
       admit t rg member pj;
       E.accept_join t.eng pj.pj_conn ~group:rg.rg_id ~members:rg.rg_global
-        ~multicast:false
+        ~members_size:(M.members_size rg.rg_global) ~multicast:false
         (E.join_state t.eng (`Log log) pj.pj_transfer)
   | _ -> ()
 
@@ -1099,7 +1111,7 @@ and replica_handle t ~from msg =
                  its way. *)
               match (rg.rg_logs <> None, holder) with
               | true, _ -> complete_join t rg member pj
-              | false, Some _ -> rg.rg_expecting_blob <- true
+              | false, Some _ -> expect_blob t rg
               | false, None ->
                   (* We are the first holder (or the only copy was lost):
                      start from an empty state at the group's position (the
@@ -1149,41 +1161,18 @@ and replica_handle t ~from msg =
         | Some { rg_logs = None; _ } | None -> (0, [], Some "state not here", [])
       in
       send_srv t requester (Smsg.State_blob { group; at_seqno; objects; error; shards })
-  | Smsg.State_blob { group; at_seqno; objects; error; shards = blob_shards } -> (
+  | Smsg.State_blob { group; at_seqno; objects; error; shards } -> (
+      let b = { bl_at = at_seqno; bl_objects = objects; bl_error = error; bl_shards = shards } in
       (* A sharded copy may already log (from position 0) while its blob is
          on the way; a classic one only expects a blob while it has none. *)
       match Hashtbl.find_opt t.rgroups group with
-      | Some rg when rg.rg_logs = None || rg.rg_expecting_blob -> (
-          match error with
-          | None ->
-              seed_rgroup t rg ~objects
-                ~positions:(if sharded t then blob_shards else [ (0, at_seqno) ])
-          | Some _ when sharded t ->
-              rg.rg_expecting_blob <- false;
-              (* Seed an empty sharded copy rather than stalling pending
-                 joins forever. *)
-              if rg.rg_logs = None then seed_rgroup t rg ~objects:[] ~positions:[]
-          | Some _ ->
-              rg.rg_expecting_blob <- false;
-              (* Complete any waiting joins from an empty state rather than
-                 stalling them forever. *)
-              let waiting =
-                Hashtbl.fold
-                  (fun (g, _) pj acc ->
-                    if g = group then match pj.pj_result with
-                      | Some ns -> ns :: acc
-                      | None -> acc
-                    else acc)
-                  t.pending_join []
-              in
-              (match waiting with
-              | ns :: _ -> seed_rgroup t rg ~objects:[] ~positions:[ (0, ns) ]
-              | [] -> ()))
-      | Some _ | None -> ())
+      | Some rg when rg.rg_logs = None || rg.rg_expecting_blob -> take_blob t rg b
+      | Some _ -> ()
+      | None -> Hashtbl.replace t.early_blobs group b)
   | Smsg.Add_replica { group; holder = _ } ->
       (* The blob will follow (the coordinator ordered the fetch). *)
       let rg = rgroup_of t group in
-      if rg.rg_logs = None then rg.rg_expecting_blob <- true
+      if rg.rg_logs = None then expect_blob t rg
   | Smsg.Delete_group { group } when from = t.coord ->
       (* A deposed coordinator's delete, still in flight when a partition
          heals, must not destroy the copy the current reign serves. *)
@@ -1213,6 +1202,44 @@ and replica_handle t ~from msg =
   | Smsg.Fetch_updates _ | Smsg.Updates_blob _ | Smsg.Barrier_prepare _
   | Smsg.Barrier_pos _ | Smsg.Barrier_commit _ | Smsg.Shard_assign _ ->
       ignore from
+
+(* Seed a copy from its blob. *)
+and take_blob t rg b =
+  match b.bl_error with
+  | None ->
+      seed_rgroup t rg ~objects:b.bl_objects
+        ~positions:(if sharded t then b.bl_shards else [ (0, b.bl_at) ])
+  | Some _ when sharded t ->
+      rg.rg_expecting_blob <- false;
+      (* Seed an empty sharded copy rather than stalling pending
+         joins forever. *)
+      if rg.rg_logs = None then seed_rgroup t rg ~objects:[] ~positions:[]
+  | Some _ ->
+      rg.rg_expecting_blob <- false;
+      (* Complete any waiting joins from an empty state rather than
+         stalling them forever. *)
+      let waiting =
+        Hashtbl.fold
+          (fun (g, _) pj acc ->
+            if g = rg.rg_id then match pj.pj_result with
+              | Some ns -> ns :: acc
+              | None -> acc
+            else acc)
+          t.pending_join []
+      in
+      (match waiting with
+      | ns :: _ -> seed_rgroup t rg ~objects:[] ~positions:[ (0, ns) ]
+      | [] -> ())
+
+(* The copy waits for a blob: one that arrived before the group was known
+   seeds it now. *)
+and expect_blob t rg =
+  rg.rg_expecting_blob <- true;
+  match Hashtbl.find_opt t.early_blobs rg.rg_id with
+  | Some b ->
+      Hashtbl.remove t.early_blobs rg.rg_id;
+      take_blob t rg b
+  | None -> ()
 
 (* --- failure handling / election ----------------------------------------- *)
 
@@ -1727,6 +1754,7 @@ let create fabric node_host ?(config = default_config) ?(hooks = no_hooks) ~stor
       recovery_reports = [];
       coord_buffer = [];
       rgroups = Hashtbl.create 16;
+      early_blobs = Hashtbl.create 4;
       peers = Hashtbl.create 16;
       outbox = Hashtbl.create 8;
       peer_batch = Net.Tcp.batch_create ();

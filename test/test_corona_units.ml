@@ -509,6 +509,95 @@ let prop_membership_matches_model =
           ok && agrees ())
         ops)
 
+(* The kept member-list length under any run of joins, leaves and rejoins
+   with another role, over member ids from 0 to 300 bytes long. After every
+   step it equals the encoded size of the member list, written here from
+   the wire layout (a u32 count, then each id and a role byte); and a
+   [Join_accepted] or [Membership_info] sized from it has the wire size of
+   the walking [pre_encode], for every join-state shape and both
+   [multicast] values. *)
+type size_op = S_add of int * bool | S_remove of int | S_flip of int
+
+let prop_members_size_sizes_replies =
+  let module M = Corona.Membership in
+  let module W = Proto.Codec.Writer in
+  let module Msg = Proto.Message in
+  let lengths = [| 0; 1; 2; 7; 40; 127; 128; 300 |] in
+  let name i = String.make lengths.(i) (Char.chr (Char.code 'a' + i)) in
+  let list_size members =
+    Proto.Codec.encoded_size
+      (fun w l ->
+        W.list w
+          (fun w (x : T.member) ->
+            W.string w x.member;
+            W.u8 w (match x.role with T.Principal -> 0 | T.Observer -> 1))
+          l)
+      members
+  in
+  let u = upd ~seqno:3 "o" "data" in
+  let states =
+    [
+      Msg.Snapshot { objects = []; log_tail = [] };
+      Msg.Snapshot { objects = [ ("o", "base"); ("p", String.make 200 'x') ]; log_tail = [ u ] };
+      Msg.Update_history [];
+      Msg.Update_history [ u; u ];
+    ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let op =
+      frequency
+        [
+          (4, map2 (fun i p -> S_add (i, p)) (int_range 0 7) bool);
+          (2, map (fun i -> S_remove i) (int_range 0 7));
+          (2, map (fun i -> S_flip i) (int_range 0 7));
+        ]
+    in
+    list_size (int_range 0 60) op
+  in
+  let print = function
+    | S_add (i, p) -> Printf.sprintf "add #%d%s" i (if p then "" else " obs")
+    | S_remove i -> Printf.sprintf "remove #%d" i
+    | S_flip i -> Printf.sprintf "rejoin #%d with the other role" i
+  in
+  QCheck.Test.make ~count:300 ~name:"kept list length sizes member replies"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print ops)) gen)
+    (fun ops ->
+      let m = M.create () in
+      let add i role =
+        M.add m ~member:(name i) ~role ~notify:false ~joined_at:0.0 ~cell:{ M.conn = None }
+      in
+      let same_size resp =
+        Msg.encoded_wire_size (Msg.pre_encode_members resp ~members_size:(M.members_size m))
+        = Msg.encoded_wire_size (Msg.pre_encode (Msg.Response resp))
+      in
+      let agrees () =
+        let members = M.members m in
+        M.members_size m = list_size members
+        && same_size (Msg.Membership_info { group = "grp"; members })
+        && List.for_all
+             (fun state ->
+               List.for_all
+                 (fun multicast ->
+                   same_size
+                     (Msg.Join_accepted { group = "grp"; at_seqno = 9; state; members; multicast }))
+                 [ false; true ])
+             states
+      in
+      agrees ()
+      && List.for_all
+           (fun op ->
+             (match op with
+             | S_add (i, p) -> add i (if p then T.Principal else T.Observer)
+             | S_remove i -> ignore (M.remove m (name i))
+             | S_flip i -> (
+                 match M.role_of m (name i) with
+                 | Some T.Principal -> add i T.Observer
+                 | Some T.Observer -> add i T.Principal
+                 | None -> ()));
+             agrees ())
+           ops)
+
 (* A subscriber's view agrees with a join-order list model under any run
    of joins (new, returning, or a role change in place), leaves and
    crashes, whether it is read after every change (a fold over a short
@@ -1123,6 +1212,7 @@ let () =
           tc "join order and rejoin" `Quick test_membership_join_order_and_rejoin;
           q prop_membership_matches_model;
           q prop_member_view_matches_model;
+          q prop_members_size_sizes_replies;
           tc "slice assignment pinned" `Quick test_slice_assignment_pinned;
           q prop_slice_partition;
         ] );

@@ -413,6 +413,59 @@ let test_tcp_crash_notifies_peer () =
   | Some Net.Tcp.Peer_crashed -> ()
   | _ -> Alcotest.fail "expected peer-crashed notification"
 
+(* A closed endpoint is not kept alive by its host: once both ends have
+   closed and the engine is idle, nothing the transport holds reaches the
+   client endpoint, so a full major collection frees it. *)
+let test_tcp_closed_endpoint_collectable () =
+  let engine, fabric = make_world () in
+  let a = Net.Fabric.add_host fabric ~name:"a" () in
+  let b = Net.Fabric.add_host fabric ~name:"b" () in
+  ignore (Net.Tcp.listen fabric b ~port:80 ~on_accept:ignore);
+  let client = Weak.create 1 in
+  Net.Tcp.connect fabric ~src:a ~dst:b ~port:80
+    ~on_connected:(fun conn ->
+      Weak.set client 0 (Some conn);
+      Net.Tcp.send conn ~size:10 (Net.Payload.Raw "bye");
+      Net.Tcp.close conn)
+    ~on_failed:(fun () -> Alcotest.fail "connect failed")
+    ();
+  Sim.Engine.run engine;
+  Alcotest.(check int) "idle" 0 (Sim.Engine.pending engine);
+  Gc.full_major ();
+  Alcotest.(check bool) "client endpoint collected" false (Weak.check client 0);
+  (* the hosts stay live through the collection *)
+  ignore (Sys.opaque_identity (a, b, fabric))
+
+(* A crash closes the host's open endpoints in creation order, so their
+   peers hear of it in that order; an endpoint closed before the crash is
+   not touched. *)
+let test_tcp_crash_closes_in_creation_order () =
+  let engine, fabric = make_world () in
+  let a = Net.Fabric.add_host fabric ~name:"a" () in
+  let b = Net.Fabric.add_host fabric ~name:"b" () in
+  let accepted = ref [] in
+  ignore (Net.Tcp.listen fabric b ~port:80 ~on_accept:(fun c -> accepted := c :: !accepted));
+  let clients = ref [] in
+  for _ = 1 to 4 do
+    Net.Tcp.connect fabric ~src:a ~dst:b ~port:80
+      ~on_connected:(fun c -> clients := c :: !clients)
+      ~on_failed:(fun () -> Alcotest.fail "connect failed")
+      ()
+  done;
+  Sim.Engine.run engine;
+  let heard = ref [] in
+  List.iteri
+    (fun i c -> Net.Tcp.set_on_close c (fun r -> heard := (i, r) :: !heard))
+    (List.rev !accepted);
+  Net.Tcp.close (List.nth (List.rev !clients) 1);
+  Sim.Engine.run engine;
+  Net.Host.crash a;
+  Sim.Engine.run engine;
+  Alcotest.(check (list (pair int string)))
+    "peers notified in creation order"
+    [ (1, "graceful"); (0, "peer-crashed"); (2, "peer-crashed"); (3, "peer-crashed") ]
+    (List.rev_map (fun (i, r) -> (i, Format.asprintf "%a" Net.Tcp.pp_close_reason r)) !heard)
+
 let test_send_on_closed_conn_is_noop () =
   let engine, _, _, _, client, server = connect_pair () in
   let got = ref 0 in
@@ -792,6 +845,8 @@ let () =
           tc "graceful close notifies peer" `Quick test_tcp_graceful_close_notifies_peer;
           tc "crash notifies peer" `Quick test_tcp_crash_notifies_peer;
           tc "send on closed conn is noop" `Quick test_send_on_closed_conn_is_noop;
+          tc "closed endpoint is collectable" `Quick test_tcp_closed_endpoint_collectable;
+          tc "crash closes in creation order" `Quick test_tcp_crash_closes_in_creation_order;
           tc "early messages buffered" `Quick test_early_messages_buffered_until_receiver;
           QCheck_alcotest.to_alcotest prop_tcp_fifo_random_traffic;
           tc "holdback drains, then the fast path" `Quick test_tcp_holdback_then_fast_path;

@@ -118,6 +118,48 @@ let test_state_fetch_on_new_replica () =
         (Corona.Shared_state.get st "o")
   | None -> Alcotest.fail "replica 2 holds no copy"
 
+(* The state blob for a new holder can overtake its [Add_replica]. The
+   group is created at srv-1; the coordinator (srv-0) names srv-2 its
+   backup and asks srv-1 for the copy. srv-2 is cut off while both
+   messages leave, then only srv-0 is, while both are resent: srv-1's blob
+   reaches srv-2 before srv-2 knows the group, and [Add_replica] arrives
+   after the heal. srv-2 must seed its copy from the early blob, so a
+   client joining there is answered and the copies agree. *)
+let test_early_state_blob_kept () =
+  let w = make_world () in
+  let a_client = ref None and joined = ref false in
+  connect w ~idx:0 ~member:"a" (fun a ->
+      a_client := Some a;
+      Net.Fabric.partition w.fabric [ [ "srv-2" ]; [ "srv-0"; "srv-1"; "cl-0"; "cl-1" ] ];
+      ignore
+        (Sim.Engine.schedule w.engine ~delay:0.2 (fun () ->
+             Net.Fabric.partition w.fabric
+               [ [ "srv-0" ]; [ "srv-1"; "srv-2"; "cl-0"; "cl-1" ] ]));
+      ignore (Sim.Engine.schedule w.engine ~delay:0.7 (fun () -> Net.Fabric.heal w.fabric));
+      Corona.Client.create_group a ~group:"g" ~initial:[ ("o", "base") ]
+        ~k:(expect_ok "create") ();
+      Corona.Client.join a ~group:"g" ~k:(fun r -> ignore (expect_join "join a" r)) ());
+  run ~until:0.8 w;
+  let r1 = Replication.Cluster.replica_for w.cluster 0 in
+  let r2 = Replication.Cluster.replica_for w.cluster 1 in
+  Alcotest.(check string) "creator's replica" "srv-1" (Replication.Node.id r1);
+  Alcotest.(check string) "backup replica" "srv-2" (Replication.Node.id r2);
+  Alcotest.(check bool) "srv-2 has no copy before Add_replica" true
+    (Replication.Node.group_state r2 "g" = None);
+  connect w ~idx:1 ~member:"b" (fun b ->
+      Corona.Client.join b ~group:"g"
+        ~k:(fun r ->
+          ignore (expect_join "join b" r);
+          joined := true;
+          Corona.Client.bcast_update (Option.get !a_client) ~group:"g" ~obj:"o" ~data:"+1" ())
+        ());
+  run ~until:30.0 w;
+  Alcotest.(check bool) "join at srv-2 answered" true !joined;
+  let digest n = Option.map Corona.Shared_state.digest (Replication.Node.group_state n "g") in
+  Alcotest.(check (option string)) "srv-2's copy is srv-1's" (digest r1) (digest r2);
+  Alcotest.(check (option (option string))) "the write reached srv-2" (Some (Some "base+1"))
+    (Option.map (fun s -> Corona.Shared_state.get s "o") (Replication.Node.group_state r2 "g"))
+
 (* Heavy interleaving from three senders on three replicas: every member
    sees the same total order. *)
 let test_total_order_three_replicas () =
@@ -1109,6 +1151,7 @@ let () =
         [
           tc "cross-replica multicast" `Quick test_cross_replica_multicast;
           tc "state fetch on new replica" `Quick test_state_fetch_on_new_replica;
+          tc "early state blob is kept" `Quick test_early_state_blob_kept;
           tc "total order across three replicas" `Quick test_total_order_three_replicas;
           tc "coordinator failover" `Quick test_coordinator_failover;
           tc "replica crash re-replication" `Quick test_replica_crash_rereplication;
