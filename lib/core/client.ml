@@ -96,30 +96,6 @@ let no_replica =
     gr_shard_next = no_shards;
   }
 
-(* A subscriber's member list of a group. While a join is in flight
-   ([v_joining]) changes wait in [v_early], newest first: one notified
-   after the server admitted us can arrive before our [Join_accepted] (a
-   relay forwards notifications on another connection), and it applies on
-   top of that list. *)
-type view = {
-  mutable v_members : Member_view.t;
-  mutable v_joining : bool;
-  mutable v_early : T.membership_change list;
-}
-
-let note_change v change =
-  if v.v_joining then v.v_early <- change :: v.v_early
-  else Member_view.note v.v_members change
-
-(* The join in flight is over: [members] is its list ([None]: refused),
-   and the changes that waited for it apply on top. *)
-let settle_join v members =
-  Option.iter (fun members -> v.v_members <- Member_view.of_list members) members;
-  v.v_joining <- false;
-  let early = v.v_early in
-  v.v_early <- [];
-  List.iter (Member_view.note v.v_members) (List.rev early)
-
 (* The replicas and member views by group, shared by a client and every
    record [reconnect] makes from it, with a one-entry cache of the replica
    the last delivery landed in, so a delivery in the same group as the one
@@ -130,7 +106,8 @@ type replicas = {
   tbl : (T.group_id, group_replica) Hashtbl.t;
   mutable hot_group : T.group_id;
   mutable hot : group_replica;
-  views : (T.group_id, view) Hashtbl.t;
+  views : (T.group_id, Member_view.t) Hashtbl.t;
+      (* a subscriber's member list of a group, settled by its last join *)
 }
 
 let create_replicas () =
@@ -168,9 +145,9 @@ type t = {
   pings : (int, float * (rtt:float -> unit)) Hashtbl.t; (* nonce -> sent, k *)
   mutable next_nonce : int;
   replicas : replicas;
-  chunks : (T.group_id, (T.object_id * string) list) Hashtbl.t;
-      (* paced State_chunk slices accumulated until Join_accepted, newest
-         first *)
+  held : (T.group_id, M.response Queue.t) Hashtbl.t;
+      (* from a join request until its reply, the group's deliveries,
+         membership changes and state chunks, in arrival order *)
   mutable deliveries : int;
 }
 
@@ -214,15 +191,6 @@ let resolve t group matches reply =
 
 (* --- replica maintenance --------------------------------------------- *)
 
-(* Reassemble paced chunk fragments: the first slice of an object sets it,
-   later slices append. *)
-let drain_chunks t group =
-  match Hashtbl.find_opt t.chunks group with
-  | None -> []
-  | Some fragments ->
-      Hashtbl.remove t.chunks group;
-      List.rev fragments
-
 let recent_cache_size = 128
 
 let dummy_update =
@@ -250,7 +218,7 @@ let state_of r =
   fold_pending r;
   r.gr_state
 
-let apply_join_state t group at_seqno (state : M.join_state) =
+let apply_join_state t group at_seqno (state : M.join_state) held =
   match (state, Hashtbl.find_opt t.replicas.tbl group) with
   | M.Update_history updates, Some replica ->
       (* Resync onto the surviving replica (reconnection, [15]): replayed
@@ -281,11 +249,17 @@ let apply_join_state t group at_seqno (state : M.join_state) =
       let st = state_of replica in
       (match state with
       | M.Snapshot { objects; log_tail } ->
-          List.iter
-            (fun (obj, data) ->
-              if Shared_state.mem st obj then Shared_state.append_object st obj data
-              else Shared_state.set_object st obj data)
-            (drain_chunks t group @ objects);
+          (* Paced chunks come first: the first slice of an object sets it,
+             later slices append. *)
+          let set_slices =
+            List.iter (fun (obj, data) ->
+                if Shared_state.mem st obj then Shared_state.append_object st obj data
+                else Shared_state.set_object st obj data)
+          in
+          Queue.iter
+            (function M.State_chunk { objects; _ } -> set_slices objects | _ -> ())
+            held;
+          set_slices objects;
           List.iter (fun u -> Shared_state.apply st u) log_tail
       | M.Update_history updates -> List.iter (fun u -> Shared_state.apply st u) updates);
       set_replica t.replicas group replica
@@ -327,29 +301,16 @@ let recent_updates replica ~from_seqno =
 let mcast_channel t group =
   Net.Multicast.channel t.fabric ~name:("corona-mcast:" ^ group)
 
-let rec subscribe_mcast t group =
-  Net.Multicast.join (mcast_channel t group) t.host ~key:t.member
-    ~handler:(fun ~size:_ payload ->
-      match payload with
-      | M.Corona (M.Response resp) -> handle_mcast_response t group resp
-      | M.Corona (M.Request _) | _ -> ())
-    ()
-
-and unsubscribe_mcast t group =
+let unsubscribe_mcast t group =
   Net.Multicast.leave (mcast_channel t group) t.host ~key:t.member ()
 
-and handle_mcast_response t group (resp : M.response) =
-  match resp with
-  | M.Deliver u when u.T.group = group -> handle_delivery t u
-  | _ -> ()
-
 (* A delivery, whatever transport it came on. Our own sender-exclusive
-   updates were applied at send time: swallow their multicast echo. Updates
-   for a group we hold no replica of are dropped whole: a relay that learned
-   of our join optimistically (or a pre-join multicast subscription) can
-   hand us a broadcast sequenced before our join completed — the join state
-   already covers it. *)
-and handle_delivery t (u : T.update) =
+   updates were applied at send time: swallow their multicast echo. A
+   delivery that arrives during a join of its group waits for the reply
+   (see [handle_response]), so one for a group we hold no replica of here
+   belongs to a group we left or a join that was refused (a relay snoops
+   joins optimistically), and is dropped whole. *)
+let handle_delivery t (u : T.update) =
   match hot_replica t.replicas u.group with
   | exception Not_found -> ()
   | r ->
@@ -384,25 +345,35 @@ and handle_delivery t (u : T.update) =
 
 (* --- response dispatch ------------------------------------------------ *)
 
-(* A refused join: a view made for it goes, one kept from an earlier join
-   takes the changes that waited. *)
-let join_failed t group =
-  match Hashtbl.find_opt t.replicas.views group with
-  | Some v ->
-      if Hashtbl.mem t.replicas.tbl group then settle_join v None
-      else Hashtbl.remove t.replicas.views group
-  | None -> ()
-
 let is_lock_acquire lock = function E_lock_acquire l -> l = lock | _ -> false
 
 let is_lock_release lock = function E_lock_release l -> l = lock | _ -> false
 
-let handle_response t (resp : M.response) =
+(* Whether a response for [group] waits for a join in flight. Allocates
+   nothing, and reads one field while no join is. *)
+let holds t group = Hashtbl.length t.held <> 0 && Hashtbl.mem t.held group
+
+(* The join in flight is answered: what waited for it, oldest first. *)
+let release t group =
+  match Hashtbl.find_opt t.held group with
+  | Some q ->
+      Hashtbl.remove t.held group;
+      q
+  | None -> Queue.create ()
+
+(* From a join request until its reply (§3.2: the state transfer, then the
+   updates sequenced after it), the group's deliveries, membership changes
+   and state chunks wait in [t.held], in arrival order: a relay forwards
+   broadcasts and changes on another connection than the reply, and a
+   chunked or deferred join answers after the member was added. The reply
+   runs the join's continuation first, then replays them here. *)
+let rec handle_response t (resp : M.response) =
   match resp with
+  | (M.Deliver { group; _ } | M.Membership_changed { group; _ } | M.State_chunk { group; _ })
+    when holds t group ->
+      Queue.add resp (Hashtbl.find t.held group)
+  | M.State_chunk _ -> (* of no join in flight *) ()
   | M.Group_created { group } -> ignore (resolve t group (fun e -> e = E_create) R_ok)
-  | M.State_chunk { group; objects; index = _; more = _ } ->
-      let sofar = Option.value (Hashtbl.find_opt t.chunks group) ~default:[] in
-      Hashtbl.replace t.chunks group (List.rev_append objects sofar)
   | M.Group_deleted { group } ->
       unsubscribe_mcast t group;
       if not (resolve t group (fun e -> e = E_delete) R_ok) then begin
@@ -411,28 +382,25 @@ let handle_response t (resp : M.response) =
         emit t (Group_was_deleted group)
       end
   | M.Join_accepted { group; at_seqno; state; members; multicast } ->
-      apply_join_state t group at_seqno state;
-      Option.iter
-        (fun v -> settle_join v (Some members))
-        (Hashtbl.find_opt t.replicas.views group);
+      let held = release t group in
+      apply_join_state t group at_seqno state held;
       (match Hashtbl.find_opt t.replicas.tbl group with
       | Some r -> r.gr_via_mcast <- multicast
       | None -> ());
       if not multicast then unsubscribe_mcast t group;
-      ignore (resolve t group (fun e -> e = E_join) (R_join { at_seqno; members }))
+      ignore (resolve t group (fun e -> e = E_join) (R_join { at_seqno; members }));
+      replay t held ~from_seqno:at_seqno
   | M.Left { group } ->
       unsubscribe_mcast t group;
       remove_replica t.replicas group;
-      (match Hashtbl.find_opt t.replicas.views group with
-      | Some v when not v.v_joining -> Hashtbl.remove t.replicas.views group
-      | Some _ | None -> ());
+      Hashtbl.remove t.replicas.views group;
       ignore (resolve t group (fun e -> e = E_leave) R_ok)
   | M.Membership_info { group; members } ->
       ignore (resolve t group (fun e -> e = E_membership) (R_membership members))
   | M.Membership_changed { group; change } ->
-      (match Hashtbl.find_opt t.replicas.views group with
-      | Some v -> note_change v change
-      | None -> ());
+      Option.iter
+        (fun v -> Member_view.note v change)
+        (Hashtbl.find_opt t.replicas.views group);
       emit t (Membership_changed { group; change })
   | M.Deliver u -> handle_delivery t u
   | M.Lock_granted { group; lock } ->
@@ -457,9 +425,11 @@ let handle_response t (resp : M.response) =
         M.send t.conn (M.Request (M.Resend { group; member = t.member; updates }))
   | M.Request_failed { group; reason } -> (
       match take_expectation t group (fun _ -> true) with
-      | Some e ->
-          if e.e_kind = E_join then join_failed t group;
-          e.e_k (R_failed reason)
+      | Some e when e.e_kind = E_join ->
+          let held = release t group in
+          e.e_k (R_failed reason);
+          replay t held ~from_seqno:min_int
+      | Some e -> e.e_k (R_failed reason)
       | None -> ())
   | M.Pong { nonce } -> (
       match Hashtbl.find_opt t.pings nonce with
@@ -495,6 +465,26 @@ let handle_response t (resp : M.response) =
          stray one is ignored. *)
       ()
 
+(* What waited for a join, through the ordinary handlers: chunks of no join
+   in flight are dropped there, and so are deliveries of a group with no
+   replica. The join state covers the updates sequenced before
+   [from_seqno]. *)
+and replay t held ~from_seqno =
+  Queue.iter
+    (function
+      | M.Deliver u when u.T.seqno < from_seqno -> ()
+      | resp -> handle_response t resp)
+    held
+
+let subscribe_mcast t group =
+  Net.Multicast.join (mcast_channel t group) t.host ~key:t.member
+    ~handler:(fun ~size:_ payload ->
+      match payload with
+      | M.Corona (M.Response (M.Deliver u as resp)) when u.T.group = group ->
+          handle_response t resp
+      | M.Corona _ | _ -> ())
+    ()
+
 let connect_internal fabric ~host ~server ~port ~member ~on_event ~replicas
     ~deliveries ~on_connected ~on_failed () =
   Net.Tcp.connect fabric ~src:host ~dst:server ~port
@@ -512,7 +502,7 @@ let connect_internal fabric ~host ~server ~port ~member ~on_event ~replicas
           pings = Hashtbl.create 8;
           next_nonce = 0;
           replicas;
-          chunks = Hashtbl.create 4;
+          held = Hashtbl.create 4;
           deliveries;
         }
       in
@@ -559,18 +549,17 @@ let delete_group t ~group ~k =
 
 let join t ~group ?(role = T.Principal) ?(transfer = T.Full_state) ?(notify = true)
     ~k () =
-  expect t group E_join k;
   (* Only a subscriber keeps a view: nobody would tell anyone else of a
-     change. *)
-  (if notify then
-     match Hashtbl.find_opt t.replicas.views group with
-     | Some v ->
-         v.v_joining <- true;
-         v.v_early <- []
-     | None ->
-         Hashtbl.replace t.replicas.views group
-           { v_members = Member_view.of_list []; v_joining = true; v_early = [] }
-   else Hashtbl.remove t.replicas.views group);
+     change. The view settles on the reply's list before [k] runs; a refused
+     join keeps the one an earlier join settled. *)
+  expect t group E_join (fun reply ->
+      (match reply with
+      | R_join { members; _ } when notify ->
+          Hashtbl.replace t.replicas.views group (Member_view.of_list members)
+      | R_join _ -> Hashtbl.remove t.replicas.views group
+      | _ -> ());
+      k reply);
+  if not (Hashtbl.mem t.held group) then Hashtbl.replace t.held group (Queue.create ());
   (* Subscribe before the request travels: every delivery multicast after
      the server processes the join is already audible. The subscription is
      dropped again if the server answers [multicast = false]. *)
@@ -649,15 +638,8 @@ let replica t group =
 
 let members t ~group =
   match Hashtbl.find_opt t.replicas.views group with
-  | Some v when Hashtbl.mem t.replicas.tbl group ->
-      if v.v_early = [] then Member_view.to_list v.v_members
-      else begin
-        (* a rejoin in flight: the view we keep, and the changes since *)
-        let now = Member_view.of_list (Member_view.to_list v.v_members) in
-        List.iter (Member_view.note now) (List.rev v.v_early);
-        Member_view.to_list now
-      end
-  | Some _ | None -> []
+  | Some v -> Member_view.to_list v
+  | None -> []
 
 let joined_groups t =
   Hashtbl.fold (fun g _ acc -> g :: acc) t.replicas.tbl [] |> List.sort String.compare

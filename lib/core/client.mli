@@ -116,7 +116,9 @@ val join :
 (** Join and transfer state per [transfer] (default [Full_state]); [notify]
     (default true) subscribes to membership-change notifications, from
     which the client keeps the view {!members} reads. On [R_join] the local
-    replica is already populated. *)
+    replica is already populated. The group's deliveries and changes that
+    arrive before the reply wait for it: their events come after [k] has
+    run, and a delivery the join state covers is dropped. *)
 
 val rejoin :
   t ->
@@ -180,9 +182,10 @@ val members : t -> group:Proto.Types.group_id -> Proto.Types.member list
 (** The group's members in join order, as this client knows them: the
     [R_join] list with every notified change since applied (a join of a
     present member replaces its role in place, a leave or crash of an
-    absent one does nothing; see {!Member_view}). Only a subscriber keeps
-    a view: [[]] for a group joined without [notify], or of which the
-    client holds no replica. *)
+    absent one does nothing; see {!Member_view}). During a rejoin it is
+    the last settled view: changes notified meanwhile wait for the reply.
+    Only a subscriber keeps a view: [[]] for a group joined without
+    [notify], or of which the client holds no replica. *)
 
 val joined_groups : t -> Proto.Types.group_id list
 

@@ -18,9 +18,11 @@
    Group membership is learned by snooping the proxied traffic: a [Join]
    forwarded upstream adds the member connection to the group *before* the
    root can sequence any later broadcast that includes the member, so
-   optimistic snooping never under-delivers; the rare over-delivery (a
-   broadcast sequenced before a join that fails) is dropped by the client's
-   no-replica guard. [Leave] forwards, [Left] / [Group_deleted] replies and
+   optimistic snooping never under-delivers. A member's client holds what
+   reaches it for a group before the join's reply: a broadcast sequenced
+   before its join is dropped once the reply's state covers it, and after
+   a refused join one for a group the client holds no replica of is
+   dropped. [Leave] forwards, [Left] / [Group_deleted] replies and
    connection death remove the membership. *)
 
 module M = Proto.Message

@@ -240,7 +240,53 @@ let partition_regressions =
       } );
   ]
 
-let test_partition_regressions () =
+(* Shrunk relay reproducers from a 5000-seed `--relay` full-profile sweep.
+   Each is a client churn or a relay crash, then a burst soon after the
+   member is back. A relay member's [Join_accepted] comes up its proxied
+   connection while the relay re-fans broadcasts on its control connection,
+   so the burst's first updates reached the rejoined member before its
+   reply: they were dropped, or applied before the join's continuation,
+   and the member saw a seqno gap (201, 1258 and 3258 with a digest mismatch too).
+   They fell to the client holding a joining group's deliveries, changes
+   and chunks until the reply. *)
+let relay_regressions =
+  let relay ~relays ~clients ~groups events =
+    { S.kind = S.Relay { relays }; clients; groups; horizon_ms = 20_000; events }
+  in
+  [
+    ( 201L,
+      relay ~relays:4 ~clients:5 ~groups:1
+        [
+          S.Client_churn { client = 4; at_ms = 7700; down_ms = 2727; crash = false };
+          S.Burst { client = 0; group = 0; at_ms = 10428; count = 4; size = 8 };
+        ] );
+    ( 905L,
+      relay ~relays:2 ~clients:3 ~groups:2
+        [
+          S.Client_churn { client = 1; at_ms = 3571; down_ms = 2748; crash = false };
+          S.Burst { client = 2; group = 1; at_ms = 6322; count = 2; size = 8 };
+        ] );
+    ( 1258L,
+      relay ~relays:4 ~clients:5 ~groups:3
+        [
+          S.Crash_relay { relay = 0; at_ms = 8133 };
+          S.Burst { client = 3; group = 0; at_ms = 8833; count = 5; size = 8 };
+        ] );
+    ( 3165L,
+      relay ~relays:3 ~clients:4 ~groups:1
+        [
+          S.Client_churn { client = 0; at_ms = 8686; down_ms = 1217; crash = false };
+          S.Burst { client = 3; group = 0; at_ms = 9904; count = 5; size = 19 };
+        ] );
+    ( 3258L,
+      relay ~relays:3 ~clients:5 ~groups:2
+        [
+          S.Client_churn { client = 2; at_ms = 4500; down_ms = 2562; crash = false };
+          S.Burst { client = 0; group = 0; at_ms = 7060; count = 6; size = 8 };
+        ] );
+  ]
+
+let replay_regressions regressions () =
   List.iter
     (fun (seed, sched) ->
       let r = Check.Runner.execute ~seed sched in
@@ -248,7 +294,11 @@ let test_partition_regressions () =
         (Printf.sprintf "seed %Ld: no violations" seed)
         []
         (List.map O.violation_line r.Check.Runner.r_violations))
-    partition_regressions
+    regressions
+
+let test_partition_regressions = replay_regressions partition_regressions
+
+let test_relay_regressions = replay_regressions relay_regressions
 
 (* --- seeded bug + shrinking ----------------------------------------------- *)
 
@@ -703,6 +753,7 @@ let () =
           tc "reconnect-during-join-storm regression" `Quick test_join_storm_regression;
           tc "deposed-coordinator partition regressions" `Quick
             test_partition_regressions;
+          tc "relay join-reply race regressions" `Quick test_relay_regressions;
         ] );
       ( "seeded-bug",
         [

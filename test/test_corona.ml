@@ -15,9 +15,9 @@ type world = {
   storage : Corona.Server_storage.t;
 }
 
-let make_world ?(seed = 42L) ?(clients = 4) ?config ?lock_table () =
+let make_world ?(seed = 42L) ?(clients = 4) ?net ?config ?lock_table () =
   let engine = Sim.Engine.create ~seed () in
-  let fabric = Net.Fabric.create engine in
+  let fabric = Net.Fabric.create ?config:net engine in
   let server_host = Net.Fabric.add_host fabric ~name:"server" () in
   let client_hosts =
     Array.init clients (fun i ->
@@ -1126,13 +1126,16 @@ let test_chunked_transfer_reassembly () =
 
 let test_chunked_transfer_interleaving () =
   (* While the 500 kB transfer is paced out, another member's update must
-     overtake it rather than queue behind the whole bulk. *)
+     overtake it rather than queue behind the whole bulk. The joiner hears
+     that update before its [Join_accepted], sequenced after its cut: it
+     waits for the reply and then applies. *)
   let config =
     { Corona.Server.default_config with transfer_chunk_bytes = Some 8_000 }
   in
   let w, _server = make_world ~config () in
   let big = List.init 50 (fun i -> (Printf.sprintf "o%02d" i, String.make 10_000 'd')) in
   let update_rtt = ref nan and join_done = ref nan and t0 = ref nan in
+  let b_ref = ref None in
   connect_client w ~host:w.client_hosts.(0) ~member:"a" (fun a ->
       let me = Corona.Client.member a in
       Corona.Client.set_on_event a (fun _ -> function
@@ -1143,6 +1146,7 @@ let test_chunked_transfer_interleaving () =
       Corona.Client.join a ~group:"g"
         ~k:(fun _ ->
           connect_client w ~host:w.client_hosts.(1) ~member:"b" (fun b ->
+              b_ref := Some b;
               Corona.Client.join b ~group:"g"
                 ~k:(fun _ -> join_done := Sim.Engine.now w.engine)
                 ();
@@ -1159,7 +1163,12 @@ let test_chunked_transfer_interleaving () =
     (Printf.sprintf "update overtook the bulk transfer (%.1f ms vs join %.1f ms)"
        (!update_rtt *. 1000.) (!join_done *. 1000.))
     true
-    (!update_rtt < 0.05 && Float.is_finite !join_done)
+    (!update_rtt < 0.05 && Float.is_finite !join_done);
+  let b = Option.get !b_ref in
+  Alcotest.(check (option string)) "the joiner holds the update" (Some "hi")
+    (Option.bind (Corona.Client.replica b "g") (fun st -> Corona.Shared_state.get st "chat"));
+  Alcotest.(check (option int)) "the joiner's last seqno" (Some 0)
+    (Corona.Client.last_seqno b "g")
 
 (* A chunked join sends [Join_accepted] only after the paced chunks, but
    the joiner is a member, and hears notifications, from the start: a
@@ -1331,6 +1340,62 @@ let test_idle_relay_tier_sends_nothing () =
   Sim.Engine.run ~until:15.0 w.engine;
   Alcotest.(check int) "no packet in 10 s" before (Net.Fabric.packets_sent w.fabric)
 
+(* A relay forwards membership changes on its control connection and a
+   member's join reply on the member's own proxied connection, so on a lossy
+   link a change can reach a joiner before its [Join_accepted]. It waits
+   for the reply: the event comes after the join's continuation, and the
+   view then holds the joiner. A change raised at the very instant of the
+   continuation is one that waited, and some must have. *)
+let test_relay_change_waits_for_join () =
+  let w, _server =
+    make_world ~seed:7L ~clients:6 ~net:{ Net.Fabric.lan with loss_rate = 0.05 } ()
+  in
+  let relay_host = Net.Fabric.add_host w.fabric ~name:"relay" () in
+  let now () = Sim.Engine.now w.engine in
+  let joined = ref 0 and waited = ref 0 and wrong = ref [] in
+  let via_relay i k =
+    let member = Printf.sprintf "m%d" i in
+    Corona.Client.connect w.fabric ~host:w.client_hosts.(i) ~server:relay_host ~member
+      ~on_connected:(fun c ->
+        let replied_at = ref nan in
+        Corona.Client.set_on_event c (fun c -> function
+          | Corona.Client.Membership_changed { group; change } ->
+              let seen = Format.asprintf "%s: %a" member T.pp_membership_change change in
+              if Float.is_nan !replied_at then wrong := (seen ^ " before the reply") :: !wrong
+              else if now () = !replied_at then incr waited;
+              if
+                not
+                  (List.exists
+                     (fun (m : T.member) -> m.member = member)
+                     (Corona.Client.members c ~group))
+              then wrong := (seen ^ " with the joiner absent") :: !wrong
+          | _ -> ());
+        k c (fun r ->
+            ignore (expect_join "join" r);
+            replied_at := now ();
+            incr joined))
+      ~on_failed:(fun () -> Alcotest.failf "%s failed to connect" member)
+      ()
+  in
+  let join c k = Corona.Client.join c ~group:"g" ~k () in
+  ignore
+    (Corona.Relay.create w.fabric relay_host ~relay:"relay" ~root:w.server_host
+       ~on_ready:(fun _ ->
+         via_relay 0 (fun c k ->
+             Corona.Client.create_group c ~group:"g" ~k:(expect_ok "create") ();
+             join c (fun r ->
+                 k r;
+                 for i = 1 to 5 do
+                   via_relay i join
+                 done)))
+       ~on_failed:(fun () -> Alcotest.fail "relay could not reach the root")
+       ());
+  Sim.Engine.run ~until:30.0 w.engine;
+  Alcotest.(check int) "every member joined" 6 !joined;
+  Alcotest.(check (list string)) "changes after the join's reply, joiner present" []
+    (List.rev !wrong);
+  Alcotest.(check bool) "a change waited for its join's reply" true (!waited > 0)
+
 (* Notifications carry only the change: each subscriber rebuilds the view
    from its join-time list. Three subscribers watch four actors join, leave,
    rejoin with another role and crash in random order; after every step
@@ -1464,5 +1529,9 @@ let () =
             test_lock_table_per_group_incarnation;
           QCheck_alcotest.to_alcotest qcheck_subscriber_views;
         ] );
-      ("relay", [ tc "an idle relay tier sends nothing" `Quick test_idle_relay_tier_sends_nothing ]);
+      ( "relay",
+        [
+          tc "an idle relay tier sends nothing" `Quick test_idle_relay_tier_sends_nothing;
+          tc "a change waits for the joiner's reply" `Quick test_relay_change_waits_for_join;
+        ] );
     ]
