@@ -305,11 +305,13 @@ let unsubscribe_mcast t group =
   Net.Multicast.leave (mcast_channel t group) t.host ~key:t.member ()
 
 (* A delivery, whatever transport it came on. Our own sender-exclusive
-   updates were applied at send time: swallow their multicast echo. A
-   delivery that arrives during a join of its group waits for the reply
-   (see [handle_response]), so one for a group we hold no replica of here
-   belongs to a group we left or a join that was refused (a relay snoops
-   joins optimistically), and is dropped whole. *)
+   updates were applied at send time: swallow their multicast echo. One at
+   or below the last seqno applied (a resent or re-fanned copy, or one the
+   join state already covers) is dropped silently: it is neither counted
+   nor raised. A delivery that arrives during a join of its group waits for
+   the reply (see [handle_response]), so one for a group we hold no replica
+   of here belongs to a group we left or a join that was refused (a relay
+   snoops joins optimistically), and is dropped whole. *)
 let handle_delivery t (u : T.update) =
   match hot_replica t.replicas u.group with
   | exception Not_found -> ()
@@ -328,15 +330,10 @@ let handle_delivery t (u : T.update) =
             true
         | Some _ | None -> false
       in
-      if not own_exclusive_echo then begin
+      if (not own_exclusive_echo) && u.seqno > r.gr_last_seqno then begin
         t.deliveries <- t.deliveries + 1;
-        if u.seqno > r.gr_last_seqno then begin
-          (* Our own sender-exclusive updates were applied at send time and
-             never come back; this seqno guard covers the sender-inclusive
-             echo. *)
-          defer_update r u;
-          r.gr_last_seqno <- u.seqno
-        end;
+        defer_update r u;
+        r.gr_last_seqno <- u.seqno;
         (* [Delivered] is a boxed constructor — only build it for a
            registered listener. *)
         match t.on_event with Some f -> f t (Delivered u) | None -> ()

@@ -20,8 +20,6 @@ type entry = {
   e_persistent : bool;
   mutable e_next_seqno : int;
   e_table : slot Corona.Slot_table.t; (* members, join order *)
-  mutable e_members : Proto.Types.member list option;
-      (* [members], cached until the next membership change *)
   e_at : (Smsg.server_id, int ref) Hashtbl.t;
       (* members served by each server, only servers with at least one *)
   mutable e_holders : Smsg.server_id list; (* first = oldest *)
@@ -49,13 +47,7 @@ let next_seqno e = e.e_next_seqno
 
 let holders e = e.e_holders
 
-let members e =
-  match e.e_members with
-  | Some l -> l
-  | None ->
-      let l = Corona.Slot_table.fold_live e.e_table (fun s l -> s.s_member :: l) [] in
-      e.e_members <- Some l;
-      l
+let members e = Corona.Slot_table.fold_live e.e_table (fun s l -> s.s_member :: l) []
 
 let member_info e m =
   let s = Corona.Slot_table.get e.e_table m in
@@ -94,7 +86,6 @@ let count_out e server =
 (* Record (or re-record) a member at [server]; [true] when the set of
    servers with members changed. A rejoin keeps the member's slot. *)
 let record e (m : Proto.Types.member) ~notify ~server =
-  e.e_members <- None;
   let info = { mi_role = m.role; mi_notify = notify; mi_server = server } in
   match Corona.Slot_table.set e.e_table { s_member = m; s_info = info } with
   | None -> count_in e server
@@ -112,7 +103,6 @@ let add_group t ~group ~persistent ~first_holder =
         e_persistent = persistent;
         e_next_seqno = 0;
         e_table = Corona.Slot_table.create ~size:8 ~dead ~key:(fun s -> s.s_member.member);
-        e_members = Some [];
         e_at = Hashtbl.create 8;
         e_holders = [ first_holder ];
         e_replicas = [ first_holder ];
@@ -148,7 +138,6 @@ let leave t ~group ~member =
       match Corona.Slot_table.remove e.e_table member with
       | None -> `Not_member
       | Some old ->
-          e.e_members <- None;
           if count_out e old.s_info.mi_server then recompute_replicas e;
           `Ok e)
 
@@ -180,7 +169,6 @@ let remove_server t server =
         in
         List.iter (fun m -> ignore (Corona.Slot_table.remove e.e_table m)) members_here;
         Hashtbl.remove e.e_at server;
-        e.e_members <- None;
         lost_members := (group, List.rev members_here) :: !lost_members
       end;
       let held_here = List.mem server e.e_holders in

@@ -13,8 +13,7 @@
     recomputes [replicas_of], in O(k + h), when a server gains its first
     member or loses its last one, or the holder set changes. [leave]'s
     compaction of the join-ordered table is amortized O(1). [members]
-    builds its list once per membership change, in O(n), and returns the
-    cached list until the next one. [remove_server] walks the members only
+    builds its list on each call, in O(n). [remove_server] walks the members only
     of the groups in which the crashed server served some, O(n) each.
     [rebuild] costs O(1) per reported member. *)
 

@@ -26,8 +26,7 @@ let default_config =
     shards = 1;
   }
 
-(* Escalation unit of the election; also paces the recovery round's settle
-   timer and the barrier re-prepare. *)
+(* Escalation unit of the election; also paces the barrier re-prepare. *)
 let election_timeout = 0.4
 
 type role = Coordinator | Replica
@@ -84,8 +83,6 @@ type rgroup = {
          across shards, so a single per-origin watermark would not be
          monotone. *)
   mutable rg_expecting_blob : bool; (* a State_blob is on its way *)
-  mutable rg_pending_sjoins : T.member_id list;
-      (* sharded joins whose barrier fired before our copy was seeded *)
 }
 
 (* A cross-shard barrier the coordinator is collecting positions for. *)
@@ -110,6 +107,16 @@ type pending_join = {
   pj_transfer : T.transfer_spec;
   pj_notify : bool;
   mutable pj_result : int option; (* the group's next seqno, from Join_result *)
+  mutable pj_admitted : bool;
+      (* the directory took the join: at [Join_result] on a classic copy, at
+         its view barrier on a sharded one *)
+}
+
+(* The coordinator's open directory-recovery round. *)
+type round = {
+  mutable r_waiting : Smsg.server_id list; (* servers still to answer *)
+  mutable r_reports : (Smsg.server_id * Smsg.dir_report list) list;
+      (* newest first; our own report is the oldest *)
 }
 
 type t = {
@@ -124,10 +131,7 @@ type t = {
   mutable node_role : role;
   (* coordinator state *)
   dir : Directory.t;
-  mutable dir_ready : bool;
-  mutable dir_waiting_on : Smsg.server_id list;
-  mutable dir_round : int; (* shard epoch the latest round opened; 0 classic *)
-  mutable recovery_reports : (Smsg.server_id * Smsg.dir_report) list;
+  mutable round : round option; (* requests wait in [coord_buffer] while open *)
   mutable coord_buffer : (Smsg.server_id * Smsg.t) list; (* newest first *)
   (* replica state *)
   rgroups : (T.group_id, rgroup) Hashtbl.t;
@@ -317,7 +321,6 @@ and make_rgroup t group =
       rg_hb = SH.create ~shards:t.cfg.shards ();
       rg_last_og = Hashtbl.create 8;
       rg_expecting_blob = false;
-      rg_pending_sjoins = [];
     }
   in
   Hashtbl.replace t.rgroups group rg;
@@ -366,9 +369,6 @@ and seed_rgroup t rg ~objects ~positions =
   rg.rg_expecting_blob <- false;
   (* The adopted positions may already satisfy a parked barrier. *)
   run_actions t rg (SH.poll rg.rg_hb);
-  let waiting = List.rev rg.rg_pending_sjoins in
-  rg.rg_pending_sjoins <- [];
-  List.iter (fun member -> complete_shard_join t rg member) waiting;
   complete_ready_joins t rg
 
 (* A sharded copy logs from its first sequenced update or barrier on, at
@@ -411,25 +411,43 @@ and admit t rg member (pj : pending_join) =
   in
   E.add_member t.eng rg.rg_local ~group:rg.rg_id ~member ~role ~notify:pj.pj_notify
 
-(* A classic join takes its state from the group-wide log; a sharded one
-   completes when its view barrier fires ([complete_shard_join]). The
-   joiner gets the copy's current view: every view change since the
-   [Join_result] is already in it, and every later one reaches the joiner
-   as a notification. *)
+(* The one place a join completes: once it is admitted and the copy is
+   seeded. A classic joiner takes its state from the group-wide log; a
+   sharded one the merged snapshot and, as its per-stream baseline, the
+   copy's positions. The joiner gets the copy's current
+   view: every view change since its admission is already in it, and every
+   later one reaches the joiner as a notification. *)
 and complete_join t rg member (pj : pending_join) =
-  match (group_log rg, pj.pj_result) with
-  | Some log, Some _ ->
+  match rg.rg_logs with
+  | Some logs when pj.pj_admitted && not rg.rg_expecting_blob -> (
       admit t rg member pj;
-      E.accept_join t.eng pj.pj_conn ~group:rg.rg_id ~members:rg.rg_global
-        ~members_size:(M.members_size rg.rg_global) ~multicast:false
-        (E.join_state t.eng (`Log log) pj.pj_transfer)
-  | _ -> ()
+      match logs with
+      | [| log |] ->
+          E.accept_join t.eng pj.pj_conn ~group:rg.rg_id ~members:rg.rg_global
+            ~members_size:(M.members_size rg.rg_global) ~multicast:false
+            (E.join_state t.eng (`Log log) pj.pj_transfer)
+      | _ ->
+          if Net.Tcp.is_open pj.pj_conn then begin
+            E.send t.eng pj.pj_conn
+              (M.Join_accepted
+                 {
+                   group = rg.rg_id;
+                   at_seqno = 0;
+                   state =
+                     M.Snapshot { objects = shard_snapshot_objects logs; log_tail = [] };
+                   members = rg.rg_global;
+                   multicast = false;
+                 });
+            E.send t.eng pj.pj_conn
+              (M.Shard_joined
+                 { group = rg.rg_id; vector = Array.to_list (SH.positions rg.rg_hb) })
+          end)
+  | Some _ | None -> ()
 
 and complete_ready_joins t rg =
   let ready =
     Hashtbl.fold
-      (fun (g, m) pj acc ->
-        if g = rg.rg_id && pj.pj_result <> None then (m, pj) :: acc else acc)
+      (fun (g, m) pj acc -> if g = rg.rg_id && pj.pj_admitted then (m, pj) :: acc else acc)
       t.pending_join []
   in
   List.iter (fun (m, pj) -> complete_join t rg m pj) ready
@@ -573,19 +591,7 @@ and apply_shard_op t rg ~bar ~vector op =
   let group = rg.rg_id in
   (match op with
   | Smsg.Op_view { change; members; origin } ->
-      rg.rg_global <- members;
-      (match change with
-      | T.Member_left m | T.Member_crashed m ->
-          ignore (E.remove_member t.eng rg.rg_local ~group m)
-      | T.Member_joined _ -> ());
-      (if origin = t.self then
-         match change with
-         | T.Member_joined { member; _ } ->
-             if rg.rg_expecting_blob then
-               rg.rg_pending_sjoins <- member :: rg.rg_pending_sjoins
-             else complete_shard_join t rg member
-         | T.Member_left _ | T.Member_crashed _ -> ());
-      E.notify t.eng rg.rg_local ~group change
+      apply_view t rg change ~members ~admits:(origin = t.self)
   | Smsg.Op_lock { lock; member } -> lock_reply t ~group ~lock ~member `Granted);
   E.fan_out t.eng rg.rg_local ~group
     (M.Shard_view
@@ -595,6 +601,22 @@ and apply_shard_op t rg ~bar ~vector op =
          vector = Array.to_list vector;
          op = Smsg.shard_op_label op;
        })
+
+(* A view change, from a [Membership_update] or at its barrier: when it
+   [admits], the join it announces is one this server forwarded, and it may
+   now complete. *)
+and apply_view t rg change ~members ~admits =
+  let group = rg.rg_id in
+  rg.rg_global <- members;
+  (match change with
+  | T.Member_left m | T.Member_crashed m -> ignore (E.remove_member t.eng rg.rg_local ~group m)
+  | T.Member_joined { member; _ } -> (
+      match Hashtbl.find_opt t.pending_join (group, member) with
+      | Some pj when admits ->
+          pj.pj_admitted <- true;
+          complete_join t rg member pj
+      | Some _ | None -> ()));
+  E.notify t.eng rg.rg_local ~group change
 
 (* Answer the member's pending lock request here, or — a deferred grant —
    push it to the member at whichever replica serves it (elsewhere a
@@ -614,29 +636,6 @@ and lock_reply t ~group ~lock ~member result =
       match result with
       | `Granted -> E.send_member t.eng member (M.Lock_granted { group; lock })
       | `Busy _ | `Released | `Error _ -> ())
-
-(* Close a sharded join at the origin replica, at the exact point the view
-   barrier fired: snapshot + per-shard baseline vector for the client. *)
-and complete_shard_join t rg member =
-  match Hashtbl.find_opt t.pending_join (rg.rg_id, member) with
-  | None -> ()
-  | Some pj ->
-      let logs = logs_of t rg in
-      admit t rg member pj;
-      if Net.Tcp.is_open pj.pj_conn then begin
-        E.send t.eng pj.pj_conn
-          (M.Join_accepted
-             {
-               group = rg.rg_id;
-               at_seqno = 0;
-               state =
-                 M.Snapshot { objects = shard_snapshot_objects logs; log_tail = [] };
-               members = rg.rg_global;
-               multicast = false;
-             });
-        E.send t.eng pj.pj_conn
-          (M.Shard_joined { group = rg.rg_id; vector = Array.to_list (SH.positions rg.rg_hb) })
-      end
 
 (* --- coordinator: barrier engine ------------------------------------------ *)
 
@@ -838,15 +837,10 @@ and coord_fan_group t entry ?except msg =
 [@@corona.hot]
 
 and coord_handle t ~from msg =
-  (* Directory reports and liveness must never wait behind the recovery
-     buffer: a [Dir_reply] IS the recovery input — deferring it would let a
-     buffered forward be sequenced against a directory that has not yet
-     absorbed the other replicas' holdings, fanning the update past them
-     with no later seqno to trigger gap repair. *)
-  let defer =
-    (not t.dir_ready) && match msg with Smsg.Dir_reply _ -> false | _ -> true
-  in
-  if defer then t.coord_buffer <- (from, msg) :: t.coord_buffer
+  (* While a round is open, a forward would be sequenced against a directory
+     that has not yet absorbed the other replicas' holdings, fanning the
+     update past them with no later seqno to trigger gap repair. *)
+  if t.round <> None then t.coord_buffer <- (from, msg) :: t.coord_buffer
   else begin
     match msg with
     | Smsg.Fwd_create { origin; group; creator; persistent; initial } ->
@@ -989,10 +983,6 @@ and coord_handle t ~from msg =
                   | Some next_holder -> coord_grant t entry ~lock ~member:next_holder
                   | None -> ())
             end)
-    | Smsg.Dir_reply { from; reports } ->
-        let tagged = List.map (fun r -> (from, r)) reports in
-        t.recovery_reports <- tagged @ t.recovery_reports;
-        Directory.rebuild t.dir tagged
     | _ -> ()
   end
 
@@ -1104,11 +1094,11 @@ and replica_handle t ~from msg =
               if Net.Tcp.is_open pj.pj_conn then E.fail t.eng pj.pj_conn group reason
           | None ->
               pj.pj_result <- Some next_seqno;
+              (* Sharded, the view barrier admits the join; here we only
+                 make sure a copy is on its way. *)
+              if not (sharded t) then pj.pj_admitted <- true;
               let rg = rgroup_of t group in
               rg.rg_global <- members;
-              (* Sharded, the join completes when its view barrier fires
-                 ([complete_shard_join]); here we only make sure a copy is on
-                 its way. *)
               match (rg.rg_logs <> None, holder) with
               | true, _ -> complete_join t rg member pj
               | false, Some _ -> expect_blob t rg
@@ -1118,30 +1108,16 @@ and replica_handle t ~from msg =
                      directory counts no group-wide seqno when sharded). *)
                   if not rg.rg_expecting_blob then
                     seed_rgroup t rg ~objects:[] ~positions:[ (0, next_seqno) ]))
-  | Smsg.Membership_update { group; change; members } when from = t.coord -> (
+  | Smsg.Membership_update { group; change; members } when from = t.coord ->
       (* A deposed coordinator's view change, still in flight when a
          partition heals, must not reach the current reign's subscribers:
-         nothing would take it back. *)
-      match Hashtbl.find_opt t.rgroups group with
-      | None -> ()
-      | Some rg ->
-          rg.rg_global <- members;
-          (match change with
-          | T.Member_left m | T.Member_crashed m ->
-              ignore (E.remove_member t.eng rg.rg_local ~group m)
-          | T.Member_joined _ -> ());
-          (* skip-barrier injection: views bypass the barrier, but a
-             sharded join must still finish here, or the seeded bug would
-             manifest as lost liveness instead of a missing barrier stamp *)
-          (if t.cfg.shards > 1 then
-             match change with
-             | T.Member_joined { member; _ }
-               when Hashtbl.mem t.pending_join (group, member) ->
-                 if rg.rg_expecting_blob then
-                   rg.rg_pending_sjoins <- member :: rg.rg_pending_sjoins
-                 else complete_shard_join t rg member
-             | _ -> ());
-          E.notify t.eng rg.rg_local ~group change)
+         nothing would take it back. Sharded, only the skip-barrier
+         injection sends one: it admits the join as the barrier would, or
+         the seeded bug would manifest as lost liveness instead of a missing
+         barrier stamp. *)
+      Option.iter
+        (fun rg -> apply_view t rg change ~members ~admits:(sharded t))
+        (Hashtbl.find_opt t.rgroups group)
   | Smsg.Bcast_reject { origin; reason } ->
       ignore reason;
       if origin.og_server = t.self then Hashtbl.remove t.pending_bcast origin.og_seq
@@ -1246,7 +1222,10 @@ and expect_blob t rg =
 and mark_dead t srv =
   if List.mem srv t.alive then begin
     t.alive <- List.filter (fun s -> s <> srv) t.alive;
-    if t.node_role = Coordinator then coord_server_died t srv
+    if t.node_role = Coordinator then begin
+      coord_server_died t srv;
+      round_heard t srv None
+    end
     else if srv = t.coord && not (Election.List_order.electing (election t)) then begin
       t.s_elections_started <- t.s_elections_started + 1;
       Election.List_order.start (election t)
@@ -1333,33 +1312,32 @@ and become_coordinator t =
   resend_pending t
 
 (* The one recovery round: rebuild the directory from every live server's
-   holdings, our own included, and (sharded) their per-shard positions;
-   sequencing reopens once everyone reported, or after a settle timeout.
-   [announce]: tell each server first that we coordinate now. Sharded, each
-   round opens a new ownership epoch, which also retires the settle timer of
-   any round it overlaps (an epoch learnt from another regime does not). *)
+   holdings, our own included, and (sharded) their per-shard positions.
+   Requests wait until every server queried has answered or died; a dead
+   server's report is left out. [announce]: tell each server first that we
+   coordinate now. Sharded, each round opens a new ownership epoch. A newer
+   round replaces an open one, reports and all. *)
 and start_directory_recovery t ~announce =
   t.node_role <- Coordinator;
-  t.dir_ready <- false;
   if sharded t then begin
     t.shard_epoch <- t.shard_epoch + 1;
     (* Barrier ids are drawn from the epoch so a new reign (or re-round)
        never reuses a stamped id. *)
     t.bar_next <- t.shard_epoch * 1_000_000
   end;
-  t.dir_round <- t.shard_epoch;
-  t.dir_waiting_on <- List.filter (fun s -> s <> t.self) t.alive;
+  let r =
+    {
+      r_waiting = List.filter (fun s -> s <> t.self) t.alive;
+      r_reports = [ (t.self, List.rev (dir_reports t)) ];
+    }
+  in
+  t.round <- Some r;
   List.iter
     (fun dst ->
       if announce then send_srv t dst (Smsg.Coordinator_is { coord = t.self });
       send_srv t dst (Smsg.Dir_query { from = t.self }))
-    t.dir_waiting_on;
-  self_dir_report t;
-  let round = t.dir_round in
-  ignore
-    (Sim.Engine.schedule (Net.Fabric.engine t.fabric)
-       ~delay:(2.0 *. election_timeout)
-       (fun () -> if (not t.dir_ready) && t.dir_round = round then finish_directory_recovery t))
+    r.r_waiting;
+  if r.r_waiting = [] then finish_directory_recovery t r
 
 (* This node's holdings for a directory rebuild, newest-first in table
    order. Sharded copies count too: the group-wide seqno is meaningless
@@ -1385,24 +1363,33 @@ and dir_reports t =
         :: acc)
     t.rgroups []
 
-and self_dir_report t =
-  let tagged = List.rev_map (fun r -> (t.self, r)) (dir_reports t) in
-  t.recovery_reports <- List.rev_append tagged t.recovery_reports;
-  Directory.rebuild t.dir tagged
+(* [srv] answered the open round ([Some reports]) or died ([None]); anything
+   else is a late answer to a round that is over, and counts for nothing. *)
+and round_heard t srv reports =
+  match t.round with
+  | Some r when List.mem srv r.r_waiting ->
+      r.r_waiting <- List.filter (fun s -> s <> srv) r.r_waiting;
+      Option.iter (fun rs -> r.r_reports <- (srv, rs) :: r.r_reports) reports;
+      if r.r_waiting = [] then finish_directory_recovery t r
+  | Some _ | None -> ()
 
-and finish_directory_recovery t =
-  t.dir_ready <- true;
-  (* Heal sequence gaps left by the crash: any replica whose copy is behind
-     the group's recovered position gets the missing suffix from the
-     freshest reporter. *)
-  let reports = t.recovery_reports in
-  t.recovery_reports <- [];
+and finish_directory_recovery t r =
+  t.round <- None;
+  let reports =
+    List.concat_map
+      (fun (srv, rs) -> if List.mem srv t.alive then List.map (fun r -> (srv, r)) rs else [])
+      (List.rev r.r_reports)
+  in
+  Directory.rebuild t.dir reports;
   (* The sequencer's duplicate filter starts from the freshest origin
      watermark any survivor applied. *)
   List.iter
     (fun (_, (r : Smsg.dir_report)) ->
       List.iter (fun (s, o, n) -> raise_max t.seq_dedup (r.dr_group, s, o) n) r.dr_origins)
     reports;
+  (* Heal sequence gaps left by the crash: any replica whose copy is behind
+     the group's recovered position gets the missing suffix from the
+     freshest reporter. *)
   let by_group : (T.group_id, (Smsg.server_id * int) list) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -1410,7 +1397,7 @@ and finish_directory_recovery t =
     (fun (srv, (r : Smsg.dir_report)) ->
       let prev = Option.value (Hashtbl.find_opt by_group r.dr_group) ~default:[] in
       Hashtbl.replace by_group r.dr_group ((srv, r.dr_next_seqno) :: prev))
-    reports;
+    (List.rev reports);
   Hashtbl.iter
     (fun group positions ->
       let freshest, max_next =
@@ -1426,9 +1413,8 @@ and finish_directory_recovery t =
         positions)
     by_group;
   (* Sharded ownership recovers with the directory, so sequencing never
-     resumes under a dead owner table; a coordinator deposed by a heal
-     mid-round must not fan its own. *)
-  if sharded t && t.node_role = Coordinator then reassign_shards t reports;
+     resumes under a dead owner table. *)
+  if sharded t then reassign_shards t reports;
   let buffered = List.rev t.coord_buffer in
   t.coord_buffer <- [];
   List.iter (fun (from, msg) -> coord_handle t ~from msg) buffered
@@ -1464,10 +1450,9 @@ and resend_pending t =
   resend_bcasts t;
   Hashtbl.iter
     (fun (group, member) (pj : pending_join) ->
-      (* A sharded join is not done at [Join_result]: it completes when the
-         view barrier applies, and that barrier may have died with the old
-         coordinator — re-forward regardless of the recorded result. *)
-      if pj.pj_result = None || t.cfg.shards > 1 then
+      (* A sharded join is admitted by its view barrier, which may have
+         died with the old coordinator. *)
+      if not pj.pj_admitted then
         send_srv t t.coord
           (Smsg.Fwd_join
              {
@@ -1507,12 +1492,8 @@ and dispatch_smsg t ~from msg =
     | Smsg.Fwd_create _ | Smsg.Fwd_delete _ | Smsg.Fwd_join _ | Smsg.Fwd_leave _
     | Smsg.Fwd_bcast _ | Smsg.Fwd_lock _ ->
         if t.node_role = Coordinator then coord_handle t ~from msg
-    | Smsg.Dir_reply _ ->
-        if t.node_role = Coordinator then begin
-          coord_handle t ~from msg;
-          t.dir_waiting_on <- List.filter (fun s -> s <> from) t.dir_waiting_on;
-          if t.dir_waiting_on = [] && not t.dir_ready then finish_directory_recovery t
-        end
+    | Smsg.Dir_reply { from; reports } ->
+        if t.node_role = Coordinator then round_heard t from (Some reports)
     | Smsg.Sequenced _ | Smsg.Fetch_updates _ | Smsg.Updates_blob _
     | Smsg.Barrier_prepare _ | Smsg.Barrier_pos _ | Smsg.Barrier_commit _
     | Smsg.Shard_assign _ ->
@@ -1572,7 +1553,13 @@ let handle_client_request t conn (req : M.request) =
   | M.Join { group; member; role = mrole; transfer; notify } ->
       E.bind t.eng member conn;
       Hashtbl.replace t.pending_join (group, member)
-        { pj_conn = conn; pj_transfer = transfer; pj_notify = notify; pj_result = None };
+        {
+          pj_conn = conn;
+          pj_transfer = transfer;
+          pj_notify = notify;
+          pj_result = None;
+          pj_admitted = false;
+        };
       (* §4.1 relaxation: co-located members hear about the join before the
          coordinator round-trip; the coordinator skips this replica in its
          Membership_update fan. *)
@@ -1748,10 +1735,7 @@ let create fabric node_host ?(config = default_config) ?(hooks = no_hooks) ~stor
       coord = coordinator;
       node_role = (if self = coordinator then Coordinator else Replica);
       dir = Directory.create ~lock_table:hooks.lock_table;
-      dir_ready = true;
-      dir_waiting_on = [];
-      dir_round = 0;
-      recovery_reports = [];
+      round = None;
       coord_buffer = [];
       rgroups = Hashtbl.create 16;
       early_blobs = Hashtbl.create 4;

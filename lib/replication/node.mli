@@ -13,8 +13,10 @@
     first live server in the startup list claims the role with escalating
     timeouts and assumes it on acks from half+1 of the servers it believes
     alive, then runs the one recovery round: it queries every live server's
-    holdings (sharded: and stream positions), rebuilds the directory, heals
-    sequence gaps and moves dead owners' shards. Replicas re-send their
+    holdings (sharded: and stream positions), waits until each has answered
+    or been declared dead, rebuilds the directory from the answers of the
+    servers still alive, heals sequence gaps and moves dead owners' shards.
+    An answer that arrives after its round closed counts for nothing. Replicas re-send their
     un-sequenced forwards (duplicates are filtered by per-origin monotone
     tags). On replica failure the coordinator purges its members,
     re-replicates every group left with fewer than two state copies and, if
@@ -44,8 +46,9 @@ type config = {
 val default_config : config
 (** Ports 7000/7100, 0.5 s heartbeats, 1.6 s failure timeout, no auto
     reduction, allow-all access, relaxation off, one shard. The election's
-    escalation unit is fixed at 0.4 s; it also paces the recovery round's
-    settle timer and the barrier re-prepare. *)
+    escalation unit is fixed at 0.4 s; it also paces the barrier re-prepare.
+    The recovery round has no timer of its own: it closes on answers or on
+    deaths, which the failure timeout decides. *)
 
 type role = Coordinator | Replica
 

@@ -286,6 +286,67 @@ let relay_regressions =
         ] );
   ]
 
+(* Shrunk sharded reproducers from a 5000-seed sweep (4801 from
+   `--sharded --smoke`, the rest from `--sharded` full). Each partitions
+   srv-0 away, then churns clients after the heal, and a rejoin is never
+   answered. In 1530, srv-0's takeover round closed on a timer while its
+   query to srv-2 was still held by the partition; the answer came after
+   the heal and was merged into the directory anyway, bringing back a group
+   deleted since, with a stale shard position. The next view barrier was
+   stamped with that position, which the joiner's own copy never reaches.
+   They fell to the round closing only on answers or deaths and counting
+   only the answers of the round that is open. *)
+let sharded_regressions =
+  let sharded ~replicas ~shards ~clients ~groups ~horizon_ms events =
+    { S.kind = S.Sharded { replicas; shards }; clients; groups; horizon_ms; events }
+  in
+  [
+    ( 1530L,
+      sharded ~replicas:2 ~shards:8 ~clients:3 ~groups:3 ~horizon_ms:20_000
+        [
+          S.Partition_servers { servers = [ 0 ]; at_ms = 6476; dur_ms = 5304 };
+          S.Client_churn { client = 0; at_ms = 11519; down_ms = 1529; crash = false };
+          S.Client_churn { client = 1; at_ms = 12449; down_ms = 887; crash = false };
+        ] );
+    ( 3600L,
+      sharded ~replicas:2 ~shards:2 ~clients:3 ~groups:3 ~horizon_ms:20_000
+        [
+          S.Partition_servers { servers = [ 0 ]; at_ms = 9933; dur_ms = 5447 };
+          S.Client_churn { client = 2; at_ms = 14469; down_ms = 1330; crash = false };
+          S.Client_churn { client = 1; at_ms = 15512; down_ms = 1349; crash = false };
+        ] );
+    ( 4027L,
+      sharded ~replicas:3 ~shards:8 ~clients:3 ~groups:3 ~horizon_ms:20_000
+        [
+          S.Partition_servers { servers = [ 0 ]; at_ms = 3167; dur_ms = 4343 };
+          S.Client_churn { client = 0; at_ms = 7272; down_ms = 1332; crash = false };
+          S.Client_churn { client = 2; at_ms = 7821; down_ms = 706; crash = true };
+        ] );
+    ( 4370L,
+      sharded ~replicas:2 ~shards:8 ~clients:3 ~groups:2 ~horizon_ms:20_000
+        [
+          S.Burst { client = 0; group = 1; at_ms = 7081; count = 1; size = 8 };
+          S.Partition_servers { servers = [ 0 ]; at_ms = 11063; dur_ms = 3080 };
+          S.Client_churn { client = 1; at_ms = 12792; down_ms = 2279; crash = false };
+          S.Client_churn { client = 2; at_ms = 14479; down_ms = 475; crash = false };
+          S.Client_churn { client = 0; at_ms = 14677; down_ms = 690; crash = false };
+        ] );
+    ( 4956L,
+      sharded ~replicas:3 ~shards:4 ~clients:3 ~groups:3 ~horizon_ms:20_000
+        [
+          S.Partition_servers { servers = [ 0 ]; at_ms = 2237; dur_ms = 5749 };
+          S.Client_churn { client = 2; at_ms = 7358; down_ms = 2354; crash = false };
+          S.Client_churn { client = 0; at_ms = 8735; down_ms = 428; crash = false };
+        ] );
+    ( 4801L,
+      sharded ~replicas:2 ~shards:2 ~clients:2 ~groups:2 ~horizon_ms:12_000
+        [
+          S.Partition_servers { servers = [ 0 ]; at_ms = 2143; dur_ms = 4109 };
+          S.Client_churn { client = 0; at_ms = 6625; down_ms = 1009; crash = false };
+          S.Client_churn { client = 1; at_ms = 7243; down_ms = 714; crash = false };
+        ] );
+  ]
+
 let replay_regressions regressions () =
   List.iter
     (fun (seed, sched) ->
@@ -299,6 +360,8 @@ let replay_regressions regressions () =
 let test_partition_regressions = replay_regressions partition_regressions
 
 let test_relay_regressions = replay_regressions relay_regressions
+
+let test_sharded_regressions = replay_regressions sharded_regressions
 
 (* --- seeded bug + shrinking ----------------------------------------------- *)
 
@@ -754,6 +817,7 @@ let () =
           tc "deposed-coordinator partition regressions" `Quick
             test_partition_regressions;
           tc "relay join-reply race regressions" `Quick test_relay_regressions;
+          tc "sharded unanswered-rejoin regressions" `Quick test_sharded_regressions;
         ] );
       ( "seeded-bug",
         [

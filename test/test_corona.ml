@@ -905,6 +905,66 @@ let test_rebind_reaches_every_group () =
     (Corona.Client.deliveries_received b2);
   check_replica_agrees server b2 ~group:"g2" "g2 replica after the old close"
 
+(* A second copy of a delivery the client already applied (a resent or
+   re-fanned frame) is dropped without a trace: no event, and
+   [deliveries_received] does not move. A scripted server answers the join
+   and then sends the same [Deliver] twice. *)
+let test_duplicate_delivery_dropped () =
+  let w, _server = make_world ~clients:1 () in
+  let scripted = Net.Fabric.add_host w.fabric ~name:"scripted" () in
+  let u =
+    {
+      T.seqno = 0;
+      group = "g";
+      kind = T.Set_state;
+      obj = "o";
+      data = "one";
+      sender = "b";
+      timestamp = 0.0;
+    }
+  in
+  let deliver = ref (fun () -> ()) in
+  ignore
+    (Net.Tcp.listen w.fabric scripted ~port:7000 ~on_accept:(fun conn ->
+         let respond r = Proto.Message.send conn (Proto.Message.Response r) in
+         deliver := (fun () -> respond (Proto.Message.Deliver u));
+         Net.Tcp.set_receiver conn (fun ~size:_ payload ->
+             match payload with
+             | Proto.Message.Corona (Proto.Message.Request (Proto.Message.Join { group; member; _ }))
+               ->
+                 respond
+                   (Proto.Message.Join_accepted
+                      {
+                        group;
+                        at_seqno = 0;
+                        state = Proto.Message.Snapshot { objects = []; log_tail = [] };
+                        members = [ { T.member; role = T.Principal } ];
+                        multicast = false;
+                      })
+             | _ -> ())));
+  let delivered = ref 0 and client = ref None in
+  Corona.Client.connect w.fabric ~host:w.client_hosts.(0) ~server:scripted ~member:"a"
+    ~on_event:(fun _ -> function Corona.Client.Delivered _ -> incr delivered | _ -> ())
+    ~on_connected:(fun c ->
+      Corona.Client.join c ~group:"g"
+        ~k:(fun r ->
+          ignore (expect_join "join" r);
+          client := Some c)
+        ())
+    ~on_failed:(fun () -> Alcotest.fail "a failed to connect")
+    ();
+  run w.engine;
+  let a = Option.get !client in
+  !deliver ();
+  run w.engine;
+  Alcotest.(check (pair int int)) "first copy raised and counted" (1, 1)
+    (!delivered, Corona.Client.deliveries_received a);
+  !deliver ();
+  run w.engine;
+  Alcotest.(check (pair int int)) "second copy neither raised nor counted" (1, 1)
+    (!delivered, Corona.Client.deliveries_received a);
+  Alcotest.(check (option int)) "last seqno" (Some 0) (Corona.Client.last_seqno a "g")
+
 (* The client's one-entry replica cache must never outlive its table entry:
    after a leave and rejoin, a delete, re-create and rejoin, a reconnect and
    rejoin (the table and its cache shared between client records), and a
@@ -1511,6 +1571,7 @@ let () =
             test_rejoin_after_log_reduction_falls_back;
           tc "multiple groups on one connection" `Quick test_multiple_groups_one_client;
           tc "rebind reaches every group" `Quick test_rebind_reaches_every_group;
+          tc "duplicate delivery dropped" `Quick test_duplicate_delivery_dropped;
           tc "client replica cache follows the table" `Quick
             test_client_replica_cache_follows_the_table;
           tc "delete notifies members, durably" `Quick test_delete_group_notifies_members;

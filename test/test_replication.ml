@@ -1096,8 +1096,8 @@ let test_sharded_coordinator_crash () = sharded_owner_loss ~victim:"srv-0" ()
 let test_sharded_owner_crash () = sharded_owner_loss ~victim:"srv-1" ()
 
 (* The takeover round waits on srv-3, which dies before it can reply and
-   owns no shard, so its death opens no new round: the round still closes on
-   its settle timer. The directory answers again and the dead coordinator's
+   owns no shard, so its death opens no new round: it closes the round, as
+   an answer would. The directory answers again and the dead coordinator's
    shard is sequenced by a live owner. *)
 let test_round_waits_out_dead_server () =
   let config = { Replication.Node.default_config with shards = 2 } in
